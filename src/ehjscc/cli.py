@@ -5,7 +5,9 @@ leakage, capacity) plus whatever the requested command needs: policy
 constants for ``solve``, a search budget for ``search``, a capacity list
 for ``sweep``, a horizon for ``simulate``.  Outputs are CSV/JSON files
 written with round-trip float formatting and fixed ordering, so rerunning
-the same config gives byte-identical artifacts.
+the same config gives byte-identical artifacts.  JSON is strict RFC 8259:
+infinities are written as the strings "inf" and "-inf", which the config
+reader accepts back, and NaN as null.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when the
 requested constants (or search) yield no feasible policy, 4 when the
@@ -302,6 +304,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _json_value(value):
+    # RFC 8259 has no NaN or Infinity: +-inf become the strings the config
+    # reader accepts back ("inf", "-inf"), NaN becomes null
+    if isinstance(value, float):
+        if math.isnan(value):
+            return None
+        if math.isinf(value):
+            return "inf" if value > 0.0 else "-inf"
+        return value
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _json(payload) -> str:
+    return json.dumps(_json_value(payload), allow_nan=False)
+
+
 def _write_text(path: str, text: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -361,7 +383,7 @@ def cmd_bound(cfg: RunConfig, args) -> int:
         if args.format == "json":
             _write_text(
                 os.path.join(out, "bound.json"),
-                json.dumps({"L": cfg.capacity, "d_lb": value}) + "\n",
+                _json({"L": cfg.capacity, "d_lb": value}) + "\n",
             )
         else:
             _write_text(
@@ -386,12 +408,12 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         payload["kappa"] = [float(v) for v in sol.kappa]
         payload["f"] = [float(v) for v in sol.f]
         _write_text(os.path.join(out, "solution.json"),
-                    json.dumps(payload) + "\n")
+                    _json(payload) + "\n")
     else:
         _write_text(os.path.join(out, "solution.csv"), _solution_csv(sol))
         _write_text(os.path.join(out, "solution.json"),
-                    json.dumps(sidecar) + "\n")
-    print(json.dumps(sidecar))
+                    _json(sidecar) + "\n")
+    print(_json(sidecar))
     return 0
 
 
@@ -425,8 +447,8 @@ def cmd_search(cfg: RunConfig, args) -> int:
         "feasible": True,
     }
     out = _out_dir(cfg, args)
-    _write_text(os.path.join(out, "search.json"), json.dumps(payload) + "\n")
-    print(json.dumps(payload))
+    _write_text(os.path.join(out, "search.json"), _json(payload) + "\n")
+    print(_json(payload))
     return 0
 
 
@@ -463,7 +485,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             {"L": cap, "d_avg_adaptive": d_ad, "d_avg_constk": d_ck, "d_lb": d_lb}
             for cap, d_ad, d_ck, d_lb in result.rows()
         ]
-        _write_text(os.path.join(out, "sweep.json"), json.dumps(rows) + "\n")
+        _write_text(os.path.join(out, "sweep.json"), _json(rows) + "\n")
     else:
         _write_text(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
     return 0
@@ -558,13 +580,13 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         "empirical_cdf": [float(v) for v in stats.empirical_cdf],
     }
     out = _out_dir(cfg, args)
-    _write_text(os.path.join(out, "simulation.json"), json.dumps(payload) + "\n")
+    _write_text(os.path.join(out, "simulation.json"), _json(payload) + "\n")
     if args.format == "csv":
         lines = ["z,cdf"]
         for edge, val in zip(stats.bin_edges, stats.empirical_cdf):
             lines.append(f"{_fmt(edge)},{_fmt(val)}")
         _write_text(os.path.join(out, "cdf.csv"), "\n".join(lines) + "\n")
-    print(json.dumps(report_payload))
+    print(_json(report_payload))
     return 0
 
 

@@ -34,6 +34,10 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# The rate maps take a scalar or a NumPy array; arrays go through NumPy
+# elementwise and are rejected as a whole if any entry is out of domain.
+# Scalars keep the plain-float path, which is what the per-event code uses.
+
 
 def binary_entropy(d: float) -> float:
     """H(d) = -d*log2(d) - (1-d)*log2(1-d), with 0*log(0) := 0."""
@@ -42,6 +46,11 @@ def binary_entropy(d: float) -> float:
     if d == 0.0 or d == 1.0:
         return 0.0
     return -(d * math.log2(d) + (1.0 - d) * math.log2(1.0 - d))
+
+
+def _entropy_array(d: np.ndarray) -> np.ndarray:
+    # binary entropy on an array of d in (0, 1)
+    return -(d * np.log2(d) + (1.0 - d) * np.log2(1.0 - d))
 
 
 @dataclass(frozen=True)
@@ -72,12 +81,19 @@ class GaussianSource:
             return 0.0
         return 0.5 * math.log2(self.variance / d)
 
-    def rate_derivatives(self, d: float) -> tuple[float, float]:
-        if not 0.0 < d < self.d_max:
+    def rate_derivatives(self, d):
+        if isinstance(d, np.ndarray):
+            if not np.all((d > 0.0) & (d < self.d_max)):
+                raise ValueError(f"need 0 < d < {self.d_max} everywhere")
+        elif not 0.0 < d < self.d_max:
             raise ValueError(f"need 0 < d < {self.d_max}, got {d}")
         return -1.0 / (2.0 * d * _LN2), 1.0 / (2.0 * d * d * _LN2)
 
-    def rate_inverse(self, r: float) -> float:
+    def rate_inverse(self, r):
+        if isinstance(r, np.ndarray):
+            if not np.all(r >= 0.0):
+                raise ValueError("rate must be >= 0 everywhere")
+            return self.variance * np.exp2(-2.0 * r)
         if r < 0.0:
             raise ValueError(f"rate must be >= 0, got {r}")
         if r == 0.0:
@@ -112,22 +128,33 @@ class BernoulliSource:
             return 0.0
         return self.rate_threshold - binary_entropy(d)
 
-    def rate_derivatives(self, d: float) -> tuple[float, float]:
-        if not 0.0 < d < self.d_max:
+    def rate_derivatives(self, d):
+        if isinstance(d, np.ndarray):
+            if not np.all((d > 0.0) & (d < self.d_max)):
+                raise ValueError(f"need 0 < d < {self.d_max} everywhere")
+            first = np.log2(d / (1.0 - d))
+        elif not 0.0 < d < self.d_max:
             raise ValueError(f"need 0 < d < {self.d_max}, got {d}")
-        first = math.log2(d / (1.0 - d))
+        else:
+            first = math.log2(d / (1.0 - d))
         second = 1.0 / (d * (1.0 - d) * _LN2)
         return first, second
 
-    def rate_inverse(self, r: float) -> float:
+    def rate_inverse(self, r):
+        """The distortion at rate r (scalar or array), d_max at r = 0.
+
+        Inverts H on (0, d_max]: H is strictly increasing there and
+        H(d_max) = H(prob), so the target entropy is always bracketed.
+        Bisection to an absolute width of 1e-15, elementwise for arrays.
+        """
+        if isinstance(r, np.ndarray):
+            return self._rate_inverse_array(r)
         if r < 0.0:
             raise ValueError(f"rate must be >= 0, got {r}")
         if r == 0.0:
             return self.d_max
         if r >= self.rate_threshold:
             return 0.0
-        # invert H on (0, d_max]: H is strictly increasing there and
-        # H(d_max) = H(prob), so the target entropy is always bracketed
         target = self.rate_threshold - r
         lo, hi = 1e-300, self.d_max
         for _ in range(200):
@@ -139,6 +166,24 @@ class BernoulliSource:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
+
+    def _rate_inverse_array(self, r: np.ndarray) -> np.ndarray:
+        if not np.all(r >= 0.0):
+            raise ValueError("rate must be >= 0 everywhere")
+        target = self.rate_threshold - r
+        lo = np.full(r.shape, 1e-300)
+        hi = np.full(r.shape, self.d_max)
+        for _ in range(200):
+            open_ = hi - lo > 1e-15
+            if not open_.any():
+                break
+            mid = 0.5 * (lo + hi)
+            below = _entropy_array(mid) < target
+            lo = np.where(open_ & below, mid, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+        d = 0.5 * (lo + hi)
+        d = np.where(r >= self.rate_threshold, 0.0, d)
+        return np.where(r == 0.0, self.d_max, d)
 
 
 SourceModel = Union[GaussianSource, BernoulliSource]
@@ -154,13 +199,20 @@ class AwgnChannel:
         if not (self.noise > 0.0 and math.isfinite(self.noise)):
             raise ValueError(f"noise must be positive, got {self.noise}")
 
-    def rate(self, p: float) -> float:
+    def rate(self, p):
+        if isinstance(p, np.ndarray):
+            if not np.all(p >= 0.0):
+                raise ValueError("power must be >= 0 everywhere")
+            return 0.5 * np.log2(1.0 + p / self.noise)
         if p < 0.0:
             raise ValueError(f"power must be >= 0, got {p}")
         return 0.5 * math.log2(1.0 + p / self.noise)
 
-    def rate_derivatives(self, p: float) -> tuple[float, float]:
-        if p < 0.0:
+    def rate_derivatives(self, p):
+        if isinstance(p, np.ndarray):
+            if not np.all(p >= 0.0):
+                raise ValueError("power must be >= 0 everywhere")
+        elif p < 0.0:
             raise ValueError(f"power must be >= 0, got {p}")
         denom = self.noise + p
         first = 1.0 / (2.0 * _LN2 * denom)

@@ -11,9 +11,19 @@ distortion level.  Substituting the induced mismatch
 kappa(z) = R_s(D_beta)/R_c(p(z)) into the stationarity condition of the
 average-distortion functional collapses it to a first-order autonomous
 ODE for the power profile p(z), with two further free constants c1, c2.
-This module builds that ODE, integrates it, reconstructs the stationary
+This module builds that ODE, solves it, reconstructs the stationary
 charge law (density, atom at zero, mismatch at zero), and audits the
 result against the original integro-differential stationarity condition.
+
+Both policy ODEs here are autonomous, p' = F(p), with F evaluated on
+whole arrays of powers: the solvers hand F to
+:func:`~ehjscc.numerics.integrate_autonomous`, which integrates
+z(p) = Int dq / F(q) by quadrature and inverts it at the grid nodes.  The
+c2 polish re-solves only the endpoint power per trial, each trial seeded
+with the previous trial's panels.  Every way F can fail on the path
+(p running to 0 or escaping, |F| above 1e9, a vanishing denominator, p
+leaving the model's domain) comes back as an infeasible outcome whose
+message says near which z.
 
 The constant-mismatch (kappa = 1) policy family and the constant-power
 scheme for unbounded storage are provided for comparison, as both are
@@ -36,7 +46,8 @@ from .numerics import (
     SingularityError,
     cumulative_integral,
     find_root,
-    integrate_ode,
+    integrate_autonomous,
+    integrate_ode,  # noqa: F401 -- looked up here by benchmarks/tracer.py
     lambert_w,
     quadrature,
 )
@@ -214,7 +225,7 @@ def adaptive_rhs(
     ch: AwgnChannel,
     arrivals: ArrivalModel,
     consts: VariationalConstants,
-) -> Callable[[float], float]:
+) -> Callable:
     """Right-hand side F with p'(z) = F(p(z)) for the adaptive policy.
 
     Derivation: with the distortion pinned at D_beta, the mismatch is
@@ -229,59 +240,55 @@ def adaptive_rhs(
 
     The formula is never trusted on its own: every accepted solution is
     audited by :func:`optimality_residual` against the original condition.
-    Raises :class:`SingularityError` when the denominator magnitude drops
-    below 1e-12 (the reduction degenerates there).
+    The returned F takes a scalar or an array of powers.  Where the
+    denominator magnitude drops below 1e-12 (the reduction degenerates
+    there) an array gets +inf and a scalar raises
+    :class:`SingularityError`.
     """
     d_beta = beta_to_distortion(src, consts.beta)
-    r_beta = src.rate(d_beta)
-    slope = src.rate_derivatives(d_beta)[0]
+    field = _adaptive_field(
+        ch, arrivals, consts, d_beta, src.rate(d_beta), src.rate_derivatives(d_beta)[0]
+    )
+
+    def rhs(p):
+        if isinstance(p, np.ndarray):
+            return field(p)
+        value = float(field(np.array([float(p)]))[0])
+        if math.isinf(value):
+            raise SingularityError("adaptive ODE denominator vanished", math.nan)
+        return value
+
+    return rhs
+
+
+def _adaptive_field(ch, arrivals, consts, d_beta, r_beta, slope):
+    # array form of adaptive_rhs for a distortion level already solved for
     delta, lam = arrivals.delta, arrivals.lam
     ratio = r_beta / slope
     c1, c2 = consts.c1, consts.c2
 
-    def rhs(p: float) -> float:
+    def rhs(p: np.ndarray) -> np.ndarray:
         rc = ch.rate(p)
         rc1, rc2 = ch.rate_derivatives(p)
         den = (d_beta + c1) * rc1 - ratio * (p * rc2 + rc1)
-        if abs(den) < 1e-12:
-            raise SingularityError("adaptive ODE denominator vanished", math.nan)
         num = (
             delta * ratio * rc1
             + lam * (d_beta + c1) * rc
             - lam * ratio * p * rc1
             + lam * c2 * r_beta
         )
-        return num / den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(np.abs(den) < 1e-12, np.inf, num / den)
 
     return rhs
 
 
-def _endpoint_gap(src, ch, consts, d_beta, r_beta, slope, p_end):
+def _endpoint_gap(ch, consts, d_beta, r_beta, slope, p_end):
     # value of the stationarity condition at z = L, where the integral
     # term is empty: D_beta - (dD/dp)*p + c1 + c2*kappa(L)
     kap = r_beta / ch.rate(p_end)
     d_dp = kap * ch.rate_derivatives(p_end)[0] / slope
     return d_beta - d_dp * p_end + consts.c1 + consts.c2 * kap
-
-
-def _integrate_endpoint(rhs, capacity, p0plus, atol, rtol):
-    # p(L) only; the integrator is free to choose its own interior steps
-    wrapped = _stamp_z(rhs)
-    _, ps = integrate_ode(
-        wrapped, 0.0, p0plus, capacity, atol=atol, rtol=rtol,
-        sample_points=[capacity],
-    )
-    return float(ps[-1])
-
-
-def _stamp_z(rhs):
-    # attach the current z to singularities raised by an autonomous rhs
-    def wrapped(z, p):
-        try:
-            return rhs(p)
-        except SingularityError as exc:
-            raise SingularityError(exc.message, z) from None
-    return wrapped
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -345,7 +352,7 @@ def _residual_profile(src, ch, arrivals, solution, consts) -> np.ndarray:
     slope = src.rate_derivatives(d_beta)[0]
     delta, lam = arrivals.delta, arrivals.lam
 
-    rc1 = np.array([ch.rate_derivatives(x)[0] for x in p])
+    rc1 = ch.rate_derivatives(p)[0]
     integrand = rc1 * np.exp(-lam * nodes) / slope
     cum = cumulative_integral(nodes, integrand)
     tail = cum[-1] - cum          # integral from z to L
@@ -376,12 +383,13 @@ def solve_adaptive(
 ) -> PolicySolution:
     """Solve the charge-adaptive policy and its stationary charge law.
 
-    Integrates the reduced ODE from (0+, p0plus) to the battery capacity,
-    reconstructs kappa(z) = R_s(D_beta)/R_c(p(z)), the stationary density
-    f, the atom pi0, the empty-battery mismatch kappa0 and the average
-    distortion.  Constants that drive the ODE into a singularity come
-    back as an infeasible outcome with infinite average distortion, not
-    an exception.  Constants whose charge law over-subscribes the
+    Solves the reduced ODE from (0+, p0plus) to the battery capacity by
+    quadrature (``atol``/``rtol`` set its error target), reconstructs
+    kappa(z) = R_s(D_beta)/R_c(p(z)), the stationary density f, the atom
+    pi0, the empty-battery mismatch kappa0 and the average distortion.
+    Constants that drive the ODE into a singularity come back as an
+    infeasible outcome with infinite average distortion, not an
+    exception.  Constants whose charge law over-subscribes the
     mismatch normalization (int f/kappa >= 1, so no positive kappa0 can
     close it) are also flagged infeasible, but the average distortion is
     still reported: it depends only on the mismatch split and stays
@@ -408,11 +416,24 @@ def solve_adaptive(
     r_beta = src.rate(d_beta)
     slope = src.rate_derivatives(d_beta)[0]
 
+    latest = None  # (c2, path) of the last trajectory solved
+
+    def trajectory(c2: float):
+        nonlocal latest
+        if latest is None or latest[0] != c2:
+            field = _adaptive_field(
+                ch, arrivals, replace(consts, c2=c2), d_beta, r_beta, slope
+            )
+            latest = (c2, integrate_autonomous(
+                field, p0plus, capacity, atol=atol, rtol=rtol,
+                layout=None if latest is None else latest[1],
+            ))
+        return latest[1]
+
     def endpoint_gap_at(c2: float):
-        trial = replace(consts, c2=c2)
-        rhs = adaptive_rhs(src, ch, arrivals, trial)
-        p_end = _integrate_endpoint(rhs, capacity, p0plus, atol, rtol)
-        return _endpoint_gap(src, ch, trial, d_beta, r_beta, slope, p_end), p_end
+        p_end = trajectory(c2).p_end
+        gap = _endpoint_gap(ch, replace(consts, c2=c2), d_beta, r_beta, slope, p_end)
+        return gap, p_end
 
     c2 = consts.c2
     if refine_c2:
@@ -459,22 +480,15 @@ def solve_adaptive(
 
     if grid is None:
         grid = Grid.graded(capacity)
-    rhs = adaptive_rhs(src, ch, arrivals, used)
     try:
-        _, ps = integrate_ode(
-            _stamp_z(rhs), 0.0, p0plus, capacity,
-            atol=atol, rtol=rtol, sample_points=grid.nodes,
-        )
+        p = trajectory(c2).p_at(grid.nodes)
     except SingularityError as exc:
         return _infeasible(
             "adaptive", p0plus,
             f"ODE singular near z={exc.z:.6g}: {exc.message}",
             d_beta=d_beta, constants=used,
         )
-    p = ps[1:]
-
-    rc = np.array([ch.rate(x) for x in p])
-    kappa = r_beta / rc
+    kappa = r_beta / ch.rate(p)
 
     delta, lam = arrivals.delta, arrivals.lam
     drain = p + np.asarray(leak.rate(grid.nodes), dtype=float)
@@ -526,17 +540,35 @@ def solve_adaptive(
 # constant-mismatch policy (kappa = 1)
 # ---------------------------------------------------------------------------
 
-def _matched_distortion_derivatives(src, ch, p):
-    # D~(p) := D(p, 1) and its first two derivatives via implicit
-    # differentiation of R_s(D~) = R_c(p)
-    d = distortion(src, ch, p, 1.0)
-    if not 0.0 < d < src.d_max:
-        raise SingularityError("matched distortion left (0, d_max)", math.nan)
-    s1, s2 = src.rate_derivatives(d)
-    rc1, rc2 = ch.rate_derivatives(p)
-    d1 = rc1 / s1
-    d2 = (rc2 - s2 * d1 * d1) / s1
-    return d, d1, d2
+def _matched_field(src, ch, arrivals, c):
+    """Array right-hand side of the constant-mismatch power ODE.
+
+    With D~(p) := D(p, 1) and its derivatives from implicit
+    differentiation of R_s(D~) = R_c(p):
+
+        F(p) = -( lam*D~ + (delta - lam*p)*D~' + c ) / ( p * D~'' )
+
+    NaN where D~ leaves (0, d_max) (the state has left the model's
+    domain, e.g. Bernoulli R_c(p) reaching H(prob)), +inf where the
+    denominator magnitude drops below 1e-12.
+    """
+    delta, lam = arrivals.delta, arrivals.lam
+
+    def rhs(p: np.ndarray) -> np.ndarray:
+        d = distortion(src, ch, p, 1.0)
+        inside = (d > 0.0) & (d < src.d_max)
+        d_in = np.where(inside, d, 0.5 * src.d_max)
+        s1, s2 = src.rate_derivatives(d_in)
+        rc1, rc2 = ch.rate_derivatives(p)
+        d1 = rc1 / s1
+        d2 = (rc2 - s2 * d1 * d1) / s1
+        den = p * d2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = -(lam * d_in + (delta - lam * p) * d1 + c) / den
+        f = np.where(np.abs(den) < 1e-12, np.inf, f)
+        return np.where(inside, f, np.nan)
+
+    return rhs
 
 
 def solve_constant_kappa(
@@ -561,10 +593,14 @@ def solve_constant_kappa(
     with D~(p) = D(p, 1).  The free constant ``c`` plays the role the
     pair (c1, c2) plays for the adaptive policy; c = -lam*D~(delta/lam)
     with p0plus = delta/lam freezes the fixed point (constant power), and
-    smaller c gives charge-increasing power profiles.  The stationary law
-    is reconstructed exactly as in :func:`solve_adaptive` with kappa = 1,
-    so the empty-battery mismatch is 1 and the average distortion
-    integrates D~(p(z)) against the charge law.
+    smaller c gives charge-increasing power profiles.  The ODE is solved
+    by quadrature as in :func:`solve_adaptive` (``atol``/``rtol`` set its
+    error target); a power leaving the model's domain (a Bernoulli
+    channel rate reaching H(prob), where D~ hits 0) is infeasible like any
+    other singularity.  The stationary law is reconstructed exactly as in
+    :func:`solve_adaptive` with kappa = 1, so the empty-battery mismatch
+    is 1 and the average distortion integrates D~(p(z)) against the
+    charge law.
     """
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise ValueError(f"capacity must be finite and positive, got {capacity}")
@@ -572,27 +608,19 @@ def solve_constant_kappa(
         raise ValueError(f"p0plus must be positive, got {p0plus}")
     delta, lam = arrivals.delta, arrivals.lam
 
-    def rhs(p: float) -> float:
-        d, d1, d2 = _matched_distortion_derivatives(src, ch, p)
-        den = p * d2
-        if abs(den) < 1e-12:
-            raise SingularityError("constant-mismatch ODE denominator vanished", math.nan)
-        return -(lam * d + (delta - lam * p) * d1 + c) / den
-
     if grid is None:
         grid = Grid.graded(capacity)
     try:
-        _, ps = integrate_ode(
-            _stamp_z(rhs), 0.0, p0plus, capacity,
-            atol=atol, rtol=rtol, sample_points=grid.nodes,
-        )
+        p = integrate_autonomous(
+            _matched_field(src, ch, arrivals, c), p0plus, capacity,
+            atol=atol, rtol=rtol,
+        ).p_at(grid.nodes)
     except SingularityError as exc:
         return _infeasible(
             "constant-kappa", p0plus,
             f"ODE singular near z={exc.z:.6g}: {exc.message}",
             c=c,
         )
-    p = ps[1:]
 
     drain = p + np.asarray(leak.rate(grid.nodes), dtype=float)
     drain0 = p0plus + float(leak.rate(0.0))
@@ -600,7 +628,7 @@ def solve_constant_kappa(
         grid.nodes, grid.weights, drain, drain0, delta, lam
     )
 
-    d_of_z = np.array([distortion(src, ch, x, 1.0) for x in p])
+    d_of_z = distortion(src, ch, p, 1.0)
     d_avg = pi0 * src.d_max + quadrature(d_of_z * f, grid)
 
     return PolicySolution(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ehjscc.cli import main
+from ehjscc.cli import _json, load_run_config, main
 
 GAUSS_SYSTEM = """\
 source: {kind: gaussian, variance: 1.0}
@@ -68,6 +68,61 @@ def test_bound_infinite_capacity(workdir, capsys):
     cfg.write_text(GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: inf"))
     assert main(["bound", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out.strip() == "0.500000"
+
+
+def _strict_json(path):
+    # RFC 8259 has no NaN or Infinity literals
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_bound_json_at_infinite_capacity_is_strict_and_reloads(workdir, capsys):
+    cfg = workdir / "bound_inf_json.yaml"
+    cfg.write_text(GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: inf"))
+    out = workdir / "bound_inf_json"
+    assert main(["bound", "--config", str(cfg), "--out", str(out),
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    payload = _strict_json(out / "bound.json")
+    assert payload == {"L": "inf", "d_lb": pytest.approx(0.5, abs=1e-12)}
+    # the encoded capacity is one the config reader accepts back
+    again = workdir / "bound_inf_again.yaml"
+    again.write_text(GAUSS_SYSTEM.replace("capacity: 5.0", f"capacity: {payload['L']}"))
+    assert load_run_config(str(again)).capacity == math.inf
+
+
+def test_json_encoding_of_non_finite_values():
+    text = _json({"a": math.inf, "b": [-math.inf, math.nan, 1.5], "c": None})
+    assert json.loads(text) == {"a": "inf", "b": ["-inf", None, 1.5], "c": None}
+
+
+def test_every_json_artifact_is_strict(workdir, bench_config, capsys):
+    cfg = workdir / "strict.yaml"
+    cfg.write_text(
+        GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: 2.0")
+        + "search: {budget: 60, seed: 3}\n"
+        + "sweep: {capacities: [2.0], kappa_budget: 30}\n"
+    )
+    constk = workdir / "strict_constk.yaml"
+    constk.write_text(GAUSS_SYSTEM + "policy: constant-kappa\nconstants: {c: -0.55}\n")
+    out = workdir / "strict_out"
+    runs = [
+        ["solve", "--config", bench_config, "--format", "json"],
+        ["solve", "--config", str(constk)],
+        ["search", "--config", str(cfg)],
+        ["sweep", "--config", str(cfg), "--format", "json"],
+        ["simulate", "--config", bench_config],
+    ]
+    written = []
+    for i, argv in enumerate(runs):
+        target = out / str(i)
+        assert main(argv + ["--out", str(target)]) == 0
+        written += sorted(target.glob("*.json"))
+    capsys.readouterr()
+    assert len(written) == len(runs)
+    for path in written:
+        _strict_json(path)
 
 
 def test_bound_bernoulli(workdir, capsys):

@@ -291,3 +291,37 @@ def test_system_config():
         SystemConfig(arrivals=arr, capacity=0.0)
     with pytest.raises(ValueError):
         SystemConfig(arrivals=arr, p0plus=0.0)
+
+
+# ---------------------------------------------------------------------------
+# array forms of the rate maps
+# ---------------------------------------------------------------------------
+
+def test_array_forms_match_scalar_forms():
+    ch = AwgnChannel(noise=2.0)
+    p = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 60)))
+    assert np.allclose(ch.rate(p), [ch.rate(float(x)) for x in p], rtol=1e-15, atol=0.0)
+    for got, want in zip(ch.rate_derivatives(p), zip(*[ch.rate_derivatives(float(x)) for x in p])):
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    for src in (GAUSS, BERN, BernoulliSource(prob=0.2)):
+        d = np.linspace(1e-6, src.d_max * (1.0 - 1e-9), 50)
+        for got, want in zip(src.rate_derivatives(d),
+                             zip(*[src.rate_derivatives(float(x)) for x in d])):
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        r = np.concatenate(([0.0], np.linspace(1e-3, 2.0, 50), [src.rate_threshold]))
+        want = np.array([src.rate_inverse(float(x)) for x in r])
+        assert np.allclose(src.rate_inverse(r), want, rtol=1e-13, atol=1e-15)
+
+
+def test_array_forms_reject_out_of_domain_entries():
+    with pytest.raises(ValueError):
+        AwgnChannel(noise=1.0).rate(np.array([1.0, -1e-9]))
+    with pytest.raises(ValueError):
+        AwgnChannel(noise=1.0).rate_derivatives(np.array([-1.0]))
+    with pytest.raises(ValueError):
+        BERN.rate_derivatives(np.array([0.1, 0.5]))
+    with pytest.raises(ValueError):
+        GAUSS.rate_derivatives(np.array([0.0, 0.5]))
+    for src in (GAUSS, BERN):
+        with pytest.raises(ValueError):
+            src.rate_inverse(np.array([0.5, -1.0]))

@@ -9,8 +9,10 @@ from ehjscc.numerics import (
     Grid,
     RootBracket,
     SingularityError,
+    _gauss_tables,
     cumulative_integral,
     find_root,
+    integrate_autonomous,
     integrate_ode,
     lambert_w,
     quadrature,
@@ -188,6 +190,130 @@ def test_ode_input_validation():
 
 
 # ---------------------------------------------------------------------------
+# integrate_autonomous
+# ---------------------------------------------------------------------------
+
+def test_gauss_rule_matches_numpy():
+    nodes, weights, _, _ = _gauss_tables()
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-15
+
+
+def test_autonomous_exponential_decay():
+    # p' = -p: z(p) = -ln p exactly, through ten e-folds
+    path = integrate_autonomous(lambda p: -p, 1.0, 10.0)
+    z = np.linspace(0.0, 10.0, 41)
+    assert np.max(np.abs(path.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
+    assert path.p_end == pytest.approx(math.exp(-10.0), rel=1e-13)
+
+
+def test_autonomous_matches_rkf45_on_a_nonlinear_field():
+    # p' = 1 + p^2 / 4 from 0.5 stays finite up to z = 2 (tan profile)
+    rhs = lambda p: 1.0 + 0.25 * p * p
+    z = np.linspace(0.05, 2.0, 40)
+    exact = 2.0 * np.tan(z / 2.0 + math.atan(0.25))
+    path = integrate_autonomous(rhs, 0.5, 2.0)
+    assert np.max(np.abs(path.p_at(z) / exact - 1.0)) <= 1e-12
+    _, ref = integrate_ode(lambda _, p: rhs(p), 0.0, 0.5, 2.0, sample_points=z,
+                           atol=1e-13, rtol=1e-12)
+    assert np.max(np.abs(path.p_at(z) / ref[1:] - 1.0)) <= 1e-10
+
+
+def test_autonomous_fixed_point_is_constant():
+    path = integrate_autonomous(lambda p: 1.0 - p, 1.0, 5.0)
+    assert path.direction == 0.0
+    assert np.all(path.p_at(np.linspace(0.0, 5.0, 11)) == 1.0)
+    assert path.p_end == 1.0
+
+
+def test_autonomous_settles_on_interior_equilibrium():
+    # logistic growth p' = p (1 - p) from 0.01: p -> 1 without reaching it,
+    # and once 1 - p underflows the state sits on the equilibrium
+    path = integrate_autonomous(lambda p: p * (1.0 - p), 0.01, 60.0)
+    z = np.linspace(0.0, 60.0, 121)
+    exact = 1.0 / (1.0 + 99.0 * np.exp(-z))
+    assert np.max(np.abs(path.p_at(z) / exact - 1.0)) <= 1e-12
+    assert path.z_edges[-1] < 60.0
+    assert path.p_end == pytest.approx(1.0, abs=1e-13)
+    # approached from above as well
+    down = integrate_autonomous(lambda p: 1.0 - p, 3.0, 50.0)
+    z = np.linspace(0.0, 50.0, 51)
+    assert np.max(np.abs(down.p_at(z) / (1.0 + 2.0 * np.exp(-z)) - 1.0)) <= 1e-12
+
+
+def test_autonomous_blow_up_carries_position():
+    # p' = p^2 from 1 reaches the cap at z = 1 - 1e-3
+    with pytest.raises(SingularityError) as exc:
+        integrate_autonomous(lambda p: p * p, 1.0, 2.0, rhs_cap=1e6)
+    assert "blew up" in exc.value.message
+    assert exc.value.z == pytest.approx(0.999, rel=1e-9)
+
+
+def test_autonomous_vanishing_denominator_is_singular():
+    # p' = 1/(2 - p) from 1: the denominator vanishes at p = 2, reached
+    # at z = 1/2; a right-hand side flags it with +inf, and a pole it
+    # steps over without flagging turns up as a blow-up of |F|
+    def flagged(p):
+        den = 2.0 - p
+        return np.where(np.abs(den) < 1e-12, np.inf, 1.0 / den)
+
+    for rhs in (flagged, lambda p: 1.0 / (2.0 - p)):
+        with pytest.raises(SingularityError) as exc:
+            integrate_autonomous(rhs, 1.0, 1.0)
+        assert "blew up" in exc.value.message
+        assert exc.value.z == pytest.approx(0.5, abs=1e-9)
+
+
+def test_autonomous_state_reaching_zero_is_singular():
+    # p' = -1 from 1 hits 0 at z = 1
+    with pytest.raises(SingularityError) as exc:
+        integrate_autonomous(lambda p: -np.ones_like(p), 1.0, 2.0)
+    assert exc.value.message == "state reached 0"
+    assert exc.value.z == pytest.approx(1.0, abs=1e-12)
+    # p' = -p only tends to 0, so it is not singular
+    path = integrate_autonomous(lambda p: -p, 1.0, 50.0)
+    assert path.p_end == pytest.approx(math.exp(-50.0), rel=1e-12)
+
+
+def test_autonomous_domain_exit_is_singular():
+    # a right-hand side undefined past p = 3, reached at z = 2
+    with pytest.raises(SingularityError) as exc:
+        integrate_autonomous(lambda p: np.where(p < 3.0, 1.0, np.nan), 1.0, 5.0)
+    assert "domain" in exc.value.message
+    assert exc.value.z == pytest.approx(2.0, abs=1e-12)
+    # the same right-hand side is fine while the path stays inside
+    assert integrate_autonomous(lambda p: np.where(p < 3.0, 1.0, np.nan),
+                                1.0, 1.5).p_end == pytest.approx(2.5, rel=1e-14)
+
+
+def test_autonomous_undefined_start_is_singular_at_zero():
+    with pytest.raises(SingularityError) as exc:
+        integrate_autonomous(lambda p: np.full_like(p, np.nan), 1.0, 1.0)
+    assert exc.value.z == 0.0
+
+
+def test_autonomous_layout_reuse_changes_nothing_material():
+    fresh = integrate_autonomous(lambda p: 1.0 + 0.3 * p, 1e-3, 4.0)
+    seeded = integrate_autonomous(lambda p: 1.0 + 0.3 * p, 1e-3, 4.0, layout=fresh)
+    nearby = integrate_autonomous(lambda p: 1.0 + 0.31 * p, 1e-3, 4.0, layout=fresh)
+    z = np.linspace(0.0, 4.0, 101)
+    assert np.max(np.abs(seeded.p_at(z) / fresh.p_at(z) - 1.0)) <= 1e-13
+    exact = (1.0 + 0.31e-3) * np.exp(0.31 * z) / 0.31 - 1.0 / 0.31
+    assert np.max(np.abs(nearby.p_at(z) / exact - 1.0)) <= 1e-11
+
+
+def test_autonomous_input_validation():
+    for p0 in (0.0, -1.0, 1e-320, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            integrate_autonomous(lambda p: p, p0, 1.0)
+    with pytest.raises(ValueError):
+        integrate_autonomous(lambda p: p, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        integrate_autonomous(lambda p: p, 1.0, math.inf)
+
+
+# ---------------------------------------------------------------------------
 # Grid / quadrature / cumulative_integral
 # ---------------------------------------------------------------------------
 
@@ -239,6 +365,38 @@ def test_cumulative_integral_cubic_exactness():
     exact = x**4 / 4.0 - x**2 + x
     c = cumulative_integral(x, y)
     assert np.max(np.abs(c - exact)) < 1e-13
+
+
+def _cumulative_by_moment_matching(x, y):
+    # the stencil weights solved from 4x4 Vandermonde systems, as the
+    # closed form replaced
+    n = x.size
+    m = n - 1
+    j0 = np.clip(np.arange(m) - 1, 0, n - 4)
+    idx = j0[:, None] + np.arange(4)[None, :]
+    xm = 0.5 * (x[:-1] + x[1:])
+    t = x[idx] - xm[:, None]
+    a = (x[:-1] - xm)[:, None]
+    b = (x[1:] - xm)[:, None]
+    powers = np.arange(1, 5)[None, :]
+    mom = (b ** powers - a ** powers) / powers
+    vand = t[:, None, :] ** np.arange(4)[None, :, None]
+    w = np.linalg.solve(vand, mom[:, :, None])[:, :, 0]
+    return np.concatenate(([0.0], np.cumsum(np.sum(w * y[idx], axis=1))))
+
+
+def test_cumulative_integral_matches_moment_matching():
+    grids = (
+        Grid.graded(5.0).nodes,
+        Grid.graded(1.0, n=300).nodes,
+        np.concatenate(([0.0], Grid.graded(5.0).nodes)),
+        np.linspace(0.0, 3.0, 800),
+    )
+    for x in grids:
+        for y in (np.exp(x), np.sin(3.0 * x) + x**2 + 2.0, 1.0 / (x + 0.01)):
+            ref = _cumulative_by_moment_matching(x, y)
+            got = cumulative_integral(x, y)
+            assert np.max(np.abs(got[1:] - ref[1:]) / np.abs(ref[1:])) <= 1e-13
 
 
 def test_cumulative_integral_smooth_accuracy():

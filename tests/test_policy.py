@@ -2,6 +2,7 @@
 
 import copy
 import math
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,27 @@ def test_adaptive_rhs_positive_at_benchmark_start():
     F = adaptive_rhs(GAUSS, CH, ARR, BENCH)
     assert F(0.001) == pytest.approx(7.468326384406556, rel=1e-9)
     assert F(0.001) > 0.0
+
+
+def test_adaptive_rhs_takes_arrays():
+    F = adaptive_rhs(GAUSS, CH, ARR, BENCH)
+    p = np.geomspace(1e-3, 50.0, 25)
+    assert np.array_equal(F(p), np.array([F(float(x)) for x in p]))
+
+
+def test_adaptive_singular_outcomes_carry_position():
+    # F(p0) < 0: the power runs to 0 almost at once
+    sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
+                         VariationalConstants(-0.90386, -0.75767, 0.06803))
+    assert not sol.feasible
+    assert sol.message.startswith("ODE singular near z=0.000533")
+    assert "state reached 0" in sol.message
+    # F's denominator changes sign on the path: a pole at z ~ 0.1952
+    sol = solve_adaptive(BERN, CH, ARR, NO_LEAK, 3.0, 1e-3,
+                         VariationalConstants(-0.20693, -0.12884, 0.23470))
+    assert not sol.feasible
+    assert sol.message.startswith("ODE singular near z=0.195")
+    assert "blew up" in sol.message
 
 
 def test_solve_rejects_bad_inputs():
@@ -390,6 +412,44 @@ def test_constant_kappa_blowup_is_flagged():
     assert not sol.feasible
     assert sol.d_avg == math.inf
     assert sol.message != ""
+
+
+def test_constant_kappa_blowup_position_matches_stepping():
+    # the reported position is where |F| passes the 1e9 cap, as located
+    # by the RKF45 stepper on the same right-hand side
+    from ehjscc.numerics import SingularityError, integrate_ode
+    from ehjscc.policy import _matched_field
+
+    sol = solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, c=-0.65)
+    assert sol.message.startswith("ODE singular near z=")
+    assert "blew up" in sol.message
+    F = _matched_field(GAUSS, CH, ARR, -0.65)
+    with pytest.raises(SingularityError) as exc:
+        integrate_ode(lambda z, p: float(F(p)), 0.0, 1e-3, 5.0,
+                      atol=1e-13, rtol=1e-12)
+    z = float(sol.message.split("z=")[1].split(":")[0])
+    assert z == pytest.approx(exc.value.z, rel=1e-5)
+
+
+def test_constant_kappa_bernoulli_fixed_point():
+    # c* = -lam * D~(delta/lam) with p0plus = delta/lam: p stays at 1
+    c_star = -ARR.lam * distortion(BERN, CH, ARR.delta / ARR.lam, 1.0)
+    sol = solve_constant_kappa(BERN, CH, ARR, NO_LEAK, 5.0, 1.0, c=c_star)
+    assert sol.feasible
+    assert np.max(np.abs(sol.p - 1.0)) <= 1e-12
+
+
+def test_constant_kappa_bernoulli_domain_exit_is_fast():
+    # well below c* the power reaches p = 3, where R_c(p) = H(1/2) and
+    # the matched distortion hits 0: the model's domain ends there
+    c_star = -ARR.lam * distortion(BERN, CH, ARR.delta / ARR.lam, 1.0)
+    t0 = time.perf_counter()
+    sol = solve_constant_kappa(BERN, CH, ARR, NO_LEAK, 5.0, 1e-3, c=c_star - 0.5)
+    assert time.perf_counter() - t0 < 1.0
+    assert not sol.feasible
+    assert sol.d_avg == math.inf
+    assert sol.message.startswith("ODE singular near z=")
+    assert "domain" in sol.message
 
 
 def test_constant_kappa_swept_family_respects_bound():
