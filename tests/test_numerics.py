@@ -243,11 +243,12 @@ def test_autonomous_settles_on_interior_equilibrium():
 
 
 def test_autonomous_blow_up_carries_position():
-    # p' = p^2 from 1 reaches the cap at z = 1 - 1e-3
+    # p' = p^2 from 1 is p = 1 / (1 - z), so |F| passes 1e9 at
+    # z = 1 - 10**-4.5
     with pytest.raises(SingularityError) as exc:
-        integrate_autonomous(lambda p: p * p, 1.0, 2.0, rhs_cap=1e6)
+        integrate_autonomous(lambda p: p * p, 1.0, 2.0)
     assert "blew up" in exc.value.message
-    assert exc.value.z == pytest.approx(0.999, rel=1e-9)
+    assert exc.value.z == pytest.approx(1.0 - 10.0 ** -4.5, rel=1e-9)
 
 
 def test_autonomous_vanishing_denominator_is_singular():

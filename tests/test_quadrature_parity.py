@@ -49,9 +49,9 @@ PROBES = [
 class _Rkf45Path:
     """Stand-in for ``integrate_autonomous``'s result, stepped by RKF45."""
 
-    def __init__(self, rhs, p0, z_end, *, atol, rtol, rhs_cap=1e9, layout=None):
+    def __init__(self, rhs, p0, z_end, *, atol, rtol, layout=None):
         self._args = (lambda z, p: float(rhs(p)), 0.0, p0, z_end)
-        self._kwargs = {"atol": atol, "rtol": rtol, "rhs_cap": rhs_cap}
+        self._kwargs = {"atol": atol, "rtol": rtol}
         self.z_end = z_end
 
     def p_at(self, z):
