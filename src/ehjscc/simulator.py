@@ -5,17 +5,22 @@ the simulation never time-steps: the policy's drain field is frozen as a
 piecewise-linear function of charge, every cell crossing gets a closed
 form (exponential decay of the drain rate inside a cell), and each
 inter-arrival interval is resolved exactly by table lookup in the
-"time-to-drain" coordinate.  Arrivals lift the charge, reflecting any
+"time-to-drain" coordinate u.  Arrivals lift the charge, reflecting any
 excess above the capacity, and a drained battery sits at zero until the
 next arrival.  Consumed energy equals drained charge identically, so
 energy conservation holds to rounding, not to an integrator tolerance.
 
-Occupancy statistics are gathered over a uniform charge grid: a drain
-sweep contributes a precomputed crossing time to every bin it fully
-traverses (a counter suffices) and exact partial times to the two bins
-at its ends.  Time averages of power, inverse mismatch and reported
-distortion come from per-cell closed-form integrals of the respective
-profiles against the sojourn-time measure.
+The work splits in two.  A scalar loop only follows the trajectory in
+u: drain, empty out, lift, reflect, keeping the energy books.  It
+records each drain segment and each empty interval, and every chunk of
+at most ``_CHUNK`` steps is accounted for in bulk with array operations:
+the segments are clipped to the measurement window (everything after
+the burn-in), their time-weighted integrals of power, inverse mismatch
+and reported distortion come from a cumulative table W(z) (node
+cumulatives plus per-cell closed forms), and their occupancy of a
+uniform charge grid from ``np.bincount`` over partial bin times and a
+difference array of full-bin crossings.  Memory stays flat in the
+horizon.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
 _BINS = 512
 _BURN_IN_FRACTION = 0.01
 _RNG_BLOCK = 8192
+_CHUNK = 1024   # event-loop steps per bulk accounting
 
 
 @dataclass(frozen=True)
@@ -130,9 +136,10 @@ class DivergenceReport:
 
 class _DrainTable:
     # the policy nodes and the occupancy bin edges merged onto one
-    # ascending charge grid, with per-cell linear profiles and closed-form
-    # cumulatives of time, power, inverse mismatch and reported distortion
-    # (all against the sojourn-time measure dt = dz / drain)
+    # ascending charge grid z[0] = 0 < ... < z[n] = cap; in each cell the
+    # drain rate g = p + leakage and the weights (power, 1/kappa,
+    # d_dagger) are linear in z, so the time and the weighted times spent
+    # draining through any part of a cell have closed forms
     def __init__(self, config: SimConfig):
         policy = config.policy
         leak = config.system.leakage
@@ -154,140 +161,209 @@ class _DrainTable:
         if policy.kind == "adaptive":
             d_dag = policy.d_beta * inv_kappa
         else:
-            d_dag = np.array(
-                [distortion(config.src, config.ch, x, 1.0) for x in p]
-            )
+            d_dag = np.asarray(distortion(config.src, config.ch, p, 1.0), dtype=float)
 
         self.cap = cap
         self.edges = edges
-        dz = np.diff(z)
-        gs = np.diff(g) / dz                        # drain slope per cell
-        weights = np.stack([p, inv_kappa, d_dag])   # node values
-        wslopes = np.diff(weights, axis=1) / dz
+        self.z = z
+        dz = self.dz = np.diff(z)
+        ga = self.ga = g[:-1]
+        self.gb = g[1:]
+        gs = self.gs = np.diff(g) / dz                  # drain slope per cell
+        # a cell whose drain rate barely changes takes the constant-rate
+        # form instead: the log form would lose every digit
+        self.curved = np.abs(gs) * dz > 1e-12 * ga
+        gs_c = self.gs_c = np.where(self.curved, gs, 1.0)
 
-        # hot-loop mirrors as plain python lists (scalar math is several
-        # times faster than small-array numpy here)
-        self.z_list = z.tolist()
-        self.dz_l = dz.tolist()
-        self.ga_l = g[:-1].tolist()
-        self.gb_l = g[1:].tolist()
-        self.gs_l = gs.tolist()
-        self.wa = weights[:, :-1].T.tolist()        # per cell [wp, wk, wd]
-        self.ws = wslopes.T.tolist()
-
-        # cell-by-cell closed forms, then cumulative time-to-drain from the
-        # top (z = cap) and matching cumulative weighted sojourn integrals
-        n = len(z) - 1
-        cell_t = np.empty(n)
-        cell_w = np.empty((n, 3))
-        for i in range(n):
-            out = self._cell_integrals(i, 0.0, dz[i])
-            cell_t[i] = out[0]
-            cell_w[i] = out[1:]
-        # u_node[j] = time to drain from cap down to z[j]; descending in j
-        u_node = np.concatenate((np.cumsum(cell_t[::-1])[::-1], [0.0]))
-        w_node = np.concatenate(
-            (np.cumsum(cell_w[::-1], axis=0)[::-1], np.zeros((1, 3))), axis=0
+        # weighted times are per-cell linear combinations of two moments
+        # (a, b) of each point (see moments): in a curved cell
+        # w = wa + ws*x is linear in g, so int w dx/g = (ws/gs) dx +
+        # ((wa*gs - ws*ga)/gs) int dx/g
+        self.weights = np.stack([p, inv_kappa, d_dag], axis=1)  # node values
+        wa = self.weights[:-1]
+        ws = np.diff(self.weights, axis=0) / dz[:, None]
+        curved = self.curved[:, None]
+        self.coef_a = np.where(curved, ws / gs_c[:, None], wa)
+        self.coef_b = np.where(
+            curved, (wa * gs_c[:, None] - ws * ga[:, None]) / gs_c[:, None], ws
         )
-        self.u_node = u_node.tolist()
-        self.w_node = w_node.tolist()               # per node [Wp, Wk, Wd]
-        self.u_max = float(u_node[0])
-        self.neg_u_list = (-u_node).tolist()        # ascending, for bisect
+
+        # u_node[j] = time to drain from cap down to z[j] (descending in
+        # j); w_top[i] = weighted times from cap down to the top of cell i
+        cell_t, a, b = self.moments(np.arange(len(dz)), np.zeros(len(dz)))
+        cell_w = self.coef_a * a[:, None] + self.coef_b * b[:, None]
+        self.u_node = np.concatenate((np.cumsum(cell_t[::-1])[::-1], [0.0]))
+        self.w_top = np.concatenate(
+            (np.cumsum(cell_w[:0:-1], axis=0)[::-1], np.zeros((1, 3)))
+        )
+        self.u_max = float(self.u_node[0])
+        self.neg_u_cells = -self.u_node[:-1]            # ascending
 
         # bin edges are a subset of the merged nodes: record their u values
         # and the fixed time each full-bin crossing takes
-        idx = np.searchsorted(z, edges)
-        self.u_edge = u_node[idx]
+        self.u_edge = self.u_node[np.searchsorted(z, edges)]
         self.crossing = self.u_edge[:-1] - self.u_edge[1:]
 
-    def _cell_integrals(self, i, x1, x2):
-        # time and weighted-time integrals over offsets [x1, x2] of cell i,
-        # sharing one log across all weights; the drain is linear in z, so
-        # int dz/g is a log and int w dz/g splits into linear + log parts
-        ga = self.ga_l[i]
-        gs = self.gs_l[i]
-        wa = self.wa[i]
-        ws = self.ws[i]
-        dx = x2 - x1
-        if abs(gs) * self.dz_l[i] > 1e-12 * ga:
-            t = math.log1p(gs * dx / (ga + gs * x1)) / gs
-            a = dx / gs
-            b = t / gs
-            return (
-                t,
-                ws[0] * a + (wa[0] * gs - ws[0] * ga) * b,
-                ws[1] * a + (wa[1] * gs - ws[1] * ga) * b,
-                ws[2] * a + (wa[2] * gs - ws[2] * ga) * b,
-            )
-        inv_gm = 1.0 / (ga + gs * 0.5 * (x1 + x2))
-        q = 0.5 * (x2 * x2 - x1 * x1)
+    def moments(self, i, x):
+        # from offset x in cell i up to the cell's top, elementwise: the
+        # drain time t and the moments (a, b) whose combination
+        # coef_a[i]*a + coef_b[i]*b is the weighted time; a curved cell
+        # has a = dx and b = t, a constant-rate one t = a = dx/g(mid) and
+        # b = int x dx / g(mid)
+        dz, ga, gs = self.dz[i], self.ga[i], self.gs_c[i]
+        dx = dz - x
+        t = np.log1p(gs * dx / (ga + gs * x)) / gs
+        a, b = dx, t.copy()
+        flat = ~self.curved[i]
+        if flat.any():
+            xf, dxf, dzf = x[flat], dx[flat], dz[flat]
+            inv_gm = 1.0 / (ga[flat] + self.gs[i[flat]] * 0.5 * (xf + dzf))
+            t[flat] = a[flat] = dxf * inv_gm
+            b[flat] = 0.5 * (dzf * dzf - xf * xf) * inv_gm
+        return t, a, b
+
+    def cell_of(self, z):
+        i = np.searchsorted(self.z, z, side="right") - 1
+        return np.clip(i, 0, len(self.dz) - 1)
+
+    def u_of_z(self, z):
+        # time to drain from the top down to charge z, elementwise
+        i = self.cell_of(z)
+        return self.u_node[i + 1] + self.moments(i, z - self.z[i])[0]
+
+    def z_of_u(self, u):
+        # charge after draining from the top for time u, elementwise; the
+        # event loop inlines the scalar form of the same closed form
+        i = np.searchsorted(self.neg_u_cells, -u, side="right") - 1
+        i = np.clip(i, 0, len(self.dz) - 1)
+        tau = u - self.u_node[i + 1]
+        gb, gs = self.gb[i], self.gs_c[i]
+        drop = np.where(self.curved[i], -(gb / gs) * np.expm1(-gs * tau), gb * tau)
+        return self.z[i + 1] - drop
+
+    def loop_tables(self):
+        # plain python lists for the scalar event loop (scalar math on
+        # lists is several times faster than on small numpy arrays); the
+        # search lists leave out the last node, so z = cap and u = 0 both
+        # land in the top cell instead of past the end
         return (
-            dx * inv_gm,
-            (wa[0] * dx + ws[0] * q) * inv_gm,
-            (wa[1] * dx + ws[1] * q) * inv_gm,
-            (wa[2] * dx + ws[2] * q) * inv_gm,
+            self.z[:-1].tolist(),
+            self.neg_u_cells.tolist(),
+            self.z[1:].tolist(),
+            self.u_node[1:].tolist(),
+            self.dz.tolist(),
+            self.ga.tolist(),
+            self.gb.tolist(),
+            self.gs.tolist(),
+            (self.gb / self.gs_c).tolist(),
+            self.curved.tolist(),
         )
 
-    def u_of_z(self, z: float) -> float:
-        # time to drain from the top down to charge z
-        if z >= self.cap:
-            return 0.0
-        if z <= 0.0:
-            return self.u_max
-        i = bisect_right(self.z_list, z) - 1
-        x1 = z - self.z_list[i]
-        ga = self.ga_l[i]
-        gs = self.gs_l[i]
-        dx = self.dz_l[i] - x1
-        if abs(gs) * self.dz_l[i] > 1e-12 * ga:
-            t = math.log1p(gs * dx / (ga + gs * x1)) / gs
-        else:
-            t = dx / (ga + gs * 0.5 * (x1 + self.dz_l[i]))
-        return self.u_node[i + 1] + t
 
-    def z_of_u(self, u: float) -> float:
-        # charge after draining from the top for time u
-        if u <= 0.0:
-            return self.cap
-        if u >= self.u_max:
-            return 0.0
-        i = bisect_right(self.neg_u_list, -u) - 1   # cell [z[i], z[i+1]]
-        tau = u - self.u_node[i + 1]                # time left inside the cell
-        gb = self.gb_l[i]
-        gs = self.gs_l[i]
-        if abs(gs) * self.dz_l[i] > 1e-12 * self.ga_l[i]:
-            drop = -(gb / gs) * math.expm1(-gs * tau)
-        else:
-            drop = gb * tau
-        return self.z_list[i + 1] - drop
+class _Tally:
+    # time-weighted statistics of the measurement window [burn, horizon],
+    # accumulated from chunks of drain segments and empty intervals
+    def __init__(self, table: _DrainTable, burn: float, horizon: float):
+        self.table = table
+        self.burn = burn
+        self.horizon = horizon
+        self.bin_width = table.cap / _BINS
+        self.occupancy_partial = np.zeros(_BINS)
+        self.full_crossings = np.zeros(_BINS + 1, dtype=np.int64)  # difference form
+        # the weighted time of a segment is W(bottom) - W(top), with
+        # W(z) = w_top + coef_a*a + coef_b*b in the cell of z; per cell,
+        # the net count of segment ends (bottom ends +1, top ends -1) and
+        # the net sums of their moments a and b
+        self.end_moments = np.zeros((3, len(table.dz)))
+        self.pi0_time = 0.0
 
-    def weighted_between(self, z_lo: float, z_hi: float):
-        # sojourn integrals of (power, 1/kappa, d_dagger) while the charge
-        # drains from z_hi down to z_lo
-        zl = self.z_list
-        last = len(zl) - 2
-        i_lo = bisect_right(zl, z_lo) - 1
-        if i_lo < 0:
-            i_lo = 0
-        elif i_lo > last:
-            i_lo = last
-        i_hi = bisect_right(zl, z_hi) - 1
-        if i_hi < 0:
-            i_hi = 0
-        elif i_hi > last:
-            i_hi = last
-        if i_lo == i_hi:
-            out = self._cell_integrals(i_lo, z_lo - zl[i_lo], z_hi - zl[i_lo])
-            return out[1], out[2], out[3]
-        lo = self._cell_integrals(i_lo, z_lo - zl[i_lo], self.dz_l[i_lo])
-        hi = self._cell_integrals(i_hi, 0.0, z_hi - zl[i_hi])
-        wn_a = self.w_node[i_lo + 1]
-        wn_b = self.w_node[i_hi]
-        return (
-            lo[1] + hi[1] + wn_a[0] - wn_b[0],
-            lo[2] + hi[2] + wn_a[1] - wn_b[1],
-            lo[3] + hi[3] + wn_a[2] - wn_b[2],
+    def add_drains(self, flat):
+        # flat rows of (t_a, u_a, u_b, z_a, z_b): the charge drains from
+        # z_a at wall time t_a (u = u_a) down to z_b (u = u_b); clip each
+        # segment to the window, then credit the weighted times and bins.
+        # The loop ends every segment by the horizon, so only the burn-in
+        # cuts segments
+        if not flat:
+            return
+        table = self.table
+        t_a, u_a, hi, z_hi, z_lo = np.array(flat, dtype=float).reshape(-1, 5).T
+        lo = np.maximum(u_a, u_a + (self.burn - t_a))
+        live = hi > lo
+        if not live.all():
+            lo, hi, u_a, z_hi, z_lo = (x[live] for x in (lo, hi, u_a, z_hi, z_lo))
+        cut = lo != u_a
+        if cut.any():
+            z_hi[cut] = table.z_of_u(lo[cut])
+        self.end_moments += self._moment_sums(z_lo) - self._moment_sums(z_hi)
+
+        # a segment inside one bin adds its duration there; one spanning
+        # several adds partial times at both ends and a full crossing to
+        # every bin in between
+        k_hi = np.minimum((z_hi / self.bin_width).astype(np.intp), _BINS - 1)
+        k_lo = np.minimum((z_lo / self.bin_width).astype(np.intp), _BINS - 1)
+        same = k_hi == k_lo
+        u_edge = table.u_edge
+        span_lo = k_lo[~same]
+        self.occupancy_partial += np.bincount(
+            np.concatenate((k_hi, span_lo)),
+            weights=np.concatenate((
+                np.where(same, hi, u_edge[k_hi]) - lo,
+                hi[~same] - u_edge[span_lo + 1],
+            )),
+            minlength=_BINS,
         )
+        self.full_crossings += np.bincount(span_lo + 1, minlength=_BINS + 1)
+        self.full_crossings -= np.bincount(k_hi[~same], minlength=_BINS + 1)
+
+    def _moment_sums(self, z):
+        # per cell: the number of points of z and the sums of their
+        # moments; sorted keys make the cell search several times faster,
+        # and the sums do not depend on the order
+        table = self.table
+        z = np.sort(z)
+        i = table.cell_of(z)
+        _, a, b = table.moments(i, z - table.z[i])
+        n = len(table.dz)
+        return np.stack((
+            np.bincount(i, minlength=n),
+            np.bincount(i, weights=a, minlength=n),
+            np.bincount(i, weights=b, minlength=n),
+        ))
+
+    def add_empty(self, flat):
+        # flat rows of (t_a, dt): the battery sits empty from wall time t_a
+        if not flat:
+            return
+        t_a, dt = np.array(flat, dtype=float).reshape(-1, 2).T
+        lo = np.maximum(t_a, self.burn)
+        hi = np.minimum(t_a + dt, self.horizon)
+        self.pi0_time += float(np.sum(np.maximum(hi - lo, 0.0)))
+
+    def occupancy(self):
+        counts = np.cumsum(self.full_crossings[:-1])
+        return counts * self.table.crossing + self.occupancy_partial
+
+    def weighted_times(self):
+        # time integrals of (power, 1/kappa, d_dagger) over the window
+        table = self.table
+        count, sum_a, sum_b = self.end_moments[:, :, None]
+        return (
+            table.w_top * count + table.coef_a * sum_a + table.coef_b * sum_b
+        ).sum(axis=0)
+
+
+def _arrival_chunks(rng, delta: float, lam: float):
+    # (inter-arrival times, energies) in chunks of _CHUNK, drawn in blocks
+    # of _RNG_BLOCK times followed by _RNG_BLOCK energies; without
+    # arrivals, one infinite wait
+    if delta == 0.0:
+        while True:
+            yield [math.inf], [0.0]
+    while True:
+        times = rng.exponential(rate=delta, size=_RNG_BLOCK).tolist()
+        energies = rng.exponential(rate=lam, size=_RNG_BLOCK).tolist()
+        for k in range(0, _RNG_BLOCK, _CHUNK):
+            yield times[k:k + _CHUNK], energies[k:k + _CHUNK]
 
 
 def simulate(config: SimConfig) -> SimulationStats:
@@ -303,111 +379,86 @@ def simulate(config: SimConfig) -> SimulationStats:
     """
     table = _DrainTable(config)
     arr = config.system.arrivals
-    delta, lam = arr.delta, arr.lam
     horizon = config.horizon
-    burn = _BURN_IN_FRACTION * horizon
-    rng = seeded_rng(config.seed)
-
-    occupancy_partial = [0.0] * _BINS
-    full_crossings = [0] * (_BINS + 1)              # difference form
-    bin_width = table.cap / _BINS
-    u_edge = table.u_edge.tolist()
-    pi0_time = 0.0
-    sum_p = sum_k = sum_d = 0.0
+    tally = _Tally(table, _BURN_IN_FRACTION * horizon, horizon)
+    (z_cells, neg_u_cells, z_top, u_top, dz_l, ga_l, gb_l, gs_l, ratio_l,
+     curved_l) = table.loop_tables()
+    cap, u_max = table.cap, table.u_max
+    expm1, log1p = math.expm1, math.log1p
 
     # energy bookkeeping over the whole run, burn-in included
-    z0 = min(max(config.z0, 0.0), table.cap)
+    z0 = min(max(config.z0, 0.0), cap)
     arrived = 0.0
     consumed = 0.0
     overflow = 0.0
     events = 0
 
-    def accrue_drain(u_a, u_b, t_a, z_a, z_b):
-        # clip a drain segment [u_a, u_b] (starting at wall time t_a, with
-        # known endpoint charges) to the measurement window, then credit
-        # the occupancy bins and the weighted sojourn integrals
-        nonlocal sum_p, sum_k, sum_d
-        lo = max(u_a, u_a + (burn - t_a))
-        hi = min(u_b, u_a + (horizon - t_a))
-        if hi <= lo:
-            return
-        z_hi = z_a if lo == u_a else table.z_of_u(lo)
-        z_lo = z_b if hi == u_b else table.z_of_u(hi)
-        wp, wk, wd = table.weighted_between(z_lo, z_hi)
-        sum_p += wp
-        sum_k += wk
-        sum_d += wd
-
-        k_hi = min(int(z_hi / bin_width), _BINS - 1)
-        k_lo = min(int(z_lo / bin_width), _BINS - 1)
-        if k_hi == k_lo:
-            occupancy_partial[k_hi] += hi - lo
-        else:
-            occupancy_partial[k_hi] += u_edge[k_hi] - lo
-            occupancy_partial[k_lo] += hi - u_edge[k_lo + 1]
-            full_crossings[k_lo + 1] += 1
-            full_crossings[k_hi] -= 1
-
-    def accrue_empty(dt, t_a):
-        nonlocal pi0_time
-        lo = max(t_a, burn)
-        hi = min(t_a + dt, horizon)
-        if hi > lo:
-            pi0_time += hi - lo
-
+    # the loop only advances the charge; each chunk's drain segments and
+    # empty intervals are accounted for in bulk once the chunk is done
+    drains, empties = [], []
+    push_drain, push_empty = drains.extend, empties.extend
     t = 0.0
     z = z0
-    u = table.u_of_z(z)
-    block_t = block_e = None
-    cursor = _RNG_BLOCK
+    u = float(table.u_of_z(np.array([z]))[0])
+    done = False
+    for taus, energies in _arrival_chunks(seeded_rng(config.seed), arr.delta, arr.lam):
+        for tau, energy in zip(taus, energies):
+            rest = horizon - t
+            if rest <= 0.0:
+                done = True
+                break
+            seg = tau if tau <= rest else rest
 
-    while t < horizon:
-        if delta > 0.0:
-            if cursor >= _RNG_BLOCK:
-                block_t = rng.exponential(rate=delta, size=_RNG_BLOCK)
-                block_e = rng.exponential(rate=lam, size=_RNG_BLOCK)
-                cursor = 0
-            tau = float(block_t[cursor])
-            energy = float(block_e[cursor])
-            cursor += 1
-        else:
-            tau = math.inf
-            energy = 0.0
-        seg = min(tau, horizon - t)
-
-        # drain (and possibly empty out) for seg time units
-        if z > 0.0:
-            u_end = u + seg
-            if u_end < table.u_max:
-                z_new = table.z_of_u(u_end)
-                accrue_drain(u, u_end, t, z, z_new)
-                consumed += z - z_new
-                z, u = z_new, u_end
+            # drain (and possibly empty out) for seg time units
+            if z > 0.0:
+                u_end = u + seg
+                if u_end < u_max:
+                    i = bisect_right(neg_u_cells, -u_end) - 1
+                    if curved_l[i]:
+                        z_new = z_top[i] + ratio_l[i] * expm1(-gs_l[i] * (u_end - u_top[i]))
+                    else:
+                        z_new = z_top[i] - gb_l[i] * (u_end - u_top[i])
+                    push_drain((t, u, u_end, z, z_new))
+                    consumed += z - z_new
+                    z, u = z_new, u_end
+                else:
+                    drain_time = u_max - u
+                    push_drain((t, u, u_max, z, 0.0))
+                    consumed += z
+                    push_empty((t + drain_time, seg - drain_time))
+                    z, u = 0.0, u_max
             else:
-                drain_time = table.u_max - u
-                accrue_drain(u, table.u_max, t, z, 0.0)
-                consumed += z
-                accrue_empty(seg - drain_time, t + drain_time)
-                z, u = 0.0, table.u_max
-        else:
-            accrue_empty(seg, t)
+                push_empty((t, seg))
 
-        t += seg
-        if seg < tau:
-            break   # horizon reached mid-interval
+            t += seg
+            if seg < tau:
+                done = True     # horizon reached mid-interval
+                break
 
-        events += 1
-        arrived += energy
-        lifted = z + energy
-        if lifted > table.cap:
-            overflow += lifted - table.cap
-            lifted = table.cap
-        z = lifted
-        u = table.u_of_z(z)
+            events += 1
+            arrived += energy
+            lifted = z + energy
+            if lifted > cap:
+                overflow += lifted - cap
+                z, u = cap, 0.0
+            else:
+                z = lifted
+                i = bisect_right(z_cells, z) - 1
+                x1 = z - z_cells[i]
+                gs = gs_l[i]
+                if curved_l[i]:
+                    u = u_top[i] + log1p(gs * (dz_l[i] - x1) / (ga_l[i] + gs * x1)) / gs
+                else:
+                    u = u_top[i] + (dz_l[i] - x1) / (ga_l[i] + gs * 0.5 * (x1 + dz_l[i]))
+        tally.add_drains(drains)
+        tally.add_empty(empties)
+        drains.clear()
+        empties.clear()
+        if done:
+            break
 
-    counts = np.cumsum(full_crossings[:-1])
-    occupancy = counts * table.crossing + np.asarray(occupancy_partial)
-    occ_cum = np.cumsum(occupancy)
+    occ_cum = np.cumsum(tally.occupancy())
+    pi0_time = tally.pi0_time
     measured = pi0_time + occ_cum[-1]
     cdf = np.empty(_BINS + 1)
     cdf[0] = pi0_time / measured
@@ -419,9 +470,10 @@ def simulate(config: SimConfig) -> SimulationStats:
         empty_d = config.src.d_max / kappa0
     else:
         empty_d = _empty_battery_distortion(policy)
+    sum_p, sum_k, sum_d = tally.weighted_times().tolist()
 
     return SimulationStats(
-        capacity=table.cap,
+        capacity=cap,
         horizon=horizon,
         bin_edges=table.edges,
         empirical_cdf=cdf,
@@ -450,6 +502,16 @@ def _empty_battery_distortion(policy: PolicySolution) -> float:
     return d_max / policy.kappa0
 
 
+def _analytic_cdf(solution: PolicySolution, edges: np.ndarray) -> np.ndarray:
+    # the solution's charge CDF at the charges `edges` (ascending, from 0
+    # to the capacity): the empty-battery atom plus the integrated
+    # density, which is 0 at the first edge, closed at exactly 1
+    cum_f = cumulative_integral(solution.grid.nodes, solution.f)
+    cdf = solution.pi0 + np.interp(edges, solution.grid.nodes, cum_f, left=0.0)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def analytic_stats(solution: PolicySolution) -> SimulationStats:
     """Package a solution's stationary law in simulation-statistics form.
 
@@ -460,10 +522,7 @@ def analytic_stats(solution: PolicySolution) -> SimulationStats:
         raise ValueError("solution must be feasible")
     cap = solution.grid.capacity
     edges = np.linspace(0.0, cap, _BINS + 1)
-    cum_f = cumulative_integral(solution.grid.nodes, solution.f)
-    cdf = solution.pi0 + np.interp(edges, solution.grid.nodes, cum_f, left=0.0)
-    cdf[0] = solution.pi0
-    cdf[-1] = 1.0
+    cdf = _analytic_cdf(solution, edges)
     return SimulationStats(
         capacity=cap,
         horizon=math.inf,
@@ -496,11 +555,7 @@ def compare_to_analytic(
             f"stats capacity {stats.capacity} does not match the "
             f"solution's {solution.grid.capacity}"
         )
-    cum_f = cumulative_integral(solution.grid.nodes, solution.f)
-    analytic = solution.pi0 + np.interp(
-        np.asarray(stats.bin_edges), solution.grid.nodes, cum_f, left=0.0
-    )
-    analytic[-1] = 1.0
+    analytic = _analytic_cdf(solution, np.asarray(stats.bin_edges))
     ks = float(np.max(np.abs(stats.empirical_cdf - analytic)))
     return DivergenceReport(
         ks_distance=ks,

@@ -1,15 +1,19 @@
 """Tests for the event-driven battery simulator."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehjscc.distortion import distortion
 from ehjscc.models import (
     ArrivalModel,
     AwgnChannel,
+    BernoulliSource,
     GaussianSource,
     SystemConfig,
     ZeroLeakage,
@@ -19,6 +23,7 @@ from ehjscc.simulator import (
     DivergenceReport,
     SimConfig,
     SimulationStats,
+    _DrainTable,
     analytic_stats,
     compare_to_analytic,
     simulate,
@@ -83,6 +88,24 @@ def test_constant_mismatch_needs_source_and_channel(constk_policy):
         SimConfig(policy=constk_policy, system=SYSTEM, horizon=100.0)
 
 
+def test_constant_mismatch_distortion_profile_matches_scalar_values():
+    # the drain table evaluates a constant-mismatch policy's reported
+    # distortion in one array call; it must agree with the scalar map at
+    # every merged node (Bernoulli inverts the rate by bisection)
+    bern = BernoulliSource(prob=0.5)
+    c_star = -ARRIVALS.lam * distortion(bern, CHAN, ARRIVALS.delta / ARRIVALS.lam, 1.0)
+    for src, c in ((GAUSS, -0.55), (bern, c_star - 0.01)):
+        sol = solve_constant_kappa(src, CHAN, ARRIVALS, ZeroLeakage(), 5.0, 1e-3, c)
+        assert sol.feasible
+        table = _DrainTable(
+            SimConfig(policy=sol, system=SYSTEM, horizon=1.0, src=src, ch=CHAN)
+        )
+        power, d_dag = table.weights[:, 0], table.weights[:, 2]
+        scalar = np.array([distortion(src, CHAN, float(x), 1.0) for x in power])
+        assert len(power) > 1000
+        assert np.all(np.abs(d_dag - scalar) <= 1e-12 * np.abs(scalar))
+
+
 # ---------------------------------------------------------------------------
 # deterministic drain (no arrivals)
 # ---------------------------------------------------------------------------
@@ -138,6 +161,22 @@ def test_identical_configs_give_bit_identical_stats(bench_policy):
     assert a.mean_d_dagger == b.mean_d_dagger
     assert a.overflow_energy == b.overflow_energy
     assert a.event_count == b.event_count
+
+
+def test_memory_does_not_grow_with_the_horizon(bench_policy):
+    # segments are accounted for a chunk at a time, so the buffers stay
+    # the same size however long the run
+    def peak(horizon):
+        cfg = SimConfig(policy=bench_policy, system=SYSTEM, horizon=horizon, seed=2)
+        simulate(replace(cfg, horizon=1.0))     # one-time allocations
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2e5) <= 1.25 * peak(2e4)
 
 
 def test_different_seeds_differ(bench_policy):
