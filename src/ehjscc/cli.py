@@ -17,6 +17,7 @@ numerics fail outright.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -426,11 +427,7 @@ def cmd_search(cfg: RunConfig, args) -> int:
     )
     spec = cfg.search_spec or SearchSpec()
     if args.seed is not None:
-        spec = SearchSpec(
-            beta_bounds=spec.beta_bounds, c1_bounds=spec.c1_bounds,
-            c2_bounds=spec.c2_bounds, budget=spec.budget,
-            seed=args.seed, margin=spec.margin,
-        )
+        spec = dataclasses.replace(spec, seed=args.seed)
     result = tune_constants(problem, spec)
     if not result.feasible:
         raise InfeasibleError(
@@ -464,11 +461,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     )
     spec = cfg.search_spec or SearchSpec()
     if args.seed is not None:
-        spec = SearchSpec(
-            beta_bounds=spec.beta_bounds, c1_bounds=spec.c1_bounds,
-            c2_bounds=spec.c2_bounds, budget=spec.budget,
-            seed=args.seed, margin=spec.margin,
-        )
+        spec = dataclasses.replace(spec, seed=args.seed)
     result = capacity_sweep(
         problem, cfg.sweep_capacities, spec, kappa_budget=cfg.kappa_budget
     )

@@ -47,13 +47,16 @@ class NumericsError(Exception):
 class SingularityError(NumericsError):
     """ODE integration halted early (blow-up, domain exit, step underflow).
 
-    Carries the independent variable ``z`` at which integration stopped.
+    Carries the independent variable ``z`` at which integration stopped
+    and, where the integrator knows it, the ``state`` there (NaN
+    otherwise).
     """
 
-    def __init__(self, message: str, z: float):
+    def __init__(self, message: str, z: float, state: float = math.nan):
         super().__init__(f"{message} (at z={z!r})")
         self.message = message
         self.z = z
+        self.state = state
 
 
 class ConvergenceError(NumericsError):
@@ -259,7 +262,7 @@ def integrate_ode(
             raise _StageFailure from None
         if not math.isfinite(v) or abs(v) > rhs_cap:
             if fatal:
-                raise SingularityError("right-hand side blew up", z)
+                raise SingularityError("right-hand side blew up", z, y)
             raise _StageFailure
         return v
 
@@ -291,12 +294,12 @@ def integrate_ode(
 
         steps += 1
         if steps > max_steps:
-            raise SingularityError("step budget exhausted", z)
+            raise SingularityError("step budget exhausted", z, p)
 
         hit = h >= remaining
         h_try = remaining if hit else h
         if h_try < h_min and not hit:
-            raise SingularityError("step size underflow", z)
+            raise SingularityError("step size underflow", z, p)
 
         try:
             k1 = call(z, p, fatal=True)
@@ -584,7 +587,7 @@ def integrate_autonomous(
     the time of a pass over the published rows by ~22%.
 
     Returns an :class:`AutonomousPath`.  Raises :class:`SingularityError`
-    carrying the z reached when, before z_end, the state runs to 0 or
+    carrying the z reached and the last admissible state when, before z_end, the state runs to 0 or
     escapes to infinity, leaves the domain of ``rhs``, or |rhs| exceeds
     1e9.  A root of ``rhs`` on the path is an equilibrium the
     state approaches and, once the gap underflows, sits on.
@@ -608,7 +611,7 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, layout):
 
     f0 = float(evaluate(np.array([p0]))[0])
     if not (math.isfinite(f0) and abs(f0) <= _RHS_CAP):
-        raise SingularityError(_invalid_reason(f0), 0.0)
+        raise SingularityError(_invalid_reason(f0), 0.0, p0)
     if f0 == 0.0:
         return AutonomousPath(p0, z_end, 0.0, empty, empty,
                               empty.reshape(0, _GL_ORDER + 1), np.zeros(1))
@@ -766,12 +769,13 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, layout):
                 # a root of F: the state has converged on it to rounding
                 return AutonomousPath(p0, z_end, sign, acc_a, acc_h,
                                       acc_c @ to_antider.T, z_edges)
-            raise SingularityError(obstacle_reason, z_reached)
+            raise SingularityError(obstacle_reason, z_reached,
+                                   math.exp(s0 + sign * cut_at))
         reached = float(acc_a[-1] + acc_h[-1]) if acc_a.size else 0.0
         if reached >= u_limit * (1.0 - 1e-15):
             raise SingularityError(
                 "state reached 0" if sign < 0.0 else "state escaped to infinity",
-                z_reached,
+                z_reached, math.exp(s0 + sign * reached),
             )
         pend_a, pend_h = fresh(reached)
     raise SingularityError("quadrature did not converge", z_reached)

@@ -2,10 +2,12 @@
 
 The free constants of the variational system are not given by any formula;
 they have to be found numerically for each operating point.  This module
-wraps the policy solvers in a budgeted, deterministic search: a coarse
-scan of the constants box followed by Nelder--Mead simplex refinement for
-the adaptive policy, and a scan plus golden-section polish for the single
-constant of the constant-mismatch policy.  A capacity sweep ties both
+wraps the policy solvers in a budgeted, deterministic search.  For the
+adaptive policy only (beta, c1) are searched, by a coarse scan of their
+box followed by Nelder--Mead simplex refinement: the endpoint condition
+fixes c2 for each pair, and every probe's solve polishes it there.  The
+single constant of the constant-mismatch policy gets a scan plus
+golden-section polish.  A capacity sweep ties both
 tuners and the converse bound together into one table, which is what the
 plotting and CLI layers consume.
 
@@ -83,12 +85,15 @@ class Problem:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Search box and budget for tuning the three adaptive constants.
+    """Search box and budget for tuning the adaptive constants.
 
     ``None`` bounds are filled per problem: beta gets the middle 98% of
-    its admissible range (the endpoints are singular), c1 mirrors the
-    beta range and c2 defaults to (0, 1), which brackets every tabulated
-    operating point by a wide margin.
+    its admissible range (the endpoints are singular) and c1 mirrors the
+    beta range.  c2 is not a search axis: each probe polishes it onto the
+    endpoint condition, and ``c2_bounds`` (default (0, 1), which brackets
+    every tabulated operating point by a wide margin) bounds where that
+    polish starts and how far its bracketed root reaches.  ``budget``
+    counts probes, one per (beta, c1) pair.
 
     ``margin`` is the minimum accepted value of pi0/kappa(0), the share
     of the mismatch budget spent on the empty battery.  Minimizing the
@@ -197,43 +202,70 @@ class _Budget:
         return True
 
 
-def _cheap_adaptive_objective(problem: Problem, grid: Grid, budget: _Budget,
-                              margin: float):
+def _adaptive_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Budget,
+                    history):
+    """Objective over (beta, c1): a cheap solve with c2 polished onto the manifold.
+
+    Each probe starts its polish from the c2 of the nearest earlier probe
+    whose polish converged (distances measured in units of the search
+    box), or from the middle of the c2 bounds before any has.  Feasible
+    probes inside the margin go to ``history`` as (d_avg, (beta, c1, c2)).
+    """
     src, ch = problem.src, problem.ch
     lo, hi = beta_range(src)
+    beta_b, c1_b, c2_bounds = spec.resolved_bounds(src)
+    scale = (beta_b[1] - beta_b[0], c1_b[1] - c1_b[0])
+    converged = []  # (beta, c1, polished c2)
 
-    def evaluate(point):
-        beta, c1, c2 = point
+    def start_c2(beta, c1):
+        if not converged:
+            return 0.5 * (c2_bounds[0] + c2_bounds[1])
+        nearest = min(
+            converged,
+            key=lambda q: ((q[0] - beta) / scale[0]) ** 2 + ((q[1] - c1) / scale[1]) ** 2,
+        )
+        return nearest[2]
+
+    def evaluate(point) -> float:
+        beta, c1 = point
         if not lo < beta < hi:
-            return math.inf, None
+            return math.inf
         if not budget.take():
-            return math.inf, None
+            return math.inf
         sol = solve_adaptive(
             src, ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
-            VariationalConstants(beta, c1, c2),
-            grid=grid, refine_c2=True,
+            VariationalConstants(beta, c1, start_c2(beta, c1)),
+            grid=grid, refine_c2=True, c2_bounds=c2_bounds,
             atol=_SCAN_ATOL, rtol=_SCAN_RTOL,
         )
-        if not sol.feasible or sol.pi0 / sol.kappa0 < margin:
+        if sol.grid is None:
             budget.infeasible += 1
-            return math.inf, None
-        return sol.d_avg, sol
+            return math.inf
+        converged.append((beta, c1, sol.constants.c2))
+        # pi0/kappa0 by the average-distortion identity, which also holds
+        # past the normalization boundary, where kappa0 does not exist
+        gain = src.d_max - sol.d_beta
+        share = (sol.d_avg - sol.d_beta) / gain
+        if share < spec.margin:
+            budget.infeasible += 1
+            # mirrored at the margin: falling short of it by x scores as
+            # exceeding it by x would, so the simplex is drawn back to
+            # the boundary the optimum sits on instead of walled off
+            return 2.0 * (sol.d_beta + spec.margin * gain) - sol.d_avg
+        if not sol.feasible:
+            budget.infeasible += 1
+            return math.inf
+        history.append((sol.d_avg, (beta, c1, sol.constants.c2)))
+        return sol.d_avg
 
     return evaluate
 
 
-def _nelder_mead(evaluate, start_points, budget: _Budget, history):
-    # deterministic simplex descent; start_points is a (dim+1)-vertex
-    # simplex, history collects every feasible probe as (value, point)
-    def probe(x):
-        v, _ = evaluate(x)
-        if math.isfinite(v):
-            history.append((v, tuple(x)))
-        return v
-
+def _nelder_mead(evaluate, start_points, budget: _Budget):
+    # deterministic simplex descent; start_points is a (dim+1)-vertex simplex
     simplex = [list(p) for p in start_points]
-    values = [probe(p) for p in simplex]
+    values = [evaluate(p) for p in simplex]
     dim = len(simplex) - 1
 
     for _ in range(10 * (budget.left + 1)):
@@ -256,11 +288,11 @@ def _nelder_mead(evaluate, start_points, budget: _Budget, history):
         ]
         worst = simplex[-1]
         reflect = [centroid[j] + (centroid[j] - worst[j]) for j in range(dim)]
-        f_r = probe(reflect)
+        f_r = evaluate(reflect)
 
         if f_r < values[0]:
             expand = [centroid[j] + 2.0 * (centroid[j] - worst[j]) for j in range(dim)]
-            f_e = probe(expand)
+            f_e = evaluate(expand)
             if f_e < f_r:
                 simplex[-1], values[-1] = expand, f_e
             else:
@@ -269,7 +301,7 @@ def _nelder_mead(evaluate, start_points, budget: _Budget, history):
             simplex[-1], values[-1] = reflect, f_r
         else:
             contract = [centroid[j] + 0.5 * (worst[j] - centroid[j]) for j in range(dim)]
-            f_c = probe(contract)
+            f_c = evaluate(contract)
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contract, f_c
             else:
@@ -279,65 +311,62 @@ def _nelder_mead(evaluate, start_points, budget: _Budget, history):
                         simplex[0][j] + 0.5 * (simplex[i][j] - simplex[0][j])
                         for j in range(dim)
                     ]
-                    values[i] = probe(simplex[i])
+                    values[i] = evaluate(simplex[i])
 
 
 def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneResult:
     """Find constants minimizing the adaptive policy's average distortion.
 
-    Runs a coarse scan over the (beta, c1, c2) box (cell centers, up to
-    8 per axis, lightly jittered by the seed so distinct seeds explore
+    c2 is not searched: the endpoint condition at z = capacity fixes it
+    for each (beta, c1), and every probe polishes it there.  The search
+    runs a coarse scan over the (beta, c1) box (cell centers, up to 8 per
+    axis, lightly jittered by the seed so distinct seeds explore
     distinct lattices), then refines around the best cell with a
-    Nelder--Mead simplex.  Every probe is a cheap certified solve; the
-    incumbent is re-solved at full accuracy before being returned, so the
-    reported solution carries a quadrature-noise stationarity residual
-    and exact normalizations.  Deterministic for a fixed seed and budget.
+    Nelder--Mead simplex over (beta, c1).  Every probe is a cheap
+    certified solve whose polish starts from the c2 of the nearest probe
+    that converged; a probe short of ``spec.margin`` scores the mirror
+    image of its average distortion at the margin.  The incumbent is
+    re-solved at full accuracy before being returned, so the reported
+    solution carries a quadrature-noise stationarity residual and exact
+    normalizations.  Deterministic for a fixed seed and budget.
     """
     beta_b, c1_b, c2_b = spec.resolved_bounds(problem.src)
     budget = _Budget(spec.budget)
     grid = Grid.graded(problem.capacity, n=_SCAN_GRID_N)
-    evaluate = _cheap_adaptive_objective(problem, grid, budget, spec.margin)
+    history = []
+    evaluate = _adaptive_probe(problem, spec, grid, budget, history)
     rng = seeded_rng(spec.seed)
 
     # --- coarse scan over cell centers -------------------------------
-    n_dim = max(1, min(8, round((spec.budget // 2) ** (1.0 / 3.0))))
-    bounds = (beta_b, c1_b, c2_b)
+    n_dim = max(1, min(8, round(math.sqrt(spec.budget / 2))))
+    bounds = (beta_b, c1_b)
     axes = []
     for (lo, hi) in bounds:
         cell = (hi - lo) / n_dim
         jitter = (rng.uniform() - 0.5) * 0.2 * cell
         axes.append([lo + (i + 0.5) * cell + jitter for i in range(n_dim)])
-
-    history = []
     for beta in axes[0]:
         for c1 in axes[1]:
-            for c2 in axes[2]:
-                if budget.left <= 0:
-                    break
-                v, _ = evaluate((beta, c1, c2))
-                if math.isfinite(v):
-                    history.append((v, (beta, c1, c2)))
+            if budget.left <= 0:
+                break
+            evaluate((beta, c1))
 
     # --- simplex refinement around the best cell ----------------------
     if history and budget.left > 0:
-        _, best_pt = min(history, key=lambda t: (t[0], t[1]))
+        _, (beta, c1, _) = min(history)
         steps = [0.5 * (hi - lo) / n_dim for (lo, hi) in bounds]
-        start = [list(best_pt)]
-        for j in range(3):
-            vertex = list(best_pt)
-            vertex[j] += steps[j]
-            start.append(vertex)
-        _nelder_mead(evaluate, start, budget, history)
+        start = [[beta, c1], [beta + steps[0], c1], [beta, c1 + steps[1]]]
+        _nelder_mead(evaluate, start, budget)
 
     # --- full-accuracy certification ----------------------------------
     # accept at half the scan margin: scan-grid and full-grid solves of
     # the same constants differ in pi0/kappa0 by far less than that
-    history.sort(key=lambda t: (t[0], t[1]))
+    history.sort()
     for value, point in history[:20]:
         sol = solve_adaptive(
             problem.src, problem.ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
-            VariationalConstants(*point), refine_c2=True,
+            VariationalConstants(*point), refine_c2=True, c2_bounds=c2_b,
         )
         if sol.feasible and sol.pi0 / sol.kappa0 >= 0.5 * spec.margin:
             return TuneResult(

@@ -82,6 +82,11 @@ class SimConfig:
                 f"system capacity {self.system.capacity} does not match "
                 f"the policy's {cap}"
             )
+        if not math.isclose(self.system.p0plus, self.policy.p0plus, rel_tol=1e-9):
+            raise ValueError(
+                f"system p0plus {self.system.p0plus} does not match "
+                f"the policy's {self.policy.p0plus}"
+            )
         if not 0.0 <= self.z0 <= cap:
             raise ValueError(f"z0 must lie in [0, {cap}], got {self.z0}")
         if self.policy.kind == "constant-kappa" and (

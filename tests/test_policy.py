@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,33 @@ def test_solve_rejects_bad_inputs():
         )
 
 
+def test_solve_rejects_bad_c2_bounds():
+    with pytest.raises(ValueError):
+        # bounds steer the polish, so they need it
+        solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, BENCH, c2_bounds=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, BENCH,
+                       refine_c2=True, c2_bounds=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [None, 300], ids=["default-grid", "300-nodes"])
+def test_underflowing_empty_battery_atom_is_infeasible(n):
+    # the charge law piles up so far from empty that pi0 = exp(-1359)
+    # underflows to 0; no positive kappa0 is representable then, and the
+    # outcome says so instead of raising
+    grid = None if n is None else Grid.graded(5.0, n=n)
+    sol = solve_adaptive(
+        GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
+        VariationalConstants(-0.0678944386606244, -0.9432553321559033,
+                             0.012719901038464166),
+        grid=grid,
+    )
+    assert not sol.feasible
+    assert sol.pi0 == 0.0
+    assert math.isnan(sol.kappa0)
+    assert "underflows" in sol.message
+
+
 def test_infeasible_constants_return_outcome_not_exception():
     # constants that blow the ODE up mid-run come back flagged, with the
     # diagnostic attached and an infinite average
@@ -230,6 +258,62 @@ def test_refined_solution_is_stationary(bench_refined):
     assert bench_refined.feasible
     assert bench_refined.optimality_residual <= 1e-5
     assert bench_refined.d_avg == pytest.approx(0.5417, rel=2e-3)
+
+
+def _c2_at_rest(src, beta, c1, p0=1e-3):
+    # F(p0) is affine in c2; this is the c2 at which the state stays at p0
+    f0 = adaptive_rhs(src, CH, ARR, VariationalConstants(beta, c1, 0.0))(p0)
+    f1 = adaptive_rhs(src, CH, ARR, VariationalConstants(beta, c1, 1.0))(p0)
+    return f0 / (f0 - f1)
+
+
+def test_polish_reaches_one_c2_from_every_admissible_start(bench_refined):
+    # at the benchmark row the state rises for c2 below c2_at_rest = 0.541
+    # and blows up before z = 5 for c2 below ~0.17; from every start in
+    # between the polish ends on the same root of the endpoint gap
+    at_rest = _c2_at_rest(GAUSS, BENCH.beta, BENCH.c1)
+    assert at_rest == pytest.approx(0.5412, abs=1e-4)
+    starts = list(np.linspace(0.0, at_rest, 28)[1:]) + [at_rest * (1.0 - 1e-9)]
+    admissible = 0
+    for start in starts:
+        sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
+                             replace(BENCH, c2=start), refine_c2=True)
+        if "with the given constants" in sol.message:
+            assert start < 0.18  # only starts past the blow-up edge are singular
+            continue
+        admissible += 1
+        assert abs(sol.constants.c2 - bench_refined.constants.c2) <= 1e-9
+    assert admissible >= 20
+
+
+def test_polish_without_root_ends_in_three_integrations(monkeypatch):
+    # the gap keeps its sign from c2_at_rest out to where the state blows
+    # up before z = 3: two trials and one singular trial show it
+    integrations = []
+    integrate = policy.integrate_autonomous
+
+    def counted(*args, **kwargs):
+        integrations.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "integrate_autonomous", counted)
+    sol = solve_adaptive(BERN, CH, ARR, NO_LEAK, 3.0, 1e-3,
+                         VariationalConstants(-0.37026, -0.12884, 0.73470),
+                         refine_c2=True)
+    assert sol.message == "endpoint refinement of c2 did not converge"
+    assert len(integrations) <= 3
+
+
+def test_bounded_polish_retries_a_singular_start(bench_refined):
+    # c2 = 0.9 lies past c2_at_rest, where the state falls to 0; within
+    # c2 bounds the polish tries once more next to c2_at_rest
+    start = replace(BENCH, c2=0.9)
+    plain = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, start, refine_c2=True)
+    assert not plain.feasible and "with the given constants" in plain.message
+    sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, start,
+                         refine_c2=True, c2_bounds=(0.0, 1.0))
+    assert sol.feasible
+    assert abs(sol.constants.c2 - bench_refined.constants.c2) <= 1e-9
 
 
 def test_residual_detects_perturbation(bench_refined):

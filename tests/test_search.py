@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from ehjscc import policy
 from ehjscc.distortion import lower_bound
 from ehjscc.models import ArrivalModel, AwgnChannel, GaussianSource, ZeroLeakage
 from ehjscc.search import (
@@ -81,6 +83,30 @@ def test_tuner_is_deterministic(tuned2):
     assert again.constants == tuned2.constants
     assert again.evaluations == tuned2.evaluations
     assert again.infeasible_evals == tuned2.infeasible_evals
+
+
+def test_tune_work_is_bounded(monkeypatch):
+    # c2 is polished in every probe, not scanned: the default tune at
+    # capacity 5 spends 233 probes and 4,133 array calls of F (seed 0),
+    # where a scan over c2 as a third axis spent 769 and 9,763
+    calls = []
+    adaptive_field = policy._adaptive_field
+
+    def counted_field(*args):
+        field = adaptive_field(*args)
+
+        def rhs(p):
+            calls.append(np.size(p))
+            return field(p)
+
+        return rhs
+
+    monkeypatch.setattr(policy, "_adaptive_field", counted_field)
+    res = tune_constants(PROB5)
+    assert res.feasible
+    assert res.d_avg <= 0.5417 * 1.01
+    assert res.evaluations <= 400
+    assert len(calls) <= 7_000
 
 
 def test_budget_one_probes_single_point():

@@ -72,6 +72,15 @@ def test_config_requires_matching_capacity(bench_policy):
         SimConfig(policy=bench_policy, system=sys4, horizon=100.0)
 
 
+def test_config_requires_matching_p0plus(bench_policy):
+    # simulate takes p(0) from the policy, so a system stating another
+    # power at zero charge describes a different run
+    other = SystemConfig(arrivals=ARRIVALS, leakage=ZeroLeakage(), capacity=5.0,
+                         p0plus=1.0)
+    with pytest.raises(ValueError, match="p0plus"):
+        SimConfig(policy=bench_policy, system=other, horizon=100.0)
+
+
 def test_config_rejects_infeasible_policy():
     # the unpolished benchmark solve oversubscribes the mismatch
     # normalization, so it carries no usable kappa0

@@ -388,7 +388,7 @@ def policies():
 def _config(policies, name, *, horizon, seed=0, z0=0.0, arrivals=ARR):
     sol, src, leak = policies[name]
     system = SystemConfig(
-        arrivals=arrivals, leakage=leak, capacity=sol.grid.capacity, p0plus=1e-3
+        arrivals=arrivals, leakage=leak, capacity=sol.grid.capacity, p0plus=sol.p0plus
     )
     return SimConfig(policy=sol, system=system, horizon=horizon, seed=seed,
                      z0=z0, src=src, ch=CH)
