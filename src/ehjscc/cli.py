@@ -418,16 +418,22 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_search(cfg: RunConfig, args) -> int:
-    if math.isinf(cfg.capacity):
-        raise ConfigError("capacity: search needs a finite battery")
+def _search_setup(cfg: RunConfig, args, capacity: float):
+    # the operating point and the search spec, with the --seed override
     problem = Problem(
         src=cfg.src, ch=cfg.ch, arrivals=cfg.arrivals, leak=cfg.leak,
-        capacity=cfg.capacity, p0plus=cfg.p0plus,
+        capacity=capacity, p0plus=cfg.p0plus,
     )
     spec = cfg.search_spec or SearchSpec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    return problem, spec
+
+
+def cmd_search(cfg: RunConfig, args) -> int:
+    if math.isinf(cfg.capacity):
+        raise ConfigError("capacity: search needs a finite battery")
+    problem, spec = _search_setup(cfg, args, cfg.capacity)
     result = tune_constants(problem, spec)
     if not result.feasible:
         raise InfeasibleError(
@@ -455,13 +461,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     shell_capacity = (
         cfg.capacity if math.isfinite(cfg.capacity) else cfg.sweep_capacities[0]
     )
-    problem = Problem(
-        src=cfg.src, ch=cfg.ch, arrivals=cfg.arrivals, leak=cfg.leak,
-        capacity=shell_capacity, p0plus=cfg.p0plus,
-    )
-    spec = cfg.search_spec or SearchSpec()
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    problem, spec = _search_setup(cfg, args, shell_capacity)
     result = capacity_sweep(
         problem, cfg.sweep_capacities, spec, kappa_budget=cfg.kappa_budget
     )

@@ -145,7 +145,10 @@ class BernoulliSource:
 
         Inverts H on (0, d_max]: H is strictly increasing there and
         H(d_max) = H(prob), so the target entropy is always bracketed.
-        Bisection to an absolute width of 1e-15, elementwise for arrays.
+        Bisection to a width of 1e-15 relative to the upper end, elementwise
+        for arrays: rate_inverse(rate(d)) is within ~1e-11 relative for
+        d >= 1e-6, and below ~1e-9 cancellation in ``rate`` itself
+        (H(prob) - H(d)) limits it, as does the flat top of H at prob = 0.5.
         """
         if isinstance(r, np.ndarray):
             return self._rate_inverse_array(r)
@@ -158,7 +161,7 @@ class BernoulliSource:
         target = self.rate_threshold - r
         lo, hi = 1e-300, self.d_max
         for _ in range(200):
-            if hi - lo <= 1e-15:
+            if hi - lo <= 1e-15 * hi:
                 break
             mid = 0.5 * (lo + hi)
             if binary_entropy(mid) < target:
@@ -172,9 +175,11 @@ class BernoulliSource:
             raise ValueError("rate must be >= 0 everywhere")
         target = self.rate_threshold - r
         lo = np.full(r.shape, 1e-300)
-        hi = np.full(r.shape, self.d_max)
+        # entries set to d_max or 0 below start closed: a bracket sinking
+        # towards 0 would never reach a relative width
+        hi = np.where((r > 0.0) & (r < self.rate_threshold), self.d_max, lo)
         for _ in range(200):
-            open_ = hi - lo > 1e-15
+            open_ = hi - lo > 1e-15 * hi
             if not open_.any():
                 break
             mid = 0.5 * (lo + hi)

@@ -799,8 +799,11 @@ class Grid:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        # private read-only copies: one grid is shared by every solution
+        # solved on it
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or nodes.size < 2:
@@ -833,35 +836,28 @@ class Grid:
         return cls(nodes, cls._trapezoid_weights(nodes))
 
     @classmethod
-    def uniform(cls, capacity: float, n: int = 2000, z_min: float = 1e-6) -> "Grid":
-        if not 0.0 < z_min < capacity:
-            raise ValueError("need 0 < z_min < capacity")
-        return cls.from_nodes(np.linspace(z_min, capacity, n))
-
-    @classmethod
     def graded(
         cls,
         capacity: float,
         n: int = 2000,
         z_min: float = 1e-6,
-        knee_fraction: float = 0.1,
-        geometric_fraction: float = 0.4,
     ) -> "Grid":
         """Geometric spacing from z_min up to a knee, then uniform up to capacity.
 
         The stationary density develops a sharp boundary layer above z = 0
-        when the policy's power there is small; the geometric section
-        resolves it at a fixed nodes-per-decade cost while the uniform
-        section keeps the bulk truncation error small.
+        when the policy's power there is small; the geometric section (40%
+        of the nodes, up to a knee at a tenth of the capacity) resolves it
+        at a fixed nodes-per-decade cost while the uniform section keeps
+        the bulk truncation error small.
         """
         if capacity <= 0.0 or not math.isfinite(capacity):
             raise ValueError("capacity must be finite and positive")
         if n < 16:
             raise ValueError("need at least 16 nodes")
-        knee = capacity * knee_fraction
-        if not z_min < knee < capacity:
-            raise ValueError("need z_min < knee < capacity")
-        n_geo = int(round(n * geometric_fraction))
+        knee = capacity * 0.1
+        if not z_min < knee:
+            raise ValueError("need z_min < capacity / 10")
+        n_geo = int(round(n * 0.4))
         n_geo = max(2, min(n_geo, n - 2))
         geo = np.geomspace(z_min, knee, n_geo)
         lin = np.linspace(knee, capacity, n - n_geo + 1)[1:]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "beta_range",
     "beta_to_distortion",
     "gaussian_d_beta",
-    "adaptive_rhs",
     "optimality_residual",
     "solve_adaptive",
     "solve_constant_kappa",
@@ -220,13 +219,8 @@ def gaussian_kappa_closed_form(variance, noise, beta, p):
 # the charge-adaptive ODE
 # ---------------------------------------------------------------------------
 
-def adaptive_rhs(
-    src: SourceModel,
-    ch: AwgnChannel,
-    arrivals: ArrivalModel,
-    consts: VariationalConstants,
-) -> Callable:
-    """Right-hand side F with p'(z) = F(p(z)) for the adaptive policy.
+def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
+    """Parts of the right-hand side F with p'(z) = F(p(z)) for the adaptive policy.
 
     Derivation: with the distortion pinned at D_beta, the mismatch is
     kappa = R_beta/R_c(p) (R_beta := R_s(D_beta)); substituting into the
@@ -238,32 +232,12 @@ def adaptive_rhs(
                  - lam*(R_beta/S)*p*Rc' + lam*c2*R_beta ]
                / [ (D_beta+c1)*Rc' - (R_beta/S)*(p*Rc'' + Rc') ]
 
-    The formula is never trusted on its own: every accepted solution is
-    audited by :func:`optimality_residual` against the original condition.
-    The returned F takes a scalar or an array of powers.  Where the
-    denominator magnitude drops below 1e-12 (the reduction degenerates
-    there) an array gets +inf and a scalar raises
-    :class:`SingularityError`.
+    The returned function maps an array of powers to (base, den) with
+    F = (base + lam*c2*R_beta) / den: c2 enters the numerator alone, so
+    F is affine in c2.  The formula is never trusted on its own: every
+    accepted solution is audited by :func:`optimality_residual` against
+    the original condition.
     """
-    d_beta = beta_to_distortion(src, consts.beta)
-    field = _adaptive_field(
-        ch, arrivals, consts, d_beta, src.rate(d_beta), src.rate_derivatives(d_beta)[0]
-    )
-
-    def rhs(p):
-        if isinstance(p, np.ndarray):
-            return field(p)
-        value = float(field(np.array([float(p)]))[0])
-        if math.isinf(value):
-            raise SingularityError("adaptive ODE denominator vanished", math.nan)
-        return value
-
-    return rhs
-
-
-def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
-    # the adaptive right-hand side is F(p) = (base(p) + lam*c2*R_beta) /
-    # den(p): c2 enters the numerator alone, so F is affine in c2
     delta, lam = arrivals.delta, arrivals.lam
     ratio = r_beta / slope
 
@@ -278,7 +252,8 @@ def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
 
 
 def _adaptive_field(ch, arrivals, consts, d_beta, r_beta, slope):
-    # array form of adaptive_rhs for a distortion level already solved for
+    # F on an array of powers for a solved distortion level; +inf where
+    # the denominator magnitude drops below 1e-12
     terms = _adaptive_terms(ch, arrivals, consts.c1, d_beta, r_beta, slope)
     shift = arrivals.lam * consts.c2 * r_beta
 
@@ -323,6 +298,32 @@ def _stationary_law(nodes, weights, drain, drain0, delta, lam):
     pi0 = float(math.exp(log_pi0))
     f = np.exp(log_pi0 + log_shape)
     return pi0, float(log_pi0), f, log_shape
+
+
+def _battery_grid(capacity, p0plus, grid):
+    # both solvers check the battery before any work
+    if not (math.isfinite(capacity) and capacity > 0.0):
+        raise ValueError(f"capacity must be finite and positive, got {capacity}")
+    if not p0plus > 0.0:
+        raise ValueError(f"p0plus must be positive, got {p0plus}")
+    return Grid.graded(capacity) if grid is None else grid
+
+
+def _law_on_grid(kind, path, grid, arrivals, leak, p0plus, **tags):
+    # p on the grid from the trajectory path() plus the output of
+    # _stationary_law, or the infeasible outcome carrying tags if the
+    # trajectory turns singular before the last node
+    try:
+        p = path().p_at(grid.nodes)
+    except SingularityError as exc:
+        return _infeasible(
+            kind, p0plus, f"ODE singular near z={exc.z:.6g}: {exc.message}", **tags
+        )
+    drain = p + np.asarray(leak.rate(grid.nodes), dtype=float)
+    drain0 = p0plus + float(leak.rate(0.0))
+    return (p,) + _stationary_law(
+        grid.nodes, grid.weights, drain, drain0, arrivals.delta, arrivals.lam
+    )
 
 
 def optimality_residual(
@@ -374,6 +375,8 @@ def _residual_profile(src, ch, arrivals, solution, consts) -> np.ndarray:
     )
 
 
+# the c2 polish stops once the endpoint gap is this small
+_C2_TOL = 1e-9
 # secant trials of the c2 polish before the bracketed root takes over;
 # every published row converges within 8
 _SECANT_TRIALS = 10
@@ -386,7 +389,7 @@ _NEAR_ZERO = 1e-6
 _FIRST_STEP = 0.05
 
 
-def _polish_c2(endpoint, c2, c2_tol, c2_zero, side, p0, t_max):
+def _polish_c2(endpoint, c2, c2_zero, side, p0, t_max):
     """c2 whose trajectory closes the endpoint gap, or None if none is found.
 
     ``endpoint(c2)`` integrates and returns (gap, kappa(L)), raising
@@ -404,14 +407,14 @@ def _polish_c2(endpoint, c2, c2_tol, c2_zero, side, p0, t_max):
     step = math.copysign(min(abs(step), _FIRST_STEP), step)
     c2 = c2 + step
     for _ in range(_SECANT_TRIALS):
-        if abs(prev_gap) <= c2_tol:
+        if abs(prev_gap) <= _C2_TOL:
             return prev_c2
         try:
             gap, _ = endpoint(c2)
         except SingularityError as exc:
             trials.append((c2, exc.state, False))
             break
-        if abs(gap) <= c2_tol:
+        if abs(gap) <= _C2_TOL:
             return c2
         trials.append((c2, gap, True))
         if gap == prev_gap:
@@ -421,10 +424,10 @@ def _polish_c2(endpoint, c2, c2_tol, c2_zero, side, p0, t_max):
             c2,
             gap,
         )
-    return _bracketed_c2(endpoint, trials, c2_tol, c2_zero, side, p0, t_max)
+    return _bracketed_c2(endpoint, trials, c2_zero, side, p0, t_max)
 
 
-def _bracketed_c2(endpoint, trials, c2_tol, c2_zero, side, p0, t_max):
+def _bracketed_c2(endpoint, trials, c2_zero, side, p0, t_max):
     """Root of the endpoint gap on the side of c2_zero where the state rises.
 
     Works in the offset t = side * (c2 - c2_zero) > 0.  The state at
@@ -486,7 +489,7 @@ def _bracketed_c2(endpoint, trials, c2_tol, c2_zero, side, p0, t_max):
         except SingularityError as exc:
             moved = place(c2, exc.state, False)
         else:
-            if abs(gap) <= c2_tol:
+            if abs(gap) <= _C2_TOL:
                 return c2
             moved = place(c2, gap, True)
         if moved is not None and moved == last_moved:
@@ -510,7 +513,6 @@ def solve_adaptive(
     *,
     grid: Optional[Grid] = None,
     refine_c2: bool = False,
-    c2_tol: float = 1e-9,
     c2_bounds: Optional[tuple[float, float]] = None,
     atol: float = 1e-13,
     rtol: float = 1e-12,
@@ -548,10 +550,7 @@ def solve_adaptive(
     polish at the bound on the side where the state rises, and retries a
     singular start once next to the c2 at which the state stays put.
     """
-    if not (math.isfinite(capacity) and capacity > 0.0):
-        raise ValueError(f"capacity must be finite and positive, got {capacity}")
-    if not p0plus > 0.0:
-        raise ValueError(f"p0plus must be positive, got {p0plus}")
+    grid = _battery_grid(capacity, p0plus, grid)
     if c2_bounds is not None and not (refine_c2 and c2_bounds[0] < c2_bounds[1]):
         raise ValueError(
             f"c2_bounds must be an increasing pair used with refine_c2, got {c2_bounds}"
@@ -601,7 +600,7 @@ def solve_adaptive(
             starts.append(min(max(near, c2_bounds[0]), c2_bounds[1]))
         for start in starts:
             try:
-                c2 = _polish_c2(endpoint, start, c2_tol, c2_zero, side, p0plus, t_max)
+                c2 = _polish_c2(endpoint, start, c2_zero, side, p0plus, t_max)
                 break
             except SingularityError as exc:
                 failure = exc
@@ -620,24 +619,12 @@ def solve_adaptive(
             )
     used = replace(consts, c2=c2)
 
-    if grid is None:
-        grid = Grid.graded(capacity)
-    try:
-        p = trajectory(c2).p_at(grid.nodes)
-    except SingularityError as exc:
-        return _infeasible(
-            "adaptive", p0plus,
-            f"ODE singular near z={exc.z:.6g}: {exc.message}",
-            d_beta=d_beta, constants=used,
-        )
+    law = _law_on_grid("adaptive", lambda: trajectory(c2), grid, arrivals, leak, p0plus,
+                       d_beta=d_beta, constants=used)
+    if isinstance(law, PolicySolution):
+        return law
+    p, pi0, log_pi0, f, log_shape = law
     kappa = r_beta / ch.rate(p)
-
-    delta, lam = arrivals.delta, arrivals.lam
-    drain = p + np.asarray(leak.rate(grid.nodes), dtype=float)
-    drain0 = p0plus + float(leak.rate(0.0))
-    pi0, log_pi0, f, log_shape = _stationary_law(
-        grid.nodes, grid.weights, drain, drain0, delta, lam
-    )
 
     # mismatch normalization: pi0/kappa0 + int f/kappa = 1 fixes kappa0
     log_q_kappa = _logsumexp(log_shape - np.log(kappa) + np.log(grid.weights))
@@ -747,31 +734,17 @@ def solve_constant_kappa(
     is 1 and the average distortion integrates D~(p(z)) against the
     charge law.
     """
-    if not (math.isfinite(capacity) and capacity > 0.0):
-        raise ValueError(f"capacity must be finite and positive, got {capacity}")
-    if not p0plus > 0.0:
-        raise ValueError(f"p0plus must be positive, got {p0plus}")
-    delta, lam = arrivals.delta, arrivals.lam
-
-    if grid is None:
-        grid = Grid.graded(capacity)
-    try:
-        p = integrate_autonomous(
-            _matched_field(src, ch, arrivals, c), p0plus, capacity,
-            atol=atol, rtol=rtol,
-        ).p_at(grid.nodes)
-    except SingularityError as exc:
-        return _infeasible(
-            "constant-kappa", p0plus,
-            f"ODE singular near z={exc.z:.6g}: {exc.message}",
-            c=c,
-        )
-
-    drain = p + np.asarray(leak.rate(grid.nodes), dtype=float)
-    drain0 = p0plus + float(leak.rate(0.0))
-    pi0, _, f, _ = _stationary_law(
-        grid.nodes, grid.weights, drain, drain0, delta, lam
+    grid = _battery_grid(capacity, p0plus, grid)
+    law = _law_on_grid(
+        "constant-kappa",
+        lambda: integrate_autonomous(
+            _matched_field(src, ch, arrivals, c), p0plus, capacity, atol=atol, rtol=rtol
+        ),
+        grid, arrivals, leak, p0plus, c=c,
     )
+    if isinstance(law, PolicySolution):
+        return law
+    p, pi0, _, f, _ = law
 
     d_of_z = distortion(src, ch, p, 1.0)
     d_avg = pi0 * src.d_max + quadrature(d_of_z * f, grid)

@@ -45,7 +45,6 @@ __all__ = [
     "Problem",
     "SearchSpec",
     "TuneResult",
-    "KappaTuneResult",
     "SweepResult",
     "tune_constants",
     "tune_constant_kappa",
@@ -78,9 +77,6 @@ class Problem:
             raise ValueError(f"capacity must be finite and positive, got {self.capacity}")
         if not self.p0plus > 0.0:
             raise ValueError(f"p0plus must be positive, got {self.p0plus}")
-
-    def with_capacity(self, capacity: float) -> "Problem":
-        return replace(self, capacity=capacity)
 
 
 @dataclass(frozen=True)
@@ -135,30 +131,18 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class TuneResult:
-    """Outcome of tuning the adaptive constants at one operating point.
+    """Outcome of tuning a policy's constants at one operating point.
 
-    ``constants`` are the certified values (c2 already polished onto the
-    stationarity manifold); ``evaluations`` counts objective probes and
+    ``constants`` (adaptive policy, c2 already polished onto the
+    stationarity manifold) and ``c`` (constant-mismatch policy) are the
+    certified values, as on :class:`PolicySolution`; the other one is
+    ``None``.  ``evaluations`` counts objective probes and
     ``infeasible_evals`` how many of them failed to produce a usable
     policy.  A search where nothing was feasible reports ``d_avg`` of
-    infinity and no solution.
+    infinity and no solution or constants.
     """
 
     constants: Optional[VariationalConstants]
-    d_avg: float
-    solution: Optional[PolicySolution]
-    evaluations: int
-    infeasible_evals: int
-
-    @property
-    def feasible(self) -> bool:
-        return self.solution is not None and self.solution.feasible
-
-
-@dataclass(frozen=True)
-class KappaTuneResult:
-    """Outcome of tuning the constant-mismatch policy's single constant."""
-
     c: Optional[float]
     d_avg: float
     solution: Optional[PolicySolution]
@@ -176,7 +160,7 @@ class SweepResult:
 
     capacities: Tuple[float, ...]
     adaptive: Tuple[TuneResult, ...]
-    constant_kappa: Tuple[KappaTuneResult, ...]
+    constant_kappa: Tuple[TuneResult, ...]
     d_lb: Tuple[float, ...]
 
     def rows(self):
@@ -200,6 +184,16 @@ class _Budget:
         self.left -= 1
         self.spent += 1
         return True
+
+
+def _certified(candidates, solve, accept, budget: _Budget) -> TuneResult:
+    # the first candidate whose full-accuracy re-solve is accepted
+    for point in candidates:
+        sol = solve(point)
+        if accept(sol):
+            return TuneResult(sol.constants, sol.c, sol.d_avg, sol,
+                              budget.spent, budget.infeasible)
+    return TuneResult(None, None, math.inf, None, budget.spent, budget.infeasible)
 
 
 def _adaptive_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Budget,
@@ -362,26 +356,15 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     # accept at half the scan margin: scan-grid and full-grid solves of
     # the same constants differ in pi0/kappa0 by far less than that
     history.sort()
-    for value, point in history[:20]:
-        sol = solve_adaptive(
+    return _certified(
+        [point for _, point in history[:20]],
+        lambda point: solve_adaptive(
             problem.src, problem.ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
             VariationalConstants(*point), refine_c2=True, c2_bounds=c2_b,
-        )
-        if sol.feasible and sol.pi0 / sol.kappa0 >= 0.5 * spec.margin:
-            return TuneResult(
-                constants=sol.constants,
-                d_avg=sol.d_avg,
-                solution=sol,
-                evaluations=budget.spent,
-                infeasible_evals=budget.infeasible,
-            )
-    return TuneResult(
-        constants=None,
-        d_avg=math.inf,
-        solution=None,
-        evaluations=budget.spent,
-        infeasible_evals=budget.infeasible,
+        ),
+        lambda sol: sol.feasible and sol.pi0 / sol.kappa0 >= 0.5 * spec.margin,
+        budget,
     )
 
 
@@ -389,7 +372,7 @@ def tune_constant_kappa(
     problem: Problem,
     c_bounds: Optional[Tuple[float, float]] = None,
     budget: int = 240,
-) -> KappaTuneResult:
+) -> TuneResult:
     """Find the constant C minimizing the constant-mismatch distortion.
 
     The admissible region is C below -lam * D~(delta/lam): at that value
@@ -448,7 +431,7 @@ def tune_constant_kappa(
     values = [evaluate(c) for c in points]
     best_i = min(range(m), key=lambda i: (values[i], i))
 
-    best_c, best_v = points[best_i], values[best_i]
+    best_v = values[best_i]
     if math.isfinite(best_v) and budget_box.left > 0:
         a = points[max(best_i - 1, 0)]
         b = points[min(best_i + 1, m - 1)]
@@ -465,31 +448,16 @@ def tune_constant_kappa(
                 a, x1, f1 = x1, x2, f2
                 x2 = a + _INVPHI * (b - a)
                 f2 = evaluate(x2)
-        for c, v in cache.items():
-            if (v, c) < (best_v, best_c):
-                best_v, best_c = v, c
 
-    if math.isfinite(best_v):
-        candidates = sorted(cache.items(), key=lambda t: (t[1], t[0]))[:5]
-        for c, _ in candidates:
-            sol = solve_constant_kappa(
-                problem.src, problem.ch, arr, problem.leak,
-                problem.capacity, problem.p0plus, c=c,
-            )
-            if sol.feasible:
-                return KappaTuneResult(
-                    c=c,
-                    d_avg=sol.d_avg,
-                    solution=sol,
-                    evaluations=budget_box.spent,
-                    infeasible_evals=budget_box.infeasible,
-                )
-    return KappaTuneResult(
-        c=None,
-        d_avg=math.inf,
-        solution=None,
-        evaluations=budget_box.spent,
-        infeasible_evals=budget_box.infeasible,
+    ranked = sorted(cache, key=lambda c: (cache[c], c)) if math.isfinite(best_v) else []
+    return _certified(
+        ranked[:5],
+        lambda c: solve_constant_kappa(
+            problem.src, problem.ch, arr, problem.leak,
+            problem.capacity, problem.p0plus, c=c,
+        ),
+        lambda sol: sol.feasible,
+        budget_box,
     )
 
 
@@ -513,7 +481,7 @@ def capacity_sweep(
     constant = []
     bounds = []
     for L in capacities:
-        sub = problem.with_capacity(float(L))
+        sub = replace(problem, capacity=float(L))
         adaptive.append(tune_constants(sub, spec))
         constant.append(tune_constant_kappa(sub, budget=kappa_budget))
         bounds.append(

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,9 +57,9 @@ class SimConfig:
 
     ``z0`` is the initial charge (default empty; the first 1% of the
     horizon is discarded as burn-in, so the start state washes out at any
-    serious horizon).  ``src``/``ch`` are only needed for
-    constant-mismatch policies, whose reported-distortion profile is not
-    encoded in the solution itself.
+    serious horizon).  ``src`` and ``ch`` give the reported distortion:
+    d_max on an empty battery and, for a constant-mismatch policy, the
+    profile along the charge, which the solution does not encode.
     """
 
     policy: PolicySolution
@@ -68,8 +67,8 @@ class SimConfig:
     horizon: float
     seed: int = 0
     z0: float = 0.0
-    src: Optional[SourceModel] = None
-    ch: Optional[AwgnChannel] = None
+    src: SourceModel = field(kw_only=True)
+    ch: AwgnChannel = field(kw_only=True)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
@@ -89,13 +88,6 @@ class SimConfig:
             )
         if not 0.0 <= self.z0 <= cap:
             raise ValueError(f"z0 must lie in [0, {cap}], got {self.z0}")
-        if self.policy.kind == "constant-kappa" and (
-            self.src is None or self.ch is None
-        ):
-            raise ValueError(
-                "constant-mismatch policies need src and ch to evaluate "
-                "the reported distortion"
-            )
 
 
 @dataclass(frozen=True)
@@ -469,12 +461,8 @@ def simulate(config: SimConfig) -> SimulationStats:
     cdf[0] = pi0_time / measured
     cdf[1:] = (pi0_time + occ_cum) / measured
 
-    policy = config.policy
-    kappa0 = policy.kappa0
-    if config.src is not None:
-        empty_d = config.src.d_max / kappa0
-    else:
-        empty_d = _empty_battery_distortion(policy)
+    kappa0 = config.policy.kappa0
+    empty_d = config.src.d_max / kappa0
     sum_p, sum_k, sum_d = tally.weighted_times().tolist()
 
     return SimulationStats(
@@ -493,18 +481,6 @@ def simulate(config: SimConfig) -> SimulationStats:
             / max(1.0, z0 + arrived)
         ),
     )
-
-
-def _empty_battery_distortion(policy: PolicySolution) -> float:
-    # the empty battery reports d_max through the atom mismatch kappa0;
-    # adaptive solutions pin d_max via the average-distortion identity
-    # d_avg = d_beta + (pi0/kappa0) * (d_max - d_beta), so no source
-    # object is needed
-    share = policy.pi0 / policy.kappa0
-    if share <= 0.0:
-        raise ValueError("cannot infer d_max from a boundary solution")
-    d_max = policy.d_beta + (policy.d_avg - policy.d_beta) / share
-    return d_max / policy.kappa0
 
 
 def _analytic_cdf(solution: PolicySolution, edges: np.ndarray) -> np.ndarray:

@@ -176,6 +176,20 @@ def test_bernoulli_inverse_is_inverse(d):
     assert BERN.rate_inverse(BERN.rate(d)) == pytest.approx(d, rel=1e-9, abs=1e-12)
 
 
+def test_bernoulli_inverse_is_relatively_accurate_at_small_distortion():
+    # the bisection stops at a width relative to the root, so small
+    # distortions keep their digits (an absolute width of 1e-15 left
+    # 3e-10 relative error at d = 1e-6); scalar and array paths agree bit
+    # for bit.  prob = 0.5 stops short of d_max = 0.5, where H is flat
+    # and the inversion is ill-conditioned
+    for src, top in ((BERN, 0.499), (BernoulliSource(prob=0.2), 0.2 * (1.0 - 1e-9))):
+        d = np.geomspace(1e-6, top, 400)
+        r = np.array([src.rate(float(x)) for x in d])
+        back = src.rate_inverse(r)
+        assert np.array_equal(back, [src.rate_inverse(float(x)) for x in r])
+        assert np.max(np.abs(back - d) / d) <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # channel
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from ehjscc.models import (
 from ehjscc.numerics import Grid, cumulative_integral
 from ehjscc.policy import (
     VariationalConstants,
-    adaptive_rhs,
     beta_range,
     beta_to_distortion,
     constant_power_scheme,
@@ -136,17 +135,19 @@ def test_beta_root_reconstructs_beta(beta):
 # the reduced first-order ODE
 # ---------------------------------------------------------------------------
 
+def _adaptive_field(src, consts):
+    # the adaptive right-hand side F(p), on arrays of powers
+    d_beta = beta_to_distortion(src, consts.beta)
+    return policy._adaptive_field(
+        CH, ARR, consts, d_beta, src.rate(d_beta), src.rate_derivatives(d_beta)[0]
+    )
+
+
 def test_adaptive_rhs_positive_at_benchmark_start():
     # [DERIVED] power must climb away from the tiny initial value
-    F = adaptive_rhs(GAUSS, CH, ARR, BENCH)
-    assert F(0.001) == pytest.approx(7.468326384406556, rel=1e-9)
-    assert F(0.001) > 0.0
-
-
-def test_adaptive_rhs_takes_arrays():
-    F = adaptive_rhs(GAUSS, CH, ARR, BENCH)
-    p = np.geomspace(1e-3, 50.0, 25)
-    assert np.array_equal(F(p), np.array([F(float(x)) for x in p]))
+    f0 = _adaptive_field(GAUSS, BENCH)(np.array([0.001]))[0]
+    assert f0 == pytest.approx(7.468326384406556, rel=1e-9)
+    assert f0 > 0.0
 
 
 def test_adaptive_singular_outcomes_carry_position():
@@ -262,8 +263,8 @@ def test_refined_solution_is_stationary(bench_refined):
 
 def _c2_at_rest(src, beta, c1, p0=1e-3):
     # F(p0) is affine in c2; this is the c2 at which the state stays at p0
-    f0 = adaptive_rhs(src, CH, ARR, VariationalConstants(beta, c1, 0.0))(p0)
-    f1 = adaptive_rhs(src, CH, ARR, VariationalConstants(beta, c1, 1.0))(p0)
+    f0 = _adaptive_field(src, VariationalConstants(beta, c1, 0.0))(np.array([p0]))[0]
+    f1 = _adaptive_field(src, VariationalConstants(beta, c1, 1.0))(np.array([p0]))[0]
     return f0 / (f0 - f1)
 
 
@@ -446,6 +447,11 @@ def test_policy_shape_monotone(bench_refined, leaky_raw):
 def test_solution_arrays_are_immutable(mid_raw):
     with pytest.raises(ValueError):
         mid_raw.p[0] = 99.0
+    # the grid is shared by every solution solved on it
+    with pytest.raises(ValueError):
+        mid_raw.grid.nodes[0] = 99.0
+    with pytest.raises(ValueError):
+        mid_raw.grid.weights[0] = 99.0
 
 
 def test_coarse_grid_stays_close(mid_raw):

@@ -1,6 +1,7 @@
 """Tests for the constants tuner and capacity sweep."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,9 @@ def test_problem_validation():
         Problem(GAUSS, CH, ARR, ZeroLeakage(), capacity=math.inf)
     with pytest.raises(ValueError):
         Problem(GAUSS, CH, ARR, ZeroLeakage(), capacity=5.0, p0plus=0.0)
-    assert PROB2.with_capacity(7.0).capacity == 7.0
+    assert replace(PROB2, capacity=7.0).capacity == 7.0
+    with pytest.raises(ValueError):
+        replace(PROB2, capacity=0.0)
 
 
 def test_search_spec_validation():

@@ -57,19 +57,21 @@ def constk_policy():
 
 def test_config_rejects_bad_inputs(bench_policy):
     with pytest.raises(ValueError):
-        SimConfig(policy=bench_policy, system=SYSTEM, horizon=0.0)
+        SimConfig(policy=bench_policy, system=SYSTEM, horizon=0.0, src=GAUSS, ch=CHAN)
     with pytest.raises(ValueError):
-        SimConfig(policy=bench_policy, system=SYSTEM, horizon=math.inf)
+        SimConfig(policy=bench_policy, system=SYSTEM, horizon=math.inf, src=GAUSS, ch=CHAN)
     with pytest.raises(ValueError):
-        SimConfig(policy=bench_policy, system=SYSTEM, horizon=100.0, z0=5.5)
+        SimConfig(policy=bench_policy, system=SYSTEM, horizon=100.0, z0=5.5,
+                  src=GAUSS, ch=CHAN)
     with pytest.raises(ValueError):
-        SimConfig(policy=bench_policy, system=SYSTEM, horizon=100.0, z0=-0.1)
+        SimConfig(policy=bench_policy, system=SYSTEM, horizon=100.0, z0=-0.1,
+                  src=GAUSS, ch=CHAN)
 
 
 def test_config_requires_matching_capacity(bench_policy):
     sys4 = SystemConfig(arrivals=ARRIVALS, leakage=ZeroLeakage(), capacity=4.0)
     with pytest.raises(ValueError):
-        SimConfig(policy=bench_policy, system=sys4, horizon=100.0)
+        SimConfig(policy=bench_policy, system=sys4, horizon=100.0, src=GAUSS, ch=CHAN)
 
 
 def test_config_requires_matching_p0plus(bench_policy):
@@ -78,7 +80,7 @@ def test_config_requires_matching_p0plus(bench_policy):
     other = SystemConfig(arrivals=ARRIVALS, leakage=ZeroLeakage(), capacity=5.0,
                          p0plus=1.0)
     with pytest.raises(ValueError, match="p0plus"):
-        SimConfig(policy=bench_policy, system=other, horizon=100.0)
+        SimConfig(policy=bench_policy, system=other, horizon=100.0, src=GAUSS, ch=CHAN)
 
 
 def test_config_rejects_infeasible_policy():
@@ -89,12 +91,17 @@ def test_config_rejects_infeasible_policy():
     )
     assert not raw.feasible
     with pytest.raises(ValueError):
-        SimConfig(policy=raw, system=SYSTEM, horizon=100.0)
+        SimConfig(policy=raw, system=SYSTEM, horizon=100.0, src=GAUSS, ch=CHAN)
 
 
-def test_constant_mismatch_needs_source_and_channel(constk_policy):
-    with pytest.raises(ValueError):
-        SimConfig(policy=constk_policy, system=SYSTEM, horizon=100.0)
+def test_constant_mismatch_needs_source_and_channel(constk_policy, bench_policy):
+    # every policy reports d_max on an empty battery, so src and ch are
+    # required fields
+    for policy in (constk_policy, bench_policy):
+        with pytest.raises(TypeError):
+            SimConfig(policy=policy, system=SYSTEM, horizon=100.0)
+        with pytest.raises(TypeError):
+            SimConfig(policy=policy, system=SYSTEM, horizon=100.0, src=GAUSS)
 
 
 def test_constant_mismatch_distortion_profile_matches_scalar_values():
@@ -129,7 +136,8 @@ def test_drain_only_run_empties_and_stays_empty(bench_policy):
         capacity=5.0,
     )
     stats = simulate(
-        SimConfig(policy=bench_policy, system=system, horizon=1000.0, seed=1, z0=1.0)
+        SimConfig(policy=bench_policy, system=system, horizon=1000.0, seed=1, z0=1.0,
+                  src=GAUSS, ch=CHAN)
     )
     assert stats.pi0_hat == 1.0
     assert stats.event_count == 0
@@ -148,7 +156,8 @@ def test_drain_only_short_horizon_splits_time(bench_policy):
         capacity=5.0,
     )
     stats = simulate(
-        SimConfig(policy=bench_policy, system=system, horizon=30.0, seed=1, z0=5.0)
+        SimConfig(policy=bench_policy, system=system, horizon=30.0, seed=1, z0=5.0,
+                  src=GAUSS, ch=CHAN)
     )
     assert 0.0 < stats.pi0_hat < 1.0
     assert np.all(np.diff(stats.empirical_cdf) >= 0.0)
@@ -160,7 +169,8 @@ def test_drain_only_short_horizon_splits_time(bench_policy):
 # ---------------------------------------------------------------------------
 
 def test_identical_configs_give_bit_identical_stats(bench_policy):
-    cfg = SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=123)
+    cfg = SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=123,
+                    src=GAUSS, ch=CHAN)
     a = simulate(cfg)
     b = simulate(cfg)
     assert np.array_equal(a.empirical_cdf, b.empirical_cdf)
@@ -176,7 +186,8 @@ def test_memory_does_not_grow_with_the_horizon(bench_policy):
     # segments are accounted for a chunk at a time, so the buffers stay
     # the same size however long the run
     def peak(horizon):
-        cfg = SimConfig(policy=bench_policy, system=SYSTEM, horizon=horizon, seed=2)
+        cfg = SimConfig(policy=bench_policy, system=SYSTEM, horizon=horizon, seed=2,
+                        src=GAUSS, ch=CHAN)
         simulate(replace(cfg, horizon=1.0))     # one-time allocations
         tracemalloc.start()
         try:
@@ -189,13 +200,16 @@ def test_memory_does_not_grow_with_the_horizon(bench_policy):
 
 
 def test_different_seeds_differ(bench_policy):
-    a = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=0))
-    b = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=1))
+    a = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=0,
+                           src=GAUSS, ch=CHAN))
+    b = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=1,
+                           src=GAUSS, ch=CHAN))
     assert a.event_count != b.event_count or a.mean_power != b.mean_power
 
 
 def test_cdf_shape_and_edges(bench_policy):
-    stats = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=5))
+    stats = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=5,
+                               src=GAUSS, ch=CHAN))
     assert stats.bin_edges.shape == (513,)
     assert stats.bin_edges[0] == 0.0
     assert stats.bin_edges[-1] == 5.0
@@ -213,7 +227,8 @@ def test_energy_books_balance(bench_policy, seed, z0):
     # [TRIVIAL] consumed energy is tallied as drained charge, so the
     # input/output ledger closes to rounding on any run
     stats = simulate(
-        SimConfig(policy=bench_policy, system=SYSTEM, horizon=200.0, seed=seed, z0=z0)
+        SimConfig(policy=bench_policy, system=SYSTEM, horizon=200.0, seed=seed, z0=z0,
+                  src=GAUSS, ch=CHAN)
     )
     assert stats.energy_residual <= 1e-12
     assert np.all(np.diff(stats.empirical_cdf) >= 0.0)
@@ -227,7 +242,8 @@ def test_energy_books_balance(bench_policy, seed, z0):
 # ---------------------------------------------------------------------------
 
 def test_benchmark_run_matches_stationary_law(bench_policy):
-    stats = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=2e5, seed=7))
+    stats = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=2e5, seed=7,
+                               src=GAUSS, ch=CHAN))
     report = compare_to_analytic(stats, bench_policy)
     # [DERIVED] ergodic-convergence oracle: ~2e5 effective time units
     # leave KS noise well under these bounds
@@ -262,8 +278,10 @@ def test_gaps_shrink_with_horizon(bench_policy):
     # by roughly sqrt(10); averaged over seeds to tame noise
     short, long_ = [], []
     for seed in (0, 1, 2):
-        s = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=seed))
-        l = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e5, seed=seed))
+        s = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e4, seed=seed,
+                               src=GAUSS, ch=CHAN))
+        l = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=1e5, seed=seed,
+                               src=GAUSS, ch=CHAN))
         short.append(compare_to_analytic(s, bench_policy).ks_distance)
         long_.append(compare_to_analytic(l, bench_policy).ks_distance)
     assert max(long_) <= 0.02
@@ -271,9 +289,11 @@ def test_gaps_shrink_with_horizon(bench_policy):
 
 
 def test_start_state_washes_out(bench_policy):
-    empty = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=5e4, seed=11))
+    empty = simulate(SimConfig(policy=bench_policy, system=SYSTEM, horizon=5e4, seed=11,
+                               src=GAUSS, ch=CHAN))
     full = simulate(
-        SimConfig(policy=bench_policy, system=SYSTEM, horizon=5e4, seed=11, z0=5.0)
+        SimConfig(policy=bench_policy, system=SYSTEM, horizon=5e4, seed=11, z0=5.0,
+                  src=GAUSS, ch=CHAN)
     )
     assert abs(empty.pi0_hat - full.pi0_hat) <= 0.01
     assert abs(empty.mean_d_dagger - full.mean_d_dagger) <= 0.01

@@ -12,7 +12,6 @@ order of the accounting differs.
 
 import math
 from bisect import bisect_right
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,12 +27,7 @@ from ehjscc.models import (
 )
 from ehjscc.numerics import seeded_rng
 from ehjscc.policy import VariationalConstants, solve_adaptive, solve_constant_kappa
-from ehjscc.simulator import (
-    SimConfig,
-    SimulationStats,
-    _empty_battery_distortion,
-    simulate,
-)
+from ehjscc.simulator import SimConfig, SimulationStats, simulate
 
 from test_acceptance import ARR, CH, ROWS_BERN_LEAKY, ROWS_GAUSS_IDEAL
 
@@ -325,12 +319,8 @@ def reference_simulate(config):
     cdf[0] = pi0_time / measured
     cdf[1:] = (pi0_time + occ_cum) / measured
 
-    policy = config.policy
-    kappa0 = policy.kappa0
-    if config.src is not None:
-        empty_d = config.src.d_max / kappa0
-    else:
-        empty_d = _empty_battery_distortion(policy)
+    kappa0 = config.policy.kappa0
+    empty_d = config.src.d_max / kappa0
 
     return SimulationStats(
         capacity=table.cap,
@@ -448,8 +438,3 @@ def test_burn_in_boundary_inside_a_drain_segment(policies):
     first_wait = seeded_rng(seed).exponential(rate=ARR.delta, size=_RNG_BLOCK)[0]
     assert first_wait > _BURN_IN_FRACTION * horizon
     _assert_parity(_config(policies, "gauss-L5", horizon=horizon, seed=seed, z0=5.0))
-
-
-def test_unset_source_takes_the_inferred_empty_distortion(policies):
-    config = _config(policies, "gauss-L5", horizon=2e3, seed=4)
-    _assert_parity(replace(config, src=None, ch=None))
