@@ -387,6 +387,10 @@ _BRACKET_TRIALS = 60
 _NEAR_ZERO = 1e-6
 # largest first move of c2, from the start and from c2_zero
 _FIRST_STEP = 0.05
+# bracket ends further apart than this ratio in t are split at their
+# geometric mean: roots far closer to c2_zero than the far end would
+# otherwise cost one halving or falsi creep per factor of two
+_GEOMETRIC_RATIO = 8.0
 
 
 def _polish_c2(endpoint, c2, c2_zero, side, p0, t_max):
@@ -440,10 +444,14 @@ def _bracketed_c2(endpoint, trials, c2_zero, side, p0, t_max):
     tell nothing here.  The lower end keeps the sign of the gap at t = 0;
     the upper end, once found, has the other sign or is singular.  A far
     end whose gap keeps the sign of t = 0 leaves no root before the edge,
-    and so does reaching ``t_max`` without a sign change.  Bisection
-    while the lower end is t = 0 (its gap is large) or the upper end
-    singular, the Illinois variant of regula falsi otherwise (bisection
-    alone took 13-32% more integrations in a tune).
+    and so does reaching ``t_max`` without a sign change.  The geometric
+    mean of the ends while the lower end is above t = 0 and the upper
+    end more than _GEOMETRIC_RATIO times further out (a scan probe with
+    ends at t = 1e-6 and 0.05 and its root at 2.2e-3 took 19 trials in
+    the bracket without it, 11 with it); otherwise bisection while the
+    lower end is t = 0 (its gap is large) or the upper end singular, and
+    the Illinois variant of regula falsi if neither (bisection alone took
+    13-32% more integrations in a tune).
     """
     gap_zero = endpoint(c2_zero, p0)[0]
     positive = gap_zero > 0.0
@@ -475,6 +483,8 @@ def _bracketed_c2(endpoint, trials, c2_zero, side, p0, t_max):
             t = min(t_max, max(2.0 * lo_t, _FIRST_STEP))
         elif not math.isnan(hi_gap) and (hi_gap > 0.0) == positive:
             return None
+        elif lo_t > 0.0 and hi_t > _GEOMETRIC_RATIO * lo_t:
+            t = math.sqrt(lo_t * hi_t)
         else:
             t = 0.5 * (lo_t + hi_t)
             if lo_t > 0.0 and hi_ok:

@@ -15,7 +15,10 @@ Objective evaluations use a coarsened grid and relaxed ODE tolerances
 (the ranking of candidate constants is insensitive to the last four
 digits of the average distortion); the winning point is always re-solved
 at full accuracy, and only a full-accuracy feasible solution is ever
-reported as the result.
+reported as the result.  Both searches stop at the accuracy of those
+evaluations, which are off by 5e-5 to 4e-4 relative: the simplex once
+its values agree to 1e-6 relative (or its size falls below 1e-8), the
+golden section once its bracket is narrower than 1e-7 * max(1, |C|).
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ _SCAN_RTOL = 1e-9
 
 # golden ratio step for the one-dimensional polish
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the simplex stops once its values agree to this relative spread: a
+# scan-grid probe is itself off by 5e-5 to 4e-4 relative, so agreement
+# past this only ranks quadrature error
+_SIMPLEX_RTOL = 1e-6
+# the golden section stops at this width relative to max(1, |C|), for
+# the same reason: its probes carry scan-grid error
+_GOLDEN_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -257,7 +267,9 @@ def _adaptive_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Bud
 
 
 def _nelder_mead(evaluate, start_points, budget: _Budget):
-    # deterministic simplex descent; start_points is a (dim+1)-vertex simplex
+    # deterministic simplex descent; start_points is a (dim+1)-vertex
+    # simplex.  Returns the last simplex and its values, best first when
+    # a stop rule ended the descent
     simplex = [list(p) for p in start_points]
     values = [evaluate(p) for p in simplex]
     dim = len(simplex) - 1
@@ -274,7 +286,8 @@ def _nelder_mead(evaluate, start_points, budget: _Budget):
             for i in range(1, dim + 1)
             for j in range(dim)
         )
-        if (math.isfinite(spread) and spread < 1e-12) or size < 1e-8:
+        agreed = math.isfinite(spread) and spread <= _SIMPLEX_RTOL * abs(values[0])
+        if agreed or size < 1e-8:
             break
 
         centroid = [
@@ -306,6 +319,7 @@ def _nelder_mead(evaluate, start_points, budget: _Budget):
                         for j in range(dim)
                     ]
                     values[i] = evaluate(simplex[i])
+    return simplex, values
 
 
 def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneResult:
@@ -316,13 +330,15 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     runs a coarse scan over the (beta, c1) box (cell centers, up to 8 per
     axis, lightly jittered by the seed so distinct seeds explore
     distinct lattices), then refines around the best cell with a
-    Nelder--Mead simplex over (beta, c1).  Every probe is a cheap
-    certified solve whose polish starts from the c2 of the nearest probe
-    that converged; a probe short of ``spec.margin`` scores the mirror
-    image of its average distortion at the margin.  The incumbent is
-    re-solved at full accuracy before being returned, so the reported
-    solution carries a quadrature-noise stationarity residual and exact
-    normalizations.  Deterministic for a fixed seed and budget.
+    Nelder--Mead simplex over (beta, c1), which stops once its values
+    agree to 1e-6 relative or its size falls below 1e-8.  Every probe is
+    a cheap certified solve whose polish starts from the c2 of the
+    nearest probe that converged; a probe short of ``spec.margin``
+    scores the mirror image of its average distortion at the margin.
+    The incumbent is re-solved at full accuracy before being returned,
+    so the reported solution carries a quadrature-noise stationarity
+    residual and exact normalizations.  Deterministic for a fixed seed
+    and budget.
     """
     beta_b, c1_b, c2_b = spec.resolved_bounds(problem.src)
     budget = _Budget(spec.budget)
@@ -382,8 +398,8 @@ def tune_constant_kappa(
     so the surviving window hugs the fixed-point value from below and
     shrinks as the capacity grows; the coarse scan therefore spaces its
     probes geometrically in the offset from that value, then
-    golden-section narrows the best bracket and the winner is re-solved
-    at full accuracy.
+    golden-section narrows the best bracket down to a width of
+    1e-7 * max(1, |C|) and the winner is re-solved at full accuracy.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -439,7 +455,7 @@ def tune_constant_kappa(
         x1 = b - _INVPHI * (b - a)
         x2 = a + _INVPHI * (b - a)
         f1, f2 = evaluate(x1), evaluate(x2)
-        while budget_box.left > 0 and (b - a) > 1e-10:
+        while budget_box.left > 0 and (b - a) > _GOLDEN_RTOL * max(1.0, abs(a)):
             if f1 <= f2:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - _INVPHI * (b - a)

@@ -317,6 +317,27 @@ def test_bounded_polish_retries_a_singular_start(bench_refined):
     assert abs(sol.constants.c2 - bench_refined.constants.c2) <= 1e-9
 
 
+def test_bracket_reaches_a_root_near_c2_zero_geometrically(monkeypatch):
+    # a scan-accuracy probe whose root sits orders of magnitude closer to
+    # c2_zero than the far bracket end: geometric steps across the
+    # bracket reach it in 16 integrations, where bisection and falsi
+    # creep took 24
+    integrations = []
+    integrate = policy.integrate_autonomous
+
+    def counted(*args, **kwargs):
+        integrations.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "integrate_autonomous", counted)
+    sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
+                         VariationalConstants(-0.3127, -0.9434, 0.1444),
+                         grid=Grid.graded(5.0, n=300), refine_c2=True,
+                         c2_bounds=(0.0, 1.0))
+    assert sol.constants.c2 == pytest.approx(0.0905097949635, abs=1e-9)
+    assert len(integrations) <= 18
+
+
 def test_residual_detects_perturbation(bench_refined):
     # scaling the power profile by 1.1 must light the residual up
     sol = bench_refined
