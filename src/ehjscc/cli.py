@@ -238,7 +238,7 @@ class RunConfig:
             kwargs["seed"] = _integer(sec["seed"], "search.seed")
         if "margin" in sec:
             kwargs["margin"] = _number(sec["margin"], "search.margin")
-        for name in ("beta_bounds", "c1_bounds", "c2_bounds"):
+        for name in ("beta_bounds", "c2_bounds"):
             if name in sec:
                 kwargs[name] = _pair(sec[name], f"search.{name}")
         try:

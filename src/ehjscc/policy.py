@@ -251,6 +251,22 @@ def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
     return terms
 
 
+def _c1_edge(src, ch, beta, p0):
+    """The c1 at which the denominator of F vanishes at p0.
+
+    den(p0) = (D_beta + c1)*Rc'(p0) - (R_beta/S)*(p0*Rc''(p0) + Rc'(p0))
+    is linear in c1 with slope Rc'(p0) > 0, so it is negative below
+
+        c1_edge = (R_beta/S)*(1 + p0*Rc''(p0)/Rc'(p0)) - D_beta
+
+    and positive above.  The tuned optimum hugs this edge from below.
+    """
+    d_beta = beta_to_distortion(src, beta)
+    ratio = src.rate(d_beta) / src.rate_derivatives(d_beta)[0]
+    rc1, rc2 = ch.rate_derivatives(p0)
+    return float(ratio * (1.0 + p0 * rc2 / rc1) - d_beta)
+
+
 def _adaptive_field(ch, arrivals, consts, d_beta, r_beta, slope):
     # F on an array of powers for a solved distortion level; +inf where
     # the denominator magnitude drops below 1e-12

@@ -1,24 +1,26 @@
-"""Derivative-free tuning of policy constants and capacity sweeps.
+"""Tuning of policy constants and capacity sweeps.
 
 The free constants of the variational system are not given by any formula;
 they have to be found numerically for each operating point.  This module
 wraps the policy solvers in a budgeted, deterministic search.  For the
-adaptive policy only (beta, c1) are searched, by a coarse scan of their
-box followed by Nelder--Mead simplex refinement: the endpoint condition
-fixes c2 for each pair, and every probe's solve polishes it there.  The
-single constant of the constant-mismatch policy gets a scan plus
-golden-section polish.  A capacity sweep ties both
-tuners and the converse bound together into one table, which is what the
-plotting and CLI layers consume.
+adaptive policy only beta is searched: the endpoint condition fixes c2
+for each (beta, c1), every probe's solve polishes it there, and c1 sits
+just below the closed-form edge where the denominator of the policy ODE
+changes sign at p0plus, which is where the tuned optimum lies.  That
+leaves a bracketed root in beta, found by bisection.  The single
+constant of the constant-mismatch policy gets a scan plus golden-section
+polish.  A capacity sweep ties both tuners and the converse bound
+together into one table, which is what the plotting and CLI layers
+consume.
 
 Objective evaluations use a coarsened grid and relaxed ODE tolerances
 (the ranking of candidate constants is insensitive to the last four
 digits of the average distortion); the winning point is always re-solved
 at full accuracy, and only a full-accuracy feasible solution is ever
 reported as the result.  Both searches stop at the accuracy of those
-evaluations, which are off by 5e-5 to 4e-4 relative: the simplex once
-its values agree to 1e-6 relative (or its size falls below 1e-8), the
-golden section once its bracket is narrower than 1e-7 * max(1, |C|).
+evaluations, which are off by 5e-5 to 4e-4 relative: the bisection once
+its bracket is narrower than 1e-7 * max(1, |beta|), the golden section
+once its bracket is narrower than 1e-7 * max(1, |C|).
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ from .models import (
     SourceModel,
     ZeroLeakage,
 )
-from .numerics import Grid, seeded_rng
+from .numerics import Grid
 from .policy import (
     PolicySolution,
     VariationalConstants,
+    _c1_edge,
     beta_range,
     solve_adaptive,
     solve_constant_kappa,
@@ -62,13 +65,16 @@ _SCAN_RTOL = 1e-9
 
 # golden ratio step for the one-dimensional polish
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# the simplex stops once its values agree to this relative spread: a
-# scan-grid probe is itself off by 5e-5 to 4e-4 relative, so agreement
-# past this only ranks quadrature error
-_SIMPLEX_RTOL = 1e-6
-# the golden section stops at this width relative to max(1, |C|), for
-# the same reason: its probes carry scan-grid error
+# the beta bisection and the golden section stop at this width relative
+# to max(1, |beta|) and max(1, |C|): a scan-grid probe is itself off by
+# 5e-5 to 4e-4 relative, so a narrower bracket only ranks quadrature error
+_BETA_RTOL = 1e-7
 _GOLDEN_RTOL = 1e-7
+# adaptive probes set c1 this far below c1_edge(beta).  With zero leakage
+# d_avg is flat next to the edge (within 2e-5 relative over [edge - 2e-3,
+# edge] at Gaussian L=5), but with rising leakage the tuned c1 lies within
+# 1.3e-5 of it, and an offset of 5e-4 costs up to 1.3e-3 relative
+_EDGE_OFFSET = 1e-5
 
 
 @dataclass(frozen=True)
@@ -93,13 +99,16 @@ class Problem:
 class SearchSpec:
     """Search box and budget for tuning the adaptive constants.
 
-    ``None`` bounds are filled per problem: beta gets the middle 98% of
-    its admissible range (the endpoints are singular) and c1 mirrors the
-    beta range.  c2 is not a search axis: each probe polishes it onto the
-    endpoint condition, and ``c2_bounds`` (default (0, 1), which brackets
-    every tabulated operating point by a wide margin) bounds where that
-    polish starts and how far its bracketed root reaches.  ``budget``
-    counts probes, one per (beta, c1) pair.
+    ``beta_bounds`` is the box the bisection brackets; ``None`` takes the
+    middle 98% of beta's admissible range (the endpoints are singular).
+    c1 and c2 are not search axes: c1 sits at the closed-form edge, and
+    each probe polishes c2 onto the endpoint condition, with
+    ``c2_bounds`` (default (0, 1), which brackets every tabulated
+    operating point by a wide margin) bounding where that polish starts
+    and how far its bracketed root reaches.  ``budget`` counts probes,
+    one per beta; the bisection needs about 26.  ``seed`` is accepted
+    for configs and callers that pass one, but the search draws no
+    random numbers, so it does not steer anything.
 
     ``margin`` is the minimum accepted value of pi0/kappa(0), the share
     of the mismatch budget spent on the empty battery.  Minimizing the
@@ -111,7 +120,6 @@ class SearchSpec:
     """
 
     beta_bounds: Optional[Tuple[float, float]] = None
-    c1_bounds: Optional[Tuple[float, float]] = None
     c2_bounds: Tuple[float, float] = (0.0, 1.0)
     budget: int = 2000
     seed: int = 0
@@ -122,7 +130,7 @@ class SearchSpec:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
-        for name in ("beta_bounds", "c1_bounds", "c2_bounds"):
+        for name in ("beta_bounds", "c2_bounds"):
             b = getattr(self, name)
             if b is not None and not b[0] < b[1]:
                 raise ValueError(f"{name} must be an increasing pair, got {b}")
@@ -135,8 +143,7 @@ class SearchSpec:
             raise ValueError(
                 f"beta_bounds {beta_b} must sit strictly inside {(lo, hi)}"
             )
-        c1_b = self.c1_bounds or (lo, 0.0)
-        return beta_b, c1_b, self.c2_bounds
+        return beta_b
 
 
 @dataclass(frozen=True)
@@ -206,167 +213,87 @@ def _certified(candidates, solve, accept, budget: _Budget) -> TuneResult:
     return TuneResult(None, None, math.inf, None, budget.spent, budget.infeasible)
 
 
-def _adaptive_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Budget,
-                    history):
-    """Objective over (beta, c1): a cheap solve with c2 polished onto the manifold.
+def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Budget,
+                history):
+    """Whether the edge solve at beta reaches ``spec.margin``.
 
-    Each probe starts its polish from the c2 of the nearest earlier probe
-    whose polish converged (distances measured in units of the search
-    box), or from the middle of the c2 bounds before any has.  Feasible
-    probes inside the margin go to ``history`` as (d_avg, (beta, c1, c2)).
+    A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves on the scan
+    grid with c2 polished onto the endpoint condition, starting from the
+    c2 of the last probe that converged (the middle of the c2 bounds
+    before any has).  It returns True when the share pi0/kappa0 reaches
+    the margin, False when it falls short or the solve is unusable, and
+    None once the budget is spent.  Feasible probes at the margin or
+    above go to ``history`` as (d_avg, (beta, c1, c2)).
     """
     src, ch = problem.src, problem.ch
-    lo, hi = beta_range(src)
-    beta_b, c1_b, c2_bounds = spec.resolved_bounds(src)
-    scale = (beta_b[1] - beta_b[0], c1_b[1] - c1_b[0])
-    converged = []  # (beta, c1, polished c2)
+    c2_start = 0.5 * (spec.c2_bounds[0] + spec.c2_bounds[1])
 
-    def start_c2(beta, c1):
-        if not converged:
-            return 0.5 * (c2_bounds[0] + c2_bounds[1])
-        nearest = min(
-            converged,
-            key=lambda q: ((q[0] - beta) / scale[0]) ** 2 + ((q[1] - c1) / scale[1]) ** 2,
-        )
-        return nearest[2]
-
-    def evaluate(point) -> float:
-        beta, c1 = point
-        if not lo < beta < hi:
-            return math.inf
+    def above(beta: float) -> Optional[bool]:
+        nonlocal c2_start
         if not budget.take():
-            return math.inf
+            return None
+        c1 = _c1_edge(src, ch, beta, problem.p0plus) - _EDGE_OFFSET
         sol = solve_adaptive(
             src, ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
-            VariationalConstants(beta, c1, start_c2(beta, c1)),
-            grid=grid, refine_c2=True, c2_bounds=c2_bounds,
+            VariationalConstants(beta, c1, c2_start),
+            grid=grid, refine_c2=True, c2_bounds=spec.c2_bounds,
             atol=_SCAN_ATOL, rtol=_SCAN_RTOL,
         )
         if sol.grid is None:
             budget.infeasible += 1
-            return math.inf
-        converged.append((beta, c1, sol.constants.c2))
+            return False
+        c2_start = sol.constants.c2
         # pi0/kappa0 by the average-distortion identity, which also holds
         # past the normalization boundary, where kappa0 does not exist
-        gain = src.d_max - sol.d_beta
-        share = (sol.d_avg - sol.d_beta) / gain
-        if share < spec.margin:
+        share = (sol.d_avg - sol.d_beta) / (src.d_max - sol.d_beta)
+        if share < spec.margin or not sol.feasible:
+            # an underflowing pi0 can leave a solve infeasible at the margin
             budget.infeasible += 1
-            # mirrored at the margin: falling short of it by x scores as
-            # exceeding it by x would, so the simplex is drawn back to
-            # the boundary the optimum sits on instead of walled off
-            return 2.0 * (sol.d_beta + spec.margin * gain) - sol.d_avg
-        if not sol.feasible:
-            budget.infeasible += 1
-            return math.inf
+            return share >= spec.margin
         history.append((sol.d_avg, (beta, c1, sol.constants.c2)))
-        return sol.d_avg
+        return True
 
-    return evaluate
-
-
-def _nelder_mead(evaluate, start_points, budget: _Budget):
-    # deterministic simplex descent; start_points is a (dim+1)-vertex
-    # simplex.  Returns the last simplex and its values, best first when
-    # a stop rule ended the descent
-    simplex = [list(p) for p in start_points]
-    values = [evaluate(p) for p in simplex]
-    dim = len(simplex) - 1
-
-    for _ in range(10 * (budget.left + 1)):
-        if budget.left <= 0:
-            break
-        order = sorted(range(len(simplex)), key=lambda i: (values[i], i))
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        spread = values[-1] - values[0]
-        size = max(
-            abs(simplex[i][j] - simplex[0][j])
-            for i in range(1, dim + 1)
-            for j in range(dim)
-        )
-        agreed = math.isfinite(spread) and spread <= _SIMPLEX_RTOL * abs(values[0])
-        if agreed or size < 1e-8:
-            break
-
-        centroid = [
-            sum(simplex[i][j] for i in range(dim)) / dim for j in range(dim)
-        ]
-        worst = simplex[-1]
-        reflect = [centroid[j] + (centroid[j] - worst[j]) for j in range(dim)]
-        f_r = evaluate(reflect)
-
-        if f_r < values[0]:
-            expand = [centroid[j] + 2.0 * (centroid[j] - worst[j]) for j in range(dim)]
-            f_e = evaluate(expand)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expand, f_e
-            else:
-                simplex[-1], values[-1] = reflect, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflect, f_r
-        else:
-            contract = [centroid[j] + 0.5 * (worst[j] - centroid[j]) for j in range(dim)]
-            f_c = evaluate(contract)
-            if f_c < values[-1]:
-                simplex[-1], values[-1] = contract, f_c
-            else:
-                # shrink toward the best vertex
-                for i in range(1, dim + 1):
-                    simplex[i] = [
-                        simplex[0][j] + 0.5 * (simplex[i][j] - simplex[0][j])
-                        for j in range(dim)
-                    ]
-                    values[i] = evaluate(simplex[i])
-    return simplex, values
+    return above
 
 
 def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneResult:
     """Find constants minimizing the adaptive policy's average distortion.
 
-    c2 is not searched: the endpoint condition at z = capacity fixes it
-    for each (beta, c1), and every probe polishes it there.  The search
-    runs a coarse scan over the (beta, c1) box (cell centers, up to 8 per
-    axis, lightly jittered by the seed so distinct seeds explore
-    distinct lattices), then refines around the best cell with a
-    Nelder--Mead simplex over (beta, c1), which stops once its values
-    agree to 1e-6 relative or its size falls below 1e-8.  Every probe is
-    a cheap certified solve whose polish starts from the c2 of the
-    nearest probe that converged; a probe short of ``spec.margin``
-    scores the mirror image of its average distortion at the margin.
-    The incumbent is re-solved at full accuracy before being returned,
-    so the reported solution carries a quadrature-noise stationarity
-    residual and exact normalizations.  Deterministic for a fixed seed
-    and budget.
+    Only beta is searched.  c2 is fixed by the endpoint condition at
+    z = capacity, and c1 by the edge where the denominator of F changes
+    sign at p0plus: every probe sets c1 = c1_edge(beta) - 1e-5 and
+    polishes c2 (see :func:`_edge_probe`).  Along that curve the share
+    pi0/kappa0 of the mismatch budget spent on the empty battery rises
+    with beta, and d_avg = D_beta + share * (d_max - D_beta) is least
+    where the share meets ``spec.margin``.  The search evaluates both
+    ends of the beta box, then bisects share(beta) = margin down to a
+    width of 1e-7 * max(1, |beta|); a probe with no usable solve counts
+    as short of the margin.  A box whose low end reaches the margin or
+    whose high end falls short has no sign change and gives the
+    infeasible result, as does a budget spent before both ends are
+    known.  The feasible probes at the margin or above are re-solved at
+    full accuracy, lowest d_avg first, and the first one accepted is
+    returned, so the reported solution carries a quadrature-noise
+    stationarity residual and exact normalizations.  The search draws
+    no random numbers, so ``spec.seed`` does not change the result.
     """
-    beta_b, c1_b, c2_b = spec.resolved_bounds(problem.src)
+    lo, hi = spec.resolved_bounds(problem.src)
     budget = _Budget(spec.budget)
     grid = Grid.graded(problem.capacity, n=_SCAN_GRID_N)
     history = []
-    evaluate = _adaptive_probe(problem, spec, grid, budget, history)
-    rng = seeded_rng(spec.seed)
+    above = _edge_probe(problem, spec, grid, budget, history)
 
-    # --- coarse scan over cell centers -------------------------------
-    n_dim = max(1, min(8, round(math.sqrt(spec.budget / 2))))
-    bounds = (beta_b, c1_b)
-    axes = []
-    for (lo, hi) in bounds:
-        cell = (hi - lo) / n_dim
-        jitter = (rng.uniform() - 0.5) * 0.2 * cell
-        axes.append([lo + (i + 0.5) * cell + jitter for i in range(n_dim)])
-    for beta in axes[0]:
-        for c1 in axes[1]:
-            if budget.left <= 0:
+    # a sign change needs the low end short of the margin, the high end at it
+    if above(lo) is False and above(hi):
+        while hi - lo > _BETA_RTOL * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            side = above(mid)
+            if side is None:
                 break
-            evaluate((beta, c1))
-
-    # --- simplex refinement around the best cell ----------------------
-    if history and budget.left > 0:
-        _, (beta, c1, _) = min(history)
-        steps = [0.5 * (hi - lo) / n_dim for (lo, hi) in bounds]
-        start = [[beta, c1], [beta + steps[0], c1], [beta, c1 + steps[1]]]
-        _nelder_mead(evaluate, start, budget)
+            lo, hi = (lo, mid) if side else (mid, hi)
+    else:
+        history.clear()
 
     # --- full-accuracy certification ----------------------------------
     # accept at half the scan margin: scan-grid and full-grid solves of
@@ -377,7 +304,7 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
         lambda point: solve_adaptive(
             problem.src, problem.ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
-            VariationalConstants(*point), refine_c2=True, c2_bounds=c2_b,
+            VariationalConstants(*point), refine_c2=True, c2_bounds=spec.c2_bounds,
         ),
         lambda sol: sol.feasible and sol.pi0 / sol.kappa0 >= 0.5 * spec.margin,
         budget,

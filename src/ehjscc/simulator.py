@@ -59,7 +59,11 @@ class SimConfig:
     horizon is discarded as burn-in, so the start state washes out at any
     serious horizon).  ``src`` and ``ch`` give the reported distortion:
     d_max on an empty battery and, for a constant-mismatch policy, the
-    profile along the charge, which the solution does not encode.
+    profile along the charge, which the solution does not encode.  An
+    adaptive policy must have been solved for this ``src`` and ``ch``:
+    the distortion they give at its first node has to match its
+    ``d_beta`` to 1e-6 relative.  A constant-mismatch policy carries no
+    distortion level, so this check is skipped for it.
     """
 
     policy: PolicySolution
@@ -86,6 +90,15 @@ class SimConfig:
                 f"system p0plus {self.system.p0plus} does not match "
                 f"the policy's {self.policy.p0plus}"
             )
+        d_beta = self.policy.d_beta
+        if d_beta is not None:
+            d_first = distortion(self.src, self.ch, self.policy.p[0], self.policy.kappa[0])
+            if not math.isclose(d_first, d_beta, rel_tol=1e-6):
+                raise ValueError(
+                    "the policy was not solved for this source and channel: they "
+                    f"give distortion {d_first:.6g} at its first node, not its "
+                    f"d_beta {d_beta:.6g}"
+                )
         if not 0.0 <= self.z0 <= cap:
             raise ValueError(f"z0 must lie in [0, {cap}], got {self.z0}")
 

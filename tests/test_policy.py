@@ -150,6 +150,27 @@ def test_adaptive_rhs_positive_at_benchmark_start():
     assert f0 > 0.0
 
 
+@pytest.mark.parametrize("src", [GAUSS, BERN], ids=["gauss", "bern"])
+@pytest.mark.parametrize("fraction", [0.05, 0.5, 0.9])
+def test_c1_edge_is_the_sign_change_of_the_denominator(src, fraction):
+    # den(p0) is linear in c1 with slope Rc'(p0) > 0: it vanishes at
+    # c1_edge to rounding and is negative below it, positive above
+    lo, hi = beta_range(src)
+    beta = lo + fraction * (hi - lo)
+    d_beta = beta_to_distortion(src, beta)
+    r_beta, slope = src.rate(d_beta), src.rate_derivatives(d_beta)[0]
+    p0 = np.array([1e-3])
+    edge = policy._c1_edge(src, CH, beta, 1e-3)
+
+    def den(c1):
+        return policy._adaptive_terms(CH, ARR, c1, d_beta, r_beta, slope)(p0)[1][0]
+
+    rc1, rc2 = CH.rate_derivatives(p0)
+    scale = abs((d_beta + edge) * rc1[0]) + abs(r_beta / slope * (p0[0] * rc2[0] + rc1[0]))
+    assert abs(den(edge)) <= 1e-12 * scale
+    assert den(edge - 1e-9) < 0.0 < den(edge + 1e-9)
+
+
 def test_adaptive_singular_outcomes_carry_position():
     # F(p0) < 0: the power runs to 0 almost at once
     sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,

@@ -83,6 +83,16 @@ def test_config_requires_matching_p0plus(bench_policy):
         SimConfig(policy=bench_policy, system=other, horizon=100.0, src=GAUSS, ch=CHAN)
 
 
+def test_config_requires_the_policy_source(bench_policy, constk_policy):
+    # simulate takes d_max from src, so an adaptive policy solved for the
+    # Gaussian source must not run as a Bernoulli one
+    bern = BernoulliSource(prob=0.2)
+    with pytest.raises(ValueError, match="source"):
+        SimConfig(policy=bench_policy, system=SYSTEM, horizon=100.0, src=bern, ch=CHAN)
+    # a constant-mismatch policy carries no distortion level to check
+    SimConfig(policy=constk_policy, system=SYSTEM, horizon=100.0, src=bern, ch=CHAN)
+
+
 def test_config_rejects_infeasible_policy():
     # the unpolished benchmark solve oversubscribes the mismatch
     # normalization, so it carries no usable kappa0
