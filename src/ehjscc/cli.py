@@ -73,14 +73,36 @@ _LEAKAGE_KINDS = {
 }
 
 
+# the keys each part of a config may hold; any other key is a typo or an
+# option that no longer exists, and running without it would be silent
+_TOP_KEYS = ("source", "channel", "arrivals", "leakage", "capacity", "p0plus",
+             "policy", "refine_c2", "constants", "search", "sweep", "simulate", "out")
+_SECTION_KEYS = {
+    "source": ("kind", "variance", "prob"),
+    "channel": ("noise",),
+    "arrivals": ("delta", "lam"),
+    "constants": ("beta", "c1", "c2", "c"),
+    "search": ("budget", "seed", "margin", "beta_bounds"),
+    "sweep": ("capacities", "kappa_budget"),
+    "simulate": ("horizon", "seed", "z0", "policy_csv"),
+}
+
+
 def _fail(path: str, why: str):
     raise ConfigError(f"{path}: {why}")
 
 
-def _section(data: dict, key: str, path: str) -> dict:
+def _reject_unknown(data: dict, known, path: str):
+    for key in data:
+        if key not in known:
+            _fail(f"{path}{key}", "unknown key")
+
+
+def _section(data: dict, key: str) -> dict:
     got = data.get(key)
     if not isinstance(got, dict):
-        _fail(f"{path}{key}", "missing or not a mapping")
+        _fail(key, "missing or not a mapping")
+    _reject_unknown(got, _SECTION_KEYS[key], f"{key}.")
     return got
 
 
@@ -172,9 +194,10 @@ class RunConfig:
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise ConfigError("top level: expected a mapping")
-        self.src = _build_source(_section(data, "source", ""))
-        ch_sec = _section(data, "channel", "")
-        arr_sec = _section(data, "arrivals", "")
+        _reject_unknown(data, _TOP_KEYS, "")
+        self.src = _build_source(_section(data, "source"))
+        ch_sec = _section(data, "channel")
+        arr_sec = _section(data, "arrivals")
         try:
             self.ch = AwgnChannel(noise=_number(ch_sec.get("noise", 1.0),
                                                 "channel.noise"))
@@ -203,7 +226,7 @@ class RunConfig:
         self.constants = None
         self.constant_c = None
         if "constants" in data:
-            sec = _section(data, "constants", "")
+            sec = _section(data, "constants")
             if self.policy_kind == "constant-kappa":
                 self.constant_c = _number(sec.get("c"), "constants.c")
             else:
@@ -231,6 +254,7 @@ class RunConfig:
             return None
         if not isinstance(sec, dict):
             _fail("search", "expected a mapping")
+        _reject_unknown(sec, _SECTION_KEYS["search"], "search.")
         kwargs = {}
         if "budget" in sec:
             kwargs["budget"] = _integer(sec["budget"], "search.budget")
@@ -238,9 +262,8 @@ class RunConfig:
             kwargs["seed"] = _integer(sec["seed"], "search.seed")
         if "margin" in sec:
             kwargs["margin"] = _number(sec["margin"], "search.margin")
-        for name in ("beta_bounds", "c2_bounds"):
-            if name in sec:
-                kwargs[name] = _pair(sec[name], f"search.{name}")
+        if "beta_bounds" in sec:
+            kwargs["beta_bounds"] = _pair(sec["beta_bounds"], "search.beta_bounds")
         try:
             return SearchSpec(**kwargs)
         except ValueError as exc:
@@ -251,6 +274,7 @@ class RunConfig:
             return None, 240
         if not isinstance(sec, dict):
             _fail("sweep", "expected a mapping")
+        _reject_unknown(sec, _SECTION_KEYS["sweep"], "sweep.")
         raw = sec.get("capacities")
         if not isinstance(raw, (list, tuple)) or not raw:
             _fail("sweep.capacities", "expected a non-empty list")
@@ -269,6 +293,7 @@ class RunConfig:
             return
         if not isinstance(sec, dict):
             _fail("simulate", "expected a mapping")
+        _reject_unknown(sec, _SECTION_KEYS["simulate"], "simulate.")
         self.horizon = _number(sec.get("horizon"), "simulate.horizon")
         if "seed" in sec:
             self.sim_seed = _integer(sec["seed"], "simulate.seed")

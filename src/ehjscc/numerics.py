@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -415,7 +414,7 @@ _GL_ORDER = 2 * len(_GL_HALF_NODES)
 _S_MIN = math.log(1e-300)
 _S_MAX = math.log(1e300)
 _RHS_CAP = 1e9           # |F| above this is a blow-up
-# The next six only set how the work is cut up: the error test alone
+# The next five only set how the work is cut up: the error test alone
 # decides which panels are kept.  Setting any one of them 2-4 times
 # higher or lower changes the number of F calls and of states evaluated,
 # over the 20 polished published rows and over the parity probes, by at
@@ -425,7 +424,6 @@ _FIRST_PANELS = 32
 _MAX_SPLIT = 16          # most sub-panels a panel is cut into per round
 _LOCATE_POINTS = 63      # states tried per step when locating an obstacle
 _GRADING = 4.0           # width ratio of panels graded toward an obstacle
-_LAYOUT_EXTRA = 8        # panels tried past the end of a seeding layout
 _MIN_SHARE = 1.0 / 64.0  # smallest width a panel's error allowance scales with
 _MAX_ROUNDS = 400
 _SIGN_CHANGE = "right-hand side changed sign"
@@ -487,35 +485,6 @@ class AutonomousPath:
         self.antider = antider
         self.z_edges = z_edges
 
-    @property
-    def p_end(self) -> float:
-        """p(z_end), by the same Newton iteration as :meth:`p_at` in floats.
-
-        The c2 polish reads only this value, 5-9 times per solve; on one
-        element, float arithmetic beats the array iteration by enough to
-        cut the time of a pass over the published rows by ~12%.
-        """
-        if self.direction == 0.0 or self.widths.size == 0:
-            return self.p0
-        z_lo, z_hi = float(self.z_edges[-2]), float(self.z_edges[-1])
-        if self.z_end > z_hi:
-            t = 1.0     # on the equilibrium
-        else:
-            half = 0.5 * float(self.widths[-1])
-            poly = self.antider[-1].tolist()[::-1]    # highest power first
-            t = 2.0 * (self.z_end - z_lo) / (z_hi - z_lo) - 1.0 if z_hi > z_lo else 1.0
-            for _ in range(12):
-                value, slope = poly[0], 0.0
-                for c in poly[1:]:
-                    slope = slope * t + value
-                    value = value * t + c
-                step = (z_lo + half * value - self.z_end) / (half * slope) if slope > 0.0 else 0.0
-                t = min(1.0, max(-1.0, t - step))
-                if abs(step) <= 1e-12:
-                    break
-        u = float(self.lefts[-1]) + (t + 1.0) * 0.5 * float(self.widths[-1])
-        return math.exp(math.log(self.p0) + self.direction * u)
-
     def p_at(self, z) -> np.ndarray:
         """p at each charge in ``z`` (values in [0, z_end])."""
         z = np.asarray(z, dtype=float)
@@ -566,7 +535,6 @@ def integrate_autonomous(
     *,
     atol: float = 1e-13,
     rtol: float = 1e-12,
-    layout: Optional[AutonomousPath] = None,
 ) -> AutonomousPath:
     """Solve the autonomous scalar ODE p' = rhs(p), p(0) = p0, on [0, z_end].
 
@@ -581,10 +549,6 @@ def integrate_autonomous(
     met (F undefined, above 1e9 in size or of the wrong sign) is located
     to rounding and the panels before it are graded toward it; panels
     past the point where z must have reached z_end are dropped.
-    ``layout``, the path of a nearby right-hand side from the same p0 (as
-    in a sweep over one of its constants), seeds the first round with its
-    panels, which then mostly pass at once; in the c2 polish that cuts
-    the time of a pass over the published rows by ~22%.
 
     Returns an :class:`AutonomousPath`.  Raises :class:`SingularityError`
     carrying the z reached and the last admissible state when, before z_end, the state runs to 0 or
@@ -599,10 +563,10 @@ def integrate_autonomous(
     if not (z_end > 0.0 and math.isfinite(z_end)):
         raise ValueError(f"z_end must be finite and positive, got {z_end}")
     with np.errstate(all="ignore"):
-        return _integrate_autonomous(rhs, p0, z_end, atol, rtol, layout)
+        return _integrate_autonomous(rhs, p0, z_end, atol, rtol)
 
 
-def _integrate_autonomous(rhs, p0, z_end, atol, rtol, layout):
+def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
     nodes, weights, to_coef, to_antider = _gauss_tables()
     empty = np.empty(0)
 
@@ -664,15 +628,7 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, layout):
 
     # candidate panels (left edge, width) awaiting evaluation, and the
     # accepted ones with their Legendre coefficients
-    if layout is not None and layout.direction == sign and layout.widths.size:
-        # the earlier panels plus a few more of the last width beyond them
-        width = float(layout.widths[-1])
-        extra = float(layout.lefts[-1]) + width * np.arange(1, _LAYOUT_EXTRA + 1)
-        extra = extra[extra + width <= u_limit]
-        pend_a = np.concatenate((layout.lefts, extra))
-        pend_h = np.concatenate((layout.widths, np.full(extra.size, width)))
-    else:
-        pend_a, pend_h = fresh(0.0)
+    pend_a, pend_h = fresh(0.0)
     acc_a, acc_h, acc_c = empty, empty, empty.reshape(0, _GL_ORDER)
     # the first inadmissible state found, the last admissible one before
     # it, and why the former is inadmissible

@@ -19,11 +19,12 @@ Both policy ODEs here are autonomous, p' = F(p), with F evaluated on
 whole arrays of powers: the solvers hand F to
 :func:`~ehjscc.numerics.integrate_autonomous`, which integrates
 z(p) = Int dq / F(q) by quadrature and inverts it at the grid nodes.  The
-c2 polish re-solves only the endpoint power per trial, each trial seeded
-with the previous trial's panels.  Every way F can fail on the path
-(p running to 0 or escaping, |F| above 1e9, a vanishing denominator, p
-leaving the model's domain) comes back as an infeasible outcome whose
-message says near which z.
+adaptive F and the endpoint gap are both affine in c2, so the c2 that
+closes the gap is one scalar root in the end power p(L), found on a
+table of F's two parts before the one trajectory is integrated.  Every
+way F can fail on the path (p running to 0 or escaping, |F| above 1e9,
+a vanishing denominator, p leaving the model's domain) comes back as an
+infeasible outcome whose message says near which z.
 
 The constant-mismatch (kappa = 1) policy family and the constant-power
 scheme for unbounded storage are provided for comparison, as both are
@@ -44,6 +45,8 @@ from .numerics import (
     Grid,
     RootBracket,
     SingularityError,
+    _RHS_CAP,
+    _gauss_tables,
     cumulative_integral,
     find_root,
     integrate_autonomous,
@@ -391,141 +394,142 @@ def _residual_profile(src, ch, arrivals, solution, consts) -> np.ndarray:
     )
 
 
-# the c2 polish stops once the endpoint gap is this small
-_C2_TOL = 1e-9
-# secant trials of the c2 polish before the bracketed root takes over;
-# every published row converges within 8
-_SECANT_TRIALS = 10
-# bracketed trials: enough to halve a unit bracket down to rounding
-_BRACKET_TRIALS = 60
-# offset from c2_zero, relative to max(1, |c2_zero|), of the second
-# start a bounded polish tries after a singular first one
-_NEAR_ZERO = 1e-6
-# largest first move of c2, from the start and from c2_zero
-_FIRST_STEP = 0.05
-# bracket ends further apart than this ratio in t are split at their
-# geometric mean: roots far closer to c2_zero than the far end would
-# otherwise cost one halving or falsi creep per factor of two
-_GEOMETRIC_RATIO = 8.0
+# the table of the endpoint root (see _endpoint_c2): panels per stretch
+# of ln p, ln p covered by the first stretch, and the width ratio and
+# narrowest width of the panels graded toward p0
+_TABLE_PANELS = 128
+_TABLE_REACH = 16.0
+_TABLE_GRADING = 4.0
+_TABLE_FLOOR = 1e-15
+# the root in ln p(L) stops at this width, relative to the reach of its
+# stretch; c2 then agrees to 1e-11 relative, on the published rows and on
+# every probe of their searches, with a table of 16 times as many panels
+# whose root is bisected to rounding
+_ROOT_RTOL = 1e-12
 
 
-def _polish_c2(endpoint, c2, c2_zero, side, p0, t_max):
-    """c2 whose trajectory closes the endpoint gap, or None if none is found.
+def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
+    """The c2 whose trajectory meets the endpoint condition, or None.
 
-    ``endpoint(c2)`` integrates and returns (gap, kappa(L)), raising
-    :class:`SingularityError` on a singular path; ``endpoint(c2, p)``
-    takes p(L) = p instead.  A singular start is passed on to the caller.
-    The first trials are a secant from the start, whose first move uses
-    the explicit dependence (the gap rises by kappa(L) per unit c2).  If
-    it has not converged after _SECANT_TRIALS trials, meets a singular
-    trial or stalls, :func:`_bracketed_c2` takes over.
+    F = (base + lam*c2*R_beta)/den is affine in c2 (see
+    :func:`_adaptive_terms`), and so is the endpoint gap, with slope
+    kappa(L) > 0.  So the gap vanishes at
+
+        c2 = h(P) = P*Rc'(P)/S - (D_beta + c1)*Rc(P)/R_beta,   P = p(L),
+
+    and the endpoint condition is one root in the end power,
+
+        Phi(P) = Int_{p0}^{P} den / (base + lam*h(P)*R_beta) dq - L = 0:
+
+    the charge the trajectory of c2 = h(P) needs to reach P, less the
+    capacity L.  base and den depend on (beta, c1) alone, so they are
+    tabulated once, on Gauss-Legendre panels in u = |ln q - ln p0|, and
+    each trial of P is array arithmetic on the table: no trajectory is
+    integrated and no start value is needed.  The root rests on these
+    facts:
+
+    - At c2 = h(P), F(P) = delta*R_beta*Rc'(P) / (S*den(P)), which never
+      vanishes.  So p0 fixes the side: P rises from p0 where F(p0) > 0 at
+      c2 = h(p0) and falls where it is negative, which (as S < 0) is
+      where den(p0) > 0, i.e. c1 above :func:`_c1_edge`.  Phi -> -L as
+      P -> p0.
+    - P is admissible while the integrand is finite and positive on the
+      whole of [p0, P], with |F| <= 1e9 as :func:`integrate_autonomous`
+      requires.  Past that the trajectory settles on a root of F short of
+      P, or den changes sign and it blows up; Phi is +inf there, so that
+      end closes the bracket.
+    - The integrand is at its largest where base + lam*h(P)*R_beta is
+      least: at p0, where the trajectory lingers while c2 nears the value
+      that makes p0 an equilibrium, or at an extremum of base inside the
+      range.  Phi grows without bound as that least value nears 0.  The
+      panels, 1/128 of a stretch wide, narrow geometrically toward p0.
+    - On the published rows, on every probe of the searches and on 300
+      random (beta, c1, L) with L up to 100, Phi had at most one sign
+      change, and a dense scan of the first 64 units of u found no second
+      root.
+
+    The table first covers 16 units of u and doubles its reach until Phi
+    at its end is not negative; the state range [1e-300, 1e300] ends it.
+    A bracket that closes only on the end of the admissible range, with
+    Phi still negative before it, has no root.
     """
-    gap, kap_end = endpoint(c2)
-    prev_c2, prev_gap = c2, gap
-    trials = [(c2, gap, True)]
-    step = -gap / kap_end
-    step = math.copysign(min(abs(step), _FIRST_STEP), step)
-    c2 = c2 + step
-    for _ in range(_SECANT_TRIALS):
-        if abs(prev_gap) <= _C2_TOL:
-            return prev_c2
-        try:
-            gap, _ = endpoint(c2)
-        except SingularityError as exc:
-            trials.append((c2, exc.state, False))
-            break
-        if abs(gap) <= _C2_TOL:
-            return c2
-        trials.append((c2, gap, True))
-        if gap == prev_gap:
-            break
-        c2, prev_c2, prev_gap = (
-            c2 - gap * (c2 - prev_c2) / (gap - prev_gap),
-            c2,
-            gap,
-        )
-    return _bracketed_c2(endpoint, trials, c2_zero, side, p0, t_max)
+    terms = _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope)
+    shift = arrivals.lam * r_beta
 
+    def closing_c2(p_end: float) -> float:
+        return (p_end * ch.rate_derivatives(p_end)[0] / slope
+                - (d_beta + c1) * ch.rate(p_end) / r_beta)
 
-def _bracketed_c2(endpoint, trials, c2_zero, side, p0, t_max):
-    """Root of the endpoint gap on the side of c2_zero where the state rises.
+    base0, den0 = terms(np.array([p0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f0 = float((base0[0] + shift * closing_c2(p0)) / den0[0])
+    if not math.isfinite(f0):
+        return None   # den vanishes at p0 itself
+    sign = 1.0 if f0 > 0.0 else -1.0
+    s0 = math.log(p0)
+    u_limit = math.log(1e300) - sign * s0
+    nodes, weights, to_coef, to_antider = _gauss_tables()
+    # node values -> monomial coefficients of the panel's antiderivative
+    to_poly = to_coef.T @ to_antider.T
+    order = nodes.size
+    lefts = widths = numer = denom = least = wts = np.empty(0)
 
-    Works in the offset t = side * (c2 - c2_zero) > 0.  The state at
-    z = L grows with t, from p0 at t = 0 (the constant path, whose gap is
-    known without integrating) until the path blows up before z = L; so
-    a singular trial lies past the root, and its gap taken at the state
-    where it stopped (NaN if unknown) continues the gap beyond that edge.
-    ``trials`` holds the trials made so far as (c2, gap, True) and, for
-    singular ones, (c2, state where it stopped, False); those with t <= 0
-    tell nothing here.  The lower end keeps the sign of the gap at t = 0;
-    the upper end, once found, has the other sign or is singular.  A far
-    end whose gap keeps the sign of t = 0 leaves no root before the edge,
-    and so does reaching ``t_max`` without a sign change.  The geometric
-    mean of the ends while the lower end is above t = 0 and the upper
-    end more than _GEOMETRIC_RATIO times further out (a scan probe with
-    ends at t = 1e-6 and 0.05 and its root at 2.2e-3 took 19 trials in
-    the bracket without it, 11 with it); otherwise bisection while the
-    lower end is t = 0 (its gap is large) or the upper end singular, and
-    the Illinois variant of regula falsi if neither (bisection alone took
-    13-32% more integrations in a tune).
-    """
-    gap_zero = endpoint(c2_zero, p0)[0]
-    positive = gap_zero > 0.0
-    lo_t, lo_gap = 0.0, gap_zero
-    hi_t, hi_gap, hi_ok = math.inf, math.nan, False
+    def extend(a, b):
+        # the panels of the stretch [a, b], with base and den at their nodes
+        nonlocal lefts, widths, numer, denom, least, wts
+        cuts = np.linspace(a, b, _TABLE_PANELS + 1)
+        if a == 0.0:
+            steps = math.ceil(math.log(cuts[1] / _TABLE_FLOOR, _TABLE_GRADING))
+            cuts = np.concatenate(
+                ([0.0], cuts[1] * _TABLE_GRADING ** -np.arange(steps, 0.0, -1.0), cuts[1:]))
+        half = 0.5 * np.diff(cuts)
+        q = np.exp(s0 + sign * (cuts[:-1, None] + (nodes + 1.0) * half[:, None])).ravel()
+        base, den = terms(q)
+        lefts = np.concatenate((lefts, cuts[:-1]))
+        widths = np.concatenate((widths, 2.0 * half))
+        numer = np.concatenate((numer, sign * q * den))
+        denom = np.concatenate((denom, base))
+        least = np.concatenate((least, q / _RHS_CAP))
+        wts = np.concatenate((wts, (half[:, None] * weights).ravel()))
 
-    def place(c2, value, admissible):
-        nonlocal lo_t, lo_gap, hi_t, hi_gap, hi_ok
-        t = side * (c2 - c2_zero)
-        if not t > 0.0:
-            return None
-        gap = value if admissible else endpoint(c2, value)[0]
-        if admissible and (gap > 0.0) == positive:
-            if lo_t < t < hi_t:
-                lo_t, lo_gap = t, gap
-                return "lo"
-        elif t < hi_t:
-            hi_t, hi_gap, hi_ok = t, gap, admissible
-            return "hi"
-        return None
+    closing = math.inf   # least u seen with Phi finite and not negative
 
-    for trial in trials:
-        place(*trial)
-    last_moved = None  # the end the last trial replaced, for Illinois
-    for _ in range(_BRACKET_TRIALS):
-        if math.isinf(hi_t):
-            if lo_t >= t_max:
+    def phi(u: float) -> float:
+        nonlocal closing
+        k = min(int(np.searchsorted(lefts, u, side="right")) - 1, lefts.size - 1)
+        m = order * (k + 1)
+        # dz/du = q/|F| at the nodes, admissible from q/1e9 up to, but not
+        # including, inf; an infinite one (F = 0) leaves Phi inf or NaN
+        v = numer[:m] / (denom[:m] + shift * closing_c2(math.exp(s0 + sign * u)))
+        if not (v >= least[:m]).all():
+            return math.inf
+        t = 2.0 * (u - lefts[k]) / widths[k] - 1.0
+        part = 0.0
+        for coef in (v[m - order:] @ to_poly)[::-1].tolist():
+            part = part * t + coef
+        value = float(v[:m - order] @ wts[:m - order]) + 0.5 * widths[k] * part - capacity
+        if not value < math.inf:
+            return math.inf
+        if value >= 0.0:
+            closing = min(closing, u)
+        return value
+
+    lo = hi = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            if hi >= u_limit:
                 return None
-            t = min(t_max, max(2.0 * lo_t, _FIRST_STEP))
-        elif not math.isnan(hi_gap) and (hi_gap > 0.0) == positive:
-            return None
-        elif lo_t > 0.0 and hi_t > _GEOMETRIC_RATIO * lo_t:
-            t = math.sqrt(lo_t * hi_t)
-        else:
-            t = 0.5 * (lo_t + hi_t)
-            if lo_t > 0.0 and hi_ok:
-                falsi = lo_t + (hi_t - lo_t) * lo_gap / (lo_gap - hi_gap)
-                if lo_t < falsi < hi_t:
-                    t = falsi
-        c2 = c2_zero + side * t
-        if c2 == c2_zero + side * lo_t or c2 == c2_zero + side * hi_t:
-            return None  # the bracket has shrunk to rounding
-        try:
-            gap, _ = endpoint(c2)
-        except SingularityError as exc:
-            moved = place(c2, exc.state, False)
-        else:
-            if abs(gap) <= _C2_TOL:
-                return c2
-            moved = place(c2, gap, True)
-        if moved is not None and moved == last_moved:
-            # the same end moved twice: halve the other end's gap
-            if moved == "lo":
-                hi_gap *= 0.5
-            else:
-                lo_gap *= 0.5
-        last_moved = moved
-    return None
+            lo, hi = hi, min(max(2.0 * hi, _TABLE_REACH), u_limit)
+            extend(lo, hi)
+            if not phi(hi) < 0.0:
+                break
+        if not phi(lo) < 0.0:
+            return None   # inadmissible within the first panel past p0
+        tol = _ROOT_RTOL * max(1.0, hi)
+        root = find_root(phi, RootBracket(lo, hi, tol=tol))
+    if closing - root > tol:
+        return None
+    return closing_c2(math.exp(s0 + sign * root))
 
 
 def solve_adaptive(
@@ -539,7 +543,6 @@ def solve_adaptive(
     *,
     grid: Optional[Grid] = None,
     refine_c2: bool = False,
-    c2_bounds: Optional[tuple[float, float]] = None,
     atol: float = 1e-13,
     rtol: float = 1e-12,
 ) -> PolicySolution:
@@ -563,90 +566,39 @@ def solve_adaptive(
     ODE preserves the stationarity condition only up to a constant
     multiple of kappa(z), and that multiple equals the endpoint gap at
     z = capacity (where the condition's integral term is empty).  Pass
-    ``refine_c2=True`` to polish ``c2`` until that gap vanishes, which
-    drops the residual to quadrature noise and certifies the solution;
-    constants rounded to a couple of decimals typically move by ~1e-2
-    under the polish, and their feasibility can flip when they sit near
-    the normalization boundary.  The polish starts from ``consts.c2``;
-    a singular start is an infeasible outcome, and a polish that finds
-    no root reports that it did not converge (see :func:`_polish_c2`).
-
-    ``c2_bounds`` (used by the constant search, with ``refine_c2``)
-    clamps the start into the bounds, stops the bracketed part of the
-    polish at the bound on the side where the state rises, and retries a
-    singular start once next to the c2 at which the state stays put.
+    ``refine_c2=True`` to replace ``c2`` by the value that closes that
+    gap, which drops the residual to quadrature noise and certifies the
+    solution; constants rounded to a couple of decimals typically move
+    by ~1e-2, and their feasibility can flip when they sit near the
+    normalization boundary.  That c2 is found as one root in the end
+    power p(capacity), before any trajectory is integrated (see
+    :func:`_endpoint_c2`), so it depends on beta and c1 alone and
+    ``consts.c2`` is ignored; (beta, c1) with no root come back as an
+    infeasible outcome that says so.
     """
     grid = _battery_grid(capacity, p0plus, grid)
-    if c2_bounds is not None and not (refine_c2 and c2_bounds[0] < c2_bounds[1]):
-        raise ValueError(
-            f"c2_bounds must be an increasing pair used with refine_c2, got {c2_bounds}"
-        )
-
     d_beta = beta_to_distortion(src, consts.beta)
     r_beta = src.rate(d_beta)
     slope = src.rate_derivatives(d_beta)[0]
 
-    latest = None  # (c2, path) of the last trajectory solved
-
-    def trajectory(c2: float):
-        nonlocal latest
-        if latest is None or latest[0] != c2:
-            field = _adaptive_field(
-                ch, arrivals, replace(consts, c2=c2), d_beta, r_beta, slope
-            )
-            latest = (c2, integrate_autonomous(
-                field, p0plus, capacity, atol=atol, rtol=rtol,
-                layout=None if latest is None else latest[1],
-            ))
-        return latest[1]
-
     c2 = consts.c2
     if refine_c2:
-        # F(p0) = (base0 + lam*c2*R_beta) / den0 vanishes at c2_zero and
-        # is positive, so the state rises, where side * (c2 - c2_zero) > 0
-        base0, den0 = _adaptive_terms(ch, arrivals, consts.c1, d_beta, r_beta, slope)(
-            np.array([p0plus]))
-        c2_zero = float(-base0[0] / (arrivals.lam * r_beta))
-        side = 1.0 if den0[0] > 0.0 else -1.0
-        t_max = math.inf
-        if c2_bounds is not None:
-            c2 = min(max(c2, c2_bounds[0]), c2_bounds[1])
-            t_max = side * ((c2_bounds[1] if side > 0.0 else c2_bounds[0]) - c2_zero)
-
-        def endpoint(c2: float, p_end: Optional[float] = None):
-            if p_end is None:
-                p_end = trajectory(c2).p_end
-            gap = _endpoint_gap(ch, replace(consts, c2=c2), d_beta, r_beta, slope, p_end)
-            return gap, r_beta / ch.rate(p_end)
-
-        starts = [c2]
-        if c2_bounds is not None:
-            # one more start, where the state barely rises
-            near = c2_zero + side * _NEAR_ZERO * max(1.0, abs(c2_zero))
-            starts.append(min(max(near, c2_bounds[0]), c2_bounds[1]))
-        for start in starts:
-            try:
-                c2 = _polish_c2(endpoint, start, c2_zero, side, p0plus, t_max)
-                break
-            except SingularityError as exc:
-                failure = exc
-        else:
-            return _infeasible(
-                "adaptive", p0plus,
-                f"ODE singular near z={failure.z:.6g} with the given constants: "
-                f"{failure.message}",
-                d_beta=d_beta, constants=consts,
-            )
+        c2 = _endpoint_c2(ch, arrivals, consts.c1, d_beta, r_beta, slope, p0plus, capacity)
         if c2 is None:
             return _infeasible(
                 "adaptive", p0plus,
-                "endpoint refinement of c2 did not converge",
+                "endpoint condition has no root: no c2 carries the power from "
+                "p0plus to an end power that closes the gap at z = capacity",
                 d_beta=d_beta, constants=consts,
             )
     used = replace(consts, c2=c2)
 
-    law = _law_on_grid("adaptive", lambda: trajectory(c2), grid, arrivals, leak, p0plus,
-                       d_beta=d_beta, constants=used)
+    field = _adaptive_field(ch, arrivals, used, d_beta, r_beta, slope)
+    law = _law_on_grid(
+        "adaptive",
+        lambda: integrate_autonomous(field, p0plus, capacity, atol=atol, rtol=rtol),
+        grid, arrivals, leak, p0plus, d_beta=d_beta, constants=used,
+    )
     if isinstance(law, PolicySolution):
         return law
     p, pi0, log_pi0, f, log_shape = law

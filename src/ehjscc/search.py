@@ -4,14 +4,14 @@ The free constants of the variational system are not given by any formula;
 they have to be found numerically for each operating point.  This module
 wraps the policy solvers in a budgeted, deterministic search.  For the
 adaptive policy only beta is searched: the endpoint condition fixes c2
-for each (beta, c1), every probe's solve polishes it there, and c1 sits
-just below the closed-form edge where the denominator of the policy ODE
-changes sign at p0plus, which is where the tuned optimum lies.  That
-leaves a bracketed root in beta, found by bisection.  The single
-constant of the constant-mismatch policy gets a scan plus golden-section
-polish.  A capacity sweep ties both tuners and the converse bound
-together into one table, which is what the plotting and CLI layers
-consume.
+for each (beta, c1), every probe's solve finds it as one root in the end
+power p(L), and c1 sits just below the closed-form edge where the
+denominator of the policy ODE changes sign at p0plus, which is where
+the tuned optimum lies.  That leaves a bracketed root in beta, found by
+bisection.  The single constant of the constant-mismatch policy gets a
+scan plus golden-section polish.  A capacity sweep ties both tuners and
+the converse bound together into one table, which is what the plotting
+and CLI layers consume.
 
 Objective evaluations use a coarsened grid and relaxed ODE tolerances
 (the ranking of candidate constants is insensitive to the last four
@@ -102,13 +102,11 @@ class SearchSpec:
     ``beta_bounds`` is the box the bisection brackets; ``None`` takes the
     middle 98% of beta's admissible range (the endpoints are singular).
     c1 and c2 are not search axes: c1 sits at the closed-form edge, and
-    each probe polishes c2 onto the endpoint condition, with
-    ``c2_bounds`` (default (0, 1), which brackets every tabulated
-    operating point by a wide margin) bounding where that polish starts
-    and how far its bracketed root reaches.  ``budget`` counts probes,
-    one per beta; the bisection needs about 26.  ``seed`` is accepted
-    for configs and callers that pass one, but the search draws no
-    random numbers, so it does not steer anything.
+    each probe's solve fixes c2 by the endpoint condition, a root that
+    depends on (beta, c1) alone.  ``budget`` counts probes, one per
+    beta; the bisection needs about 26.  ``seed`` is accepted for
+    configs and callers that pass one, but the search draws no random
+    numbers, so it does not steer anything.
 
     ``margin`` is the minimum accepted value of pi0/kappa(0), the share
     of the mismatch budget spent on the empty battery.  Minimizing the
@@ -120,7 +118,6 @@ class SearchSpec:
     """
 
     beta_bounds: Optional[Tuple[float, float]] = None
-    c2_bounds: Tuple[float, float] = (0.0, 1.0)
     budget: int = 2000
     seed: int = 0
     margin: float = 1e-3
@@ -130,10 +127,9 @@ class SearchSpec:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
-        for name in ("beta_bounds", "c2_bounds"):
-            b = getattr(self, name)
-            if b is not None and not b[0] < b[1]:
-                raise ValueError(f"{name} must be an increasing pair, got {b}")
+        b = self.beta_bounds
+        if b is not None and not b[0] < b[1]:
+            raise ValueError(f"beta_bounds must be an increasing pair, got {b}")
 
     def resolved_bounds(self, src: SourceModel):
         lo, hi = beta_range(src)
@@ -218,32 +214,27 @@ def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Budget,
     """Whether the edge solve at beta reaches ``spec.margin``.
 
     A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves on the scan
-    grid with c2 polished onto the endpoint condition, starting from the
-    c2 of the last probe that converged (the middle of the c2 bounds
-    before any has).  It returns True when the share pi0/kappa0 reaches
-    the margin, False when it falls short or the solve is unusable, and
-    None once the budget is spent.  Feasible probes at the margin or
+    grid with c2 fixed by the endpoint condition, so its outcome depends
+    on beta alone (the c2 passed in is ignored).  It returns True when
+    the share pi0/kappa0 reaches the margin, False when it falls short
+    or the solve is unusable, and None once the budget is spent.  Feasible probes at the margin or
     above go to ``history`` as (d_avg, (beta, c1, c2)).
     """
     src, ch = problem.src, problem.ch
-    c2_start = 0.5 * (spec.c2_bounds[0] + spec.c2_bounds[1])
 
     def above(beta: float) -> Optional[bool]:
-        nonlocal c2_start
         if not budget.take():
             return None
         c1 = _c1_edge(src, ch, beta, problem.p0plus) - _EDGE_OFFSET
         sol = solve_adaptive(
             src, ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
-            VariationalConstants(beta, c1, c2_start),
-            grid=grid, refine_c2=True, c2_bounds=spec.c2_bounds,
-            atol=_SCAN_ATOL, rtol=_SCAN_RTOL,
+            VariationalConstants(beta, c1, 0.0),
+            grid=grid, refine_c2=True, atol=_SCAN_ATOL, rtol=_SCAN_RTOL,
         )
         if sol.grid is None:
             budget.infeasible += 1
             return False
-        c2_start = sol.constants.c2
         # pi0/kappa0 by the average-distortion identity, which also holds
         # past the normalization boundary, where kappa0 does not exist
         share = (sol.d_avg - sol.d_beta) / (src.d_max - sol.d_beta)
@@ -263,7 +254,7 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     Only beta is searched.  c2 is fixed by the endpoint condition at
     z = capacity, and c1 by the edge where the denominator of F changes
     sign at p0plus: every probe sets c1 = c1_edge(beta) - 1e-5 and
-    polishes c2 (see :func:`_edge_probe`).  Along that curve the share
+    closes the endpoint condition in c2 (see :func:`_edge_probe`).  Along that curve the share
     pi0/kappa0 of the mismatch budget spent on the empty battery rises
     with beta, and d_avg = D_beta + share * (d_max - D_beta) is least
     where the share meets ``spec.margin``.  The search evaluates both
@@ -304,7 +295,7 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
         lambda point: solve_adaptive(
             problem.src, problem.ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
-            VariationalConstants(*point), refine_c2=True, c2_bounds=spec.c2_bounds,
+            VariationalConstants(*point), refine_c2=True,
         ),
         lambda sol: sol.feasible and sol.pi0 / sol.kappa0 >= 0.5 * spec.margin,
         budget,

@@ -241,6 +241,25 @@ def test_config_error_exit_codes(workdir, capsys):
     assert main(["bound", "--config", str(bad_leak)]) == 2
     capsys.readouterr()
 
+    # keys the format does not have, removed options among them, are
+    # rejected by name instead of ignored
+    unknown = {
+        "search.c2_bounds": GAUSS_SYSTEM + "search: {c2_bounds: [0, 1]}\n",
+        "search.c1_bounds": GAUSS_SYSTEM + "search: {c1_bounds: [-1, 0]}\n",
+        "capacty": GAUSS_SYSTEM.replace("capacity:", "capacty: 5.0\ncapacity:"),
+        "channel.nosie": GAUSS_SYSTEM.replace("{noise: 1.0}", "{noise: 1.0, nosie: 2.0}"),
+        "source.varience": GAUSS_SYSTEM.replace("variance: 1.0}", "variance: 1.0, varience: 2}"),
+        "arrivals.lamda": GAUSS_SYSTEM.replace("lam: 1.0}", "lam: 1.0, lamda: 1.0}"),
+        "constants.c3": GAUSS_SYSTEM + "constants: {beta: -0.87, c1: -0.89, c2: 0.3, c3: 0}\n",
+        "sweep.capacity": GAUSS_SYSTEM + "sweep: {capacities: [2.0], capacity: 3.0}\n",
+        "simulate.seeds": GAUSS_SYSTEM + "simulate: {horizon: 10.0, seeds: 1}\n",
+    }
+    for i, (key, text) in enumerate(unknown.items()):
+        path = workdir / f"unknown_{i}.yaml"
+        path.write_text(text)
+        assert main(["bound", "--config", str(path)]) == 2
+        assert f"{key}: unknown key" in capsys.readouterr().err
+
 
 def test_usage_error_exits_via_argparse(workdir):
     with pytest.raises(SystemExit):

@@ -205,7 +205,7 @@ def test_autonomous_exponential_decay():
     path = integrate_autonomous(lambda p: -p, 1.0, 10.0)
     z = np.linspace(0.0, 10.0, 41)
     assert np.max(np.abs(path.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
-    assert path.p_end == pytest.approx(math.exp(-10.0), rel=1e-13)
+    assert float(path.p_at(10.0)) == pytest.approx(math.exp(-10.0), rel=1e-13)
 
 
 def test_autonomous_matches_rkf45_on_a_nonlinear_field():
@@ -224,7 +224,7 @@ def test_autonomous_fixed_point_is_constant():
     path = integrate_autonomous(lambda p: 1.0 - p, 1.0, 5.0)
     assert path.direction == 0.0
     assert np.all(path.p_at(np.linspace(0.0, 5.0, 11)) == 1.0)
-    assert path.p_end == 1.0
+    assert float(path.p_at(5.0)) == 1.0
 
 
 def test_autonomous_settles_on_interior_equilibrium():
@@ -235,7 +235,7 @@ def test_autonomous_settles_on_interior_equilibrium():
     exact = 1.0 / (1.0 + 99.0 * np.exp(-z))
     assert np.max(np.abs(path.p_at(z) / exact - 1.0)) <= 1e-12
     assert path.z_edges[-1] < 60.0
-    assert path.p_end == pytest.approx(1.0, abs=1e-13)
+    assert float(path.p_at(60.0)) == pytest.approx(1.0, abs=1e-13)
     # approached from above as well
     down = integrate_autonomous(lambda p: 1.0 - p, 3.0, 50.0)
     z = np.linspace(0.0, 50.0, 51)
@@ -275,7 +275,7 @@ def test_autonomous_state_reaching_zero_is_singular():
     assert exc.value.z == pytest.approx(1.0, abs=1e-12)
     # p' = -p only tends to 0, so it is not singular
     path = integrate_autonomous(lambda p: -p, 1.0, 50.0)
-    assert path.p_end == pytest.approx(math.exp(-50.0), rel=1e-12)
+    assert float(path.p_at(50.0)) == pytest.approx(math.exp(-50.0), rel=1e-12)
 
 
 def test_autonomous_domain_exit_is_singular():
@@ -285,24 +285,14 @@ def test_autonomous_domain_exit_is_singular():
     assert "domain" in exc.value.message
     assert exc.value.z == pytest.approx(2.0, abs=1e-12)
     # the same right-hand side is fine while the path stays inside
-    assert integrate_autonomous(lambda p: np.where(p < 3.0, 1.0, np.nan),
-                                1.0, 1.5).p_end == pytest.approx(2.5, rel=1e-14)
+    inside = integrate_autonomous(lambda p: np.where(p < 3.0, 1.0, np.nan), 1.0, 1.5)
+    assert float(inside.p_at(1.5)) == pytest.approx(2.5, rel=1e-14)
 
 
 def test_autonomous_undefined_start_is_singular_at_zero():
     with pytest.raises(SingularityError) as exc:
         integrate_autonomous(lambda p: np.full_like(p, np.nan), 1.0, 1.0)
     assert exc.value.z == 0.0
-
-
-def test_autonomous_layout_reuse_changes_nothing_material():
-    fresh = integrate_autonomous(lambda p: 1.0 + 0.3 * p, 1e-3, 4.0)
-    seeded = integrate_autonomous(lambda p: 1.0 + 0.3 * p, 1e-3, 4.0, layout=fresh)
-    nearby = integrate_autonomous(lambda p: 1.0 + 0.31 * p, 1e-3, 4.0, layout=fresh)
-    z = np.linspace(0.0, 4.0, 101)
-    assert np.max(np.abs(seeded.p_at(z) / fresh.p_at(z) - 1.0)) <= 1e-13
-    exact = (1.0 + 0.31e-3) * np.exp(0.31 * z) / 0.31 - 1.0 / 0.31
-    assert np.max(np.abs(nearby.p_at(z) / exact - 1.0)) <= 1e-11
 
 
 def test_autonomous_input_validation():

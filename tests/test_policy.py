@@ -198,15 +198,6 @@ def test_solve_rejects_bad_inputs():
         )
 
 
-def test_solve_rejects_bad_c2_bounds():
-    with pytest.raises(ValueError):
-        # bounds steer the polish, so they need it
-        solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, BENCH, c2_bounds=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, BENCH,
-                       refine_c2=True, c2_bounds=(1.0, 0.0))
-
-
 @pytest.mark.parametrize("n", [None, 300], ids=["default-grid", "300-nodes"])
 def test_underflowing_empty_battery_atom_is_infeasible(n):
     # the charge law piles up so far from empty that pi0 = exp(-1359)
@@ -289,74 +280,75 @@ def _c2_at_rest(src, beta, c1, p0=1e-3):
     return f0 / (f0 - f1)
 
 
-def test_polish_reaches_one_c2_from_every_admissible_start(bench_refined):
+@pytest.fixture
+def integrations(monkeypatch):
+    # one entry per trajectory the policy module integrates
+    calls = []
+    integrate = policy.integrate_autonomous
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "integrate_autonomous", counted)
+    return calls
+
+
+def test_polish_reaches_one_c2_from_every_admissible_start(bench_refined, integrations):
     # at the benchmark row the state rises for c2 below c2_at_rest = 0.541
-    # and blows up before z = 5 for c2 below ~0.17; from every start in
-    # between the polish ends on the same root of the endpoint gap
+    # and blows up before z = 5 for c2 below ~0.17.  The c2 that closes
+    # the endpoint gap is a root in p(L) for the given (beta, c1), so the
+    # start plays no part: every start, on either side of the blow-up
+    # edge, ends on the same c2 bit for bit and none is singular
     at_rest = _c2_at_rest(GAUSS, BENCH.beta, BENCH.c1)
     assert at_rest == pytest.approx(0.5412, abs=1e-4)
     starts = list(np.linspace(0.0, at_rest, 28)[1:]) + [at_rest * (1.0 - 1e-9)]
-    admissible = 0
     for start in starts:
         sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
                              replace(BENCH, c2=start), refine_c2=True)
-        if "with the given constants" in sol.message:
-            assert start < 0.18  # only starts past the blow-up edge are singular
-            continue
-        admissible += 1
-        assert abs(sol.constants.c2 - bench_refined.constants.c2) <= 1e-9
-    assert admissible >= 20
+        assert sol.feasible, sol.message
+        assert sol.constants.c2 == bench_refined.constants.c2
+    # the root needs no trajectory: each solve integrates once, at its c2
+    assert len(integrations) == len(starts)
 
 
-def test_polish_without_root_ends_in_three_integrations(monkeypatch):
-    # the gap keeps its sign from c2_at_rest out to where the state blows
-    # up before z = 3: two trials and one singular trial show it
-    integrations = []
-    integrate = policy.integrate_autonomous
-
-    def counted(*args, **kwargs):
-        integrations.append(1)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(policy, "integrate_autonomous", counted)
-    sol = solve_adaptive(BERN, CH, ARR, NO_LEAK, 3.0, 1e-3,
-                         VariationalConstants(-0.37026, -0.12884, 0.73470),
-                         refine_c2=True)
-    assert sol.message == "endpoint refinement of c2 did not converge"
-    assert len(integrations) <= 3
-
-
-def test_bounded_polish_retries_a_singular_start(bench_refined):
-    # c2 = 0.9 lies past c2_at_rest, where the state falls to 0; within
-    # c2 bounds the polish tries once more next to c2_at_rest
-    start = replace(BENCH, c2=0.9)
-    plain = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, start, refine_c2=True)
-    assert not plain.feasible and "with the given constants" in plain.message
-    sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, start,
-                         refine_c2=True, c2_bounds=(0.0, 1.0))
-    assert sol.feasible
-    assert abs(sol.constants.c2 - bench_refined.constants.c2) <= 1e-9
-
-
-def test_bracket_reaches_a_root_near_c2_zero_geometrically(monkeypatch):
-    # a scan-accuracy probe whose root sits orders of magnitude closer to
-    # c2_zero than the far bracket end: geometric steps across the
-    # bracket reach it in 16 integrations, where bisection and falsi
-    # creep took 24
-    integrations = []
-    integrate = policy.integrate_autonomous
-
-    def counted(*args, **kwargs):
-        integrations.append(1)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(policy, "integrate_autonomous", counted)
+def test_bracket_reaches_a_root_near_c2_zero_geometrically(integrations):
+    # a scan-accuracy probe whose root sits 2.2e-3 below the c2 at which
+    # the state stays at p0: the endpoint root is found on the table, so
+    # the solve integrates one trajectory, at the c2 found
     sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
                          VariationalConstants(-0.3127, -0.9434, 0.1444),
-                         grid=Grid.graded(5.0, n=300), refine_c2=True,
-                         c2_bounds=(0.0, 1.0))
+                         grid=Grid.graded(5.0, n=300), refine_c2=True)
     assert sol.constants.c2 == pytest.approx(0.0905097949635, abs=1e-9)
-    assert len(integrations) <= 18
+    assert len(integrations) == 1
+
+
+def test_endpoint_without_root_integrates_nothing(integrations):
+    # c1 lies above the edge, so the state falls from p0; every end power
+    # down to 1e-300 is reached before z = 3, so no c2 closes the gap, and
+    # that is known before any trajectory is integrated
+    consts = VariationalConstants(-0.37026, -0.12884, 0.73470)
+    assert consts.c1 > policy._c1_edge(BERN, CH, consts.beta, 1e-3)
+    sol = solve_adaptive(BERN, CH, ARR, NO_LEAK, 3.0, 1e-3, consts, refine_c2=True)
+    assert not sol.feasible and sol.grid is None
+    assert sol.message.startswith("endpoint condition has no root")
+    assert integrations == []
+
+
+def test_endpoint_root_on_the_falling_side():
+    # c1 above the edge makes den(p0) > 0, so the state falls from
+    # p0plus = 1 and the root lies below it; the solve is certified like
+    # the rising ones, whatever the start
+    consts = VariationalConstants(-0.3, 0.0064, 0.5)
+    assert consts.c1 > policy._c1_edge(GAUSS, CH, consts.beta, 1.0)
+    sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 1.0, 1.0, consts, refine_c2=True)
+    assert sol.feasible
+    assert np.all(np.diff(sol.p) < 0.0) and sol.p[-1] == pytest.approx(0.4225, abs=1e-4)
+    assert sol.constants.c2 == pytest.approx(-0.03943, abs=1e-5)
+    assert sol.optimality_residual <= 1e-9
+    again = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 1.0, 1.0, replace(consts, c2=-3.0),
+                           refine_c2=True)
+    assert again.constants.c2 == sol.constants.c2
 
 
 def test_residual_detects_perturbation(bench_refined):

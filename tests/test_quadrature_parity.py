@@ -4,10 +4,12 @@ Both policy ODEs are autonomous, p' = F(p), and the solvers build p(z)
 by quadrature of z(p) (``numerics.integrate_autonomous``).  Here the
 same solves are repeated with that primitive swapped for the adaptive
 Runge-Kutta-Fehlberg integrator (``numerics.integrate_ode``) the solvers
-used to step, at the same tolerances: the c2 polish, the stationary law
-and every other stage run unchanged on top of either.  The published
-rows, the two comparison constant-mismatch solves and a fixed set of
-probe constants covering every outcome must agree.
+used to step, at the same tolerances: the stationary law and every other
+stage run unchanged on top of either.  The published rows, the two
+comparison constant-mismatch solves and a fixed set of probe constants
+covering every outcome must agree.  The endpoint root that fixes c2
+integrates no trajectory, so the swap leaves c2 as it is; the RKF45 path
+at that c2 must close the endpoint gap instead.
 """
 
 import math
@@ -27,7 +29,10 @@ from test_acceptance import ALL_BENCHMARKS, ARR, CH
 SOURCES = {"gaussian": GaussianSource(variance=1.0), "bernoulli": BernoulliSource(prob=0.5)}
 
 # probe constants from constant scans at zero leakage, polished like
-# search probes: (source, capacity, beta, c1, c2, expected outcome)
+# search probes except the singular ones: a polished solve depends on
+# (beta, c1) alone and integrates only at a c2 that closes the gap, so
+# their own c2 is kept to reach each singularity.  (source, capacity,
+# beta, c1, c2, expected outcome)
 PROBES = [
     ("gaussian", 5.0, -0.41386, -0.92434, 0.06803, "feasible"),
     ("gaussian", 5.0, -0.90386, -0.92434, 0.56803, "normalization"),
@@ -49,17 +54,12 @@ PROBES = [
 class _Rkf45Path:
     """Stand-in for ``integrate_autonomous``'s result, stepped by RKF45."""
 
-    def __init__(self, rhs, p0, z_end, *, atol, rtol, layout=None):
+    def __init__(self, rhs, p0, z_end, *, atol, rtol):
         self._args = (lambda z, p: float(rhs(p)), 0.0, p0, z_end)
         self._kwargs = {"atol": atol, "rtol": rtol}
-        self.z_end = z_end
 
     def p_at(self, z):
         return integrate_ode(*self._args, sample_points=z, **self._kwargs)[1][1:]
-
-    @property
-    def p_end(self):
-        return float(self.p_at([self.z_end])[-1])
 
 
 def _both(solve, monkeypatch):
@@ -87,7 +87,7 @@ def _outcome(sol):
 
 
 def _singular_z(sol):
-    return float(re.search(r"near z=(\S+)", sol.message).group(1))
+    return float(re.search(r"near z=([^:\s]+)", sol.message).group(1))
 
 
 def _assert_same_solution(new, ref):
@@ -109,6 +109,10 @@ def test_published_rows_match_rkf45(src, leak, rows, monkeypatch):
             )
         new, ref = _both(solve, monkeypatch)
         _assert_same_solution(new, ref)
+        d_beta = ref.d_beta
+        gap = policy._endpoint_gap(CH, ref.constants, d_beta, src.rate(d_beta),
+                                   src.rate_derivatives(d_beta)[0], ref.p[-1])
+        assert abs(gap) <= 1e-9
         if src == SOURCES["gaussian"] and isinstance(leak, ZeroLeakage) and cap == 4:
             # this row stays over-subscribed after the polish
             assert not new.feasible and "normalization" in new.message
@@ -132,7 +136,7 @@ def test_probe_outcomes_match_rkf45(probe, monkeypatch):
     new, ref = _both(
         lambda: solve_adaptive(
             SOURCES[source], CH, ARR, ZeroLeakage(), cap, 1e-3,
-            VariationalConstants(beta, c1, c2), refine_c2=True,
+            VariationalConstants(beta, c1, c2), refine_c2=expected != "singular",
         ),
         monkeypatch,
     )

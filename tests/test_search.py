@@ -54,7 +54,7 @@ def test_search_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(budget=0)
     with pytest.raises(ValueError):
-        SearchSpec(c2_bounds=(1.0, 0.0))
+        SearchSpec(beta_bounds=(-0.5, -0.9))
     with pytest.raises(ValueError):
         SearchSpec(margin=1.0)
     with pytest.raises(ValueError):
@@ -89,28 +89,29 @@ def test_tuner_is_deterministic(tuned2):
 
 
 def test_tune_work_is_bounded(monkeypatch):
-    # beta alone is bisected along the c1 edge, with c2 polished in every
-    # probe: the default tune at capacity 5 spends 26 probes and 506
-    # array calls of F, where the (beta, c1) scan plus simplex spent 145
-    # and 3,264 and a scan over c2 as a third axis spent 769 and 9,763
+    # beta alone is bisected along the c1 edge, and each probe closes the
+    # endpoint condition as one root on a table of F's parts: the default
+    # tune at capacity 5 spends 26 probes and 136 array calls of F or its
+    # parts, 54 of them tabulating and the rest in the one integration
+    # per solve
     calls = []
-    adaptive_field = policy._adaptive_field
+    adaptive_terms = policy._adaptive_terms
 
-    def counted_field(*args):
-        field = adaptive_field(*args)
+    def counted_terms(*args):
+        terms = adaptive_terms(*args)
 
-        def rhs(p):
+        def parts(p):
             calls.append(np.size(p))
-            return field(p)
+            return terms(p)
 
-        return rhs
+        return parts
 
-    monkeypatch.setattr(policy, "_adaptive_field", counted_field)
+    monkeypatch.setattr(policy, "_adaptive_terms", counted_terms)
     res = tune_constants(PROB5)
     assert res.feasible
     assert res.d_avg <= 0.5417 * 1.01
     assert res.evaluations <= 30
-    assert len(calls) <= 800
+    assert len(calls) <= 200
 
 
 def test_seed_does_not_steer_the_search():
