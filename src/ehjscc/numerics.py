@@ -157,38 +157,73 @@ class RootBracket:
 
 
 def find_root(g, bracket: RootBracket, max_iter: int = 200) -> float:
-    """Bisection root of g on the bracket.
+    """Brent-Dekker root of g on the bracket.
 
-    Deterministic; returns a point r with either |g(r)| = 0 hit exactly or
-    final bracket width below ``bracket.tol``.  Raises ValueError if the
-    function values at the endpoints do not straddle a sign change.
+    Each step interpolates g inversely through its last three values
+    (quadratic, or the secant through two) and bisects instead whenever
+    the interpolated point would leave the bracket or would not shrink
+    it fast enough, so a smooth simple root converges superlinearly and
+    a jump is bisected.  g may be +inf or -inf (the sign is what
+    counts); a step that would interpolate through such a value bisects.
+
+    Deterministic; returns a point r with either g(r) = 0 hit exactly, or
+    r an end of the final sign-change bracket, which is no wider than
+    ``bracket.tol`` (or holds no float strictly inside).  At most
+    ``max_iter`` evaluations follow the two at the ends.  Raises
+    ValueError if the function values at the endpoints do not straddle a
+    sign change.
     """
-    lo, hi = bracket.lo, bracket.hi
-    glo = g(lo)
-    ghi = g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo > 0.0) == (ghi > 0.0):
+    a, b = bracket.lo, bracket.hi
+    fa, fb = g(a), g(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
         raise ValueError(
-            f"invalid bracket: g({lo})={glo} and g({hi})={ghi} have the same sign"
+            f"invalid bracket: g({a})={fa} and g({b})={fb} have the same sign"
         )
-    neg_lo = glo < 0.0
+    tol1 = 0.5 * bracket.tol
+    # b is the best point so far, c the other end of the sign-change
+    # bracket, a the previous b; d and e are the last two step lengths
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(max_iter):
-        if hi - lo <= bracket.tol:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        half = 0.5 * (c - b)
+        if abs(half) <= tol1 or b + half in (b, c):
             break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval no longer splittable in floating point
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm < 0.0) == neg_lo:
-            lo = mid
+        if abs(e) >= tol1 and abs(fa) > abs(fb) and math.isfinite(fa) and math.isfinite(fc):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # accept only a step inside the bracket that is less than half
+            # the step before last
+            if 2.0 * p < min(3.0 * half * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            d = e = half
+        a, fa = b, fb
+        step = b + (d if abs(d) > tol1 else math.copysign(tol1, half))
+        b = step if step != a else math.nextafter(a, c)
+        fb = g(b)
+        if fb == 0.0:
+            return b
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    return b if abs(fb) <= abs(fc) else c
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ for each (beta, c1), every probe's solve finds it as one root in the end
 power p(L), and c1 sits just below the closed-form edge where the
 denominator of the policy ODE changes sign at p0plus, which is where
 the tuned optimum lies.  That leaves a bracketed root in beta, found by
-bisection.  The single constant of the constant-mismatch policy gets a
-scan plus golden-section polish.  A capacity sweep ties both tuners and
+:func:`~ehjscc.numerics.find_root` (Brent-Dekker).  The single constant
+of the constant-mismatch policy gets a scan plus a polish by Brent's
+minimization (parabolic steps, golden-section fallback).  A capacity sweep ties both tuners and
 the converse bound together into one table, which is what the plotting
 and CLI layers consume.
 
@@ -18,9 +19,9 @@ Objective evaluations use a coarsened grid and relaxed ODE tolerances
 digits of the average distortion); the winning point is always re-solved
 at full accuracy, and only a full-accuracy feasible solution is ever
 reported as the result.  Both searches stop at the accuracy of those
-evaluations, which are off by 5e-5 to 4e-4 relative: the bisection once
-its bracket is narrower than 1e-7 * max(1, |beta|), the golden section
-once its bracket is narrower than 1e-7 * max(1, |C|).
+evaluations, which are off by 5e-5 to 4e-4 relative: the root in beta
+once its bracket is narrower than 1e-7 * max(1, |beta|), the
+minimization once its bracket is narrower than 1e-7 * max(1, |C|).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .models import (
     SourceModel,
     ZeroLeakage,
 )
-from .numerics import Grid
+from .numerics import Grid, RootBracket, find_root
 from .policy import (
     PolicySolution,
     VariationalConstants,
@@ -63,13 +64,13 @@ _SCAN_GRID_N = 300
 _SCAN_ATOL = 1e-10
 _SCAN_RTOL = 1e-9
 
-# golden ratio step for the one-dimensional polish
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# the beta bisection and the golden section stop at this width relative
+# golden-section step of Brent's minimization, as a share of the larger side
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+# the root in beta and the minimization in C stop at this width relative
 # to max(1, |beta|) and max(1, |C|): a scan-grid probe is itself off by
 # 5e-5 to 4e-4 relative, so a narrower bracket only ranks quadrature error
 _BETA_RTOL = 1e-7
-_GOLDEN_RTOL = 1e-7
+_C_RTOL = 1e-7
 # adaptive probes set c1 this far below c1_edge(beta).  With zero leakage
 # d_avg is flat next to the edge (within 2e-5 relative over [edge - 2e-3,
 # edge] at Gaussian L=5), but with rising leakage the tuned c1 lies within
@@ -99,12 +100,12 @@ class Problem:
 class SearchSpec:
     """Search box and budget for tuning the adaptive constants.
 
-    ``beta_bounds`` is the box the bisection brackets; ``None`` takes the
+    ``beta_bounds`` is the box that brackets the root; ``None`` takes the
     middle 98% of beta's admissible range (the endpoints are singular).
     c1 and c2 are not search axes: c1 sits at the closed-form edge, and
     each probe's solve fixes c2 by the endpoint condition, a root that
     depends on (beta, c1) alone.  ``budget`` counts probes, one per
-    beta; the bisection needs about 26.  ``seed`` is accepted for
+    beta; the root takes 11 or 12.  ``seed`` is accepted for
     configs and callers that pass one, but the search draws no random
     numbers, so it does not steer anything.
 
@@ -209,22 +210,31 @@ def _certified(candidates, solve, accept, budget: _Budget) -> TuneResult:
     return TuneResult(None, None, math.inf, None, budget.spent, budget.infeasible)
 
 
+class _BudgetSpent(Exception):
+    """A probe was asked for after the last one the budget allows."""
+
+
 def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Budget,
                 history):
-    """Whether the edge solve at beta reaches ``spec.margin``.
+    """The margin gap of the edge solve at beta, as a function of beta.
 
     A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves on the scan
     grid with c2 fixed by the endpoint condition, so its outcome depends
-    on beta alone (the c2 passed in is ignored).  It returns True when
-    the share pi0/kappa0 reaches the margin, False when it falls short
-    or the solve is unusable, and None once the budget is spent.  Feasible probes at the margin or
-    above go to ``history`` as (d_avg, (beta, c1, c2)).
+    on beta alone (the c2 passed in is ignored).  It returns the share
+    pi0/kappa0 less ``spec.margin``, -inf when the solve is unusable,
+    and raises :class:`_BudgetSpent` once the budget is spent; a beta
+    probed before is answered again without a probe.  Feasible
+    probes at the margin or above go to ``history`` as
+    (d_avg, (beta, c1, c2)).
     """
     src, ch = problem.src, problem.ch
+    seen = {}
 
-    def above(beta: float) -> Optional[bool]:
+    def gap(beta: float) -> float:
+        if beta in seen:
+            return seen[beta]
         if not budget.take():
-            return None
+            raise _BudgetSpent
         c1 = _c1_edge(src, ch, beta, problem.p0plus) - _EDGE_OFFSET
         sol = solve_adaptive(
             src, ch, problem.arrivals, problem.leak,
@@ -234,18 +244,20 @@ def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Budget,
         )
         if sol.grid is None:
             budget.infeasible += 1
-            return False
+            seen[beta] = -math.inf
+            return seen[beta]
         # pi0/kappa0 by the average-distortion identity, which also holds
         # past the normalization boundary, where kappa0 does not exist
         share = (sol.d_avg - sol.d_beta) / (src.d_max - sol.d_beta)
         if share < spec.margin or not sol.feasible:
             # an underflowing pi0 can leave a solve infeasible at the margin
             budget.infeasible += 1
-            return share >= spec.margin
-        history.append((sol.d_avg, (beta, c1, sol.constants.c2)))
-        return True
+        else:
+            history.append((sol.d_avg, (beta, c1, sol.constants.c2)))
+        seen[beta] = share - spec.margin
+        return seen[beta]
 
-    return above
+    return gap
 
 
 def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneResult:
@@ -258,13 +270,15 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     pi0/kappa0 of the mismatch budget spent on the empty battery rises
     with beta, and d_avg = D_beta + share * (d_max - D_beta) is least
     where the share meets ``spec.margin``.  The search evaluates both
-    ends of the beta box, then bisects share(beta) = margin down to a
-    width of 1e-7 * max(1, |beta|); a probe with no usable solve counts
-    as short of the margin.  A box whose low end reaches the margin or
+    ends of the beta box, then finds the root of share(beta) - margin
+    with :func:`~ehjscc.numerics.find_root` down to a width of
+    1e-7 * max(1, |hi|); a probe with no usable solve counts as -inf,
+    short of the margin.  A box whose low end reaches the margin or
     whose high end falls short has no sign change and gives the
     infeasible result, as does a budget spent before both ends are
-    known.  The feasible probes at the margin or above are re-solved at
-    full accuracy, lowest d_avg first, and the first one accepted is
+    known; a budget spent inside the root stops it where it is.  The
+    feasible probes at the margin or above are re-solved at full
+    accuracy, lowest d_avg first, and the first one accepted is
     returned, so the reported solution carries a quadrature-noise
     stationarity residual and exact normalizations.  The search draws
     no random numbers, so ``spec.seed`` does not change the result.
@@ -273,18 +287,17 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     budget = _Budget(spec.budget)
     grid = Grid.graded(problem.capacity, n=_SCAN_GRID_N)
     history = []
-    above = _edge_probe(problem, spec, grid, budget, history)
+    gap = _edge_probe(problem, spec, grid, budget, history)
 
-    # a sign change needs the low end short of the margin, the high end at it
-    if above(lo) is False and above(hi):
-        while hi - lo > _BETA_RTOL * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            side = above(mid)
-            if side is None:
-                break
-            lo, hi = (lo, mid) if side else (mid, hi)
-    else:
-        history.clear()
+    try:
+        # a sign change needs the low end short of the margin, the high end at it
+        if gap(lo) < 0.0 <= gap(hi):
+            find_root(gap, RootBracket(lo, hi, tol=_BETA_RTOL * max(1.0, abs(hi))))
+        else:
+            history.clear()
+    except _BudgetSpent:
+        if budget.spent < 2:
+            history.clear()   # spent before both ends were known
 
     # --- full-accuracy certification ----------------------------------
     # accept at half the scan margin: scan-grid and full-grid solves of
@@ -315,9 +328,10 @@ def tune_constant_kappa(
     Steeper constants blow the power up before ever larger capacities,
     so the surviving window hugs the fixed-point value from below and
     shrinks as the capacity grows; the coarse scan therefore spaces its
-    probes geometrically in the offset from that value, then
-    golden-section narrows the best bracket down to a width of
-    1e-7 * max(1, |C|) and the winner is re-solved at full accuracy.
+    probes geometrically in the offset from that value, then Brent's
+    minimization, started from the scan's best point, narrows the best
+    bracket down to a width of 1e-7 * max(1, |C|) and the winner is
+    re-solved at full accuracy.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -367,21 +381,50 @@ def tune_constant_kappa(
 
     best_v = values[best_i]
     if math.isfinite(best_v) and budget_box.left > 0:
+        # Brent's minimization inside the bracketing cells, from the scan's
+        # best point x: a parabola through x, w and v (the best three
+        # points) where it steps inside the bracket by less than half the
+        # step before last, a golden step into the larger side otherwise
         a = points[max(best_i - 1, 0)]
         b = points[min(best_i + 1, m - 1)]
-        # golden-section polish inside the bracketing cells
-        x1 = b - _INVPHI * (b - a)
-        x2 = a + _INVPHI * (b - a)
-        f1, f2 = evaluate(x1), evaluate(x2)
-        while budget_box.left > 0 and (b - a) > _GOLDEN_RTOL * max(1.0, abs(a)):
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _INVPHI * (b - a)
-                f1 = evaluate(x1)
+        x, w, v = points[best_i], a, b
+        fx, fw, fv = best_v, evaluate(w), evaluate(v)
+        d = e = b - a
+        while budget_box.left > 0:
+            tol1 = 0.25 * _C_RTOL * max(1.0, abs(x))
+            mid = 0.5 * (a + b)
+            if max(x - a, b - x) <= 2.0 * tol1:
+                break
+            step = None
+            if abs(e) > tol1 and math.isfinite(fw) and math.isfinite(fv):
+                r = (x - w) * (fx - fv)
+                q = (x - v) * (fx - fw)
+                p = (x - v) * q - (x - w) * r
+                q = 2.0 * (q - r)
+                if q > 0.0:
+                    p = -p
+                q = abs(q)
+                if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                    step = p / q
+                    if min(x + step - a, b - x - step) < 2.0 * tol1:
+                        step = math.copysign(tol1, mid - x)
+            if step is None:
+                e = (a if x >= mid else b) - x
+                step = _GOLDEN * e
             else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _INVPHI * (b - a)
-                f2 = evaluate(x2)
+                e = d
+            d = step
+            u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+            fu = evaluate(u)
+            if fu <= fx:
+                a, b = (x, b) if u >= x else (a, x)
+                v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            else:
+                a, b = (u, b) if u < x else (a, u)
+                if fu <= fw or w == x:
+                    v, fv, w, fw = w, fw, u, fu
+                elif fu <= fv or v in (x, w):
+                    v, fv = u, fu
 
     ranked = sorted(cache, key=lambda c: (cache[c], c)) if math.isfinite(best_v) else []
     return _certified(

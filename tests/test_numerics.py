@@ -133,6 +133,68 @@ def test_find_root_rejects_bad_bracket():
         RootBracket(2.0, 1.0)
 
 
+def counted(g):
+    # g plus a list whose length is the number of evaluations
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return g(x)
+
+    return wrapped, calls
+
+
+def assert_near_sign_change(g, r, tol):
+    # r is a root, or one end of a sign change no wider than tol
+    gr = g(r)
+    assert gr == 0.0 or any(
+        (g(x) > 0.0) != (gr > 0.0) for x in (r - tol, r + tol)
+    )
+
+
+@pytest.mark.parametrize("g, lo, hi, root", [
+    (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+    (lambda w: w * math.exp(w) + 0.1, -10.0, -1.0, lambert_w(-1, -0.1)),
+    (lambda x: x**9 - 1e-9, 0.0, 1.0, 0.1),
+])
+def test_find_root_is_superlinear_on_smooth_roots(g, lo, hi, root):
+    # bisection would take 40-43 evaluations to reach 1e-12 on these
+    h, calls = counted(g)
+    r = find_root(h, RootBracket(lo, hi, tol=1e-12))
+    assert len(calls) <= 20
+    assert r == pytest.approx(root, abs=1e-12)
+    assert_near_sign_change(g, r, 1e-12)
+
+
+def test_find_root_on_a_jump_is_no_slower_than_bisection():
+    g = lambda x: math.copysign(1.0, x - 0.3)
+    h, calls = counted(g)
+    r = find_root(h, RootBracket(0.0, 1.0, tol=1e-12))
+    assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12)) + 2
+    assert r == pytest.approx(0.3, abs=1e-12)
+    assert_near_sign_change(g, r, 1e-12)
+
+
+@pytest.mark.parametrize("g, root", [
+    # +inf past the admissible range, as the endpoint root's Phi is
+    (lambda x: math.inf if x > 0.7 else x - 0.4123, 0.4123),
+    # -inf below it, as an unusable probe of the beta search is
+    (lambda x: -math.inf if x < 0.2 else math.exp(x) - 1.5, math.log(1.5)),
+])
+def test_find_root_takes_the_finite_side_root(g, root):
+    r = find_root(g, RootBracket(0.0, 1.0, tol=1e-12))
+    assert r == pytest.approx(root, abs=1e-12)
+    assert_near_sign_change(g, r, 1e-12)
+
+
+def test_find_root_respects_max_iter():
+    h, calls = counted(lambda x: math.cos(x) - x)
+    r = find_root(h, RootBracket(0.0, 1.0, tol=1e-15), max_iter=3)
+    assert len(calls) == 2 + 3
+    assert 0.0 <= r <= 1.0
+    assert r == pytest.approx(0.7390851332151607, abs=1e-2)
+
+
 # ---------------------------------------------------------------------------
 # integrate_ode
 # ---------------------------------------------------------------------------

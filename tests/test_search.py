@@ -89,11 +89,10 @@ def test_tuner_is_deterministic(tuned2):
 
 
 def test_tune_work_is_bounded(monkeypatch):
-    # beta alone is bisected along the c1 edge, and each probe closes the
-    # endpoint condition as one root on a table of F's parts: the default
-    # tune at capacity 5 spends 26 probes and 136 array calls of F or its
-    # parts, 54 of them tabulating and the rest in the one integration
-    # per solve
+    # the root in beta alone is found along the c1 edge, and each probe
+    # closes the endpoint condition as one root on a table of F's parts:
+    # the default tune at capacity 5 spends 11 probes and 61 array calls
+    # of F or its parts, against 26 and 136 when both roots were bisected
     calls = []
     adaptive_terms = policy._adaptive_terms
 
@@ -110,12 +109,12 @@ def test_tune_work_is_bounded(monkeypatch):
     res = tune_constants(PROB5)
     assert res.feasible
     assert res.d_avg <= 0.5417 * 1.01
-    assert res.evaluations <= 30
-    assert len(calls) <= 200
+    assert res.evaluations <= 15
+    assert len(calls) <= 90
 
 
 def test_seed_does_not_steer_the_search():
-    # the bisection draws no random numbers
+    # the root in beta draws no random numbers
     a = tune_constants(PROB5, SearchSpec(seed=0))
     b = tune_constants(PROB5, SearchSpec(seed=7))
     assert a.feasible
@@ -147,6 +146,24 @@ def test_budget_one_probes_single_point():
         assert res.solution is None
 
 
+def test_budget_spent_inside_the_root_certifies_what_it_has():
+    # six probes: both ends of the beta box and four steps of the root,
+    # which stops there; the best probe so far is certified
+    spec = SearchSpec(budget=6)
+    res = tune_constants(PROB5, spec)
+    assert res.evaluations == 6
+    again = tune_constants(PROB5, spec)
+    assert (res.d_avg, res.constants, res.infeasible_evals) == (
+        again.d_avg, again.constants, again.infeasible_evals
+    )
+    assert res.feasible
+    sol = res.solution
+    assert sol.pi0 / sol.kappa0 >= 0.5 * spec.margin
+    assert sol.optimality_residual <= 1e-5
+    # short of the full search's optimum, which needs 11 probes
+    assert res.d_avg > tune_constants(PROB5).d_avg
+
+
 def test_constant_kappa_tuner(tuned_kappa5):
     # [DERIVED] frozen optimum of the one-constant family at capacity 5
     assert tuned_kappa5.feasible
@@ -157,11 +174,11 @@ def test_constant_kappa_tuner(tuned_kappa5):
 
 
 def test_constant_kappa_golden_section_stops_at_scan_accuracy():
-    # the golden section ends at a width of 1e-7 * max(1, |C|): 64
-    # probes at the default budget, against 79 when it ran down to 1e-10,
-    # with the certified optimum unchanged
+    # Brent's minimization ends at a width of 1e-7 * max(1, |C|): 42
+    # probes at the default budget (33 of them the scan), against 64 for
+    # the golden section it replaced, with the certified optimum unchanged
     res = tune_constant_kappa(PROB5, budget=240)
-    assert res.evaluations <= 70
+    assert res.evaluations <= 50
     assert res.d_avg == pytest.approx(0.5593855145, rel=1e-9)
 
 
