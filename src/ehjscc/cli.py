@@ -106,7 +106,7 @@ def _section(data: dict, key: str) -> dict:
     return got
 
 
-def _number(raw, path: str, *, allow_inf: bool = False) -> float:
+def _number(raw, path: str, *, allow_inf: bool = False, positive: bool = False) -> float:
     if isinstance(raw, str) and raw.strip().lower() in ("inf", ".inf", "infinity"):
         value = math.inf
     elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
@@ -117,12 +117,16 @@ def _number(raw, path: str, *, allow_inf: bool = False) -> float:
         _fail(path, "must be finite")
     if math.isnan(value):
         _fail(path, "must not be NaN")
+    if positive and value <= 0.0:
+        _fail(path, "must be positive")
     return value
 
 
-def _integer(raw, path: str) -> int:
+def _integer(raw, path: str, *, minimum: Optional[int] = None) -> int:
     if not isinstance(raw, int) or isinstance(raw, bool):
         _fail(path, f"expected an integer, got {raw!r}")
+    if minimum is not None and raw < minimum:
+        _fail(path, f"must be at least {minimum}")
     return raw
 
 
@@ -208,12 +212,9 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self.leak = _build_leakage(data.get("leakage", "zero"))
-        self.capacity = _number(data.get("capacity"), "capacity", allow_inf=True)
-        if self.capacity <= 0.0:
-            _fail("capacity", "must be positive")
-        self.p0plus = _number(data.get("p0plus", 1e-3), "p0plus")
-        if self.p0plus <= 0.0:
-            _fail("p0plus", "must be positive")
+        self.capacity = _number(data.get("capacity"), "capacity",
+                                allow_inf=True, positive=True)
+        self.p0plus = _number(data.get("p0plus", 1e-3), "p0plus", positive=True)
 
         self.policy_kind = data.get("policy", "adaptive")
         if self.policy_kind not in ("adaptive", "constant-kappa"):
@@ -265,9 +266,11 @@ class RunConfig:
         if "beta_bounds" in sec:
             kwargs["beta_bounds"] = _pair(sec["beta_bounds"], "search.beta_bounds")
         try:
-            return SearchSpec(**kwargs)
+            spec = SearchSpec(**kwargs)
+            spec.resolved_bounds(self.src)
         except ValueError as exc:
             raise ConfigError(f"search: {exc}") from exc
+        return spec
 
     def _parse_sweep(self, sec):
         if sec is None:
@@ -278,10 +281,11 @@ class RunConfig:
         raw = sec.get("capacities")
         if not isinstance(raw, (list, tuple)) or not raw:
             _fail("sweep.capacities", "expected a non-empty list")
-        caps = [_number(v, f"sweep.capacities[{i}]") for i, v in enumerate(raw)]
+        caps = [_number(v, f"sweep.capacities[{i}]", positive=True)
+                for i, v in enumerate(raw)]
         budget = 240
         if "kappa_budget" in sec:
-            budget = _integer(sec["kappa_budget"], "sweep.kappa_budget")
+            budget = _integer(sec["kappa_budget"], "sweep.kappa_budget", minimum=1)
         return caps, budget
 
     def _parse_simulate(self, sec):
@@ -296,7 +300,7 @@ class RunConfig:
         _reject_unknown(sec, _SECTION_KEYS["simulate"], "simulate.")
         self.horizon = _number(sec.get("horizon"), "simulate.horizon")
         if "seed" in sec:
-            self.sim_seed = _integer(sec["seed"], "simulate.seed")
+            self.sim_seed = _integer(sec["seed"], "simulate.seed", minimum=0)
         if "z0" in sec:
             self.sim_z0 = _number(sec["z0"], "simulate.z0")
         if "policy_csv" in sec:

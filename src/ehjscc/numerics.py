@@ -1,14 +1,14 @@
 """Self-contained numerical kernel.
 
-Real Lambert W branches, bracketed scalar root finding, a solver for
-autonomous scalar ODEs p' = F(p) by Gauss-Legendre quadrature of
-z(p) = Int dq / F(q) with F evaluated on whole arrays, an embedded
-adaptive Runge-Kutta integrator for general scalar ODEs (the reference
-the quadrature solver is tested against), composite quadrature on graded
-grids, and a deterministic seedable random stream.  Nothing in here
-knows about sources, channels or batteries; the rest of the package
-builds on this single auditable core instead of pulling in a
-general-purpose solver library.
+Real Lambert W branches, bracketed scalar root finding (``find_root``)
+and minimization (``find_minimum``), a solver for autonomous scalar ODEs
+p' = F(p) by Gauss-Legendre quadrature of z(p) = Int dq / F(q) with F
+evaluated on whole arrays, an embedded adaptive Runge-Kutta integrator
+for general scalar ODEs (the reference the quadrature solver is tested
+against), composite quadrature on graded grids, and a deterministic
+seedable random stream.  Nothing in here knows about sources, channels or
+batteries; the rest of the package builds on this single auditable core
+instead of pulling in a general-purpose solver library.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "lambert_w",
     "RootBracket",
     "find_root",
+    "find_minimum",
     "integrate_ode",
     "AutonomousPath",
     "integrate_autonomous",
@@ -138,7 +139,7 @@ def lambert_w(branch: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Root finding
+# Root finding and minimization
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -224,6 +225,64 @@ def find_root(g, bracket: RootBracket, max_iter: int = 200) -> float:
             c, fc = a, fa
             d = e = b - a
     return b if abs(fb) <= abs(fc) else c
+
+
+# golden-section step of Brent's minimization, as a share of the larger side
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def find_minimum(f, lo: float, hi: float, tol, max_iter: int = 200) -> float:
+    """Brent's minimization of f on (lo, hi): the best point it sees.
+
+    From the golden point, each step goes to the vertex of the parabola
+    through the best three points if it lies in the bracket and moves
+    less than half the step before last, else a golden-section step into
+    the larger side; a +inf value (an infeasible point) among the three
+    forces the golden step.  Stops once the best point x lies within
+    tol(x)/2 of both ends of the bracket, or after ``max_iter``
+    evaluations past the first.  The ends are never evaluated.
+    """
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    # d and e are the last two step lengths
+    d = e = 0.0
+    for _ in range(max_iter):
+        tol1 = 0.25 * tol(x)
+        mid = 0.5 * (a + b)
+        if max(x - a, b - x) <= 2.0 * tol1:
+            break
+        step = None
+        if abs(e) > tol1 and math.isfinite(fx) and math.isfinite(fw) and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                if min(x + step - a, b - x - step) < 2.0 * tol1:
+                    step = math.copysign(tol1, mid - x)
+        if step is None:
+            e = (a if x >= mid else b) - x
+            step = _GOLDEN * e
+        else:
+            e = d
+        d = step
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return x
 
 
 # ---------------------------------------------------------------------------

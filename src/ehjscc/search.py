@@ -9,10 +9,10 @@ power p(L), and c1 sits just below the closed-form edge where the
 denominator of the policy ODE changes sign at p0plus, which is where
 the tuned optimum lies.  That leaves a bracketed root in beta, found by
 :func:`~ehjscc.numerics.find_root` (Brent-Dekker).  The single constant
-of the constant-mismatch policy gets a scan plus a polish by Brent's
-minimization (parabolic steps, golden-section fallback).  A capacity sweep ties both tuners and
-the converse bound together into one table, which is what the plotting
-and CLI layers consume.
+C of the constant-mismatch policy is found by one Brent minimization,
+:func:`~ehjscc.numerics.find_minimum`, over its whole box.  A capacity
+sweep ties both tuners and the converse bound together into one table,
+which is what the plotting and CLI layers consume.
 
 Objective evaluations use a coarsened grid and relaxed ODE tolerances
 (the ranking of candidate constants is insensitive to the last four
@@ -27,6 +27,7 @@ minimization once its bracket is narrower than 1e-7 * max(1, |C|).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
@@ -38,7 +39,7 @@ from .models import (
     SourceModel,
     ZeroLeakage,
 )
-from .numerics import Grid, RootBracket, find_root
+from .numerics import Grid, RootBracket, find_minimum, find_root
 from .policy import (
     PolicySolution,
     VariationalConstants,
@@ -64,8 +65,6 @@ _SCAN_GRID_N = 300
 _SCAN_ATOL = 1e-10
 _SCAN_RTOL = 1e-9
 
-# golden-section step of Brent's minimization, as a share of the larger side
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 # the root in beta and the minimization in C stop at this width relative
 # to max(1, |beta|) and max(1, |C|): a scan-grid probe is itself off by
 # 5e-5 to 4e-4 relative, so a narrower bracket only ranks quadrature error
@@ -185,56 +184,51 @@ class SweepResult:
             yield cap, a.d_avg, k.d_avg, lb
 
 
-class _Budget:
-    # mutable evaluation counter shared by the phases of one search
-    def __init__(self, total: int):
-        self.left = total
-        self.spent = 0
+class _BudgetSpent(Exception):
+    """A probe was asked for after the last one the budget allows."""
+
+
+class _Probe:
+    # outcome(x) -> (value, usable), memoized as a search's objective: each
+    # new x takes one of ``total`` probes, and one more raises _BudgetSpent
+    def __init__(self, total: int, outcome):
+        self.total = total
+        self.outcome = outcome
+        self.seen = {}
         self.infeasible = 0
 
-    def take(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        self.spent += 1
-        return True
+    def __call__(self, x: float) -> float:
+        if x not in self.seen:
+            if len(self.seen) >= self.total:
+                raise _BudgetSpent
+            self.seen[x], usable = self.outcome(x)
+            self.infeasible += not usable
+        return self.seen[x]
 
 
-def _certified(candidates, solve, accept, budget: _Budget) -> TuneResult:
+def _certified(candidates, solve, accept, probe: _Probe) -> TuneResult:
     # the first candidate whose full-accuracy re-solve is accepted
     for point in candidates:
         sol = solve(point)
         if accept(sol):
             return TuneResult(sol.constants, sol.c, sol.d_avg, sol,
-                              budget.spent, budget.infeasible)
-    return TuneResult(None, None, math.inf, None, budget.spent, budget.infeasible)
+                              len(probe.seen), probe.infeasible)
+    return TuneResult(None, None, math.inf, None, len(probe.seen), probe.infeasible)
 
 
-class _BudgetSpent(Exception):
-    """A probe was asked for after the last one the budget allows."""
-
-
-def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Budget,
-                history):
-    """The margin gap of the edge solve at beta, as a function of beta.
+def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid, history) -> _Probe:
+    """The margin gap of the edge solve at beta, as a probe of ``spec.budget``.
 
     A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves on the scan
     grid with c2 fixed by the endpoint condition, so its outcome depends
     on beta alone (the c2 passed in is ignored).  It returns the share
-    pi0/kappa0 less ``spec.margin``, -inf when the solve is unusable,
-    and raises :class:`_BudgetSpent` once the budget is spent; a beta
-    probed before is answered again without a probe.  Feasible
-    probes at the margin or above go to ``history`` as
-    (d_avg, (beta, c1, c2)).
+    pi0/kappa0 less ``spec.margin``, or -inf when the solve is unusable.
+    Feasible probes at the margin or above go to ``history`` as
+    (d_avg, (beta, c1, c2)); the others count as infeasible.
     """
     src, ch = problem.src, problem.ch
-    seen = {}
 
-    def gap(beta: float) -> float:
-        if beta in seen:
-            return seen[beta]
-        if not budget.take():
-            raise _BudgetSpent
+    def gap(beta: float):
         c1 = _c1_edge(src, ch, beta, problem.p0plus) - _EDGE_OFFSET
         sol = solve_adaptive(
             src, ch, problem.arrivals, problem.leak,
@@ -243,21 +237,17 @@ def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid, budget: _Budget,
             grid=grid, refine_c2=True, atol=_SCAN_ATOL, rtol=_SCAN_RTOL,
         )
         if sol.grid is None:
-            budget.infeasible += 1
-            seen[beta] = -math.inf
-            return seen[beta]
+            return -math.inf, False
         # pi0/kappa0 by the average-distortion identity, which also holds
         # past the normalization boundary, where kappa0 does not exist
         share = (sol.d_avg - sol.d_beta) / (src.d_max - sol.d_beta)
-        if share < spec.margin or not sol.feasible:
-            # an underflowing pi0 can leave a solve infeasible at the margin
-            budget.infeasible += 1
-        else:
+        # an underflowing pi0 can leave a solve infeasible at the margin
+        usable = share >= spec.margin and sol.feasible
+        if usable:
             history.append((sol.d_avg, (beta, c1, sol.constants.c2)))
-        seen[beta] = share - spec.margin
-        return seen[beta]
+        return share - spec.margin, usable
 
-    return gap
+    return _Probe(spec.budget, gap)
 
 
 def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneResult:
@@ -284,10 +274,9 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     no random numbers, so ``spec.seed`` does not change the result.
     """
     lo, hi = spec.resolved_bounds(problem.src)
-    budget = _Budget(spec.budget)
     grid = Grid.graded(problem.capacity, n=_SCAN_GRID_N)
     history = []
-    gap = _edge_probe(problem, spec, grid, budget, history)
+    gap = _edge_probe(problem, spec, grid, history)
 
     try:
         # a sign change needs the low end short of the margin, the high end at it
@@ -296,7 +285,7 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
         else:
             history.clear()
     except _BudgetSpent:
-        if budget.spent < 2:
+        if len(gap.seen) < 2:
             history.clear()   # spent before both ends were known
 
     # --- full-accuracy certification ----------------------------------
@@ -311,7 +300,7 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
             VariationalConstants(*point), refine_c2=True,
         ),
         lambda sol: sol.feasible and sol.pi0 / sol.kappa0 >= 0.5 * spec.margin,
-        budget,
+        gap,
     )
 
 
@@ -322,22 +311,21 @@ def tune_constant_kappa(
 ) -> TuneResult:
     """Find the constant C minimizing the constant-mismatch distortion.
 
-    The admissible region is C below -lam * D~(delta/lam): at that value
+    The admissible region is C below c* = -lam * D~(delta/lam): at c*
     the power policy freezes at the mean-harvest fixed point and above it
     the power would have to fall, which the drift equation rules out.
     Steeper constants blow the power up before ever larger capacities,
-    so the surviving window hugs the fixed-point value from below and
-    shrinks as the capacity grows; the coarse scan therefore spaces its
-    probes geometrically in the offset from that value, then Brent's
-    minimization, started from the scan's best point, narrows the best
-    bracket down to a width of 1e-7 * max(1, |C|) and the winner is
-    re-solved at full accuracy.
+    so the feasible window hugs c* from below, shrinks as the capacity
+    grows and holds one minimum of d_avg, often on its lower edge.  One
+    Brent minimization over the box in t = -ln(c* - C), with infeasible
+    probes at +inf below the window, stops once the bracket is narrower
+    in C than 1e-7 * max(1, |C|); the five best feasible probes are
+    re-solved at full accuracy, best first, until one is accepted.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     arr = problem.arrivals
-    mean_p = arr.delta / arr.lam
-    c_star = -arr.lam * distortion(problem.src, problem.ch, mean_p, 1.0)
+    c_star = -arr.lam * distortion(problem.src, problem.ch, arr.delta / arr.lam, 1.0)
     edge = c_star - 1e-9 * max(1.0, abs(c_star))
     if c_bounds is None:
         c_bounds = (c_star - 2.0, edge)
@@ -348,93 +336,36 @@ def tune_constant_kappa(
             f"c_bounds {c_bounds} leave nothing below the fixed-point value {c_star}"
         )
 
-    budget_box = _Budget(budget)
     grid = Grid.graded(problem.capacity, n=_SCAN_GRID_N)
 
-    cache = {}
-
-    def evaluate(c: float) -> float:
-        if c in cache:
-            return cache[c]
-        if not budget_box.take():
-            return math.inf
+    def outcome(t: float):
         sol = solve_constant_kappa(
             problem.src, problem.ch, arr, problem.leak,
-            problem.capacity, problem.p0plus, c=c,
+            problem.capacity, problem.p0plus, c=c_star - math.exp(-t),
             grid=grid, atol=_SCAN_ATOL, rtol=_SCAN_RTOL,
         )
-        value = sol.d_avg if sol.feasible else math.inf
-        if not sol.feasible:
-            budget_box.infeasible += 1
-        cache[c] = value
-        return value
+        return (sol.d_avg if sol.feasible else math.inf), sol.feasible
 
-    # geometric offsets below the fixed-point value, largest first so the
-    # points come out in increasing C order
-    m = max(2, min(budget // 2, 33))
-    off_hi = c_star - lo
-    off_lo = c_star - hi
-    ratio = (off_lo / off_hi) ** (1.0 / (m - 1))
-    points = [c_star - off_hi * ratio**i for i in range(m)]
-    values = [evaluate(c) for c in points]
-    best_i = min(range(m), key=lambda i: (values[i], i))
+    def width(t: float) -> float:
+        # a side of length ln(1 + h * e^t) spans h in C below t and less
+        # above it, so at sides of half this width the bracket spans at
+        # most _C_RTOL * max(1, |C|) in C
+        h = 0.5 * _C_RTOL * max(1.0, abs(c_star - math.exp(-t)))
+        return 2.0 * math.log1p(h * math.exp(t))
 
-    best_v = values[best_i]
-    if math.isfinite(best_v) and budget_box.left > 0:
-        # Brent's minimization inside the bracketing cells, from the scan's
-        # best point x: a parabola through x, w and v (the best three
-        # points) where it steps inside the bracket by less than half the
-        # step before last, a golden step into the larger side otherwise
-        a = points[max(best_i - 1, 0)]
-        b = points[min(best_i + 1, m - 1)]
-        x, w, v = points[best_i], a, b
-        fx, fw, fv = best_v, evaluate(w), evaluate(v)
-        d = e = b - a
-        while budget_box.left > 0:
-            tol1 = 0.25 * _C_RTOL * max(1.0, abs(x))
-            mid = 0.5 * (a + b)
-            if max(x - a, b - x) <= 2.0 * tol1:
-                break
-            step = None
-            if abs(e) > tol1 and math.isfinite(fw) and math.isfinite(fv):
-                r = (x - w) * (fx - fv)
-                q = (x - v) * (fx - fw)
-                p = (x - v) * q - (x - w) * r
-                q = 2.0 * (q - r)
-                if q > 0.0:
-                    p = -p
-                q = abs(q)
-                if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                    step = p / q
-                    if min(x + step - a, b - x - step) < 2.0 * tol1:
-                        step = math.copysign(tol1, mid - x)
-            if step is None:
-                e = (a if x >= mid else b) - x
-                step = _GOLDEN * e
-            else:
-                e = d
-            d = step
-            u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-            fu = evaluate(u)
-            if fu <= fx:
-                a, b = (x, b) if u >= x else (a, x)
-                v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-            else:
-                a, b = (u, b) if u < x else (a, u)
-                if fu <= fw or w == x:
-                    v, fv, w, fw = w, fw, u, fu
-                elif fu <= fv or v in (x, w):
-                    v, fv = u, fu
+    d_avg = _Probe(budget, outcome)
+    with suppress(_BudgetSpent):
+        find_minimum(d_avg, -math.log(c_star - lo), -math.log(c_star - hi), width)
 
-    ranked = sorted(cache, key=lambda c: (cache[c], c)) if math.isfinite(best_v) else []
+    ranked = sorted((v, t) for t, v in d_avg.seen.items() if v < math.inf)
     return _certified(
-        ranked[:5],
+        [c_star - math.exp(-t) for _, t in ranked[:5]],
         lambda c: solve_constant_kappa(
             problem.src, problem.ch, arr, problem.leak,
             problem.capacity, problem.p0plus, c=c,
         ),
         lambda sol: sol.feasible,
-        budget_box,
+        d_avg,
     )
 
 

@@ -101,6 +101,8 @@ class SimConfig:
                 )
         if not 0.0 <= self.z0 <= cap:
             raise ValueError(f"z0 must lie in [0, {cap}], got {self.z0}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,23 @@ def test_config_error_exit_codes(workdir, capsys):
         assert f"{key}: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("simulate", "simulate: {horizon: 10.0, seed: -1}\n", "simulate.seed"),
+    ("sweep", "sweep: {capacities: [2.0], kappa_budget: 0}\n", "sweep.kappa_budget"),
+    ("sweep", "sweep: {capacities: [2.0, -1.0]}\n", "sweep.capacities[1]"),
+    # beta's admissible range is (-1, 0) for a unit-variance Gaussian
+    ("search", "search: {beta_bounds: [-1.5, -0.5]}\n", "search"),
+])
+def test_values_out_of_range_for_the_run_are_config_errors(
+        workdir, capsys, command, section, key):
+    # values the library would reject only once the command runs are
+    # caught while the config is read, so they exit 2, not with a traceback
+    path = workdir / f"out_of_range_{key}.yaml"
+    path.write_text(GAUSS_SYSTEM + BENCH_CONSTANTS + section)
+    assert main([command, "--config", str(path), "--out", str(workdir / "unused")]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
 def test_usage_error_exits_via_argparse(workdir):
     with pytest.raises(SystemExit):
         main(["solve"])

@@ -11,6 +11,7 @@ from ehjscc.numerics import (
     SingularityError,
     _gauss_tables,
     cumulative_integral,
+    find_minimum,
     find_root,
     integrate_autonomous,
     integrate_ode,
@@ -193,6 +194,61 @@ def test_find_root_respects_max_iter():
     assert len(calls) == 2 + 3
     assert 0.0 <= r <= 1.0
     assert r == pytest.approx(0.7390851332151607, abs=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# find_minimum
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("f, x_min", [
+    (lambda x: (x - 0.3) ** 2, 0.3),
+    (lambda x: math.cosh(x - 1.234), 1.234),
+])
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_find_minimum_is_quick_on_smooth_minima(f, x_min, tol):
+    # golden-section steps alone would need 16 and 31 here
+    h, calls = counted(f)
+    x = find_minimum(h, 0.0, 2.0, lambda x: tol)
+    assert len(calls) <= 10
+    assert abs(x - x_min) <= tol
+    assert f(x) == min(f(c) for c in calls)
+
+
+def test_find_minimum_stop_width_may_depend_on_the_point():
+    # a width relative to the best point, as the constant-mismatch
+    # tuner's is (12 evaluations measured)
+    tol = lambda x: 1e-4 * x
+    h, calls = counted(lambda x: math.exp(x) - 2.0 * x)
+    x = find_minimum(h, 0.0, 4.0, tol)
+    assert abs(x - math.log(2.0)) <= tol(x)
+    assert len(calls) <= 15
+
+
+def test_find_minimum_converges_onto_an_infinite_edge_from_the_finite_side():
+    # +inf below 0.3, values falling toward it: the least finite value
+    # lies on the edge, which golden steps close in on
+    f = lambda x: math.inf if x < 0.3 else x
+    x = find_minimum(f, 0.0, 1.0, lambda x: 1e-9)
+    assert 0.3 <= x <= 0.3 + 1e-9
+
+
+def test_find_minimum_terminates_when_everything_is_infinite():
+    h, calls = counted(lambda x: math.inf)
+    x = find_minimum(h, 0.0, 1.0, lambda x: 1e-9)
+    assert 0.0 < x < 1.0
+    assert len(calls) <= 50
+    h, calls = counted(lambda x: math.inf)
+    find_minimum(h, 0.0, 1.0, lambda x: 1e-300, max_iter=7)
+    assert len(calls) == 1 + 7
+
+
+def test_find_minimum_is_deterministic():
+    f = lambda x: math.inf if x < 0.2 else (x - 0.5) ** 4 + 0.1 * math.sin(9.0 * x)
+    runs = []
+    for _ in range(2):
+        h, calls = counted(f)
+        runs.append((find_minimum(h, 0.0, 1.0, lambda x: 1e-8), calls))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,9 @@ def test_config_rejects_bad_inputs(bench_policy):
     with pytest.raises(ValueError):
         SimConfig(policy=bench_policy, system=SYSTEM, horizon=100.0, z0=-0.1,
                   src=GAUSS, ch=CHAN)
+    with pytest.raises(ValueError):
+        SimConfig(policy=bench_policy, system=SYSTEM, horizon=100.0, seed=-1,
+                  src=GAUSS, ch=CHAN)
 
 
 def test_config_requires_matching_capacity(bench_policy):
