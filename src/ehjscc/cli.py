@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional
 
@@ -44,6 +45,7 @@ from .numerics import Grid, SingularityError
 from .policy import (
     PolicySolution,
     VariationalConstants,
+    beta_range,
     solve_adaptive,
     solve_constant_kappa,
 )
@@ -106,9 +108,16 @@ def _section(data: dict, key: str) -> dict:
     return got
 
 
+# YAML 1.1, which PyYAML reads, resolves 1e-3 or 1e300 (no decimal point
+# or no exponent sign) to a string, not a float
+_EXPONENT_FORM = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
 def _number(raw, path: str, *, allow_inf: bool = False, positive: bool = False) -> float:
     if isinstance(raw, str) and raw.strip().lower() in ("inf", ".inf", "infinity"):
         value = math.inf
+    elif isinstance(raw, str) and _EXPONENT_FORM.fullmatch(raw.strip()):
+        value = float(raw)
     elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
         value = float(raw)
     else:
@@ -239,6 +248,10 @@ class RunConfig:
                     )
                 except ValueError as exc:
                     raise ConfigError(f"constants: {exc}") from exc
+                lo, hi = beta_range(self.src)
+                if not lo < self.constants.beta < hi:
+                    _fail("constants.beta",
+                          f"must sit strictly inside the source's range ({lo}, {hi})")
 
         self.search_spec = self._parse_search(data.get("search"))
         self.sweep_capacities, self.kappa_budget = self._parse_sweep(

@@ -10,16 +10,27 @@ excess above the capacity, and a drained battery sits at zero until the
 next arrival.  Consumed energy equals drained charge identically, so
 energy conservation holds to rounding, not to an integrator tolerance.
 
-The work splits in two.  A scalar loop only follows the trajectory in
-u: drain, empty out, lift, reflect, keeping the energy books.  It
-records each drain segment and each empty interval, and every chunk of
-at most ``_CHUNK`` steps is accounted for in bulk with array operations:
-the segments are clipped to the measurement window (everything after
-the burn-in), their time-weighted integrals of power, inverse mismatch
-and reported distortion come from a cumulative table W(z) (node
-cumulatives plus per-cell closed forms), and their occupancy of a
-uniform charge grid from ``np.bincount`` over partial bin times and a
-difference array of full-bin crossings.  Memory stays flat in the
+The path is computed a run of arrivals at a time.  After a first slice
+of 1024 events, a run holds 16,384, and lanes of 128 consecutive events
+are advanced together, one event per vectorized step: lane 0 from the
+true state, every other lane from an empty battery.  Chains driven by
+the same arrivals keep their order and coalesce once the upper one runs
+dry or the lower one overflows, so a scalar walker follows each later
+lane from the true end of the one before only until its charge equals
+the speculated one; from there the speculation is exact, because the
+vector step does the walker's float operations in the walker's order.
+Where the chain seldom runs dry or overflows, a run gets no lanes and
+the walker walks all of it.  Wall times and the energy books are
+running sums by ``np.cumsum``, which adds in order as a loop does, so
+the statistics do not depend on how the path was found.
+
+Every slice of 1024 events is then accounted for in bulk with array
+operations: the drain segments are clipped to the measurement window
+(everything after the burn-in), their time-weighted integrals of power,
+inverse mismatch and reported distortion come from a cumulative table
+W(z) (node cumulatives plus per-cell closed forms), and their occupancy
+of a uniform charge grid from ``np.bincount`` over partial bin times and
+a difference array of full-bin crossings.  Memory stays flat in the
 horizon.
 """
 
@@ -28,6 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -48,7 +60,15 @@ __all__ = [
 _BINS = 512
 _BURN_IN_FRACTION = 0.01
 _RNG_BLOCK = 8192
-_CHUNK = 1024   # event-loop steps per bulk accounting
+_SLICE = 1024               # events per bulk accounting step
+_CHUNK = 2 * _RNG_BLOCK     # events per run after the first slice
+_LANE = 128                 # events per speculative lane
+_MIN_LANES = 32             # fewer lanes do not repay a vector step's fixed cost
+# lanes run while the last run's chain regenerated (ran dry or
+# overflowed) at least this many times per lane length: a lane's walk
+# lasts about one regeneration gap, and lanes pay while that is a small
+# share of the lane
+_REGENERATIONS_PER_LANE = 4
 
 
 @dataclass(frozen=True)
@@ -185,6 +205,7 @@ class _DrainTable:
         # a cell whose drain rate barely changes takes the constant-rate
         # form instead: the log form would lose every digit
         self.curved = np.abs(gs) * dz > 1e-12 * ga
+        self.any_flat = not self.curved.all()
         gs_c = self.gs_c = np.where(self.curved, gs, 1.0)
 
         # weighted times are per-cell linear combinations of two moments
@@ -210,6 +231,26 @@ class _DrainTable:
         )
         self.u_max = float(self.u_node[0])
         self.neg_u_cells = -self.u_node[:-1]            # ascending
+
+        # per-cell rows that step() gathers in one indexing operation
+        # each, and the same tables as plain python lists for _walk (scalar
+        # math on lists is several times faster than on small numpy
+        # arrays); the search tables leave out the last node, so z = cap
+        # and u = 0 both land in the top cell instead of past the end
+        u_top = self.u_node[1:]
+        self.z_cells = z[:-1]
+        self.drain_rows = np.stack(
+            (u_top, -gs_c, z[1:], self.gb / gs_c, self.gb, self.curved), axis=1
+        )
+        self.lift_rows = np.stack(
+            (self.z_cells, dz, ga, gs_c, gs, u_top, self.curved), axis=1
+        )
+        self.walk_lists = (
+            self.z_cells.tolist(), self.neg_u_cells.tolist(), z[1:].tolist(),
+            u_top.tolist(), dz.tolist(), ga.tolist(), self.gb.tolist(),
+            gs.tolist(), (self.gb / gs_c).tolist(), self.curved.tolist(),
+            cap, self.u_max,
+        )
 
         # bin edges are a subset of the merged nodes: record their u values
         # and the fixed time each full-bin crossing takes
@@ -245,7 +286,7 @@ class _DrainTable:
 
     def z_of_u(self, u):
         # charge after draining from the top for time u, elementwise; the
-        # event loop inlines the scalar form of the same closed form
+        # walker and the lanes' step inline the same closed form
         i = np.searchsorted(self.neg_u_cells, -u, side="right") - 1
         i = np.clip(i, 0, len(self.dz) - 1)
         tau = u - self.u_node[i + 1]
@@ -253,28 +294,90 @@ class _DrainTable:
         drop = np.where(self.curved[i], -(gb / gs) * np.expm1(-gs * tau), gb * tau)
         return self.z[i + 1] - drop
 
-    def loop_tables(self):
-        # plain python lists for the scalar event loop (scalar math on
-        # lists is several times faster than on small numpy arrays); the
-        # search lists leave out the last node, so z = cap and u = 0 both
-        # land in the top cell instead of past the end
-        return (
-            self.z[:-1].tolist(),
-            self.neg_u_cells.tolist(),
-            self.z[1:].tolist(),
-            self.u_node[1:].tolist(),
-            self.dz.tolist(),
-            self.ga.tolist(),
-            self.gb.tolist(),
-            self.gs.tolist(),
-            (self.gb / self.gs_c).tolist(),
-            self.curved.tolist(),
-        )
+    def step(self, z, u, seg, energy):
+        # one event in every lane at once: drain for seg from charge z
+        # (time-to-drain u), then lift by energy, elementwise.  The same
+        # float operations in the same order as _walk, with searchsorted
+        # for bisect and math.expm1/math.log1p mapped over the lanes
+        # (numpy's SIMD builds of the two differ from libm in the last
+        # bit), so every lane's floats equal the walker's.  Returns the
+        # drained charge and the charge and u after the lift
+        u_max = self.u_max
+        u_end = u + seg
+        live = (z > 0.0) & (u_end < u_max)
+        # a lane that is empty or runs dry takes 0 below; clipped, its
+        # lookup stays in the table and its expm1 argument bounded
+        u_end = np.minimum(u_end, u_max)
+        i = self.neg_u_cells.searchsorted(-u_end, side="right") - 1
+        u_top, neg_gs, z_top, ratio, gb, curved = self.drain_rows.take(i, axis=0).T
+        tau = u_end - u_top
+        drained = z_top + ratio * _mapped(math.expm1, neg_gs * tau)
+        if self.any_flat:
+            drained = np.where(curved, drained, z_top - gb * tau)
+        drained = np.where(live, drained, 0.0)
+
+        # at the capacity the lift's closed form gives u = 0 exactly
+        z = np.minimum(drained + energy, self.cap)
+        i = self.z_cells.searchsorted(z, side="right") - 1
+        z_cell, dz, ga, gs_c, gs, u_top, curved = self.lift_rows.take(i, axis=0).T
+        x1 = z - z_cell
+        dx = dz - x1
+        u = u_top + _mapped(math.log1p, gs_c * dx / (ga + gs_c * x1)) / gs_c
+        if self.any_flat:
+            u = np.where(curved, u, u_top + dx / (ga + gs * 0.5 * (x1 + dz)))
+        return drained, z, u
+
+
+def _mapped(fn, x):
+    # a scalar math function applied elementwise, through libm
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
+def _walk(lists, segs, energies, targets, z, u):
+    # the exact state recursion, one event at a time from charge z (u):
+    # drain for seg (emptying out if the charge runs dry), then lift by
+    # the energy and reflect at the capacity.  Stops after the first lift
+    # whose charge equals its target, where a speculated path has met the
+    # true one.  Returns every walked event's entry charge and u and the
+    # charge its drain left, and the state after the last lift
+    (z_cells, neg_u_cells, z_top, u_top, dz_l, ga_l, gb_l, gs_l, ratio_l,
+     curved_l, cap, u_max) = lists
+    expm1, log1p = math.expm1, math.log1p
+    z_in, u_in, drained = [], [], []
+    push_z, push_u, push_drained = z_in.append, u_in.append, drained.append
+    for seg, energy, target in zip(segs, energies, targets):
+        push_z(z)
+        push_u(u)
+        if z > 0.0:
+            u_end = u + seg
+            if u_end < u_max:
+                i = bisect_right(neg_u_cells, -u_end) - 1
+                if curved_l[i]:
+                    z = z_top[i] + ratio_l[i] * expm1(-gs_l[i] * (u_end - u_top[i]))
+                else:
+                    z = z_top[i] - gb_l[i] * (u_end - u_top[i])
+            else:
+                z = 0.0
+        push_drained(z)
+        z += energy
+        if z > cap:
+            z, u = cap, 0.0
+        else:
+            i = bisect_right(z_cells, z) - 1
+            x1 = z - z_cells[i]
+            gs = gs_l[i]
+            if curved_l[i]:
+                u = u_top[i] + log1p(gs * (dz_l[i] - x1) / (ga_l[i] + gs * x1)) / gs
+            else:
+                u = u_top[i] + (dz_l[i] - x1) / (ga_l[i] + gs * 0.5 * (x1 + dz_l[i]))
+        if z == target:
+            break
+    return z_in, u_in, drained, z, u
 
 
 class _Tally:
     # time-weighted statistics of the measurement window [burn, horizon],
-    # accumulated from chunks of drain segments and empty intervals
+    # accumulated from slices of drain segments and empty intervals
     def __init__(self, table: _DrainTable, burn: float, horizon: float):
         self.table = table
         self.burn = burn
@@ -289,16 +392,38 @@ class _Tally:
         self.end_moments = np.zeros((3, len(table.dz)))
         self.pi0_time = 0.0
 
-    def add_drains(self, flat):
-        # flat rows of (t_a, u_a, u_b, z_a, z_b): the charge drains from
-        # z_a at wall time t_a (u = u_a) down to z_b (u = u_b); clip each
-        # segment to the window, then credit the weighted times and bins.
-        # The loop ends every segment by the horizon, so only the burn-in
-        # cuts segments
-        if not flat:
+    def add_path(self, t_at, segs, z_in, u_in, drained):
+        # a run of the true path, event by event: wall time, interval
+        # length, entry charge and u, and the charge the drain left.  An
+        # event drains from its entry charge, running dry at u_max, or
+        # waits on an empty battery.  Records go in a slice of _SLICE
+        # events at a time, in event order
+        u_max = self.table.u_max
+        for s in range(0, len(segs), _SLICE):
+            t, seg, z, u, z_lo = (
+                x[s:s + _SLICE] for x in (t_at, segs, z_in, u_in, drained)
+            )
+            drains = z > 0.0
+            u_end = u + seg
+            emptied = drains & (u_end >= u_max)
+            u_end[emptied] = u_max
+            self.add_drains(t[drains], u[drains], u_end[drains], z[drains],
+                            z_lo[drains])
+            drain_time = u_max - u
+            waits = ~drains | emptied
+            self.add_empty(
+                np.where(drains, t + drain_time, t)[waits],
+                np.where(drains, seg - drain_time, seg)[waits],
+            )
+
+    def add_drains(self, t_a, u_a, hi, z_hi, z_lo):
+        # the charge drains from z_hi at wall time t_a (u = u_a) down to
+        # z_lo (u = hi); clip each segment to the window, then credit the
+        # weighted times and bins.  Every segment ends by the horizon, so
+        # only the burn-in cuts segments
+        if not len(t_a):
             return
         table = self.table
-        t_a, u_a, hi, z_hi, z_lo = np.array(flat, dtype=float).reshape(-1, 5).T
         lo = np.maximum(u_a, u_a + (self.burn - t_a))
         live = hi > lo
         if not live.all():
@@ -342,11 +467,10 @@ class _Tally:
             np.bincount(i, weights=b, minlength=n),
         ))
 
-    def add_empty(self, flat):
-        # flat rows of (t_a, dt): the battery sits empty from wall time t_a
-        if not flat:
+    def add_empty(self, t_a, dt):
+        # the battery sits empty from wall time t_a for dt
+        if not len(t_a):
             return
-        t_a, dt = np.array(flat, dtype=float).reshape(-1, 2).T
         lo = np.maximum(t_a, self.burn)
         hi = np.minimum(t_a + dt, self.horizon)
         self.pi0_time += float(np.sum(np.maximum(hi - lo, 0.0)))
@@ -364,18 +488,78 @@ class _Tally:
         ).sum(axis=0)
 
 
-def _arrival_chunks(rng, delta: float, lam: float):
-    # (inter-arrival times, energies) in chunks of _CHUNK, drawn in blocks
-    # of _RNG_BLOCK times followed by _RNG_BLOCK energies; without
-    # arrivals, one infinite wait
-    if delta == 0.0:
-        while True:
-            yield [math.inf], [0.0]
-    while True:
-        times = rng.exponential(rate=delta, size=_RNG_BLOCK).tolist()
-        energies = rng.exponential(rate=lam, size=_RNG_BLOCK).tolist()
-        for k in range(0, _RNG_BLOCK, _CHUNK):
-            yield times[k:k + _CHUNK], energies[k:k + _CHUNK]
+class _Arrivals:
+    # inter-arrival times and packet energies, drawn in blocks of
+    # _RNG_BLOCK times followed by _RNG_BLOCK energies and handed out in
+    # runs of any length; without arrivals, one infinite wait
+    def __init__(self, rng, delta: float, lam: float):
+        self.rng, self.delta, self.lam = rng, delta, lam
+        self.taus = self.energies = np.empty(0)
+
+    def take(self, n: int):
+        if self.delta == 0.0:
+            return np.array([math.inf]), np.array([0.0])
+        while len(self.taus) < n:
+            taus = self.rng.exponential(rate=self.delta, size=_RNG_BLOCK)
+            energies = self.rng.exponential(rate=self.lam, size=_RNG_BLOCK)
+            self.taus = np.concatenate((self.taus, taus))
+            self.energies = np.concatenate((self.energies, energies))
+        taus, self.taus = self.taus[:n], self.taus[n:]
+        energies, self.energies = self.energies[:n], self.energies[n:]
+        return taus, energies
+
+
+def _true_path(table, segs, energies, z, u, lanes):
+    # the exact path through one run of events from state (z, u): every
+    # event's entry charge and u, the charge its drain left, and the
+    # state after the last lift.  ``lanes`` lanes of _LANE events are
+    # advanced together by table.step; lane 0 starts from the true state
+    # and is exact, the others start empty.  Chains driven by the same arrivals keep their
+    # order and meet for good once the upper one runs dry or the lower
+    # one overflows, so the walker follows each later lane from the true
+    # end of the one before only until its charge equals the speculated
+    # one: from there the same state and arrivals give the same floats.
+    # Events past the last lane are walked
+    n = len(segs)
+    z_in, u_in, drained = np.empty(n), np.empty(n), np.empty(n)
+    start = lanes * _LANE
+    if lanes:
+        lane_segs = segs[:start].reshape(lanes, _LANE)
+        lane_energies = energies[:start].reshape(lanes, _LANE)
+        lane_z = z_in[:start].reshape(lanes, _LANE)         # views
+        lane_u = u_in[:start].reshape(lanes, _LANE)
+        lane_drained = drained[:start].reshape(lanes, _LANE)
+        zs, us = np.zeros(lanes), np.full(lanes, table.u_max)
+        zs[0], us[0] = z, u
+        for k in range(_LANE):
+            lane_z[:, k], lane_u[:, k] = zs, us
+            lane_drained[:, k], zs, us = table.step(
+                zs, us, lane_segs[:, k], lane_energies[:, k]
+            )
+        # the speculated charge after each event's lift
+        targets = np.concatenate((lane_z[:, 1:], zs[:, None]), axis=1)
+        z, u = float(zs[0]), float(us[0])
+        for j in range(1, lanes):
+            lo = j * _LANE
+            zw, uw, dw, z, u = _walk(table.walk_lists, lane_segs[j].tolist(),
+                                     lane_energies[j].tolist(),
+                                     targets[j].tolist(), z, u)
+            hi = lo + len(zw)
+            z_in[lo:hi], u_in[lo:hi], drained[lo:hi] = zw, uw, dw
+            if hi < lo + _LANE:     # met: the rest of the lane is exact
+                z, u = float(zs[j]), float(us[j])
+    if start < n:
+        # a NaN target is never met
+        zw, uw, dw, z, u = _walk(table.walk_lists, segs[start:].tolist(),
+                                 energies[start:].tolist(), repeat(math.nan), z, u)
+        z_in[start:], u_in[start:], drained[start:] = zw, uw, dw
+    return z_in, u_in, drained, z, u
+
+
+def _running_sum(total: float, terms) -> float:
+    # total + terms[0] + terms[1] + ... in that order: np.cumsum adds
+    # sequentially, as a loop does, where np.sum adds pairwise
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 def simulate(config: SimConfig) -> SimulationStats:
@@ -393,10 +577,7 @@ def simulate(config: SimConfig) -> SimulationStats:
     arr = config.system.arrivals
     horizon = config.horizon
     tally = _Tally(table, _BURN_IN_FRACTION * horizon, horizon)
-    (z_cells, neg_u_cells, z_top, u_top, dz_l, ga_l, gb_l, gs_l, ratio_l,
-     curved_l) = table.loop_tables()
-    cap, u_max = table.cap, table.u_max
-    expm1, log1p = math.expm1, math.log1p
+    cap = table.cap
 
     # energy bookkeeping over the whole run, burn-in included
     z0 = min(max(config.z0, 0.0), cap)
@@ -405,69 +586,48 @@ def simulate(config: SimConfig) -> SimulationStats:
     overflow = 0.0
     events = 0
 
-    # the loop only advances the charge; each chunk's drain segments and
-    # empty intervals are accounted for in bulk once the chunk is done
-    drains, empties = [], []
-    push_drain, push_empty = drains.extend, empties.extend
+    arrivals = _Arrivals(seeded_rng(config.seed), arr.delta, arr.lam)
     t = 0.0
     z = z0
     u = float(table.u_of_z(np.array([z]))[0])
-    done = False
-    for taus, energies in _arrival_chunks(seeded_rng(config.seed), arr.delta, arr.lam):
-        for tau, energy in zip(taus, energies):
-            rest = horizon - t
-            if rest <= 0.0:
-                done = True
-                break
-            seg = tau if tau <= rest else rest
+    # the first slice is walked, to see how often the chain regenerates
+    size, speculate = _SLICE, False
+    while True:
+        taus, energies = arrivals.take(size)
+        # wall time before each interval, as a running sum; the interval
+        # that reaches the horizon drains for the time left and brings no
+        # energy, and the run ends with it
+        t_at = np.cumsum(np.concatenate(([t], taus)))
+        rest = horizon - t_at[:-1]
+        ends = np.flatnonzero((rest <= 0.0) | (taus > rest))
+        done = len(ends) > 0
+        if done:
+            full = int(ends[0])
+            last = full + int(rest[full] > 0.0)
+            taus, energies = taus[:last].copy(), energies[:last].copy()
+            if last > full:
+                taus[full], energies[full] = rest[full], 0.0
+        else:
+            full = len(taus)
+        t_at = t_at[:len(taus) + 1]
 
-            # drain (and possibly empty out) for seg time units
-            if z > 0.0:
-                u_end = u + seg
-                if u_end < u_max:
-                    i = bisect_right(neg_u_cells, -u_end) - 1
-                    if curved_l[i]:
-                        z_new = z_top[i] + ratio_l[i] * expm1(-gs_l[i] * (u_end - u_top[i]))
-                    else:
-                        z_new = z_top[i] - gb_l[i] * (u_end - u_top[i])
-                    push_drain((t, u, u_end, z, z_new))
-                    consumed += z - z_new
-                    z, u = z_new, u_end
-                else:
-                    drain_time = u_max - u
-                    push_drain((t, u, u_max, z, 0.0))
-                    consumed += z
-                    push_empty((t + drain_time, seg - drain_time))
-                    z, u = 0.0, u_max
-            else:
-                push_empty((t, seg))
-
-            t += seg
-            if seg < tau:
-                done = True     # horizon reached mid-interval
-                break
-
-            events += 1
-            arrived += energy
-            lifted = z + energy
-            if lifted > cap:
-                overflow += lifted - cap
-                z, u = cap, 0.0
-            else:
-                z = lifted
-                i = bisect_right(z_cells, z) - 1
-                x1 = z - z_cells[i]
-                gs = gs_l[i]
-                if curved_l[i]:
-                    u = u_top[i] + log1p(gs * (dz_l[i] - x1) / (ga_l[i] + gs * x1)) / gs
-                else:
-                    u = u_top[i] + (dz_l[i] - x1) / (ga_l[i] + gs * 0.5 * (x1 + dz_l[i]))
-        tally.add_drains(drains)
-        tally.add_empty(empties)
-        drains.clear()
-        empties.clear()
+        lanes = len(taus) // _LANE if speculate else 0
+        z_in, u_in, drained, z, u = _true_path(
+            table, taus, energies, z, u, lanes if lanes >= _MIN_LANES else 0
+        )
+        tally.add_path(t_at[:-1], taus, z_in, u_in, drained)
+        events += full
+        consumed = _running_sum(consumed, z_in - drained)
+        arrived = _running_sum(arrived, energies)
+        lifted = drained + energies
+        overflow = _running_sum(overflow, np.where(lifted > cap, lifted - cap, 0.0))
         if done:
             break
+        # the next run gets lanes if this one regenerated often enough
+        regenerations = np.count_nonzero(drained == 0.0) + np.count_nonzero(lifted > cap)
+        speculate = regenerations * _LANE >= _REGENERATIONS_PER_LANE * len(taus)
+        t = float(t_at[-1])
+        size = _CHUNK
 
     occ_cum = np.cumsum(tally.occupancy())
     pi0_time = tally.pi0_time

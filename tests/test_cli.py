@@ -267,15 +267,40 @@ def test_config_error_exit_codes(workdir, capsys):
     ("sweep", "sweep: {capacities: [2.0, -1.0]}\n", "sweep.capacities[1]"),
     # beta's admissible range is (-1, 0) for a unit-variance Gaussian
     ("search", "search: {beta_bounds: [-1.5, -0.5]}\n", "search"),
+    ("solve", "constants: {beta: 0.5, c1: -0.89, c2: 0.34}\n", "constants.beta"),
+    ("simulate", "constants: {beta: -1.5, c1: -0.89, c2: 0.34}\n"
+                 "simulate: {horizon: 10.0}\n", "constants.beta"),
 ])
 def test_values_out_of_range_for_the_run_are_config_errors(
         workdir, capsys, command, section, key):
     # values the library would reject only once the command runs are
     # caught while the config is read, so they exit 2, not with a traceback
-    path = workdir / f"out_of_range_{key}.yaml"
-    path.write_text(GAUSS_SYSTEM + BENCH_CONSTANTS + section)
+    path = workdir / f"out_of_range_{key}_{command}.yaml"
+    constants = "" if section.startswith("constants:") else BENCH_CONSTANTS
+    path.write_text(GAUSS_SYSTEM + constants + section)
     assert main([command, "--config", str(path), "--out", str(workdir / "unused")]) == 2
     assert f"config error: {key}: " in capsys.readouterr().err
+
+
+def test_numbers_in_exponent_form(workdir, capsys):
+    # YAML 1.1 hands 1e-3 over as a string; it is read as the number
+    path = workdir / "exponent_form.yaml"
+    path.write_text(GAUSS_SYSTEM.replace("p0plus: 0.001", "p0plus: 1e-3")
+                    + "search: {beta_bounds: [-0.99999999, -1e-12]}\n"
+                    + "sweep: {capacities: [1.0e1, 2e0]}\n"
+                    + "simulate: {horizon: 1e300, z0: +2E0}\n")
+    cfg = load_run_config(str(path))
+    assert cfg.p0plus == 1e-3
+    assert cfg.search_spec.beta_bounds == (-0.99999999, -1e-12)
+    assert cfg.sweep_capacities == [10.0, 2.0]
+    assert cfg.horizon == 1e300 and cfg.sim_z0 == 2.0
+
+    # strings that are not numbers, NaN, and infinity where it is not
+    # allowed stay config errors
+    for value in ("1e-3x", "e5", "nan", "1e400", "0x1p-3"):
+        path.write_text(GAUSS_SYSTEM.replace("p0plus: 0.001", f"p0plus: {value}"))
+        assert main(["bound", "--config", str(path)]) == 2
+        assert "config error: p0plus: " in capsys.readouterr().err
 
 
 def test_usage_error_exits_via_argparse(workdir):

@@ -1,13 +1,15 @@
-"""Parity of the chunked simulator with the per-event one it replaced.
+"""Parity of the simulator with the per-event one it replaced.
 
-``simulate`` advances the battery in a scalar loop that only records
-drain segments and empty intervals; their sojourn integrals and bin
-occupancies are accounted for in bulk, a chunk at a time.  The previous
-implementation credited every segment as it went, through per-segment
+``simulate`` finds the sample path a run of arrivals at a time, with
+lanes of events advanced together by a vectorized step and a scalar
+walker that checks them, and accounts for the drain segments and empty
+intervals in bulk.  The earlier implementation stepped from event to
+event and credited every segment as it went, through per-segment
 closed-form integrals.  It is kept here, renamed, as the reference.  Both
 draw the same random numbers in the same order and walk the same sample
 path, so event counts and overflow agree exactly; only the summation
-order of the accounting differs.
+order of the accounting differs.  The vectorized step is checked against
+the walker's scalar step bit for bit.
 """
 
 import math
@@ -25,8 +27,10 @@ from ehjscc.models import (
     SystemConfig,
     ZeroLeakage,
 )
+from ehjscc import simulator
 from ehjscc.numerics import seeded_rng
 from ehjscc.policy import VariationalConstants, solve_adaptive, solve_constant_kappa
+from ehjscc.search import Problem, tune_constants
 from ehjscc.simulator import SimConfig, SimulationStats, simulate
 
 from test_acceptance import ARR, CH, ROWS_BERN_LEAKY, ROWS_GAUSS_IDEAL
@@ -438,3 +442,96 @@ def test_burn_in_boundary_inside_a_drain_segment(policies):
     first_wait = seeded_rng(seed).exponential(rate=ARR.delta, size=_RNG_BLOCK)[0]
     assert first_wait > _BURN_IN_FRACTION * horizon
     _assert_parity(_config(policies, "gauss-L5", horizon=horizon, seed=seed, z0=5.0))
+
+
+# ---------------------------------------------------------------------------
+# speculative lanes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def runs(monkeypatch):
+    # (events, lanes) of every run of the path that simulate computes
+    seen = []
+    true_path = simulator._true_path
+
+    def spy(table, segs, energies, z, u, lanes):
+        seen.append((len(segs), lanes))
+        return true_path(table, segs, energies, z, u, lanes)
+
+    monkeypatch.setattr(simulator, "_true_path", spy)
+    return seen
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", ["gauss-L5", "bern-leaky-L3", "gauss-constk",
+                                  "bern-constk", "bern-fixed-point"])
+def test_vector_step_matches_the_walker_bit_for_bit(policies, name):
+    # random states in every cell of the merged charge grid, advanced by
+    # one event through the lanes' vector step and, one at a time,
+    # through the walker; bern-fixed-point has only constant-rate cells
+    table = simulator._DrainTable(_config(policies, name, horizon=1.0))
+    cap, u_max = table.cap, table.u_max
+    rng = np.random.default_rng(7)
+    z = table.z[:-1] + rng.uniform(0.0, 1.0, len(table.dz)) * table.dz
+    n = len(z)
+    z = np.concatenate((z, z, z, z, [0.0, 0.0, cap, cap]))
+    u = table.u_of_z(z)
+    u[z == 0.0] = u_max
+    seg = np.concatenate((
+        rng.exponential(0.05, n),           # drains within a few cells
+        rng.exponential(1.0, n),
+        np.full(n, u_max),                  # runs dry mid-interval
+        rng.exponential(1.0, n),
+        [0.5, 0.0, 0.0, 0.5],
+    ))
+    energy = np.concatenate((
+        rng.exponential(0.1, n),
+        rng.exponential(1.0, n),
+        rng.exponential(1.0, n),
+        np.full(n, cap),                    # overflows
+        [0.3, 0.0, 1.0, 0.0],
+    ))
+    drained, z_out, u_out = table.step(z, u, seg, energy)
+
+    walked = [simulator._walk(table.walk_lists, [s], [e], [math.nan],
+                              float(zk), float(uk))
+              for zk, uk, s, e in zip(z, u, seg, energy)]
+    assert np.array_equal(_bits(drained), _bits([w[2][0] for w in walked]))
+    assert np.array_equal(_bits(z_out), _bits([w[3] for w in walked]))
+    assert np.array_equal(_bits(u_out), _bits([w[4] for w in walked]))
+    # the cases the states were drawn to reach
+    assert np.count_nonzero((drained == 0.0) & (z > 0.0)) >= n
+    assert np.count_nonzero(z_out == cap) >= n
+    assert np.count_nonzero(u_out == 0.0) >= n
+
+
+@pytest.fixture(scope="module")
+def tuned_l30():
+    tuned = tune_constants(Problem(GAUSS, CH, ARR, ZeroLeakage(), 30.0))
+    assert tuned.feasible
+    return {"gauss-L30": (tuned.solution, GAUSS, ZeroLeakage())}
+
+
+def test_rarely_regenerating_chain_is_walked_without_lanes(tuned_l30, runs):
+    # at a tuned L = 30 policy the battery almost never runs dry or
+    # overflows, so a chain started empty would take most of a lane to
+    # meet the true one: every run is walked
+    stats = _assert_parity(_config(tuned_l30, "gauss-L30", horizon=2e4, seed=2))
+    assert stats.event_count > simulator._SLICE + simulator._CHUNK
+    assert len(runs) == 3 and all(lanes == 0 for _, lanes in runs)
+
+
+@pytest.mark.parametrize("name", ["gauss-L5", "bern-leaky-L3", "gauss-constk",
+                                  "bern-constk", "bern-fixed-point"])
+def test_horizon_inside_the_second_run_of_lanes(policies, runs, name):
+    # the first slice is walked; the horizon cuts the next run short,
+    # after its last full lane, so the run is part lanes, part walk
+    stats = _assert_parity(_config(policies, name, horizon=9000.5, seed=5))
+    assert stats.event_count < simulator._SLICE + simulator._CHUNK
+    assert runs[0] == (simulator._SLICE, 0)
+    (events, lanes), = runs[1:]
+    assert lanes == events // simulator._LANE >= simulator._MIN_LANES
+    assert events % simulator._LANE
