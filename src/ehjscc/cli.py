@@ -526,9 +526,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_policy_csv(cfg: RunConfig, path: str) -> PolicySolution:
-    # re-ingest a solve artifact: CSV columns z,p,kappa,f plus the JSON
-    # sidecar written next to it
+def _load_policy_csv(path: str) -> PolicySolution:
+    # re-ingest a solve artifact: CSV columns z,p,kappa,f from z = 0 up,
+    # plus the JSON sidecar written next to it
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -547,10 +547,14 @@ def _load_policy_csv(cfg: RunConfig, path: str) -> PolicySolution:
         )
     if not sidecar.get("feasible", False):
         raise InfeasibleError(f"policy in {path!r} is marked infeasible")
+    try:
+        grid = Grid.from_nodes(data[:, 0])
+    except ValueError as exc:
+        raise ConfigError(f"simulate.policy_csv: {path!r}: {exc}")
     d_beta = sidecar.get("d_beta")
     return PolicySolution(
         kind="adaptive" if d_beta is not None else "constant-kappa",
-        grid=Grid.from_nodes(data[:, 0]),
+        grid=grid,
         p=data[:, 1],
         kappa=data[:, 2],
         f=data[:, 3],
@@ -560,7 +564,7 @@ def _load_policy_csv(cfg: RunConfig, path: str) -> PolicySolution:
         d_avg=float(sidecar["d_avg"]),
         optimality_residual=sidecar.get("residual50"),
         feasible=True,
-        p0plus=cfg.p0plus,
+        p0plus=float(data[0, 1]),   # the power on the z = 0 row
     )
 
 
@@ -570,7 +574,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     if math.isinf(cfg.capacity):
         raise ConfigError("capacity: simulate needs a finite battery")
     if cfg.policy_csv is not None:
-        policy = _load_policy_csv(cfg, cfg.policy_csv)
+        policy = _load_policy_csv(cfg.policy_csv)
     else:
         # a simulable policy must close the mismatch normalization, so the
         # endpoint polish is on unless the config explicitly disables it

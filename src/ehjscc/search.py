@@ -14,14 +14,11 @@ C of the constant-mismatch policy is found by one Brent minimization,
 sweep ties both tuners and the converse bound together into one table,
 which is what the plotting and CLI layers consume.
 
-Objective evaluations use a coarsened grid and relaxed ODE tolerances
-(the ranking of candidate constants is insensitive to the last four
-digits of the average distortion); the winning point is always re-solved
-at full accuracy, and only a full-accuracy feasible solution is ever
-reported as the result.  Both searches stop at the accuracy of those
-evaluations, which are off by 5e-5 to 4e-4 relative: the root in beta
-once its bracket is narrower than 1e-7 * max(1, |beta|), the
-minimization once its bracket is narrower than 1e-7 * max(1, |C|).
+Every probe is a full solve on one grid, built once per tune, and the
+result is the best usable probe's own solution: no point is re-solved.
+The root in beta stops once its bracket is narrower than
+1e-7 * max(1, |beta|), the minimization once its bracket is narrower
+than 1e-7 * max(1, |C|).
 """
 
 from __future__ import annotations
@@ -59,15 +56,10 @@ __all__ = [
     "capacity_sweep",
 ]
 
-# cheap-mode settings used for ranking candidates during the search;
-# final answers never come from these
-_SCAN_GRID_N = 300
-_SCAN_ATOL = 1e-10
-_SCAN_RTOL = 1e-9
-
 # the root in beta and the minimization in C stop at this width relative
-# to max(1, |beta|) and max(1, |C|): a scan-grid probe is itself off by
-# 5e-5 to 4e-4 relative, so a narrower bracket only ranks quadrature error
+# to max(1, |beta|) and max(1, |C|).  On the published rows the tuned
+# d_avg is then within 6e-7 relative of a root found to 1e-11 (one or two
+# probes more), and the default grid within 1e-7 of a 32k-node solve
 _BETA_RTOL = 1e-7
 _C_RTOL = 1e-7
 # adaptive probes set c1 this far below c1_edge(beta).  With zero leakage
@@ -91,8 +83,8 @@ class Problem:
     def __post_init__(self):
         if not (math.isfinite(self.capacity) and self.capacity > 0.0):
             raise ValueError(f"capacity must be finite and positive, got {self.capacity}")
-        if not self.p0plus > 0.0:
-            raise ValueError(f"p0plus must be positive, got {self.p0plus}")
+        if not (math.isfinite(self.p0plus) and self.p0plus > 0.0):
+            raise ValueError(f"p0plus must be finite and positive, got {self.p0plus}")
 
 
 @dataclass(frozen=True)
@@ -111,10 +103,12 @@ class SearchSpec:
     ``margin`` is the minimum accepted value of pi0/kappa(0), the share
     of the mismatch budget spent on the empty battery.  Minimizing the
     average distortion pushes solutions against the normalization
-    boundary where that share hits zero and kappa(0) diverges; solves on
-    either side of it are numerically indistinguishable at scan
-    accuracy, so the search stays a fixed distance inside.  The cost is
-    bounded by margin * d_max, far below the tolerance at the default.
+    boundary where that share hits zero and kappa(0) diverges, so the
+    search stays a fixed distance inside.  The default grid's error of
+    up to 1e-7 relative in d_avg moves the share by ~1e-7, a ten-thousandth
+    of the default margin, so a probe tells the two sides apart.  The
+    cost is bounded by margin * d_max, far below the tolerance at the
+    default.
     """
 
     beta_bounds: Optional[Tuple[float, float]] = None
@@ -146,12 +140,12 @@ class SearchSpec:
 class TuneResult:
     """Outcome of tuning a policy's constants at one operating point.
 
-    ``constants`` (adaptive policy, c2 already polished onto the
-    stationarity manifold) and ``c`` (constant-mismatch policy) are the
-    certified values, as on :class:`PolicySolution`; the other one is
-    ``None``.  ``evaluations`` counts objective probes and
-    ``infeasible_evals`` how many of them failed to produce a usable
-    policy.  A search where nothing was feasible reports ``d_avg`` of
+    ``solution`` is the best usable probe's own solve, and ``constants``
+    (adaptive policy, c2 already polished onto the stationarity
+    manifold) and ``c`` (constant-mismatch policy) are its values, as on
+    :class:`PolicySolution`; the other one is ``None``.  ``evaluations``
+    counts objective probes and ``infeasible_evals`` how many of them
+    failed to produce a usable policy.  A search where nothing was feasible reports ``d_avg`` of
     infinity and no solution or constants.
     """
 
@@ -189,42 +183,45 @@ class _BudgetSpent(Exception):
 
 
 class _Probe:
-    # outcome(x) -> (value, usable), memoized as a search's objective: each
-    # new x takes one of ``total`` probes, and one more raises _BudgetSpent
+    # outcome(x) -> (value, usable solution or None), memoized as a
+    # search's objective: each new x takes one of ``total`` probes, and
+    # one more raises _BudgetSpent.  The usable solution of least d_avg
+    # is kept as ``best``
     def __init__(self, total: int, outcome):
         self.total = total
         self.outcome = outcome
         self.seen = {}
         self.infeasible = 0
+        self.best = None
 
     def __call__(self, x: float) -> float:
         if x not in self.seen:
             if len(self.seen) >= self.total:
                 raise _BudgetSpent
-            self.seen[x], usable = self.outcome(x)
-            self.infeasible += not usable
+            self.seen[x], sol = self.outcome(x)
+            if sol is None:
+                self.infeasible += 1
+            elif self.best is None or sol.d_avg < self.best.d_avg:
+                self.best = sol
         return self.seen[x]
 
-
-def _certified(candidates, solve, accept, probe: _Probe) -> TuneResult:
-    # the first candidate whose full-accuracy re-solve is accepted
-    for point in candidates:
-        sol = solve(point)
-        if accept(sol):
-            return TuneResult(sol.constants, sol.c, sol.d_avg, sol,
-                              len(probe.seen), probe.infeasible)
-    return TuneResult(None, None, math.inf, None, len(probe.seen), probe.infeasible)
+    def result(self) -> TuneResult:
+        sol = self.best
+        if sol is None:
+            return TuneResult(None, None, math.inf, None, len(self.seen), self.infeasible)
+        return TuneResult(sol.constants, sol.c, sol.d_avg, sol,
+                          len(self.seen), self.infeasible)
 
 
-def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid, history) -> _Probe:
+def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid) -> _Probe:
     """The margin gap of the edge solve at beta, as a probe of ``spec.budget``.
 
-    A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves on the scan
-    grid with c2 fixed by the endpoint condition, so its outcome depends
-    on beta alone (the c2 passed in is ignored).  It returns the share
+    A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves on ``grid``
+    with c2 fixed by the endpoint condition, so its outcome depends on
+    beta alone (the c2 passed in is ignored).  It returns the share
     pi0/kappa0 less ``spec.margin``, or -inf when the solve is unusable.
-    Feasible probes at the margin or above go to ``history`` as
-    (d_avg, (beta, c1, c2)); the others count as infeasible.
+    A feasible solve with pi0/kappa0 at the margin or above is usable;
+    the others count as infeasible.
     """
     src, ch = problem.src, problem.ch
 
@@ -234,18 +231,16 @@ def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid, history) -> _Pro
             src, ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
             VariationalConstants(beta, c1, 0.0),
-            grid=grid, refine_c2=True, atol=_SCAN_ATOL, rtol=_SCAN_RTOL,
+            grid=grid, refine_c2=True,
         )
         if sol.grid is None:
-            return -math.inf, False
+            return -math.inf, None
         # pi0/kappa0 by the average-distortion identity, which also holds
         # past the normalization boundary, where kappa0 does not exist
         share = (sol.d_avg - sol.d_beta) / (src.d_max - sol.d_beta)
         # an underflowing pi0 can leave a solve infeasible at the margin
-        usable = share >= spec.margin and sol.feasible
-        if usable:
-            history.append((sol.d_avg, (beta, c1, sol.constants.c2)))
-        return share - spec.margin, usable
+        usable = sol.feasible and sol.pi0 / sol.kappa0 >= spec.margin
+        return share - spec.margin, (sol if usable else None)
 
     return _Probe(spec.budget, gap)
 
@@ -267,41 +262,23 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     whose high end falls short has no sign change and gives the
     infeasible result, as does a budget spent before both ends are
     known; a budget spent inside the root stops it where it is.  The
-    feasible probes at the margin or above are re-solved at full
-    accuracy, lowest d_avg first, and the first one accepted is
-    returned, so the reported solution carries a quadrature-noise
-    stationarity residual and exact normalizations.  The search draws
-    no random numbers, so ``spec.seed`` does not change the result.
+    usable probe of least d_avg is returned as it was solved, with its
+    stationarity residual at quadrature noise and its normalizations
+    exact.  The search draws no random numbers, so ``spec.seed`` does
+    not change the result.
     """
     lo, hi = spec.resolved_bounds(problem.src)
-    grid = Grid.graded(problem.capacity, n=_SCAN_GRID_N)
-    history = []
-    gap = _edge_probe(problem, spec, grid, history)
+    gap = _edge_probe(problem, spec, Grid.graded(problem.capacity))
 
-    try:
+    bracketed = False
+    with suppress(_BudgetSpent):
         # a sign change needs the low end short of the margin, the high end at it
         if gap(lo) < 0.0 <= gap(hi):
+            bracketed = True
             find_root(gap, RootBracket(lo, hi, tol=_BETA_RTOL * max(1.0, abs(hi))))
-        else:
-            history.clear()
-    except _BudgetSpent:
-        if len(gap.seen) < 2:
-            history.clear()   # spent before both ends were known
-
-    # --- full-accuracy certification ----------------------------------
-    # accept at half the scan margin: scan-grid and full-grid solves of
-    # the same constants differ in pi0/kappa0 by far less than that
-    history.sort()
-    return _certified(
-        [point for _, point in history[:20]],
-        lambda point: solve_adaptive(
-            problem.src, problem.ch, problem.arrivals, problem.leak,
-            problem.capacity, problem.p0plus,
-            VariationalConstants(*point), refine_c2=True,
-        ),
-        lambda sol: sol.feasible and sol.pi0 / sol.kappa0 >= 0.5 * spec.margin,
-        gap,
-    )
+    if not bracketed:
+        gap.best = None
+    return gap.result()
 
 
 def tune_constant_kappa(
@@ -319,8 +296,8 @@ def tune_constant_kappa(
     grows and holds one minimum of d_avg, often on its lower edge.  One
     Brent minimization over the box in t = -ln(c* - C), with infeasible
     probes at +inf below the window, stops once the bracket is narrower
-    in C than 1e-7 * max(1, |C|); the five best feasible probes are
-    re-solved at full accuracy, best first, until one is accepted.
+    in C than 1e-7 * max(1, |C|); the feasible probe of least d_avg is
+    returned as it was solved.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -336,15 +313,14 @@ def tune_constant_kappa(
             f"c_bounds {c_bounds} leave nothing below the fixed-point value {c_star}"
         )
 
-    grid = Grid.graded(problem.capacity, n=_SCAN_GRID_N)
+    grid = Grid.graded(problem.capacity)
 
     def outcome(t: float):
         sol = solve_constant_kappa(
             problem.src, problem.ch, arr, problem.leak,
-            problem.capacity, problem.p0plus, c=c_star - math.exp(-t),
-            grid=grid, atol=_SCAN_ATOL, rtol=_SCAN_RTOL,
+            problem.capacity, problem.p0plus, c=c_star - math.exp(-t), grid=grid,
         )
-        return (sol.d_avg if sol.feasible else math.inf), sol.feasible
+        return (sol.d_avg, sol) if sol.feasible else (math.inf, None)
 
     def width(t: float) -> float:
         # a side of length ln(1 + h * e^t) spans h in C below t and less
@@ -356,17 +332,7 @@ def tune_constant_kappa(
     d_avg = _Probe(budget, outcome)
     with suppress(_BudgetSpent):
         find_minimum(d_avg, -math.log(c_star - lo), -math.log(c_star - hi), width)
-
-    ranked = sorted((v, t) for t, v in d_avg.seen.items() if v < math.inf)
-    return _certified(
-        [c_star - math.exp(-t) for _, t in ranked[:5]],
-        lambda c: solve_constant_kappa(
-            problem.src, problem.ch, arr, problem.leak,
-            problem.capacity, problem.p0plus, c=c,
-        ),
-        lambda sol: sol.feasible,
-        d_avg,
-    )
+    return d_avg.result()
 
 
 def capacity_sweep(

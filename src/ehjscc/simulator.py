@@ -178,13 +178,12 @@ class _DrainTable:
         cap = policy.grid.capacity
         edges = np.linspace(0.0, cap, _BINS + 1)
 
-        merged = np.union1d(np.concatenate(([0.0], policy.grid.nodes)), edges)
+        merged = np.union1d(policy.grid.nodes, edges)
         keep = np.concatenate(([True], np.diff(merged) > 1e-12 * cap))
         z = merged[keep]
         z[-1] = cap
 
         p = np.interp(z, policy.grid.nodes, policy.p)
-        p[0] = policy.p0plus
         kappa = np.interp(z, policy.grid.nodes, policy.kappa)
         g = p + np.asarray(leak.rate(z), dtype=float)
         if np.any(g <= 0.0):
@@ -661,9 +660,9 @@ def simulate(config: SimConfig) -> SimulationStats:
 def _analytic_cdf(solution: PolicySolution, edges: np.ndarray) -> np.ndarray:
     # the solution's charge CDF at the charges `edges` (ascending, from 0
     # to the capacity): the empty-battery atom plus the integrated
-    # density, which is 0 at the first edge, closed at exactly 1
+    # density, closed at exactly 1
     cum_f = cumulative_integral(solution.grid.nodes, solution.f)
-    cdf = solution.pi0 + np.interp(edges, solution.grid.nodes, cum_f, left=0.0)
+    cdf = solution.pi0 + np.interp(edges, solution.grid.nodes, cum_f)
     cdf[-1] = 1.0
     return cdf
 

@@ -158,7 +158,9 @@ def test_bound_writes_csv(workdir, bench_config):
 def test_solve_artifacts_shape(solve_artifacts):
     csv = (solve_artifacts / "solution.csv").read_text().splitlines()
     assert csv[0] == "z,p,kappa,f"
-    assert len(csv) == 2001
+    assert len(csv) == 801
+    # the grid starts at z = 0, where the power is p0plus
+    assert csv[1].split(",")[:2] == ["0.0", "0.001"]
     sidecar = json.loads((solve_artifacts / "solution.json").read_text())
     assert list(sidecar) == ["pi0", "kappa0", "d_beta", "d_avg",
                              "residual50", "feasible"]
@@ -188,7 +190,7 @@ def test_solve_json_format_includes_arrays(workdir, bench_config):
     assert main(["solve", "--config", bench_config, "--out", str(out),
                  "--format", "json"]) == 0
     payload = json.loads((out / "solution.json").read_text())
-    assert len(payload["z"]) == len(payload["p"]) == 2000
+    assert len(payload["z"]) == len(payload["p"]) == 800
     assert not (out / "solution.csv").exists()
 
 
@@ -363,6 +365,38 @@ def test_simulate_roundtrip_from_solve_csv(workdir, bench_config, solve_artifact
     b = json.loads((csv_out / "simulation.json").read_text())
     assert a["mean_d_dagger"] == b["mean_d_dagger"]
     assert a["empirical_cdf"] == b["empirical_cdf"]
+
+
+def test_simulate_takes_p0plus_from_the_policy_csv(workdir, solve_artifacts, capsys):
+    # the CSV was solved at p0plus = 1e-3: a config that says otherwise
+    # does not describe the policy, and the run stops as a config error
+    cfg = workdir / "sim_csv_p0plus.yaml"
+    cfg.write_text(
+        GAUSS_SYSTEM.replace("p0plus: 0.001", "p0plus: 0.5")
+        + "simulate:\n  horizon: 1000.0\n  seed: 0\n"
+        + f"  policy_csv: {solve_artifacts / 'solution.csv'}\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(workdir / "sim_csv_p0plus")]) == 2
+    assert "p0plus" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_policy_csv_not_starting_at_zero(workdir, solve_artifacts,
+                                                           capsys):
+    rows = (solve_artifacts / "solution.csv").read_text().splitlines()
+    bad = workdir / "from_z1"
+    bad.mkdir()
+    (bad / "solution.csv").write_text("\n".join([rows[0]] + rows[2:]) + "\n")
+    (bad / "solution.json").write_text((solve_artifacts / "solution.json").read_text())
+    cfg = workdir / "sim_from_z1.yaml"
+    cfg.write_text(
+        GAUSS_SYSTEM
+        + "simulate:\n  horizon: 1000.0\n  seed: 0\n"
+        + f"  policy_csv: {bad / 'solution.csv'}\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(workdir / "sim_from_z1")]) == 2
+    assert "first node must be 0" in capsys.readouterr().err
 
 
 def test_simulate_seed_override(workdir, bench_config, capsys):

@@ -429,37 +429,48 @@ def test_autonomous_input_validation():
 
 def test_grid_invariants():
     g = Grid.graded(5.0, n=2000, z_min=0.001)
-    assert g.nodes[0] == pytest.approx(0.001)
+    assert g.nodes.size == 2000
+    assert g.nodes[0] == 0.0 and g.nodes[1] == pytest.approx(0.001)
     assert g.nodes[-1] == pytest.approx(5.0)
     assert np.all(np.diff(g.nodes) > 0)
-    assert g.weights.sum() == pytest.approx(5.0 - 0.001, abs=1e-12)
+    # order-4 weights integrate the constant 1 over [0, L]
+    assert g.weights.sum() == pytest.approx(5.0, abs=1e-12)
+    # and they are those of cumulative_integral, fixed by the nodes alone
+    y = np.exp(-g.nodes) * np.sin(g.nodes)
+    assert quadrature(y, g) == pytest.approx(cumulative_integral(g.nodes, y)[-1], abs=1e-14)
+    assert np.array_equal(Grid.from_nodes(g.nodes).weights, g.weights)
 
 
 def test_grid_rejects_bad_nodes():
-    with pytest.raises(ValueError):
-        Grid.from_nodes([0.0, 1.0, 2.0])  # first node must be > 0
-    with pytest.raises(ValueError):
-        Grid.from_nodes([0.5, 0.25, 1.0])  # not increasing
-    with pytest.raises(ValueError):
-        Grid(np.array([0.5, 1.0]), np.array([1.0, 1.0]))  # wrong weight sum
+    with pytest.raises(ValueError, match="first node must be 0"):
+        Grid.from_nodes([0.5, 1.0, 2.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Grid.from_nodes([0.0, 0.25, 0.25, 1.0])
+    with pytest.raises(ValueError, match="at least two"):
+        Grid.from_nodes([0.0])
+    with pytest.raises(ValueError, match="z_min"):
+        Grid.graded(5.0, z_min=0.0)
 
 
 def test_quadrature_constant():
     g = Grid.graded(5.0, n=500, z_min=0.001)
-    assert quadrature(np.ones_like(g.nodes), g) == pytest.approx(4.999, abs=1e-9)
+    assert quadrature(np.ones_like(g.nodes), g) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_quadrature_exponential():
     g = Grid.graded(1.0, n=2000, z_min=0.001)
     val = quadrature(np.exp(g.nodes), g)
-    assert val == pytest.approx(math.e - math.exp(0.001), abs=1e-6)
+    assert val == pytest.approx(math.e - 1.0, abs=1e-12)
 
 
-def test_quadrature_exact_for_piecewise_linear():
-    g = Grid.from_nodes([0.5, 1.0, 1.25, 3.0])
-    vals = 2.0 * g.nodes + 1.0
-    # trapezoid integrates a linear function exactly
-    assert quadrature(vals, g) == pytest.approx((3.0**2 + 3.0) - (0.5**2 + 0.5), abs=1e-12)
+def test_quadrature_exact_for_cubics():
+    # nonuniform nodes from 0, and a grid too short for a cubic stencil,
+    # where the weights are the trapezoid's
+    g = Grid.from_nodes([0.0, 0.01, 0.5, 1.0, 1.25, 2.2, 3.0])
+    vals = g.nodes**3 - 2.0 * g.nodes + 1.0
+    assert quadrature(vals, g) == pytest.approx(3.0**4 / 4.0 - 3.0**2 + 3.0, abs=1e-13)
+    short = Grid.from_nodes([0.0, 1.0, 3.0])
+    assert np.array_equal(short.weights, [0.5, 1.5, 1.0])
 
 
 def test_quadrature_length_mismatch():
@@ -499,7 +510,7 @@ def test_cumulative_integral_matches_moment_matching():
     grids = (
         Grid.graded(5.0).nodes,
         Grid.graded(1.0, n=300).nodes,
-        np.concatenate(([0.0], Grid.graded(5.0).nodes)),
+        Grid.graded(5.0, n=2000, z_min=1e-12).nodes,
         np.linspace(0.0, 3.0, 800),
     )
     for x in grids:

@@ -31,6 +31,9 @@ from ehjscc.policy import (
     solve_adaptive,
     solve_constant_kappa,
 )
+from ehjscc.simulator import _analytic_cdf
+
+from test_acceptance import ALL_BENCHMARKS
 
 GAUSS = GaussianSource(variance=1.0)
 BERN = BernoulliSource(prob=0.5)
@@ -196,6 +199,15 @@ def test_solve_rejects_bad_inputs():
             GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
             VariationalConstants(-1.5, -0.9, 0.3),
         )
+
+
+@pytest.mark.parametrize("p0plus", [math.inf, math.nan])
+def test_non_finite_p0plus_is_rejected(p0plus):
+    # a bad input, not an endpoint condition without a root
+    with pytest.raises(ValueError, match="p0plus"):
+        solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, p0plus, BENCH, refine_c2=True)
+    with pytest.raises(ValueError, match="p0plus"):
+        solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, 5.0, p0plus, c=-0.55)
 
 
 @pytest.mark.parametrize("n", [None, 300], ids=["default-grid", "300-nodes"])
@@ -431,10 +443,7 @@ def test_level_crossing_balance(mid_raw, leaky_raw):
     for sol, leak in ((mid_raw, NO_LEAK), (leaky_raw, IncreasingLeakage())):
         nodes = sol.grid.nodes
         drain = sol.p + np.asarray(leak.rate(nodes), dtype=float)
-        f0 = sol.pi0 * ARR.delta / (sol.p0plus + float(leak.rate(0.0)))
-        ext_nodes = np.concatenate(([0.0], nodes))
-        ext_integrand = np.concatenate(([f0], sol.f * np.exp(ARR.lam * nodes)))
-        flux = cumulative_integral(ext_nodes, ext_integrand)[1:]
+        flux = cumulative_integral(nodes, sol.f * np.exp(ARR.lam * nodes))
         rhs = ARR.delta * np.exp(-ARR.lam * nodes) * (sol.pi0 + flux)
         rel = np.abs(sol.f * drain - rhs) / np.abs(rhs)
         assert rel.max() <= 1e-6
@@ -495,6 +504,27 @@ def test_coarse_grid_stays_close(mid_raw):
         grid=Grid.graded(3.0, n=300),
     )
     assert small.d_avg == pytest.approx(mid_raw.d_avg, rel=1e-3)
+
+
+@pytest.mark.parametrize("src,leak,rows", ALL_BENCHMARKS)
+def test_default_grid_matches_a_dense_reference(src, leak, rows):
+    # the law is integrated over the whole of [0, L]: on the default grid
+    # d_avg is within 1e-6 relative of a 32k-node grid graded from 1e-12
+    # (8.7e-8 at most measured), where the trapezoid law over [1e-6, L]
+    # was off by up to 3.1e-4
+    for cap, (_, beta, c1, c2) in rows.items():
+        consts = VariationalConstants(beta, c1, c2)
+        sol = solve_adaptive(src, CH, ARR, leak, float(cap), 1e-3, consts, refine_c2=True)
+        ref = solve_adaptive(src, CH, ARR, leak, float(cap), 1e-3, consts, refine_c2=True,
+                             grid=Grid.graded(float(cap), n=32_000, z_min=1e-12))
+        assert sol.d_avg == pytest.approx(ref.d_avg, rel=1e-6)
+        assert sol.optimality_residual <= 1e-5
+        # the charge CDF starts at the atom and rises at once: the mass
+        # over (0, z1] lies between z1 times the density at either end
+        z1 = sol.grid.nodes[1]
+        cdf = _analytic_cdf(sol, np.array([0.0, z1, float(cap)]))
+        assert cdf[0] == sol.pi0
+        assert min(sol.f[:2]) <= (cdf[1] - sol.pi0) / z1 <= max(sol.f[:2])
 
 
 # ---------------------------------------------------------------------------

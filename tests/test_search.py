@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ehjscc import policy
+from ehjscc import policy, search
 from ehjscc.distortion import lower_bound
 from ehjscc.models import (
     ArrivalModel,
@@ -51,6 +51,9 @@ def test_problem_validation():
         Problem(GAUSS, CH, ARR, ZeroLeakage(), capacity=math.inf)
     with pytest.raises(ValueError):
         Problem(GAUSS, CH, ARR, ZeroLeakage(), capacity=5.0, p0plus=0.0)
+    for p0plus in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="p0plus"):
+            Problem(GAUSS, CH, ARR, ZeroLeakage(), capacity=5.0, p0plus=p0plus)
     assert replace(PROB2, capacity=7.0).capacity == 7.0
     with pytest.raises(ValueError):
         replace(PROB2, capacity=0.0)
@@ -77,13 +80,36 @@ def test_tuned_point_beats_tabulated_value(tuned2):
 
 
 def test_tuned_point_is_certified(tuned2):
-    # the reported solution is a full-accuracy solve with every invariant
+    # the reported solution is a probe's own solve, with every invariant
     sol = tuned2.solution
     assert sol.optimality_residual <= 1e-5
     assert sol.feasible
-    assert sol.pi0 / sol.kappa0 >= 0.5 * QUICK.margin
+    assert sol.pi0 / sol.kappa0 >= QUICK.margin
     assert tuned2.constants.c2 == sol.constants.c2
     assert tuned2.d_avg >= lower_bound(GAUSS, CH, ARR, 2.0)
+
+
+def test_tuned_solutions_are_probes_own_solves(monkeypatch):
+    # no point is solved twice, and no answer is re-solved: each tuner
+    # returns the usable probe of least d_avg as it was solved
+    for name, tune in (("solve_adaptive", lambda: tune_constants(PROB5)),
+                       ("solve_constant_kappa", lambda: tune_constant_kappa(PROB5))):
+        solves = []
+        solve = getattr(search, name)
+
+        def recorded(*args, solve=solve, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(search, name, recorded)
+        res = tune()
+        assert len(solves) == res.evaluations
+        assert any(sol is res.solution for sol in solves)
+        usable = [sol for sol in solves if sol.feasible and (
+            sol.kind == "constant-kappa" or sol.pi0 / sol.kappa0 >= SearchSpec().margin)]
+        assert res.d_avg == min(sol.d_avg for sol in usable)
+        # one grid serves every probe
+        assert len({id(sol.grid) for sol in solves if sol.grid is not None}) == 1
 
 
 def test_tuner_is_deterministic(tuned2):
@@ -154,7 +180,7 @@ def test_budget_one_probes_single_point():
 
 def test_budget_spent_inside_the_root_certifies_what_it_has():
     # six probes: both ends of the beta box and four steps of the root,
-    # which stops there; the best probe so far is certified
+    # which stops there; the best probe so far is returned
     spec = SearchSpec(budget=6)
     res = tune_constants(PROB5, spec)
     assert res.evaluations == 6
@@ -164,7 +190,7 @@ def test_budget_spent_inside_the_root_certifies_what_it_has():
     )
     assert res.feasible
     sol = res.solution
-    assert sol.pi0 / sol.kappa0 >= 0.5 * spec.margin
+    assert sol.pi0 / sol.kappa0 >= spec.margin
     assert sol.optimality_residual <= 1e-5
     # short of the full search's optimum, which needs 11 probes
     assert res.d_avg > tune_constants(PROB5).d_avg
@@ -181,22 +207,24 @@ def test_constant_kappa_tuner(tuned_kappa5):
 
 def test_constant_kappa_minimization_stops_at_scan_accuracy():
     # one Brent minimization over the whole C box ends at a width of
-    # 1e-7 * max(1, |C|): 16 probes at the default budget
+    # 1e-7 * max(1, |C|): 16 probes at the default budget.  The d_avg
+    # found is within 1.2e-8 relative of a 32k-node solve at its C
     res = tune_constant_kappa(PROB5, budget=240)
     assert res.evaluations <= 20
-    assert res.d_avg == pytest.approx(0.5593855145, rel=1e-9)
+    assert res.d_avg == pytest.approx(0.5593946363, rel=1e-9)
 
 
 def test_constant_kappa_optimum_on_the_feasibility_edge():
     # with rising leakage at capacity 12, d_avg falls as C falls until the
     # solve blows up, so the optimum sits on the edge of the feasible
     # window; the minimization closes in on it from the feasible side
-    # (34 probes measured)
+    # (34 probes measured).  The d_avg found is within 2.8e-8 relative of
+    # a 32k-node solve at its C
     prob = Problem(GAUSS, CH, ARR, IncreasingLeakage(), capacity=12.0)
     res = tune_constant_kappa(prob)
     assert res.feasible
     assert res.evaluations <= 40
-    assert res.d_avg == pytest.approx(0.70199644, rel=1e-6)
+    assert res.d_avg == pytest.approx(0.70202429, rel=1e-6)
 
 
 def test_constant_kappa_rejects_bad_inputs():
