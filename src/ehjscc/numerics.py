@@ -839,28 +839,34 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
 def _cubic_stencils(x: np.ndarray):
     """Per-interval quadrature stencils on the abscissae x.
 
-    Returns (j0, coef): the integral over [x[i], x[i + 1]] is
-    sum_k coef[k][i] * y[j0[i] + k].  Each interval is integrated under
+    Returns (index, coef), two read-only arrays of one row per stencil
+    point: the integral over [x[i], x[i + 1]] is
+    sum_k coef[k, i] * y[index[k, i]].  Each interval is integrated under
     the local cubic through the four nearest samples (clamped stencils at
     the ends); with fewer than four samples the stencil is the trapezoid.
     """
     n = x.size
     h = np.diff(x)
     if n < 4:
-        return np.arange(n - 1), [0.5 * h, 0.5 * h]
-    j0 = np.clip(np.arange(n - 1) - 1, 0, n - 4)  # stencil start per interval
-    mid = 0.5 * (x[:-1] + x[1:])
-    # stencil abscissae about each interval's midpoint
-    t = [x[j0 + k] - mid for k in range(4)]
-    # weight k integrates the Lagrange cubic l_k over [-h/2, h/2]; its
-    # numerator (t - t_a)(t - t_b)(t - t_c) has odd moments that vanish
-    # there, leaving -(t_a + t_b + t_c) h^3/12 - t_a t_b t_c h
-    coef = []
-    for k in range(4):
-        a, b, c = (t[j] for j in range(4) if j != k)
-        numer = -((a + b + c) * (h * h * h / 12.0) + a * b * c * h)
-        coef.append(numer / ((t[k] - a) * (t[k] - b) * (t[k] - c)))
-    return j0, coef
+        j0 = np.arange(n - 1)
+        index, coef = np.array([j0, j0 + 1]), np.array([0.5 * h, 0.5 * h])
+    else:
+        j0 = np.clip(np.arange(n - 1) - 1, 0, n - 4)  # stencil start per interval
+        index = np.array([j0 + k for k in range(4)])
+        mid = 0.5 * (x[:-1] + x[1:])
+        # stencil abscissae about each interval's midpoint
+        t = [x[j] - mid for j in index]
+        # weight k integrates the Lagrange cubic l_k over [-h/2, h/2]; its
+        # numerator (t - t_a)(t - t_b)(t - t_c) has odd moments that vanish
+        # there, leaving -(t_a + t_b + t_c) h^3/12 - t_a t_b t_c h
+        rows = []
+        for k in range(4):
+            a, b, c = (t[j] for j in range(4) if j != k)
+            numer = -((a + b + c) * (h * h * h / 12.0) + a * b * c * h)
+            rows.append(numer / ((t[k] - a) * (t[k] - b) * (t[k] - c)))
+        coef = np.array(rows)
+    index.flags.writeable = coef.flags.writeable = False
+    return index, coef
 
 
 @dataclass(frozen=True)
@@ -874,10 +880,18 @@ class Grid:
     in width, some weights are negative: on a graded grid of 300 nodes
     or more, that of the second positive node, as [0, z_min] is far
     wider than the intervals after it.
+
+    The grid also keeps the per-interval stencils its weights are summed
+    from (``stencil_index`` and ``stencil_coef``, see
+    :func:`cumulative_integral`), so a cumulative integral on it costs
+    one gather and one running sum.  Every array is read-only, and the
+    grid is immutable: one grid can be shared by every solve on it.
     """
 
     nodes: np.ndarray
     weights: np.ndarray = field(init=False)
+    stencil_index: np.ndarray = field(init=False, repr=False)
+    stencil_coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # a private read-only copy: one grid is shared by every solution
@@ -889,11 +903,13 @@ class Grid:
             raise ValueError("first node must be 0")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
-        j0, coef = _cubic_stencils(nodes)
-        weights = sum(np.bincount(j0 + k, c, minlength=nodes.size) for k, c in enumerate(coef))
+        index, coef = _cubic_stencils(nodes)
+        weights = sum(np.bincount(i, c, minlength=nodes.size) for i, c in zip(index, coef))
         nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "stencil_index", index)
+        object.__setattr__(self, "stencil_coef", coef)
 
     @property
     def capacity(self) -> float:
@@ -919,18 +935,33 @@ class Grid:
         the bulk truncation error small.  At the default 800 nodes the
         average distortion of the published rows is within 1e-7 relative
         of a 32k-node solve.
+
+        Each grid is built once: the same (capacity, n, z_min) returns the
+        same shared, read-only grid while it is among the 16
+        (``_GRADED_MEMO``) most recently asked for.
         """
         if capacity <= 0.0 or not math.isfinite(capacity):
             raise ValueError("capacity must be finite and positive")
         if n < 16:
             raise ValueError("need at least 16 nodes")
-        knee = capacity * 0.1
-        if not 0.0 < z_min < knee:
+        if not 0.0 < z_min < capacity * 0.1:
             raise ValueError("need 0 < z_min < capacity / 10")
-        n_geo = int(round(n * 0.4))
-        geo = np.geomspace(z_min, knee, n_geo)
-        lin = np.linspace(knee, capacity, n - n_geo)[1:]
-        return cls.from_nodes(np.concatenate(([0.0], geo, lin)))
+        return _graded_grid(float(capacity), n, float(z_min))
+
+
+# graded grids kept for reuse, the least recently asked for dropped
+# first.  A tune or a sweep solves every probe at one capacity, and the
+# published rows span five; an 800-node grid holds ~64 kB
+_GRADED_MEMO = 16
+
+
+@functools.lru_cache(maxsize=_GRADED_MEMO)
+def _graded_grid(capacity: float, n: int, z_min: float) -> Grid:
+    knee = capacity * 0.1
+    n_geo = int(round(n * 0.4))
+    geo = np.geomspace(z_min, knee, n_geo)
+    lin = np.linspace(knee, capacity, n - n_geo)[1:]
+    return Grid(np.concatenate(([0.0], geo, lin)))
 
 
 def quadrature(values, grid: Grid) -> float:
@@ -960,17 +991,29 @@ def cumulative_integral(x, y) -> np.ndarray:
     O(h^4) -- needed where plain trapezoid error would be amplified by
     steep multiplier profiles.  Falls back to trapezoid when fewer than
     four samples are given.
+
+    x is an array of abscissae or a :class:`Grid`, whose nodes are the
+    abscissae; a grid brings its stencils, which an array has built
+    first.  Both give the same result to the last bit.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    if x.size < 2:
-        raise ValueError("need at least two samples")
-    if np.any(np.diff(x) <= 0.0):
-        raise ValueError("x must be strictly increasing")
-    j0, coef = _cubic_stencils(x)
-    inc = sum(c * y[j0 + k] for k, c in enumerate(coef))
+    if isinstance(x, Grid):
+        if y.shape != x.nodes.shape:
+            raise ValueError(
+                f"length mismatch: {y.shape} values on {x.nodes.shape} nodes"
+            )
+        index, coef = x.stencil_index, x.stencil_coef
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.shape != y.shape or x.ndim != 1:
+            raise ValueError("x and y must be 1-d arrays of equal length")
+        if x.size < 2:
+            raise ValueError("need at least two samples")
+        if np.any(np.diff(x) <= 0.0):
+            raise ValueError("x must be strictly increasing")
+        index, coef = _cubic_stencils(x)
+    # each interval's integral: its stencil terms summed in stencil order
+    inc = sum(coef * y[index])
     return np.concatenate(([0.0], np.cumsum(inc)))
 
 

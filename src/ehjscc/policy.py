@@ -305,7 +305,7 @@ def _stationary_law(grid, drain, delta, lam):
     """
     nodes = grid.nodes
     log_shape = (math.log(delta) - lam * nodes - np.log(drain)
-                 + cumulative_integral(nodes, delta / drain))
+                 + cumulative_integral(grid, delta / drain))
     top = float(np.max(log_shape))
     log_q = top + math.log(float(grid.weights @ np.exp(log_shape - top)))
     log_pi0 = -float(np.logaddexp(0.0, log_q))
@@ -373,7 +373,7 @@ def _residual_profile(src, ch, arrivals, solution, consts) -> np.ndarray:
 
     rc1 = ch.rate_derivatives(p)[0]
     integrand = rc1 * np.exp(-lam * nodes) / slope
-    cum = cumulative_integral(nodes, integrand)
+    cum = cumulative_integral(solution.grid, integrand)
     tail = cum[-1] - cum          # integral from z to L
     d_dp = kappa * rc1 / slope
     return (

@@ -14,8 +14,10 @@ C of the constant-mismatch policy is found by one Brent minimization,
 sweep ties both tuners and the converse bound together into one table,
 which is what the plotting and CLI layers consume.
 
-Every probe is a full solve on one grid, built once per tune, and the
-result is the best usable probe's own solution: no point is re-solved.
+Every probe is a full solve on the solvers' default grid, built once
+per capacity and shared (see :meth:`~ehjscc.numerics.Grid.graded`), and
+the result is the best usable probe's own solution: no point is
+re-solved.
 The root in beta stops once its bracket is narrower than
 1e-7 * max(1, |beta|), the minimization once its bracket is narrower
 than 1e-7 * max(1, |C|).
@@ -36,7 +38,7 @@ from .models import (
     SourceModel,
     ZeroLeakage,
 )
-from .numerics import Grid, RootBracket, find_minimum, find_root
+from .numerics import RootBracket, find_minimum, find_root
 from .policy import (
     PolicySolution,
     VariationalConstants,
@@ -213,13 +215,14 @@ class _Probe:
                           len(self.seen), self.infeasible)
 
 
-def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid) -> _Probe:
+def _edge_probe(problem: Problem, spec: SearchSpec) -> _Probe:
     """The margin gap of the edge solve at beta, as a probe of ``spec.budget``.
 
-    A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves on ``grid``
-    with c2 fixed by the endpoint condition, so its outcome depends on
-    beta alone (the c2 passed in is ignored).  It returns the share
-    pi0/kappa0 less ``spec.margin``, or -inf when the solve is unusable.
+    A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves on the
+    solvers' default grid with c2 fixed by the endpoint condition, so its
+    outcome depends on beta alone (the c2 passed in is ignored).  It
+    returns the share pi0/kappa0 less ``spec.margin``, or -inf when the
+    solve is unusable.
     A feasible solve with pi0/kappa0 at the margin or above is usable;
     the others count as infeasible.
     """
@@ -231,7 +234,7 @@ def _edge_probe(problem: Problem, spec: SearchSpec, grid: Grid) -> _Probe:
             src, ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
             VariationalConstants(beta, c1, 0.0),
-            grid=grid, refine_c2=True,
+            refine_c2=True,
         )
         if sol.grid is None:
             return -math.inf, None
@@ -268,7 +271,7 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     not change the result.
     """
     lo, hi = spec.resolved_bounds(problem.src)
-    gap = _edge_probe(problem, spec, Grid.graded(problem.capacity))
+    gap = _edge_probe(problem, spec)
 
     bracketed = False
     with suppress(_BudgetSpent):
@@ -313,12 +316,10 @@ def tune_constant_kappa(
             f"c_bounds {c_bounds} leave nothing below the fixed-point value {c_star}"
         )
 
-    grid = Grid.graded(problem.capacity)
-
     def outcome(t: float):
         sol = solve_constant_kappa(
             problem.src, problem.ch, arr, problem.leak,
-            problem.capacity, problem.p0plus, c=c_star - math.exp(-t), grid=grid,
+            problem.capacity, problem.p0plus, c=c_star - math.exp(-t),
         )
         return (sol.d_avg, sol) if sol.feasible else (math.inf, None)
 

@@ -661,7 +661,7 @@ def _analytic_cdf(solution: PolicySolution, edges: np.ndarray) -> np.ndarray:
     # the solution's charge CDF at the charges `edges` (ascending, from 0
     # to the capacity): the empty-battery atom plus the integrated
     # density, closed at exactly 1
-    cum_f = cumulative_integral(solution.grid.nodes, solution.f)
+    cum_f = cumulative_integral(solution.grid, solution.f)
     cdf = solution.pi0 + np.interp(edges, solution.grid.nodes, cum_f)
     cdf[-1] = 1.0
     return cdf

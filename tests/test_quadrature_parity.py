@@ -10,6 +10,14 @@ comparison constant-mismatch solves and a fixed set of probe constants
 covering every outcome must agree.  The endpoint root that fixes c2
 integrates no trajectory, so the swap leaves c2 as it is; the RKF45 path
 at that c2 must close the endpoint gap instead.
+
+The quadrature tables are built once per grid: a ``Grid`` keeps the
+stencils of ``cumulative_integral``, and ``Grid.graded`` hands out one
+shared read-only grid per (capacity, n, z_min).  The last part checks
+that a cumulative integral on a grid equals, bit for bit, the one on its
+nodes and the per-call stencils it replaced, that the solvers' shared
+default grid gives bit for bit the solves of a freshly built one, and
+that the shared grid cannot be written to and its memo stays bounded.
 """
 
 import math
@@ -18,11 +26,17 @@ import re
 import numpy as np
 import pytest
 
+import ehjscc.numerics as numerics
 import ehjscc.policy as policy
 from ehjscc.distortion import distortion
 from ehjscc.models import BernoulliSource, GaussianSource, ZeroLeakage
-from ehjscc.numerics import integrate_ode
-from ehjscc.policy import VariationalConstants, solve_adaptive, solve_constant_kappa
+from ehjscc.numerics import Grid, cumulative_integral, integrate_ode
+from ehjscc.policy import (
+    VariationalConstants,
+    optimality_residual,
+    solve_adaptive,
+    solve_constant_kappa,
+)
 
 from test_acceptance import ALL_BENCHMARKS, ARR, CH
 
@@ -149,3 +163,136 @@ def test_probe_outcomes_match_rkf45(probe, monkeypatch):
         assert _singular_z(new) == pytest.approx(_singular_z(ref), rel=1e-4, abs=1e-9)
     elif math.isfinite(ref.d_avg):
         assert _close(new.d_avg, ref.d_avg, 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature tables built once per grid
+# ---------------------------------------------------------------------------
+
+def _cumulative_per_call(x, y):
+    # cumulative_integral as it was before grids kept their stencils:
+    # the stencil coefficients rebuilt from x on every call
+    n = x.size
+    h = np.diff(x)
+    if n < 4:
+        j0, coef = np.arange(n - 1), [0.5 * h, 0.5 * h]
+    else:
+        j0 = np.clip(np.arange(n - 1) - 1, 0, n - 4)
+        mid = 0.5 * (x[:-1] + x[1:])
+        t = [x[j0 + k] - mid for k in range(4)]
+        coef = []
+        for k in range(4):
+            a, b, c = (t[j] for j in range(4) if j != k)
+            numer = -((a + b + c) * (h * h * h / 12.0) + a * b * c * h)
+            coef.append(numer / ((t[k] - a) * (t[k] - b) * (t[k] - c)))
+    inc = sum(c * y[j0 + k] for k, c in enumerate(coef))
+    weights = sum(np.bincount(j0 + k, c, minlength=n) for k, c in enumerate(coef))
+    return np.concatenate(([0.0], np.cumsum(inc))), weights
+
+
+def _bits(a):
+    # == on the bit patterns, so that 0.0 and -0.0 differ too
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+QUADRATURE_GRIDS = {
+    "graded-300": lambda: Grid.graded(5.0, n=300),
+    "graded-800": lambda: Grid.graded(5.0),
+    "graded-2000-zmin-1e-12": lambda: Grid.graded(3.0, n=2000, z_min=1e-12),
+    "trapezoid-3": lambda: Grid.from_nodes([0.0, 1.0, 3.0]),
+    "irregular": lambda: Grid.from_nodes([0.0, 1e-9, 0.01, 0.013, 0.5, 1.0, 1.25, 2.2, 3.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_GRIDS))
+def test_cumulative_integral_on_grid_matches_nodes_bit_for_bit(name):
+    grid = QUADRATURE_GRIDS[name]()
+    x = grid.nodes
+    rng = np.random.default_rng(17)
+    for y in (np.exp(-x), 1.0 / (x + 1e-3), np.sin(40.0 * x), rng.normal(size=x.size),
+              np.zeros_like(x), -np.ones_like(x)):
+        on_grid = cumulative_integral(grid, y)
+        on_nodes = cumulative_integral(x, y)
+        per_call, weights = _cumulative_per_call(x.copy(), y)
+        assert np.array_equal(_bits(on_grid), _bits(on_nodes))
+        assert np.array_equal(_bits(on_grid), _bits(per_call))
+        assert np.array_equal(_bits(grid.weights), _bits(weights))
+    with pytest.raises(ValueError, match="length mismatch"):
+        cumulative_integral(grid, np.ones(x.size + 1))
+
+
+def _solved_fields(sol):
+    return {
+        "feasible": sol.feasible,
+        "d_avg, pi0, kappa0": _bits([sol.d_avg, sol.pi0, sol.kappa0]).tolist(),
+        "c2": None if sol.constants is None else _bits(sol.constants.c2).tolist(),
+        "nodes": _bits(sol.grid.nodes).tolist(),
+        "p": _bits(sol.p).tolist(),
+        "f": _bits(sol.f).tolist(),
+    }
+
+
+def _assert_default_grid_parity(solve, capacity, residual=None):
+    # grid=None on a cold memo, then again from the memo, against a
+    # grid built afresh from the default nodes, which no memo holds
+    numerics._graded_grid.cache_clear()
+    cold = solve(None)
+    warm = solve(None)
+    assert warm.grid is cold.grid
+    nodes = numerics._graded_grid.__wrapped__(capacity, 800, 1e-6).nodes
+    fresh = solve(Grid(nodes.copy()))
+    want = _solved_fields(fresh)
+    assert _solved_fields(cold) == want
+    assert _solved_fields(warm) == want
+    if residual is not None:
+        assert residual(cold) == residual(warm) == residual(fresh)
+
+
+@pytest.mark.parametrize("src,leak,rows", ALL_BENCHMARKS)
+def test_published_rows_identical_on_shared_default_grid(src, leak, rows):
+    for cap, (_, beta, c1, c2) in rows.items():
+        consts = VariationalConstants(beta, c1, c2)
+        _assert_default_grid_parity(
+            lambda grid: solve_adaptive(src, CH, ARR, leak, float(cap), 1e-3, consts,
+                                        grid=grid, refine_c2=True),
+            float(cap),
+            lambda sol: optimality_residual(src, CH, ARR, sol),
+        )
+
+
+def test_comparison_constant_kappa_solves_identical_on_shared_default_grid():
+    bern = SOURCES["bernoulli"]
+    c_star = -ARR.lam * distortion(bern, CH, ARR.delta / ARR.lam, 1.0)
+    for src, c in ((SOURCES["gaussian"], -0.55), (bern, c_star - 0.01)):
+        _assert_default_grid_parity(
+            lambda grid: solve_constant_kappa(src, CH, ARR, ZeroLeakage(), 5.0, 1e-3, c,
+                                              grid=grid),
+            5.0,
+        )
+
+
+def test_shared_grid_is_read_only():
+    grid = Grid.graded(5.0)
+    assert Grid.graded(5.0) is grid
+    assert Grid.graded(5, n=800, z_min=1e-6) is grid
+    for name in ("nodes", "weights", "stencil_index", "stencil_coef"):
+        array = getattr(grid, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2
+
+
+def test_graded_grid_memo_stays_bounded():
+    memo = numerics._graded_grid
+    first = Grid.graded(1.0, n=16)
+    capacities = np.linspace(1.0, 40.0, 4 * numerics._GRADED_MEMO)
+    grids = [Grid.graded(float(cap), n=16) for cap in capacities]
+    info = memo.cache_info()
+    assert info.maxsize == numerics._GRADED_MEMO
+    assert info.currsize == numerics._GRADED_MEMO
+    # the most recent are shared, the oldest were dropped and are rebuilt
+    assert Grid.graded(float(capacities[-1]), n=16) is grids[-1]
+    again = Grid.graded(1.0, n=16)
+    assert again is not first and np.array_equal(again.nodes, first.nodes)
+    assert memo.cache_info().currsize == numerics._GRADED_MEMO
