@@ -537,6 +537,14 @@ def _load_policy_csv(path: str) -> PolicySolution:
         raise ConfigError(
             f"simulate.policy_csv: {path!r} must have z,p,kappa,f rows"
         )
+    z, p, kappa, f = data.T
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"simulate.policy_csv: {path!r} holds a non-finite value")
+    if not (np.all(p > 0.0) and np.all(kappa > 0.0) and np.all(f >= 0.0)):
+        raise ConfigError(
+            f"simulate.policy_csv: {path!r}: p and kappa must be positive "
+            "and f non-negative on every row"
+        )
     sidecar_path = os.path.splitext(path)[0] + ".json"
     try:
         with open(sidecar_path, "r", encoding="utf-8") as fh:
@@ -545,26 +553,41 @@ def _load_policy_csv(path: str) -> PolicySolution:
         raise ConfigError(
             f"simulate.policy_csv: cannot read sidecar {sidecar_path!r}: {exc}"
         )
+    if not isinstance(sidecar, dict):
+        raise ConfigError(
+            f"simulate.policy_csv: sidecar {sidecar_path!r} must hold an object"
+        )
     if not sidecar.get("feasible", False):
         raise InfeasibleError(f"policy in {path!r} is marked infeasible")
+
+    def number(key, positive=False):
+        value = sidecar.get(key)
+        if (isinstance(value, (int, float)) and math.isfinite(value)
+                and (value > 0.0 or not positive)):
+            return float(value)
+        raise ConfigError(
+            f"simulate.policy_csv: sidecar {sidecar_path!r}: {key} must be a "
+            f"finite{' positive' if positive else ''} number, got {value!r}"
+        )
+
     try:
-        grid = Grid.from_nodes(data[:, 0])
+        grid = Grid(z)
     except ValueError as exc:
         raise ConfigError(f"simulate.policy_csv: {path!r}: {exc}")
-    d_beta = sidecar.get("d_beta")
+    adaptive = sidecar.get("d_beta") is not None
     return PolicySolution(
-        kind="adaptive" if d_beta is not None else "constant-kappa",
+        kind="adaptive" if adaptive else "constant-kappa",
         grid=grid,
-        p=data[:, 1],
-        kappa=data[:, 2],
-        f=data[:, 3],
-        pi0=float(sidecar["pi0"]),
-        kappa0=float(sidecar["kappa0"]),
-        d_beta=None if d_beta is None else float(d_beta),
-        d_avg=float(sidecar["d_avg"]),
+        p=p,
+        kappa=kappa,
+        f=f,
+        pi0=number("pi0"),
+        kappa0=number("kappa0", positive=True),
+        d_beta=number("d_beta", positive=True) if adaptive else None,
+        d_avg=number("d_avg"),
         optimality_residual=sidecar.get("residual50"),
         feasible=True,
-        p0plus=float(data[0, 1]),   # the power on the z = 0 row
+        p0plus=float(p[0]),         # the power on the z = 0 row
     )
 
 

@@ -916,10 +916,6 @@ class Grid:
         return float(self.nodes[-1])
 
     @classmethod
-    def from_nodes(cls, nodes) -> "Grid":
-        return cls(nodes)
-
-    @classmethod
     def graded(
         cls,
         capacity: float,

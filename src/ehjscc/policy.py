@@ -75,8 +75,8 @@ class VariationalConstants:
 
     ``beta`` selects the constant distortion level; ``c1`` and ``c2`` are
     the two integration constants of the underlying condition.  The
-    constant-mismatch family uses the single combination
-    ``lam * (c1 + c2)``, exposed via :meth:`constant_kappa_c`.
+    constant-mismatch family has a single constant of its own (``c`` of
+    :func:`solve_constant_kappa`).
     """
 
     beta: float
@@ -88,9 +88,6 @@ class VariationalConstants:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-
-    def constant_kappa_c(self, lam: float) -> float:
-        return lam * (self.c1 + self.c2)
 
 
 @dataclass(frozen=True)
@@ -283,14 +280,6 @@ def _adaptive_field(ch, arrivals, consts, d_beta, r_beta, slope):
             return np.where(np.abs(den) < 1e-12, np.inf, (base + shift) / den)
 
     return rhs
-
-
-def _endpoint_gap(ch, consts, d_beta, r_beta, slope, p_end):
-    # value of the stationarity condition at z = L, where the integral
-    # term is empty: D_beta - (dD/dp)*p + c1 + c2*kappa(L)
-    kap = r_beta / ch.rate(p_end)
-    d_dp = kap * ch.rate_derivatives(p_end)[0] / slope
-    return d_beta - d_dp * p_end + consts.c1 + consts.c2 * kap
 
 
 def _stationary_law(grid, drain, delta, lam):

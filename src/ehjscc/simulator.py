@@ -26,12 +26,11 @@ the statistics do not depend on how the path was found.
 
 Every slice of 1024 events is then accounted for in bulk with array
 operations: the drain segments are clipped to the measurement window
-(everything after the burn-in), their time-weighted integrals of power,
-inverse mismatch and reported distortion come from a cumulative table
-W(z) (node cumulatives plus per-cell closed forms), and their occupancy
-of a uniform charge grid from ``np.bincount`` over partial bin times and
-a difference array of full-bin crossings.  Memory stays flat in the
-horizon.
+(everything after the burn-in), and each segment end adds its count and
+two closed-form moments to its cell of the charge grid.  Both the
+time-weighted integrals of power, inverse mismatch and reported
+distortion and the drain time spent below each bin edge of the charge
+CDF are read off these per-cell sums.  Memory stays flat in the horizon.
 """
 
 from __future__ import annotations
@@ -178,10 +177,11 @@ class _DrainTable:
         cap = policy.grid.capacity
         edges = np.linspace(0.0, cap, _BINS + 1)
 
-        merged = np.union1d(policy.grid.nodes, edges)
-        keep = np.concatenate(([True], np.diff(merged) > 1e-12 * cap))
-        z = merged[keep]
-        z[-1] = cap
+        # every bin edge stays a node; a policy node closer than 1e-12*cap
+        # to its neighbour below or above gives way
+        z = np.union1d(policy.grid.nodes, edges)
+        apart = np.diff(z) > 1e-12 * cap
+        z = z[np.isin(z, edges) | (np.append(True, apart) & np.append(apart, True))]
 
         p = np.interp(z, policy.grid.nodes, policy.p)
         kappa = np.interp(z, policy.grid.nodes, policy.kappa)
@@ -196,6 +196,7 @@ class _DrainTable:
 
         self.cap = cap
         self.edges = edges
+        self.edge_nodes = np.searchsorted(z, edges)
         self.z = z
         dz = self.dz = np.diff(z)
         ga = self.ga = g[:-1]
@@ -223,6 +224,7 @@ class _DrainTable:
         # u_node[j] = time to drain from cap down to z[j] (descending in
         # j); w_top[i] = weighted times from cap down to the top of cell i
         cell_t, a, b = self.moments(np.arange(len(dz)), np.zeros(len(dz)))
+        self.cell_t = cell_t
         cell_w = self.coef_a * a[:, None] + self.coef_b * b[:, None]
         self.u_node = np.concatenate((np.cumsum(cell_t[::-1])[::-1], [0.0]))
         self.w_top = np.concatenate(
@@ -250,11 +252,6 @@ class _DrainTable:
             gs.tolist(), (self.gb / gs_c).tolist(), self.curved.tolist(),
             cap, self.u_max,
         )
-
-        # bin edges are a subset of the merged nodes: record their u values
-        # and the fixed time each full-bin crossing takes
-        self.u_edge = self.u_node[np.searchsorted(z, edges)]
-        self.crossing = self.u_edge[:-1] - self.u_edge[1:]
 
     def moments(self, i, x):
         # from offset x in cell i up to the cell's top, elementwise: the
@@ -376,18 +373,14 @@ def _walk(lists, segs, energies, targets, z, u):
 
 class _Tally:
     # time-weighted statistics of the measurement window [burn, horizon],
-    # accumulated from slices of drain segments and empty intervals
+    # accumulated from slices of drain segments and empty intervals.  A
+    # drain segment is recorded by its two ends: per cell, the net count
+    # of segment ends (bottom ends +1, top ends -1) and the net sums of
+    # their moments a and b
     def __init__(self, table: _DrainTable, burn: float, horizon: float):
         self.table = table
         self.burn = burn
         self.horizon = horizon
-        self.bin_width = table.cap / _BINS
-        self.occupancy_partial = np.zeros(_BINS)
-        self.full_crossings = np.zeros(_BINS + 1, dtype=np.int64)  # difference form
-        # the weighted time of a segment is W(bottom) - W(top), with
-        # W(z) = w_top + coef_a*a + coef_b*b in the cell of z; per cell,
-        # the net count of segment ends (bottom ends +1, top ends -1) and
-        # the net sums of their moments a and b
         self.end_moments = np.zeros((3, len(table.dz)))
         self.pi0_time = 0.0
 
@@ -417,39 +410,20 @@ class _Tally:
 
     def add_drains(self, t_a, u_a, hi, z_hi, z_lo):
         # the charge drains from z_hi at wall time t_a (u = u_a) down to
-        # z_lo (u = hi); clip each segment to the window, then credit the
-        # weighted times and bins.  Every segment ends by the horizon, so
-        # only the burn-in cuts segments
+        # z_lo (u = hi); clip each segment to the window, then record its
+        # ends.  Every segment ends by the horizon, so only the burn-in
+        # cuts segments
         if not len(t_a):
             return
         table = self.table
         lo = np.maximum(u_a, u_a + (self.burn - t_a))
         live = hi > lo
         if not live.all():
-            lo, hi, u_a, z_hi, z_lo = (x[live] for x in (lo, hi, u_a, z_hi, z_lo))
+            lo, u_a, z_hi, z_lo = (x[live] for x in (lo, u_a, z_hi, z_lo))
         cut = lo != u_a
         if cut.any():
             z_hi[cut] = table.z_of_u(lo[cut])
         self.end_moments += self._moment_sums(z_lo) - self._moment_sums(z_hi)
-
-        # a segment inside one bin adds its duration there; one spanning
-        # several adds partial times at both ends and a full crossing to
-        # every bin in between
-        k_hi = np.minimum((z_hi / self.bin_width).astype(np.intp), _BINS - 1)
-        k_lo = np.minimum((z_lo / self.bin_width).astype(np.intp), _BINS - 1)
-        same = k_hi == k_lo
-        u_edge = table.u_edge
-        span_lo = k_lo[~same]
-        self.occupancy_partial += np.bincount(
-            np.concatenate((k_hi, span_lo)),
-            weights=np.concatenate((
-                np.where(same, hi, u_edge[k_hi]) - lo,
-                hi[~same] - u_edge[span_lo + 1],
-            )),
-            minlength=_BINS,
-        )
-        self.full_crossings += np.bincount(span_lo + 1, minlength=_BINS + 1)
-        self.full_crossings -= np.bincount(k_hi[~same], minlength=_BINS + 1)
 
     def _moment_sums(self, z):
         # per cell: the number of points of z and the sums of their
@@ -474,12 +448,22 @@ class _Tally:
         hi = np.minimum(t_a + dt, self.horizon)
         self.pi0_time += float(np.sum(np.maximum(hi - lo, 0.0)))
 
-    def occupancy(self):
-        counts = np.cumsum(self.full_crossings[:-1])
-        return counts * self.table.crossing + self.occupancy_partial
+    def drain_times(self):
+        # drain time spent at or below each merged node z[j]: the sum over
+        # cells m < j of the ends' net times to the top of cell m (b in a
+        # curved cell, a in a constant-rate one, see moments) plus the
+        # full cell time for every segment with its bottom below cell m
+        # and its top in it or above
+        table = self.table
+        count, sum_a, sum_b = self.end_moments
+        ends = np.where(table.curved, sum_b, sum_a)
+        crossing = np.concatenate(([0.0], np.cumsum(count[:-1])))
+        return np.concatenate(([0.0], np.cumsum(ends + crossing * table.cell_t)))
 
     def weighted_times(self):
-        # time integrals of (power, 1/kappa, d_dagger) over the window
+        # time integrals of (power, 1/kappa, d_dagger) over the window:
+        # each segment gives W(bottom) - W(top), with W(z) = w_top +
+        # coef_a*a + coef_b*b in the cell of z
         table = self.table
         count, sum_a, sum_b = self.end_moments[:, :, None]
         return (
@@ -579,7 +563,7 @@ def simulate(config: SimConfig) -> SimulationStats:
     cap = table.cap
 
     # energy bookkeeping over the whole run, burn-in included
-    z0 = min(max(config.z0, 0.0), cap)
+    z0 = config.z0
     arrived = 0.0
     consumed = 0.0
     overflow = 0.0
@@ -628,12 +612,10 @@ def simulate(config: SimConfig) -> SimulationStats:
         t = float(t_at[-1])
         size = _CHUNK
 
-    occ_cum = np.cumsum(tally.occupancy())
     pi0_time = tally.pi0_time
-    measured = pi0_time + occ_cum[-1]
-    cdf = np.empty(_BINS + 1)
-    cdf[0] = pi0_time / measured
-    cdf[1:] = (pi0_time + occ_cum) / measured
+    below = pi0_time + tally.drain_times()[table.edge_nodes]
+    measured = below[-1]
+    cdf = below / measured
 
     kappa0 = config.policy.kappa0
     empty_d = config.src.d_max / kappa0

@@ -399,6 +399,42 @@ def test_simulate_rejects_a_policy_csv_not_starting_at_zero(workdir, solve_artif
     assert "first node must be 0" in capsys.readouterr().err
 
 
+def _set_column(rows, column, value):
+    # the CSV with one data row's column replaced
+    cells = rows[10].split(",")
+    cells[column] = value
+    return rows[:10] + [",".join(cells)] + rows[11:]
+
+
+@pytest.mark.parametrize("edit_csv,edit_sidecar", [
+    pytest.param(lambda rows: _set_column(rows, 1, "0.0"), None, id="zero-power"),
+    pytest.param(lambda rows: _set_column(rows, 2, "0.0"), None, id="zero-kappa"),
+    pytest.param(None, lambda side: {k: v for k, v in side.items() if k != "pi0"},
+                 id="no-pi0"),
+    pytest.param(None, lambda side: {**side, "kappa0": None}, id="null-kappa0"),
+])
+def test_simulate_rejects_an_invalid_policy_artifact(tmp_path, solve_artifacts, capsys,
+                                                     edit_csv, edit_sidecar):
+    # a re-ingested artifact is outside input: a row or a sidecar value
+    # the simulator cannot use stops the run as a config error
+    rows = (solve_artifacts / "solution.csv").read_text().splitlines()
+    sidecar = json.loads((solve_artifacts / "solution.json").read_text())
+    (tmp_path / "solution.csv").write_text(
+        "\n".join(edit_csv(rows) if edit_csv else rows) + "\n"
+    )
+    (tmp_path / "solution.json").write_text(
+        json.dumps(edit_sidecar(sidecar) if edit_sidecar else sidecar)
+    )
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(
+        GAUSS_SYSTEM
+        + "simulate:\n  horizon: 1000.0\n  seed: 0\n"
+        + f"  policy_csv: {tmp_path / 'solution.csv'}\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: simulate.policy_csv: " in capsys.readouterr().err
+
+
 def test_simulate_seed_override(workdir, bench_config, capsys):
     out_a = workdir / "sim_seed_a"
     out_b = workdir / "sim_seed_b"

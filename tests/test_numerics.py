@@ -438,16 +438,16 @@ def test_grid_invariants():
     # and they are those of cumulative_integral, fixed by the nodes alone
     y = np.exp(-g.nodes) * np.sin(g.nodes)
     assert quadrature(y, g) == pytest.approx(cumulative_integral(g.nodes, y)[-1], abs=1e-14)
-    assert np.array_equal(Grid.from_nodes(g.nodes).weights, g.weights)
+    assert np.array_equal(Grid(g.nodes).weights, g.weights)
 
 
 def test_grid_rejects_bad_nodes():
     with pytest.raises(ValueError, match="first node must be 0"):
-        Grid.from_nodes([0.5, 1.0, 2.0])
+        Grid([0.5, 1.0, 2.0])
     with pytest.raises(ValueError, match="strictly increasing"):
-        Grid.from_nodes([0.0, 0.25, 0.25, 1.0])
+        Grid([0.0, 0.25, 0.25, 1.0])
     with pytest.raises(ValueError, match="at least two"):
-        Grid.from_nodes([0.0])
+        Grid([0.0])
     with pytest.raises(ValueError, match="z_min"):
         Grid.graded(5.0, z_min=0.0)
 
@@ -466,10 +466,10 @@ def test_quadrature_exponential():
 def test_quadrature_exact_for_cubics():
     # nonuniform nodes from 0, and a grid too short for a cubic stencil,
     # where the weights are the trapezoid's
-    g = Grid.from_nodes([0.0, 0.01, 0.5, 1.0, 1.25, 2.2, 3.0])
+    g = Grid([0.0, 0.01, 0.5, 1.0, 1.25, 2.2, 3.0])
     vals = g.nodes**3 - 2.0 * g.nodes + 1.0
     assert quadrature(vals, g) == pytest.approx(3.0**4 / 4.0 - 3.0**2 + 3.0, abs=1e-13)
-    short = Grid.from_nodes([0.0, 1.0, 3.0])
+    short = Grid([0.0, 1.0, 3.0])
     assert np.array_equal(short.weights, [0.5, 1.5, 1.0])
 
 

@@ -531,12 +531,6 @@ def test_default_grid_matches_a_dense_reference(src, leak, rows):
 # constant-mismatch policy
 # ---------------------------------------------------------------------------
 
-def test_constant_kappa_c_combines_free_constants():
-    # [TRIVIAL] the single constant is lam * (c1 + c2)
-    consts = VariationalConstants(-0.9, -0.89, 0.34)
-    assert consts.constant_kappa_c(2.0) == pytest.approx(2.0 * (-0.89 + 0.34))
-
-
 def test_constant_kappa_fixed_point():
     # [TRIVIAL] C = -lam * D~(delta/lam) with p0 = delta/lam freezes the
     # power: the matched distortion at p = 1 is 1/(1+1) = 0.5, so C = -0.5

@@ -18,6 +18,7 @@ from ehjscc.models import (
     SystemConfig,
     ZeroLeakage,
 )
+from ehjscc.numerics import Grid
 from ehjscc.policy import VariationalConstants, solve_adaptive, solve_constant_kappa
 from ehjscc.simulator import (
     DivergenceReport,
@@ -175,6 +176,30 @@ def test_drain_only_short_horizon_splits_time(bench_policy):
     assert 0.0 < stats.pi0_hat < 1.0
     assert np.all(np.diff(stats.empirical_cdf) >= 0.0)
     assert stats.empirical_cdf[-1] == 1.0
+
+
+def test_drain_only_cdf_at_edges_next_to_policy_nodes():
+    # every third node of this uniform policy grid sits within rounding
+    # of a bin edge; the edges stay nodes of the drain table, so a drain
+    # from the top reads its CDF at the edges themselves: the charge is
+    # at or below edge e from the wall time u(e) on, and empty from u_max
+    cap, horizon = 7.3, 100.0
+    sol = solve_constant_kappa(GAUSS, CHAN, ARRIVALS, ZeroLeakage(), cap, 1e-3, -0.55,
+                               grid=Grid(np.linspace(0.0, cap, 1537)))
+    assert sol.feasible
+    system = SystemConfig(arrivals=ArrivalModel(delta=0.0, lam=1.0),
+                          leakage=ZeroLeakage(), capacity=cap)
+    config = SimConfig(policy=sol, system=system, horizon=horizon, z0=cap,
+                       src=GAUSS, ch=CHAN)
+    table = _DrainTable(config)
+    burn = 0.01 * horizon
+    assert burn < table.u_max < horizon
+    stats = simulate(config)
+    u = table.u_of_z(stats.bin_edges)
+    expected = (horizon - np.maximum(u, burn)) / (horizon - burn)
+    assert expected[0] == pytest.approx((horizon - table.u_max) / (horizon - burn))
+    assert np.max(np.abs(stats.empirical_cdf - expected)) <= 1e-13
+    assert np.all(np.isin(table.edges, table.z))
 
 
 # ---------------------------------------------------------------------------
