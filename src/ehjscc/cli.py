@@ -322,6 +322,11 @@ class RunConfig:
             self.policy_csv = sec["policy_csv"]
 
 
+# libyaml's safe loader where PyYAML was built with it: the same
+# documents as yaml.safe_load, read about five times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a YAML config file.
 
@@ -330,7 +335,7 @@ def load_run_config(path: str) -> RunConfig:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

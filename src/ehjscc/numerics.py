@@ -30,6 +30,7 @@ __all__ = [
     "integrate_ode",
     "AutonomousPath",
     "integrate_autonomous",
+    "path_from_panels",
     "Grid",
     "quadrature",
     "cumulative_integral",
@@ -554,6 +555,19 @@ def _gauss_tables():
     return nodes, weights, to_coef, antider.T
 
 
+@functools.cache
+def _knot_tables():
+    """The ten knots of a panel in t and the powers of the first nine.
+
+    The knots are -1, the Gauss nodes and 1; column i of the powers
+    holds knot i to the powers 0 .. 8, so the monomial coefficients of a
+    panel's z(t) times the powers give z at its left edge and nodes.
+    """
+    nodes = _gauss_tables()[0]
+    knot_t = np.concatenate(([-1.0], nodes, [1.0]))
+    return knot_t, knot_t[:-1][None, :] ** np.arange(_GL_ORDER + 1)[:, None]
+
+
 class AutonomousPath:
     """Monotone solution p(z) of p' = F(p), p(0) = p0, on [0, z_end].
 
@@ -580,37 +594,76 @@ class AutonomousPath:
         self.z_edges = z_edges
 
     def p_at(self, z) -> np.ndarray:
-        """p at each charge in ``z`` (values in [0, z_end])."""
+        """p at each charge in ``z`` (values in [0, z_end]).
+
+        z(t) is inverted on each charge's panel by Newton's method until
+        no step exceeds 1e-12 in t.  Newton starts from the chord between
+        the two knots that bracket the charge, out of ten per panel (its
+        edges and its Gauss nodes); from so close a start it takes three
+        passes on the published rows.  Past the last edge, p is the
+        equilibrium's.
+        """
         z = np.asarray(z, dtype=float)
-        if self.direction == 0.0 or self.widths.size == 0:
+        if self.direction == 0.0 or self.widths.size == 0 or z.size == 0:
             return np.full(z.shape, self.p0)
+        flat = z.ravel()
         edges = self.z_edges
-        k = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, self.widths.size - 1)
-        z_lo, rise = edges[k], edges[k + 1] - edges[k]
-        half = 0.5 * self.widths[k]
-        poly = self.antider[k].T            # (degree + 1, len(z))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(rise > 0.0, 2.0 * (z - z_lo) / rise - 1.0, 1.0)
-        t = np.clip(t, -1.0, 1.0)
-        # Newton on z(t) - z; z is increasing in t on the panel, so the
-        # clipped iteration stays inside it
+        # past the last edge the state sits on its equilibrium: aim at the
+        # edge, so that those charges converge too
+        target = np.minimum(flat, edges[-1])
+        rows = _newton_rows(self.antider, edges, self.widths)
+        knot_t, powers = _knot_tables()
+        # z at each panel's left edge and Gauss nodes, then at the last
+        # right edge, made monotone against rounding
+        knots = rows[:, 0, :].T @ powers
+        knots[:, 0] = edges[:-1]
+        knots = np.maximum.accumulate(np.append(knots.ravel(), edges[-1]))
+        # the panel holding each charge and the chord through the knots
+        # that bracket it
+        at = np.clip(knots.searchsorted(target, side="right") - 1, 0, knots.size - 2)
+        k, j = np.divmod(at, _GL_ORDER + 1)
+        z_a, z_b = knots[at], knots[at + 1]
+        share = np.divide(target - z_a, z_b - z_a, out=np.ones_like(flat), where=z_b > z_a)
+        t = knot_t[j] + (knot_t[j + 1] - knot_t[j]) * share
+        np.clip(t, -1.0, 1.0, out=t)
+        # Newton on z(t) - z, in place; z is increasing in t on the panel,
+        # so the clipped iteration stays inside it
+        poly = rows.take(k, axis=2)           # (degree + 1, 2, len(z)), contiguous
+        acc, step = np.empty_like(poly[0]), np.empty_like(t)
+        value, slope = acc
         for _ in range(12):
-            value = poly[-1]
-            slope = np.zeros_like(t)
-            for row in poly[-2::-1]:
-                slope = slope * t + value
-                value = value * t + row
-            resid = z_lo + half * value - z
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(slope > 0.0, resid / (half * slope), 0.0)
-            t = np.clip(t - step, -1.0, 1.0)
-            if np.max(np.abs(step), initial=0.0) <= 1e-12:
+            np.multiply(poly[-1], t, out=acc)
+            for row in poly[-2:0:-1]:
+                acc += row
+                acc *= t
+            acc += poly[0]
+            # the step (z(t) - z) / z'(t), or 0 where z is flat in t
+            np.subtract(value, target, out=step)
+            if slope.min() > 0.0:
+                step /= slope
+            else:
+                rising = slope > 0.0
+                np.divide(step, slope, out=step, where=rising)
+                step[~rising] = 0.0
+            t -= step
+            np.clip(t, -1.0, 1.0, out=t)
+            if np.abs(step, out=step).max() <= 1e-12:
                 break
-        u = self.lefts[k] + (t + 1.0) * half
-        # past the last edge the state sits on its equilibrium
-        u = np.where(z > edges[-1], self.lefts[-1] + self.widths[-1], u)
+        u = self.lefts[k] + (t + 1.0) * (0.5 * self.widths[k])
+        u[flat > edges[-1]] = self.lefts[-1] + self.widths[-1]
         # exp(ln p0) need not round back to p0
-        return np.where(z > 0.0, np.exp(math.log(self.p0) + self.direction * u), self.p0)
+        return np.where(flat > 0.0, np.exp(math.log(self.p0) + self.direction * u),
+                        self.p0).reshape(z.shape)
+
+
+def _newton_rows(antider, z_edges, widths):
+    # the monomial coefficients in t of z(t) and of z'(t) on each panel,
+    # as an array of shape (degree + 1, 2, panels)
+    value = 0.5 * widths[:, None] * antider
+    value[:, 0] += z_edges[:-1]
+    slope = np.zeros_like(value)
+    slope[:, :-1] = value[:, 1:] * np.arange(1.0, value.shape[1])
+    return np.stack((value.T, slope.T), axis=1)
 
 
 def _invalid_reason(f: float) -> str:
@@ -621,6 +674,60 @@ def _invalid_reason(f: float) -> str:
     if not abs(f) <= _RHS_CAP:
         return "right-hand side blew up"
     return _SIGN_CHANGE
+
+
+def _floor_width(s0, a):
+    # panels this narrow hit the resolution of u: no further cuts
+    return 2e-15 * (1.0 + abs(s0) + a)
+
+
+def _admissible(p, f, sign):
+    # which states have finite F within the cap and of the path's sign,
+    # and dz/du = p/|F| at each
+    g = sign * p / f
+    return (np.abs(f) <= _RHS_CAP) & (g > 0.0) & np.isfinite(g), g
+
+
+def _panel_test(a, h, p, g, s0, atol, rtol):
+    """The one accuracy rule of a path's panels.
+
+    For panels with left edges ``a`` and widths ``h`` in u, and dz/du
+    ``g`` at their Gauss nodes, where the state is ``p``: the Legendre
+    coefficients of g on each panel, the error estimate (the width times
+    the two highest coefficients), the allowance, and whether the panel
+    is too narrow to cut further.  A panel passes if its error is within
+    its allowance or it is that narrow.
+    """
+    _, weights, to_coef, _ = _gauss_tables()
+    coef = g @ to_coef.T
+    err = h * (np.abs(coef[:, -1]) + np.abs(coef[:, -2]))
+    # a panel may shift u by (atol/p + rtol) per unit of its width,
+    # but never by less than per _MIN_SHARE: tiny panels close to an
+    # equilibrium need not resolve F's rounding noise, since an error
+    # there moves u by at most that much
+    tol = 0.5 * np.maximum(h, _MIN_SHARE) * ((g * (atol / p + rtol)) @ weights)
+    return coef, err, tol, h <= _floor_width(s0, a)
+
+
+def _split(a, h, err, tol):
+    # cut each panel by its error ratio (the tail falls like h^6 or
+    # faster): the left edges and widths of the pieces
+    ratio = err / np.maximum(tol, 1e-300)
+    parts = np.ceil(1.5 * np.where(np.isnan(ratio), np.inf, ratio) ** (1.0 / 6.0))
+    parts = np.clip(parts, 2, _MAX_SPLIT).astype(int)
+    sub_h = np.repeat(h / parts, parts)
+    offsets = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+    return np.repeat(a, parts) + offsets * sub_h, sub_h
+
+
+def _assemble(p0, z_end, sign, a, h, coef):
+    # the path through adjoining accepted panels, in order of u, with
+    # their Legendre coefficients: cut at the panel where z reaches z_end,
+    # if it does
+    z_edges = np.concatenate(([0.0], np.cumsum(h * coef[:, 0])))
+    last = int(np.searchsorted(z_edges, z_end, side="left"))
+    return AutonomousPath(p0, z_end, sign, a[:last], h[:last],
+                          coef[:last] @ _gauss_tables()[3].T, z_edges[:last + 1])
 
 
 def integrate_autonomous(
@@ -662,7 +769,7 @@ def integrate_autonomous(
 
 
 def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
-    nodes, weights, to_coef, to_antider = _gauss_tables()
+    nodes = _gauss_tables()[0]
     empty = np.empty(0)
 
     def evaluate(p):
@@ -680,14 +787,6 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
     steps = np.arange(1, _LOCATE_POINTS + 1) / (_LOCATE_POINTS + 1)
     positions = np.append(nodes, 1.0)
 
-    def admissible(p, f):
-        g = sign * p / f
-        return (np.abs(f) <= _RHS_CAP) & (g > 0.0) & np.isfinite(g), g
-
-    def floor_width(a):
-        # panels this narrow hit the resolution of u: no further cuts
-        return 2e-15 * (1.0 + abs(s0) + a)
-
     def fresh(start):
         # the next stretch of u, as evenly cut candidate panels
         reach = min(max(8.0 * start, _FIRST_REACH), u_limit - start)
@@ -698,11 +797,11 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
         # narrow (lo, hi] onto the first inadmissible state; lo is
         # admissible, hi is not
         f_hi = math.nan
-        while hi - lo > floor_width(hi):
+        while hi - lo > _floor_width(s0, hi):
             pts = lo + (hi - lo) * steps
             p = np.exp(s0 + sign * pts)
             f = evaluate(p)
-            bad = np.flatnonzero(~admissible(p, f)[0])
+            bad = np.flatnonzero(~_admissible(p, f, sign)[0])
             if bad.size:
                 j = bad[0]
                 lo, hi, f_hi = (pts[j - 1] if j else lo), pts[j], f[j]
@@ -717,7 +816,7 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
         span = end - a
         if span <= 0.0:
             return empty, empty
-        count = max(0, math.ceil(math.log(span / floor_width(end)) / math.log(_GRADING)))
+        count = max(0, math.ceil(math.log(span / _floor_width(s0, end)) / math.log(_GRADING)))
         cuts = np.concatenate((end - span * _GRADING ** -np.arange(count + 1.0), [end]))
         return cuts[:-1], np.diff(cuts)
 
@@ -737,17 +836,10 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
         u = pend_a[:, None] + (positions[None, :] + 1.0) * (0.5 * pend_h[:, None])
         p = np.exp(s0 + sign * u)
         f = evaluate(p.ravel()).reshape(p.shape)
-        admissible_at, g = admissible(p, f)
+        admissible_at, g = _admissible(p, f, sign)
         whole = admissible_at.all(axis=1)
         p, g = p[:, :-1], np.where(admissible_at, g, 0.0)[:, :-1]
-        coef = g @ to_coef.T
-        err = pend_h * (np.abs(coef[:, -1]) + np.abs(coef[:, -2]))
-        # a panel may shift u by (atol/p + rtol) per unit of its width,
-        # but never by less than per _MIN_SHARE: tiny panels close to an
-        # equilibrium need not resolve F's rounding noise, since an error
-        # there moves u by at most that much
-        tol = 0.5 * np.maximum(pend_h, _MIN_SHARE) * ((g * (atol / p + rtol)) @ weights)
-        floor = pend_h <= floor_width(pend_a)
+        coef, err, tol, floor = _panel_test(pend_a, pend_h, p, g, s0, atol, rtol)
         good = whole & ((err <= tol) | floor)
 
         if good.all():
@@ -791,14 +883,9 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
             acc_a = np.concatenate((acc_a, pend_a[take]))
             acc_h = np.concatenate((acc_h, pend_h[take]))
             acc_c = np.concatenate((acc_c, coef[take]))
-            # cut by the error ratio (the tail falls like h^6 or faster)
             redo = ~good & ~floor & kept
-            ratio = err[redo] / np.maximum(tol[redo], 1e-300)
-            parts = np.ceil(1.5 * np.where(np.isnan(ratio), np.inf, ratio) ** (1.0 / 6.0))
-            parts = np.clip(parts, 2, _MAX_SPLIT).astype(int)
-            sub_h = np.repeat(pend_h[redo] / parts, parts)
-            offsets = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
-            pend_a = np.concatenate((np.repeat(pend_a[redo], parts) + offsets * sub_h, extra_a))
+            sub_a, sub_h = _split(pend_a[redo], pend_h[redo], err[redo], tol[redo])
+            pend_a = np.concatenate((sub_a, extra_a))
             pend_h = np.concatenate((sub_h, extra_h))
 
         # the accepted panels left of every pending one form the path so far
@@ -811,15 +898,10 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
         crossed = z_reached >= z_end
         if not crossed and pend_a.size:
             continue
-        if crossed:
-            last = int(np.searchsorted(z_edges, z_end, side="left"))
-            return AutonomousPath(p0, z_end, sign, acc_a[:last], acc_h[:last],
-                                  acc_c[:last] @ to_antider.T, z_edges[:last + 1])
+        # a root of F met first: the state has converged on it to rounding
+        if crossed or obstacle_reason == _SIGN_CHANGE:
+            return _assemble(p0, z_end, sign, acc_a[:prefix], acc_h[:prefix], acc_c[:prefix])
         if math.isfinite(obstacle):
-            if obstacle_reason == _SIGN_CHANGE:
-                # a root of F: the state has converged on it to rounding
-                return AutonomousPath(p0, z_end, sign, acc_a, acc_h,
-                                      acc_c @ to_antider.T, z_edges)
             raise SingularityError(obstacle_reason, z_reached,
                                    math.exp(s0 + sign * cut_at))
         reached = float(acc_a[-1] + acc_h[-1]) if acc_a.size else 0.0
@@ -830,6 +912,55 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
             )
         pend_a, pend_h = fresh(reached)
     raise SingularityError("quadrature did not converge", z_reached)
+
+
+def path_from_panels(rhs, p0, z_end, sign, lefts, widths, g, *, atol, rtol):
+    """The path of p' = rhs(p), p(0) = p0, from panels already evaluated.
+
+    ``lefts`` and ``widths`` are adjoining panels in u = sign*(ln p -
+    ln p0) from u = 0, and ``g`` (one row per panel) holds dz/du =
+    p/|rhs(p)| at each panel's Gauss nodes, where it is admissible.  The
+    result is the one :func:`integrate_autonomous` would assemble from
+    such panels: each is held to its accuracy rule, at ``atol`` and
+    ``rtol``, and one that fails is cut as there.  One call of ``rhs``
+    per round evaluates the new pieces (nodes and right edges), and the
+    first also checks p0 and the right edge of every panel given.
+
+    Returns ``None`` where the panels cannot stand for the path, and
+    :func:`integrate_autonomous` must decide instead: a state evaluated
+    is inadmissible, the cuts do not settle, or z falls short of z_end.
+    """
+    nodes = _gauss_tables()[0]
+    positions = np.append(nodes, 1.0)
+    s0 = math.log(p0)
+    a, h = lefts, widths
+    p = np.exp(s0 + sign * (a[:, None] + (nodes + 1.0) * (0.5 * h[:, None])))
+    done = []
+    # u at the states not yet checked: p0 and every given right edge
+    unchecked = np.concatenate(([0.0], a + h))
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ROUNDS):
+            coef, err, tol, floor = _panel_test(a, h, p, g, s0, atol, rtol)
+            good = (err <= tol) | floor
+            done.append((a[good], h[good], coef[good]))
+            a, h = _split(a[~good], h[~good], err[~good], tol[~good])
+            # the states to check, then the nodes and right edge of each piece
+            u = np.concatenate((unchecked, (a[:, None] + (positions + 1.0) * (0.5 * h[:, None])).ravel()))
+            if u.size:
+                q = np.exp(s0 + sign * u)
+                ok, dz_du = _admissible(q, np.asarray(rhs(q), dtype=float), sign)
+                if not ok.all():
+                    return None
+                p, g = (x[unchecked.size:].reshape(a.size, _GL_ORDER + 1)[:, :-1] for x in (q, dz_du))
+                unchecked = unchecked[:0]
+            if not a.size:
+                break
+        else:
+            return None
+    a, h, coef = (np.concatenate(part) for part in zip(*done))
+    order = np.argsort(a, kind="stable")
+    path = _assemble(p0, z_end, sign, a[order], h[order], coef[order])
+    return path if path.z_edges[-1] >= z_end else None
 
 
 # ---------------------------------------------------------------------------

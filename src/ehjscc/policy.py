@@ -21,10 +21,13 @@ whole arrays of powers: the solvers hand F to
 z(p) = Int dq / F(q) by quadrature and inverts it at the grid nodes.  The
 adaptive F and the endpoint gap are both affine in c2, so the c2 that
 closes the gap is one scalar root in the end power p(L), found on a
-table of F's two parts before the one trajectory is integrated.  Every
-way F can fail on the path (p running to 0 or escaping, |F| above 1e9,
-a vanishing denominator, p leaving the model's domain) comes back as an
-infeasible outcome whose message says near which z.
+table of F's two parts.  That table holds dz/du at the c2 found, so the
+one trajectory of a polished solve is read off it
+(:func:`~ehjscc.numerics.path_from_panels`, under the integrator's own
+accuracy rule) and integrated only where the table cannot stand for it.
+Every way F can fail on the path (p running to 0 or escaping, |F| above
+1e9, a vanishing denominator, p leaving the model's domain) comes back
+as an infeasible outcome whose message says near which z.
 
 The constant-mismatch (kappa = 1) policy family and the constant-power
 scheme for unbounded storage are provided for comparison, as both are
@@ -52,6 +55,7 @@ from .numerics import (
     integrate_autonomous,
     integrate_ode,  # noqa: F401 -- looked up here by benchmarks/tracer.py
     lambert_w,
+    path_from_panels,
     quadrature,
 )
 
@@ -310,12 +314,14 @@ def _battery_grid(capacity, p0plus, grid):
     return Grid.graded(capacity) if grid is None else grid
 
 
-def _law_on_grid(kind, field, grid, arrivals, leak, p0plus, **tags):
-    # p on the grid along the trajectory of p' = field(p) from p0plus,
-    # plus the output of _stationary_law, or the infeasible outcome
-    # carrying tags if the trajectory turns singular before the last node
+def _law_on_grid(kind, field, grid, arrivals, leak, p0plus, path=None, **tags):
+    # p on the grid along the trajectory of p' = field(p) from p0plus (the
+    # path given, else integrated), plus the output of _stationary_law, or
+    # the infeasible outcome carrying tags if the trajectory turns
+    # singular before the last node
     try:
-        path = integrate_autonomous(field, p0plus, grid.capacity, **_ODE_TOLERANCES)
+        if path is None:
+            path = integrate_autonomous(field, p0plus, grid.capacity, **_ODE_TOLERANCES)
         p = path.p_at(grid.nodes)
     except SingularityError as exc:
         return _infeasible(
@@ -395,7 +401,13 @@ _ROOT_RTOL = 1e-12
 
 
 def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
-    """The c2 whose trajectory meets the endpoint condition, or None.
+    """The c2 whose trajectory meets the endpoint condition, and its panels.
+
+    Returns None if there is no such c2, else (c2, panels), where panels
+    = (sign, lefts, widths, g) are the table's panels up to the one that
+    holds the root, in u, with dz/du at their nodes at that c2: the
+    arguments :func:`~ehjscc.numerics.path_from_panels` builds the
+    trajectory from.
 
     F = (base + lam*c2*R_beta)/den is affine in c2 (see
     :func:`_adaptive_terms`), and so is the endpoint gap, with slope
@@ -437,7 +449,8 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
     The table first covers 16 units of u and doubles its reach until Phi
     at its end is not negative; the state range [1e-300, 1e300] ends it.
     A bracket that closes only on the end of the admissible range, with
-    Phi still negative before it, has no root.
+    Phi still negative before it, has no root.  Phi at the root has
+    found dz/du admissible at every node of the panels handed back.
     """
     terms = _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope)
     shift = arrivals.lam * r_beta
@@ -480,13 +493,19 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
 
     closing = math.inf   # least u seen with Phi finite and not negative
 
-    def phi(u: float) -> float:
-        nonlocal closing
+    def dz_du(u: float):
+        # the panels up to the one holding u, and dz/du = q/|F| at their
+        # nodes for the c2 that closes the gap at u
         k = min(int(np.searchsorted(lefts, u, side="right")) - 1, lefts.size - 1)
         m = order * (k + 1)
-        # dz/du = q/|F| at the nodes, admissible from q/1e9 up to, but not
-        # including, inf; an infinite one (F = 0) leaves Phi inf or NaN
-        v = numer[:m] / (denom[:m] + shift * closing_c2(math.exp(s0 + sign * u)))
+        c2 = closing_c2(math.exp(s0 + sign * u))
+        return k, m, c2, numer[:m] / (denom[:m] + shift * c2)
+
+    def phi(u: float) -> float:
+        nonlocal closing
+        # dz/du is admissible from q/1e9 up to, but not including, inf; an
+        # infinite one (F = 0) leaves Phi inf or NaN
+        k, m, _, v = dz_du(u)
         if not (v >= least[:m]).all():
             return math.inf
         t = 2.0 * (u - lefts[k]) / widths[k] - 1.0
@@ -515,7 +534,8 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
         root = find_root(phi, RootBracket(lo, hi, tol=tol))
     if closing - root > tol:
         return None
-    return closing_c2(math.exp(s0 + sign * root))
+    k, _, c2, v = dz_du(root)
+    return c2, (sign, lefts[:k + 1], widths[:k + 1], v.reshape(k + 1, order))
 
 
 def solve_adaptive(
@@ -555,30 +575,36 @@ def solve_adaptive(
     solution; constants rounded to a couple of decimals typically move
     by ~1e-2, and their feasibility can flip when they sit near the
     normalization boundary.  That c2 is found as one root in the end
-    power p(capacity), before any trajectory is integrated (see
+    power p(capacity), before any trajectory is built (see
     :func:`_endpoint_c2`), so it depends on beta and c1 alone and
     ``consts.c2`` is ignored; (beta, c1) with no root come back as an
-    infeasible outcome that says so.
+    infeasible outcome that says so.  The trajectory at that c2 is
+    assembled from the root's table by
+    :func:`~ehjscc.numerics.path_from_panels`, and integrated as an
+    unpolished one is where the table cannot stand for it.
     """
     grid = _battery_grid(capacity, p0plus, grid)
     d_beta = beta_to_distortion(src, consts.beta)
     r_beta = src.rate(d_beta)
     slope = src.rate_derivatives(d_beta)[0]
 
-    c2 = consts.c2
+    c2, panels = consts.c2, None
     if refine_c2:
-        c2 = _endpoint_c2(ch, arrivals, consts.c1, d_beta, r_beta, slope, p0plus, capacity)
-        if c2 is None:
+        found = _endpoint_c2(ch, arrivals, consts.c1, d_beta, r_beta, slope, p0plus, capacity)
+        if found is None:
             return _infeasible(
                 "adaptive", p0plus,
                 "endpoint condition has no root: no c2 carries the power from "
                 "p0plus to an end power that closes the gap at z = capacity",
                 d_beta=d_beta, constants=consts,
             )
+        c2, panels = found
     used = replace(consts, c2=c2)
 
     field = _adaptive_field(ch, arrivals, used, d_beta, r_beta, slope)
-    law = _law_on_grid("adaptive", field, grid, arrivals, leak, p0plus,
+    path = None if panels is None else path_from_panels(
+        field, p0plus, grid.capacity, *panels, **_ODE_TOLERANCES)
+    law = _law_on_grid("adaptive", field, grid, arrivals, leak, p0plus, path,
                        d_beta=d_beta, constants=used)
     if isinstance(law, PolicySolution):
         return law

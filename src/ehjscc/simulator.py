@@ -224,6 +224,11 @@ class _DrainTable:
         # u_node[j] = time to drain from cap down to z[j] (descending in
         # j); w_top[i] = weighted times from cap down to the top of cell i
         cell_t, a, b = self.moments(np.arange(len(dz)), np.zeros(len(dz)))
+        # a curved cell's time again through libm's log1p, which the lifts
+        # of _walk and step take too: numpy's SIMD log1p differs from it in
+        # the last bit for some arguments, and u_node is summed from these
+        curved_t = _mapped(math.log1p, gs_c * dz / ga) / gs_c
+        cell_t, b = (np.where(self.curved, curved_t, x) for x in (cell_t, b))
         self.cell_t = cell_t
         cell_w = self.coef_a * a[:, None] + self.coef_b * b[:, None]
         self.u_node = np.concatenate((np.cumsum(cell_t[::-1])[::-1], [0.0]))

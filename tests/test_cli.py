@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from ehjscc.cli import _json, load_run_config, main
 
@@ -303,6 +304,33 @@ def test_numbers_in_exponent_form(workdir, capsys):
         path.write_text(GAUSS_SYSTEM.replace("p0plus: 0.001", f"p0plus: {value}"))
         assert main(["bound", "--config", str(path)]) == 2
         assert "config error: p0plus: " in capsys.readouterr().err
+
+
+def test_configs_read_alike_through_libyaml(workdir, bench_config, capsys):
+    # the loader the CLI reads configs with gives the dicts yaml.safe_load
+    # gives, exponent forms left as strings included, on the configs these
+    # tests write; invalid YAML stays a config error
+    from ehjscc import cli
+
+    texts = [GAUSS_SYSTEM + BENCH_CONSTANTS,
+             GAUSS_SYSTEM.replace("p0plus: 0.001", "p0plus: 1e-3")
+             + "search: {beta_bounds: [-0.99999999, -1e-12]}\n"
+             + "sweep: {capacities: [1.0e1, 2e0]}\n"
+             + "simulate: {horizon: 1e300, z0: +2E0, seed: 7}\n"]
+    texts += [path.read_text() for path in sorted(workdir.glob("*.yaml"))]
+    for text in texts:
+        try:
+            want = yaml.safe_load(text)
+        except yaml.YAMLError:
+            with pytest.raises(yaml.YAMLError):
+                yaml.load(text, Loader=cli._YAML_LOADER)
+            continue
+        assert yaml.load(text, Loader=cli._YAML_LOADER) == want
+    assert yaml.load(texts[1], Loader=cli._YAML_LOADER)["p0plus"] == "1e-3"
+    bad = workdir / "bad_yaml_libyaml.yaml"
+    bad.write_text("source: [unclosed\n")
+    assert main(["bound", "--config", str(bad)]) == 2
+    assert "invalid YAML" in capsys.readouterr().err
 
 
 def test_usage_error_exits_via_argparse(workdir):

@@ -320,19 +320,21 @@ def test_polish_reaches_one_c2_from_every_admissible_start(bench_refined, integr
                              replace(BENCH, c2=start), refine_c2=True)
         assert sol.feasible, sol.message
         assert sol.constants.c2 == bench_refined.constants.c2
-    # the root needs no trajectory: each solve integrates once, at its c2
-    assert len(integrations) == len(starts)
+    # the root needs no trajectory, and the trajectory at the root is
+    # built from the root's table: no solve integrates one
+    assert integrations == []
 
 
 def test_bracket_reaches_a_root_near_c2_zero_geometrically(integrations):
     # a scan-accuracy probe whose root sits 2.2e-3 below the c2 at which
-    # the state stays at p0: the endpoint root is found on the table, so
-    # the solve integrates one trajectory, at the c2 found
+    # the state stays at p0: the endpoint root is found on the table, and
+    # the trajectory at the c2 found is built from it, so the solve
+    # integrates none
     sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
                          VariationalConstants(-0.3127, -0.9434, 0.1444),
                          grid=Grid.graded(5.0, n=300), refine_c2=True)
     assert sol.constants.c2 == pytest.approx(0.0905097949635, abs=1e-9)
-    assert len(integrations) == 1
+    assert integrations == []
 
 
 def test_endpoint_without_root_integrates_nothing(integrations):

@@ -7,9 +7,16 @@ Runge-Kutta-Fehlberg integrator (``numerics.integrate_ode``) the solvers
 used to step, at the same tolerances: the stationary law and every other
 stage run unchanged on top of either.  The published rows, the two
 comparison constant-mismatch solves and a fixed set of probe constants
-covering every outcome must agree.  The endpoint root that fixes c2
-integrates no trajectory, so the swap leaves c2 as it is; the RKF45 path
-at that c2 must close the endpoint gap instead.
+covering every outcome must agree.  A solve that polishes c2 finds it on
+a table of the integrand and builds its trajectory from that table's
+panels (``numerics.path_from_panels``), integrating nothing; its
+reference is the unpolished solve at the c2 it found, stepped by RKF45,
+whose path must close the endpoint gap.
+
+The path from the table is also checked on its own: against the
+integrated path at the same c2, panel by panel against the one accuracy
+rule, and on a case where it must give way to the integrator.  Its
+inversion ``AutonomousPath.p_at`` is checked against the one it replaced.
 
 The quadrature tables are built once per grid: a ``Grid`` keeps the
 stencils of ``cumulative_integral``, and ``Grid.graded`` hands out one
@@ -38,7 +45,7 @@ from ehjscc.policy import (
     solve_constant_kappa,
 )
 
-from test_acceptance import ALL_BENCHMARKS, ARR, CH
+from test_acceptance import ALL_BENCHMARKS, ARR, CH, ROWS_GAUSS_IDEAL
 
 SOURCES = {"gaussian": GaussianSource(variance=1.0), "bernoulli": BernoulliSource(prob=0.5)}
 
@@ -78,13 +85,25 @@ class _Rkf45Path:
 
 
 def _both(solve, monkeypatch):
-    # the bounds below hold at 1e-13/1e-12; at the solvers' own target
-    # of 1e-10/1e-9 the two paths' p differ by up to 2e-8 relative
+    # solve(c2) solves as the case asks with c2 None, else at that c2
+    # unpolished.  The reference is the solve at the c2 the new one found
+    # (or the same solve where no c2 closes the endpoint gap), with its
+    # one trajectory stepped by RKF45.  The bounds below hold at
+    # 1e-13/1e-12; at the solvers' own target of 1e-10/1e-9 the two
+    # paths' p differ by up to 2e-8 relative
     monkeypatch.setattr(policy, "_ODE_TOLERANCES", {"atol": 1e-13, "rtol": 1e-12})
-    new = solve()
+    new = solve(None)
+    no_root = new.message.startswith("endpoint condition has no root")
+    stepped = []
+
+    def rkf45(*args, **kwargs):
+        stepped.append(1)
+        return _Rkf45Path(*args, **kwargs)
+
     with monkeypatch.context() as m:
-        m.setattr(policy, "integrate_autonomous", _Rkf45Path)
-        ref = solve()
+        m.setattr(policy, "integrate_autonomous", rkf45)
+        ref = solve(None if no_root or new.constants is None else new.constants.c2)
+    assert len(stepped) == (0 if no_root else 1)
     return new, ref
 
 
@@ -120,10 +139,10 @@ def _assert_same_solution(new, ref):
 @pytest.mark.parametrize("src,leak,rows", ALL_BENCHMARKS)
 def test_published_rows_match_rkf45(src, leak, rows, monkeypatch):
     for cap, (_, beta, c1, c2) in rows.items():
-        def solve():
+        def solve(at):
             return solve_adaptive(
                 src, CH, ARR, leak, float(cap), 1e-3,
-                VariationalConstants(beta, c1, c2), refine_c2=True,
+                VariationalConstants(beta, c1, c2 if at is None else at), refine_c2=at is None,
             )
         new, ref = _both(solve, monkeypatch)
         _assert_same_solution(new, ref)
@@ -140,7 +159,7 @@ def test_comparison_constant_kappa_solves_match_rkf45(monkeypatch):
     c_star = -ARR.lam * distortion(bern, CH, ARR.delta / ARR.lam, 1.0)
     for src, c in ((SOURCES["gaussian"], -0.55), (bern, c_star - 0.01)):
         new, ref = _both(
-            lambda: solve_constant_kappa(src, CH, ARR, ZeroLeakage(), 5.0, 1e-3, c),
+            lambda _: solve_constant_kappa(src, CH, ARR, ZeroLeakage(), 5.0, 1e-3, c),
             monkeypatch,
         )
         assert new.feasible and ref.feasible
@@ -151,9 +170,10 @@ def test_comparison_constant_kappa_solves_match_rkf45(monkeypatch):
 def test_probe_outcomes_match_rkf45(probe, monkeypatch):
     source, cap, beta, c1, c2, expected = probe
     new, ref = _both(
-        lambda: solve_adaptive(
+        lambda at: solve_adaptive(
             SOURCES[source], CH, ARR, ZeroLeakage(), cap, 1e-3,
-            VariationalConstants(beta, c1, c2), refine_c2=expected != "singular",
+            VariationalConstants(beta, c1, c2 if at is None else at),
+            refine_c2=at is None and expected != "singular",
         ),
         monkeypatch,
     )
@@ -162,6 +182,176 @@ def test_probe_outcomes_match_rkf45(probe, monkeypatch):
         assert _singular_z(new) == pytest.approx(_singular_z(ref), rel=1e-4, abs=1e-9)
     elif math.isfinite(ref.d_avg):
         assert _close(new.d_avg, ref.d_avg, 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# The trajectory of a polished solve, built from the endpoint table
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def table_paths(monkeypatch):
+    # every path_from_panels call of the policy module: (its positional
+    # arguments, its keyword arguments, the path it returned)
+    calls = []
+    build = policy.path_from_panels
+
+    def spy(*args, **kwargs):
+        path = build(*args, **kwargs)
+        calls.append((args, kwargs, path))
+        return path
+
+    monkeypatch.setattr(policy, "path_from_panels", spy)
+    return calls
+
+
+def _solve_rows(src, leak, rows):
+    return [solve_adaptive(src, CH, ARR, leak, float(cap), 1e-3,
+                           VariationalConstants(beta, c1, c2), refine_c2=True)
+            for cap, (_, beta, c1, c2) in rows.items()]
+
+
+@pytest.mark.parametrize("src,leak,rows", ALL_BENCHMARKS)
+def test_table_path_matches_the_integrated_path(src, leak, rows, table_paths, monkeypatch):
+    # the same polished solves, once with the trajectory built from the
+    # table and once integrated at the same c2, as when the table gives way
+    new = _solve_rows(src, leak, rows)
+    assert all(path is not None for *_, path in table_paths)
+    with monkeypatch.context() as m:
+        m.setattr(policy, "path_from_panels", lambda *args, **kwargs: None)
+        ref = _solve_rows(src, leak, rows)
+    for a, b in zip(new, ref):
+        assert a.constants.c2 == b.constants.c2
+        assert a.feasible == b.feasible and a.message == b.message
+        assert np.max(np.abs(a.p - b.p) / b.p) <= 1e-12
+        assert _close(a.d_avg, b.d_avg, 1e-13)
+        assert _close(a.pi0, b.pi0, 1e-13)
+        # kappa0 = pi0 / (1 - int f/kappa) amplifies a rounding of the
+        # integral by up to kappa0/pi0 ~ 1e4 here, so the split itself is
+        # compared
+        if b.feasible:
+            assert abs(a.pi0 / a.kappa0 - b.pi0 / b.kappa0) <= 1e-13
+
+
+def test_every_table_path_panel_passes_the_accuracy_rule(table_paths):
+    for src, leak, rows in ALL_BENCHMARKS:
+        _solve_rows(src, leak, rows)
+    nodes = numerics._gauss_tables()[0]
+    cut = 0
+    for (rhs, p0, z_end, sign, lefts, *_), tolerances, path in table_paths:
+        # adjoining panels from p0 on that reach z_end, with dz/du
+        # evaluated afresh at their nodes
+        a, h = path.lefts, path.widths
+        assert a[0] == 0.0 and np.allclose(a[1:], a[:-1] + h[:-1], rtol=1e-14, atol=0.0)
+        assert path.direction == sign and path.z_edges[-1] >= z_end
+        s0 = math.log(p0)
+        p = np.exp(s0 + sign * (a[:, None] + (nodes + 1.0) * (0.5 * h[:, None])))
+        admissible, g = numerics._admissible(p, rhs(p.ravel()).reshape(p.shape), sign)
+        assert admissible.all()
+        _, err, tol, floor = numerics._panel_test(a, h, p, g, s0, tolerances["atol"],
+                                                  tolerances["rtol"])
+        assert np.all((err <= tol) | floor)
+        cut += a.size - lefts.size
+    # the table's panels near the far end fail the rule and are cut
+    assert cut > 0
+
+
+def test_table_path_gives_way_to_the_integrator(table_paths):
+    # at L = 1000 the table's c2 is off by ~5e-6 relative: the table path
+    # meets an inadmissible state and the solve integrates the trajectory,
+    # which blows up as it did before the table path was built
+    gauss = SOURCES["gaussian"]
+    c1 = policy._c1_edge(gauss, CH, -0.5, 1.0) - 1e-5
+    sol = solve_adaptive(gauss, CH, ARR, ZeroLeakage(), 1000.0, 1.0,
+                         VariationalConstants(-0.5, c1, 0.3), refine_c2=True)
+    assert [path for *_, path in table_paths] == [None]
+    assert sol.constants.c2 == pytest.approx(0.0360648, rel=1e-6)
+    assert not sol.feasible
+    assert sol.message == "ODE singular near z=859.76: right-hand side blew up"
+
+
+def test_path_from_panels_on_a_closed_form():
+    # p' = -p from 1: dz/du = 1, so z = u and p = exp(-z)
+    rhs = lambda p: -p
+    lefts = np.linspace(0.0, 6.0, 13)[:-1]
+    widths = np.full(lefts.size, 0.5)
+    ones = np.ones((lefts.size, 8))
+    path = numerics.path_from_panels(rhs, 1.0, 5.0, -1.0, lefts, widths, ones,
+                                     atol=1e-10, rtol=1e-9)
+    z = np.linspace(0.0, 5.0, 41)
+    assert np.max(np.abs(path.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
+    assert path.z_edges[-1] == 5.0
+    # short of z_end, a state the field does not admit, a wrong direction
+    assert numerics.path_from_panels(rhs, 1.0, 7.0, -1.0, lefts, widths, ones,
+                                     atol=1e-10, rtol=1e-9) is None
+    hole = lambda p: np.where(np.abs(p - math.exp(-2.0)) < 1e-12, np.nan, -p)
+    assert numerics.path_from_panels(hole, 1.0, 5.0, -1.0, lefts, widths, ones,
+                                     atol=1e-10, rtol=1e-9) is None
+    assert numerics.path_from_panels(rhs, 1.0, 5.0, 1.0, lefts, widths, ones,
+                                     atol=1e-10, rtol=1e-9) is None
+
+
+def _p_at_before(path, z):
+    # AutonomousPath.p_at as it was: Newton from the chord across the
+    # whole panel, on strided rows of the coefficients
+    z = np.asarray(z, dtype=float)
+    edges = path.z_edges
+    k = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, path.widths.size - 1)
+    z_lo, rise = edges[k], edges[k + 1] - edges[k]
+    half = 0.5 * path.widths[k]
+    poly = path.antider[k].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(rise > 0.0, 2.0 * (z - z_lo) / rise - 1.0, 1.0)
+    t = np.clip(t, -1.0, 1.0)
+    for _ in range(12):
+        value = poly[-1]
+        slope = np.zeros_like(t)
+        for row in poly[-2::-1]:
+            slope = slope * t + value
+            value = value * t + row
+        resid = z_lo + half * value - z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(slope > 0.0, resid / (half * slope), 0.0)
+        t = np.clip(t - step, -1.0, 1.0)
+        if np.max(np.abs(step), initial=0.0) <= 1e-12:
+            break
+    u = path.lefts[k] + (t + 1.0) * half
+    u = np.where(z > edges[-1], path.lefts[-1] + path.widths[-1], u)
+    return np.where(z > 0.0, np.exp(math.log(path.p0) + path.direction * u), path.p0)
+
+
+def _knots(path):
+    # z at every panel's left edge and Gauss nodes, and at the last edge
+    nodes = numerics._gauss_tables()[0]
+    t = np.concatenate(([-1.0], nodes))
+    inner = [path.z_edges[k] + 0.5 * path.widths[k]
+             * np.polynomial.polynomial.polyval(t, path.antider[k])
+             for k in range(path.widths.size)]
+    return np.concatenate(inner + [path.z_edges])
+
+
+def test_p_at_matches_the_inversion_it_replaced(table_paths):
+    gauss = SOURCES["gaussian"]
+    _solve_rows(gauss, ZeroLeakage(), {5: ROWS_GAUSS_IDEAL[5]})
+    row = table_paths[-1][2]
+    # logistic growth settles on p = 1 before z = 60
+    logistic = numerics.integrate_autonomous(lambda p: p * (1.0 - p), 0.01, 60.0)
+    assert logistic.z_edges[-1] < 60.0
+    rng = np.random.default_rng(5)
+    for path in (row, logistic):
+        cases = {
+            "zero": np.zeros(3),
+            "knots and edges": _knots(path),
+            "random": rng.uniform(0.0, path.z_end, 1000),
+            "past the last edge": np.linspace(path.z_edges[-1], path.z_end, 7),
+        }
+        for name, z in cases.items():
+            new, old = path.p_at(z), _p_at_before(path, z)
+            assert new.shape == z.shape
+            assert np.max(np.abs(new - old) / old) <= 4e-15, name
+        assert np.all(path.p_at(np.zeros(3)) == path.p0)
+        scalar = path.p_at(0.37 * path.z_end)
+        assert scalar.shape == ()
+        assert abs(scalar / _p_at_before(path, 0.37 * path.z_end) - 1.0) <= 4e-15
 
 
 # ---------------------------------------------------------------------------

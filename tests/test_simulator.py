@@ -30,6 +30,9 @@ from ehjscc.simulator import (
     simulate,
 )
 
+# the parity suite's reference table and its policies fixture
+from test_simulator_parity import _ReferenceTable, _config, policies  # noqa: F401
+
 GAUSS = GaussianSource(variance=1.0)
 CHAN = AwgnChannel(noise=1.0)
 ARRIVALS = ArrivalModel(delta=1.0, lam=1.0)
@@ -200,6 +203,20 @@ def test_drain_only_cdf_at_edges_next_to_policy_nodes():
     assert expected[0] == pytest.approx((horizon - table.u_max) / (horizon - burn))
     assert np.max(np.abs(stats.empirical_cdf - expected)) <= 1e-13
     assert np.all(np.isin(table.edges, table.z))
+
+
+@pytest.mark.parametrize("name", ["gauss-L5", "bern-leaky-L3", "gauss-constk",
+                                  "bern-constk", "bern-fixed-point"])
+def test_drain_times_equal_the_reference_table_bit_for_bit(policies, name):
+    # the time to drain from the top down to each node takes its cell
+    # times from libm's log1p, like the walker and the per-event
+    # reference, so it equals the reference's to the bit; the parity
+    # tests compare overflow energy with ==, which rests on it
+    config = _config(policies, name, horizon=1.0)
+    table, ref = _DrainTable(config), _ReferenceTable(config)
+    assert np.array_equal(table.z, ref.z_list)
+    assert np.array_equal(table.u_node.view(np.uint64),
+                          np.array(ref.u_node).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
