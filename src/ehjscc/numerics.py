@@ -3,12 +3,14 @@
 Real Lambert W branches, bracketed scalar root finding (``find_root``)
 and minimization (``find_minimum``), a solver for autonomous scalar ODEs
 p' = F(p) by Gauss-Legendre quadrature of z(p) = Int dq / F(q) with F
-evaluated on whole arrays, an embedded adaptive Runge-Kutta integrator
-for general scalar ODEs (the reference the quadrature solver is tested
-against), composite quadrature on graded grids, and a deterministic
-seedable random stream.  Nothing in here knows about sources, channels or
-batteries; the rest of the package builds on this single auditable core
-instead of pulling in a general-purpose solver library.
+evaluated on whole arrays (``integrate_autonomous``, which can start
+from panels whose integrand the caller has already evaluated), an
+embedded adaptive Runge-Kutta integrator for general scalar ODEs (the
+reference the quadrature solver is tested against), composite
+quadrature on graded grids, and a deterministic seedable random stream.
+Nothing in here knows about sources, channels or batteries; the rest of
+the package builds on this single auditable core instead of pulling in a
+general-purpose solver library.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "integrate_ode",
     "AutonomousPath",
     "integrate_autonomous",
-    "path_from_panels",
     "Grid",
     "quadrature",
     "cumulative_integral",
@@ -666,12 +667,12 @@ def _newton_rows(antider, z_edges, widths):
     return np.stack((value.T, slope.T), axis=1)
 
 
-def _invalid_reason(f: float) -> str:
-    # why a state (always in [1e-300, 1e300]) is not admissible; finite,
-    # capped F of the right sign never gets here
-    if math.isnan(f):
+def _invalid_reason(p: float, g: float) -> str:
+    # why the state p (always in [1e-300, 1e300]) with dz/du = g, signed
+    # by the path's direction, is not admissible
+    if math.isnan(g):
         return "right-hand side undefined (state left its domain)"
-    if not abs(f) <= _RHS_CAP:
+    if not abs(g) >= p / _RHS_CAP:
         return "right-hand side blew up"
     return _SIGN_CHANGE
 
@@ -681,11 +682,10 @@ def _floor_width(s0, a):
     return 2e-15 * (1.0 + abs(s0) + a)
 
 
-def _admissible(p, f, sign):
-    # which states have finite F within the cap and of the path's sign,
-    # and dz/du = p/|F| at each
-    g = sign * p / f
-    return (np.abs(f) <= _RHS_CAP) & (g > 0.0) & np.isfinite(g), g
+def _admissible(p, g):
+    # which states are admissible, by dz/du = sign * p / F at each: F
+    # defined, of the path's sign and within 1e9 in size, and not 0
+    return (g >= p / _RHS_CAP) & (g < math.inf)
 
 
 def _panel_test(a, h, p, g, s0, atol, rtol):
@@ -709,25 +709,12 @@ def _panel_test(a, h, p, g, s0, atol, rtol):
     return coef, err, tol, h <= _floor_width(s0, a)
 
 
-def _split(a, h, err, tol):
-    # cut each panel by its error ratio (the tail falls like h^6 or
-    # faster): the left edges and widths of the pieces
+def _parts(err, tol):
+    # how many pieces to cut each failing panel into, by its error ratio
+    # (the tail falls like h^6 or faster)
     ratio = err / np.maximum(tol, 1e-300)
     parts = np.ceil(1.5 * np.where(np.isnan(ratio), np.inf, ratio) ** (1.0 / 6.0))
-    parts = np.clip(parts, 2, _MAX_SPLIT).astype(int)
-    sub_h = np.repeat(h / parts, parts)
-    offsets = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
-    return np.repeat(a, parts) + offsets * sub_h, sub_h
-
-
-def _assemble(p0, z_end, sign, a, h, coef):
-    # the path through adjoining accepted panels, in order of u, with
-    # their Legendre coefficients: cut at the panel where z reaches z_end,
-    # if it does
-    z_edges = np.concatenate(([0.0], np.cumsum(h * coef[:, 0])))
-    last = int(np.searchsorted(z_edges, z_end, side="left"))
-    return AutonomousPath(p0, z_end, sign, a[:last], h[:last],
-                          coef[:last] @ _gauss_tables()[3].T, z_edges[:last + 1])
+    return np.clip(parts, 2, _MAX_SPLIT).astype(int)
 
 
 def integrate_autonomous(
@@ -737,26 +724,39 @@ def integrate_autonomous(
     *,
     atol: float = 1e-13,
     rtol: float = 1e-12,
+    panels=None,
 ) -> AutonomousPath:
     """Solve the autonomous scalar ODE p' = rhs(p), p(0) = p0, on [0, z_end].
 
     ``rhs`` maps an array of states to an array of slopes; a NaN marks a
     state outside its domain and +-inf a vanishing denominator.  The
-    solution is monotone, so it is found by integrating dz/du = p / |F|
-    over u = |ln p - ln p0| on adaptively refined Gauss-Legendre panels.
-    A panel is accepted when the two highest Legendre coefficients of its
+    solution is monotone in the direction of rhs(p0), so it is found by
+    integrating dz/du = p / |F| over u = |ln p - ln p0| on adaptively
+    refined Gauss-Legendre panels.  Each round takes dz/du at the Gauss
+    nodes and the right edge of every panel pending.  A panel is
+    accepted when the two highest Legendre coefficients of its
     interpolant are below the integral of (atol / p + rtol) * dz/du over
     it, so ``atol`` and ``rtol`` bound the state error per unit of ln p
-    as an absolute and a relative target.  The first inadmissible state
-    met (F undefined, above 1e9 in size or of the wrong sign) is located
-    to rounding and the panels before it are graded toward it; panels
-    past the point where z must have reached z_end are dropped.
+    as an absolute and a relative target; the others are cut.  The first
+    inadmissible state met (F undefined, above 1e9 in size or of the
+    wrong sign) is located to rounding and the panels before it are
+    graded toward it; panels past the point where z must have reached
+    z_end are dropped, and where the panels end short of z_end a new
+    stretch of u is cut.
+
+    The first round is a stretch of evenly cut panels, or ``panels`` if
+    given: a tuple (direction, lefts, widths, g) of adjoining panels in
+    u from 0, where direction is +1 if p rises and -1 if it falls, and
+    g holds dz/du = direction * p / F already found at each panel's
+    Gauss nodes and right edge, one row of nine per panel.  That round
+    calls no ``rhs`` and goes through the steps of any other.
 
     Returns an :class:`AutonomousPath`.  Raises :class:`SingularityError`
-    carrying the z reached and the last admissible state when, before z_end, the state runs to 0 or
-    escapes to infinity, leaves the domain of ``rhs``, or |rhs| exceeds
-    1e9.  A root of ``rhs`` on the path is an equilibrium the
-    state approaches and, once the gap underflows, sits on.
+    carrying the z reached and the last admissible state when, before
+    z_end, the state runs to 0 or escapes to infinity, leaves the domain
+    of ``rhs``, or |rhs| exceeds 1e9.  A root of ``rhs`` on the path is
+    an equilibrium the state approaches and, once the gap underflows,
+    sits on.  Raises ValueError if ``panels`` run against rhs(p0).
     """
     p0 = float(p0)
     z_end = float(z_end)
@@ -765,27 +765,28 @@ def integrate_autonomous(
     if not (z_end > 0.0 and math.isfinite(z_end)):
         raise ValueError(f"z_end must be finite and positive, got {z_end}")
     with np.errstate(all="ignore"):
-        return _integrate_autonomous(rhs, p0, z_end, atol, rtol)
+        return _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels)
 
 
-def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
-    nodes = _gauss_tables()[0]
+def _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels):
+    to_antider = _gauss_tables()[3]
     empty = np.empty(0)
 
     def evaluate(p):
         return np.asarray(rhs(p), dtype=float)
 
     f0 = float(evaluate(np.array([p0]))[0])
-    if not (math.isfinite(f0) and abs(f0) <= _RHS_CAP):
-        raise SingularityError(_invalid_reason(f0), 0.0, p0)
     if f0 == 0.0:
         return AutonomousPath(p0, z_end, 0.0, empty, empty,
                               empty.reshape(0, _GL_ORDER + 1), np.zeros(1))
     sign = 1.0 if f0 > 0.0 else -1.0
+    g0 = sign * p0 / f0
+    if not _admissible(p0, g0):
+        raise SingularityError(_invalid_reason(p0, g0), 0.0, p0)
     s0 = math.log(p0)
     u_limit = (_S_MAX - s0) if sign > 0.0 else (s0 - _S_MIN)
-    steps = np.arange(1, _LOCATE_POINTS + 1) / (_LOCATE_POINTS + 1)
-    positions = np.append(nodes, 1.0)
+    # a panel's Gauss nodes and right edge, in its local coordinate
+    positions = _knot_tables()[0][1:]
 
     def fresh(start):
         # the next stretch of u, as evenly cut candidate panels
@@ -796,20 +797,22 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
     def locate(lo, hi):
         # narrow (lo, hi] onto the first inadmissible state; lo is
         # admissible, hi is not
-        f_hi = math.nan
+        g_hi = math.nan
+        steps = np.arange(1, _LOCATE_POINTS + 1) / (_LOCATE_POINTS + 1)
         while hi - lo > _floor_width(s0, hi):
             pts = lo + (hi - lo) * steps
             p = np.exp(s0 + sign * pts)
-            f = evaluate(p)
-            bad = np.flatnonzero(~_admissible(p, f, sign)[0])
+            g = sign * p / evaluate(p)
+            bad = np.flatnonzero(~_admissible(p, g))
             if bad.size:
                 j = bad[0]
-                lo, hi, f_hi = (pts[j - 1] if j else lo), pts[j], f[j]
+                lo, hi, g_hi = (pts[j - 1] if j else lo), pts[j], g[j]
             else:
                 lo = pts[-1]
-        if math.isnan(f_hi):
-            f_hi = evaluate(np.array([math.exp(s0 + sign * hi)]))[0]
-        return float(lo), float(hi), _invalid_reason(float(f_hi))
+        p_hi = math.exp(s0 + sign * hi)
+        if math.isnan(g_hi):
+            g_hi = sign * p_hi / evaluate(np.array([p_hi]))[0]
+        return float(lo), float(hi), _invalid_reason(p_hi, float(g_hi))
 
     def graded(a, end):
         # panels from a to end, narrowing geometrically toward end
@@ -820,10 +823,18 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
         cuts = np.concatenate((end - span * _GRADING ** -np.arange(count + 1.0), [end]))
         return cuts[:-1], np.diff(cuts)
 
-    # candidate panels (left edge, width) awaiting evaluation, and the
-    # accepted ones with their Legendre coefficients
-    pend_a, pend_h = fresh(0.0)
-    acc_a, acc_h, acc_c = empty, empty, empty.reshape(0, _GL_ORDER)
+    # every panel, in order of u: left edges, widths, Legendre
+    # coefficients (zero until a round finds them), and the indices of
+    # those awaiting a round, with dz/du at their points if known
+    if panels is None:
+        a, h = fresh(0.0)
+        known = None
+    else:
+        direction, a, h, known = panels
+        if direction != sign:
+            raise ValueError(f"panels run in direction {direction}, rhs(p0) in {sign}")
+    coef = np.zeros((a.size, _GL_ORDER))
+    todo = np.arange(a.size)
     # the first inadmissible state found, the last admissible one before
     # it, and why the former is inadmissible
     obstacle, cut_at, obstacle_reason = math.inf, math.inf, ""
@@ -833,37 +844,32 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
         # the nodes of each panel, then its right edge: F is only known
         # where evaluated, and an obstacle hiding between a panel's last
         # node and its edge would otherwise end the path past it
+        pend_a, pend_h = a[todo], h[todo]
         u = pend_a[:, None] + (positions[None, :] + 1.0) * (0.5 * pend_h[:, None])
         p = np.exp(s0 + sign * u)
-        f = evaluate(p.ravel()).reshape(p.shape)
-        admissible_at, g = _admissible(p, f, sign)
+        g = sign * p / evaluate(p.ravel()).reshape(p.shape) if known is None else known
+        known = None
+        admissible_at = _admissible(p, g)
         whole = admissible_at.all(axis=1)
-        p, g = p[:, :-1], np.where(admissible_at, g, 0.0)[:, :-1]
-        coef, err, tol, floor = _panel_test(pend_a, pend_h, p, g, s0, atol, rtol)
+        p, g = p[:, :-1], np.where(admissible_at[:, :-1], g[:, :-1], 0.0)
+        found, err, tol, floor = _panel_test(pend_a, pend_h, p, g, s0, atol, rtol)
+        coef[todo] = found
         good = whole & ((err <= tol) | floor)
 
         if good.all():
-            # nothing to drop or cut: every panel joins the path.  The
-            # branch below would do the same with some 30 more array
-            # operations per round, which made a pass over the published
-            # rows ~9% slower
-            acc_a = np.concatenate((acc_a, pend_a))
-            acc_h = np.concatenate((acc_h, pend_h))
-            acc_c = np.concatenate((acc_c, coef))
-            pend_a, pend_h = empty, empty
+            # nothing to drop or cut: every panel joins the path
+            todo = todo[:0]
         else:
             # drop the panels that start where z has surely passed z_end (a
             # lower bound of z at each left edge says so) and everything
             # past the last admissible state before an obstacle, locating
-            # a newly met obstacle first; accept the good panels, cut the rest
-            all_a = np.concatenate((acc_a, pend_a))
-            rise = np.concatenate((acc_h * acc_c[:, 0],
-                                   np.where(whole, np.maximum(pend_h * coef[:, 0] - err, 0.0), 0.0)))
-            order = np.argsort(all_a, kind="stable")
-            below = np.cumsum(rise[order]) - rise[order]
+            # a newly met obstacle first; cut the failing panels
+            rise = h * coef[:, 0]
+            rise[todo] = np.where(whole, np.maximum(pend_h * found[:, 0] - err, 0.0), 0.0)
+            below = np.cumsum(rise) - rise
             passed = np.flatnonzero(below >= z_end)
-            crossing = all_a[order[passed[0]]] if passed.size else math.inf
-            regraded = np.zeros(pend_a.size, dtype=bool)
+            crossing = a[passed[0]] if passed.size else math.inf
+            end = a.size
             extra_a, extra_h = empty, empty
             if not whole.all():
                 first = np.unravel_index(np.argmin(np.where(admissible_at, np.inf, u)), u.shape)
@@ -873,94 +879,54 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol):
                     lo = before.max() if before.size else pend_a[k]
                     cut_at, obstacle, obstacle_reason = locate(float(lo), float(u[first]))
                     # the panel holding it is replaced by panels graded up to it
-                    regraded[k] = True
+                    end = todo[k]
                     extra_a, extra_h = graded(pend_a[k], cut_at)
-            cut = min(cut_at, crossing)
-            kept = acc_a < cut
-            acc_a, acc_h, acc_c = acc_a[kept], acc_h[kept], acc_c[kept]
-            kept = (pend_a < cut) & ~regraded
-            take = good & kept
-            acc_a = np.concatenate((acc_a, pend_a[take]))
-            acc_h = np.concatenate((acc_h, pend_h[take]))
-            acc_c = np.concatenate((acc_c, coef[take]))
-            redo = ~good & ~floor & kept
-            sub_a, sub_h = _split(pend_a[redo], pend_h[redo], err[redo], tol[redo])
-            pend_a = np.concatenate((sub_a, extra_a))
-            pend_h = np.concatenate((sub_h, extra_h))
+            end = min(end, int(np.searchsorted(a, min(cut_at, crossing))))
+            # each panel becomes one panel (kept), none (dropped) or its
+            # pieces (cut) of the next round, in order of u
+            bad = ~good
+            pending = np.zeros(a.size, dtype=bool)
+            pending[todo[bad]] = True
+            parts = np.ones(a.size, dtype=int)
+            parts[todo[bad]] = _parts(err[bad], tol[bad]) * ~floor[bad]
+            parts[end:] = 0
+            h = np.repeat(h / parts, parts)
+            offsets = np.arange(h.size) - np.repeat(np.cumsum(parts) - parts, parts)
+            a = np.repeat(a, parts) + offsets * h
+            coef = np.repeat(coef, parts, axis=0)
+            todo = np.flatnonzero(np.repeat(pending, parts))
+            if extra_a.size:
+                todo = np.concatenate((todo, a.size + np.arange(extra_a.size)))
+                a, h = np.concatenate((a, extra_a)), np.concatenate((h, extra_h))
+                coef = np.concatenate((coef, np.zeros((extra_a.size, _GL_ORDER))))
 
-        # the accepted panels left of every pending one form the path so far
-        frontier = pend_a.min() if pend_a.size else math.inf
-        order = np.argsort(acc_a, kind="stable")
-        acc_a, acc_h, acc_c = acc_a[order], acc_h[order], acc_c[order]
-        prefix = int(np.searchsorted(acc_a, frontier))
-        z_edges = np.concatenate(([0.0], np.cumsum(acc_h[:prefix] * acc_c[:prefix, 0])))
+        # the panels left of every pending one form the path so far
+        prefix = int(todo[0]) if todo.size else a.size
+        z_edges = np.concatenate(([0.0], np.cumsum(h[:prefix] * coef[:prefix, 0])))
         z_reached = float(z_edges[-1])
         crossed = z_reached >= z_end
-        if not crossed and pend_a.size:
+        if not crossed and todo.size:
             continue
         # a root of F met first: the state has converged on it to rounding
         if crossed or obstacle_reason == _SIGN_CHANGE:
-            return _assemble(p0, z_end, sign, acc_a[:prefix], acc_h[:prefix], acc_c[:prefix])
+            # the path up to the panel where z reaches z_end, if it does
+            last = int(np.searchsorted(z_edges, z_end, side="left"))
+            return AutonomousPath(p0, z_end, sign, a[:last], h[:last],
+                                  coef[:last] @ to_antider.T, z_edges[:last + 1])
         if math.isfinite(obstacle):
             raise SingularityError(obstacle_reason, z_reached,
                                    math.exp(s0 + sign * cut_at))
-        reached = float(acc_a[-1] + acc_h[-1]) if acc_a.size else 0.0
+        reached = float(a[-1] + h[-1]) if a.size else 0.0
         if reached >= u_limit * (1.0 - 1e-15):
             raise SingularityError(
                 "state reached 0" if sign < 0.0 else "state escaped to infinity",
                 z_reached, math.exp(s0 + sign * reached),
             )
-        pend_a, pend_h = fresh(reached)
+        more_a, more_h = fresh(reached)
+        todo = np.arange(a.size, a.size + more_a.size)
+        a, h = np.concatenate((a, more_a)), np.concatenate((h, more_h))
+        coef = np.concatenate((coef, np.zeros((more_a.size, _GL_ORDER))))
     raise SingularityError("quadrature did not converge", z_reached)
-
-
-def path_from_panels(rhs, p0, z_end, sign, lefts, widths, g, *, atol, rtol):
-    """The path of p' = rhs(p), p(0) = p0, from panels already evaluated.
-
-    ``lefts`` and ``widths`` are adjoining panels in u = sign*(ln p -
-    ln p0) from u = 0, and ``g`` (one row per panel) holds dz/du =
-    p/|rhs(p)| at each panel's Gauss nodes, where it is admissible.  The
-    result is the one :func:`integrate_autonomous` would assemble from
-    such panels: each is held to its accuracy rule, at ``atol`` and
-    ``rtol``, and one that fails is cut as there.  One call of ``rhs``
-    per round evaluates the new pieces (nodes and right edges), and the
-    first also checks p0 and the right edge of every panel given.
-
-    Returns ``None`` where the panels cannot stand for the path, and
-    :func:`integrate_autonomous` must decide instead: a state evaluated
-    is inadmissible, the cuts do not settle, or z falls short of z_end.
-    """
-    nodes = _gauss_tables()[0]
-    positions = np.append(nodes, 1.0)
-    s0 = math.log(p0)
-    a, h = lefts, widths
-    p = np.exp(s0 + sign * (a[:, None] + (nodes + 1.0) * (0.5 * h[:, None])))
-    done = []
-    # u at the states not yet checked: p0 and every given right edge
-    unchecked = np.concatenate(([0.0], a + h))
-    with np.errstate(all="ignore"):
-        for _ in range(_MAX_ROUNDS):
-            coef, err, tol, floor = _panel_test(a, h, p, g, s0, atol, rtol)
-            good = (err <= tol) | floor
-            done.append((a[good], h[good], coef[good]))
-            a, h = _split(a[~good], h[~good], err[~good], tol[~good])
-            # the states to check, then the nodes and right edge of each piece
-            u = np.concatenate((unchecked, (a[:, None] + (positions + 1.0) * (0.5 * h[:, None])).ravel()))
-            if u.size:
-                q = np.exp(s0 + sign * u)
-                ok, dz_du = _admissible(q, np.asarray(rhs(q), dtype=float), sign)
-                if not ok.all():
-                    return None
-                p, g = (x[unchecked.size:].reshape(a.size, _GL_ORDER + 1)[:, :-1] for x in (q, dz_du))
-                unchecked = unchecked[:0]
-            if not a.size:
-                break
-        else:
-            return None
-    a, h, coef = (np.concatenate(part) for part in zip(*done))
-    order = np.argsort(a, kind="stable")
-    path = _assemble(p0, z_end, sign, a[order], h[order], coef[order])
-    return path if path.z_edges[-1] >= z_end else None
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ z(p) = Int dq / F(q) by quadrature and inverts it at the grid nodes.  The
 adaptive F and the endpoint gap are both affine in c2, so the c2 that
 closes the gap is one scalar root in the end power p(L), found on a
 table of F's two parts.  That table holds dz/du at the c2 found, so the
-one trajectory of a polished solve is read off it
-(:func:`~ehjscc.numerics.path_from_panels`, under the integrator's own
-accuracy rule) and integrated only where the table cannot stand for it.
-Every way F can fail on the path (p running to 0 or escaping, |F| above
-1e9, a vanishing denominator, p leaving the model's domain) comes back
-as an infeasible outcome whose message says near which z.
+one integration of a polished solve starts from the table's panels in
+place of evenly cut ones, and holds them to the same checks and
+accuracy rule as any other round.  Every way F can fail on the path (p
+running to 0 or escaping, |F| above 1e9, a vanishing denominator, p
+leaving the model's domain) comes back as an infeasible outcome whose
+message says near which z.
 
 The constant-mismatch (kappa = 1) policy family and the constant-power
 scheme for unbounded storage are provided for comparison, as both are
@@ -55,7 +55,6 @@ from .numerics import (
     integrate_autonomous,
     integrate_ode,  # noqa: F401 -- looked up here by benchmarks/tracer.py
     lambert_w,
-    path_from_panels,
     quadrature,
 )
 
@@ -314,14 +313,14 @@ def _battery_grid(capacity, p0plus, grid):
     return Grid.graded(capacity) if grid is None else grid
 
 
-def _law_on_grid(kind, field, grid, arrivals, leak, p0plus, path=None, **tags):
-    # p on the grid along the trajectory of p' = field(p) from p0plus (the
-    # path given, else integrated), plus the output of _stationary_law, or
-    # the infeasible outcome carrying tags if the trajectory turns
-    # singular before the last node
+def _law_on_grid(kind, field, grid, arrivals, leak, p0plus, panels=None, **tags):
+    # p on the grid along the trajectory of p' = field(p) from p0plus,
+    # integrated from the panels given if any, plus the output of
+    # _stationary_law, or the infeasible outcome carrying tags if the
+    # trajectory turns singular before the last node
     try:
-        if path is None:
-            path = integrate_autonomous(field, p0plus, grid.capacity, **_ODE_TOLERANCES)
+        path = integrate_autonomous(field, p0plus, grid.capacity, panels=panels,
+                                    **_ODE_TOLERANCES)
         p = path.p_at(grid.nodes)
     except SingularityError as exc:
         return _infeasible(
@@ -405,9 +404,10 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
 
     Returns None if there is no such c2, else (c2, panels), where panels
     = (sign, lefts, widths, g) are the table's panels up to the one that
-    holds the root, in u, with dz/du at their nodes at that c2: the
-    arguments :func:`~ehjscc.numerics.path_from_panels` builds the
-    trajectory from.
+    holds the root, in u, with dz/du at that c2 at their Gauss nodes and
+    right edges: the first round of
+    :func:`~ehjscc.numerics.integrate_autonomous`, which takes them as
+    its ``panels``.
 
     F = (base + lam*c2*R_beta)/den is affine in c2 (see
     :func:`_adaptive_terms`), and so is the endpoint gap, with slope
@@ -450,7 +450,9 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
     at its end is not negative; the state range [1e-300, 1e300] ends it.
     A bracket that closes only on the end of the admissible range, with
     Phi still negative before it, has no root.  Phi at the root has
-    found dz/du admissible at every node of the panels handed back.
+    found dz/du admissible at every node of the panels handed back.  Their
+    right edges, tabulated at the points the integrator evaluates, play
+    no part in Phi; the integrator tests them.
     """
     terms = _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope)
     shift = arrivals.lam * r_beta
@@ -471,24 +473,30 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
     # node values -> monomial coefficients of the panel's antiderivative
     to_poly = to_coef.T @ to_antider.T
     order = nodes.size
-    lefts = widths = numer = denom = least = wts = np.empty(0)
+    positions = np.append(nodes, 1.0)
+    lefts = widths = numer = denom = least = wts = edge_numer = edge_denom = np.empty(0)
 
     def extend(a, b):
-        # the panels of the stretch [a, b], with base and den at their nodes
-        nonlocal lefts, widths, numer, denom, least, wts
+        # the panels of the stretch [a, b], with base and den at the
+        # points where integrate_autonomous evaluates a panel: at its
+        # nodes, and apart at its right edge
+        nonlocal lefts, widths, numer, denom, least, wts, edge_numer, edge_denom
         cuts = np.linspace(a, b, _TABLE_PANELS + 1)
         if a == 0.0:
             steps = math.ceil(math.log(cuts[1] / _TABLE_FLOOR, _TABLE_GRADING))
             cuts = np.concatenate(
                 ([0.0], cuts[1] * _TABLE_GRADING ** -np.arange(steps, 0.0, -1.0), cuts[1:]))
         half = 0.5 * np.diff(cuts)
-        q = np.exp(s0 + sign * (cuts[:-1, None] + (nodes + 1.0) * half[:, None])).ravel()
+        q = np.exp(s0 + sign * (cuts[:-1, None] + (positions + 1.0) * half[:, None]))
         base, den = terms(q)
+        top = sign * q * den
         lefts = np.concatenate((lefts, cuts[:-1]))
         widths = np.concatenate((widths, 2.0 * half))
-        numer = np.concatenate((numer, sign * q * den))
-        denom = np.concatenate((denom, base))
-        least = np.concatenate((least, q / _RHS_CAP))
+        numer = np.concatenate((numer, top[:, :-1]), axis=None)
+        denom = np.concatenate((denom, base[:, :-1]), axis=None)
+        edge_numer = np.concatenate((edge_numer, top[:, -1]))
+        edge_denom = np.concatenate((edge_denom, base[:, -1]))
+        least = np.concatenate((least, q[:, :-1] / _RHS_CAP), axis=None)
         wts = np.concatenate((wts, (half[:, None] * weights).ravel()))
 
     closing = math.inf   # least u seen with Phi finite and not negative
@@ -532,10 +540,12 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
             return None   # inadmissible within the first panel past p0
         tol = _ROOT_RTOL * max(1.0, hi)
         root = find_root(phi, RootBracket(lo, hi, tol=tol))
-    if closing - root > tol:
-        return None
-    k, _, c2, v = dz_du(root)
-    return c2, (sign, lefts[:k + 1], widths[:k + 1], v.reshape(k + 1, order))
+        if closing - root > tol:
+            return None
+        k, _, c2, v = dz_du(root)
+        edge = edge_numer[:k + 1] / (edge_denom[:k + 1] + shift * c2)
+    return c2, (sign, lefts[:k + 1], widths[:k + 1],
+                np.concatenate((v.reshape(k + 1, order), edge[:, None]), axis=1))
 
 
 def solve_adaptive(
@@ -579,9 +589,10 @@ def solve_adaptive(
     :func:`_endpoint_c2`), so it depends on beta and c1 alone and
     ``consts.c2`` is ignored; (beta, c1) with no root come back as an
     infeasible outcome that says so.  The trajectory at that c2 is
-    assembled from the root's table by
-    :func:`~ehjscc.numerics.path_from_panels`, and integrated as an
-    unpolished one is where the table cannot stand for it.
+    integrated once, by :func:`~ehjscc.numerics.integrate_autonomous`
+    from the root's table (see :func:`_endpoint_c2`): the table's panels
+    are its first round, and those that fail its accuracy rule are cut
+    and evaluated again.
     """
     grid = _battery_grid(capacity, p0plus, grid)
     d_beta = beta_to_distortion(src, consts.beta)
@@ -602,9 +613,7 @@ def solve_adaptive(
     used = replace(consts, c2=c2)
 
     field = _adaptive_field(ch, arrivals, used, d_beta, r_beta, slope)
-    path = None if panels is None else path_from_panels(
-        field, p0plus, grid.capacity, *panels, **_ODE_TOLERANCES)
-    law = _law_on_grid("adaptive", field, grid, arrivals, leak, p0plus, path,
+    law = _law_on_grid("adaptive", field, grid, arrivals, leak, p0plus, panels,
                        d_beta=d_beta, constants=used)
     if isinstance(law, PolicySolution):
         return law

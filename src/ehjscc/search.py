@@ -144,19 +144,29 @@ class TuneResult:
 
     ``solution`` is the best usable probe's own solve, and ``constants``
     (adaptive policy, c2 already polished onto the stationarity
-    manifold) and ``c`` (constant-mismatch policy) are its values, as on
-    :class:`PolicySolution`; the other one is ``None``.  ``evaluations``
-    counts objective probes and ``infeasible_evals`` how many of them
-    failed to produce a usable policy.  A search where nothing was feasible reports ``d_avg`` of
-    infinity and no solution or constants.
+    manifold), ``c`` (constant-mismatch policy) and ``d_avg`` are read
+    off it; the one of ``constants`` and ``c`` that does not apply is
+    ``None``.  ``evaluations`` counts objective probes and
+    ``infeasible_evals`` how many of them failed to produce a usable
+    policy.  A search where nothing was feasible has no solution, and
+    reports ``d_avg`` of infinity and no constants.
     """
 
-    constants: Optional[VariationalConstants]
-    c: Optional[float]
-    d_avg: float
     solution: Optional[PolicySolution]
     evaluations: int
     infeasible_evals: int
+
+    @property
+    def constants(self) -> Optional[VariationalConstants]:
+        return None if self.solution is None else self.solution.constants
+
+    @property
+    def c(self) -> Optional[float]:
+        return None if self.solution is None else self.solution.c
+
+    @property
+    def d_avg(self) -> float:
+        return math.inf if self.solution is None else self.solution.d_avg
 
     @property
     def feasible(self) -> bool:
@@ -208,11 +218,7 @@ class _Probe:
         return self.seen[x]
 
     def result(self) -> TuneResult:
-        sol = self.best
-        if sol is None:
-            return TuneResult(None, None, math.inf, None, len(self.seen), self.infeasible)
-        return TuneResult(sol.constants, sol.c, sol.d_avg, sol,
-                          len(self.seen), self.infeasible)
+        return TuneResult(self.best, len(self.seen), self.infeasible)
 
 
 def _edge_probe(problem: Problem, spec: SearchSpec) -> _Probe:

@@ -280,45 +280,24 @@ class _DrainTable:
         i = np.searchsorted(self.z, z, side="right") - 1
         return np.clip(i, 0, len(self.dz) - 1)
 
-    def u_of_z(self, z):
-        # time to drain from the top down to charge z, elementwise
-        i = self.cell_of(z)
-        return self.u_node[i + 1] + self.moments(i, z - self.z[i])[0]
-
     def z_of_u(self, u):
-        # charge after draining from the top for time u, elementwise; the
-        # walker and the lanes' step inline the same closed form
-        i = np.searchsorted(self.neg_u_cells, -u, side="right") - 1
-        i = np.clip(i, 0, len(self.dz) - 1)
-        tau = u - self.u_node[i + 1]
-        gb, gs = self.gb[i], self.gs_c[i]
-        drop = np.where(self.curved[i], -(gb / gs) * np.expm1(-gs * tau), gb * tau)
-        return self.z[i + 1] - drop
-
-    def step(self, z, u, seg, energy):
-        # one event in every lane at once: drain for seg from charge z
-        # (time-to-drain u), then lift by energy, elementwise.  The same
-        # float operations in the same order as _walk, with searchsorted
-        # for bisect and math.expm1/math.log1p mapped over the lanes
-        # (numpy's SIMD builds of the two differ from libm in the last
-        # bit), so every lane's floats equal the walker's.  Returns the
-        # drained charge and the charge and u after the lift
-        u_max = self.u_max
-        u_end = u + seg
-        live = (z > 0.0) & (u_end < u_max)
-        # a lane that is empty or runs dry takes 0 below; clipped, its
-        # lookup stays in the table and its expm1 argument bounded
-        u_end = np.minimum(u_end, u_max)
-        i = self.neg_u_cells.searchsorted(-u_end, side="right") - 1
+        # the charge after draining from the top for time u (at most
+        # u_max), elementwise: the drain of _walk, with searchsorted for
+        # bisect and math.expm1 mapped over the array (numpy's SIMD
+        # expm1 differs from libm's in the last bit), so that every
+        # charge equals the walker's
+        i = self.neg_u_cells.searchsorted(-u, side="right") - 1
         u_top, neg_gs, z_top, ratio, gb, curved = self.drain_rows.take(i, axis=0).T
-        tau = u_end - u_top
-        drained = z_top + ratio * _mapped(math.expm1, neg_gs * tau)
+        tau = u - u_top
+        z = z_top + ratio * _mapped(math.expm1, neg_gs * tau)
         if self.any_flat:
-            drained = np.where(curved, drained, z_top - gb * tau)
-        drained = np.where(live, drained, 0.0)
+            z = np.where(curved, z, z_top - gb * tau)
+        return z
 
-        # at the capacity the lift's closed form gives u = 0 exactly
-        z = np.minimum(drained + energy, self.cap)
+    def u_of_z(self, z):
+        # the time to drain from the top down to charge z (at most cap),
+        # elementwise: the lift of _walk, through libm's log1p as above;
+        # at the capacity it gives u = 0 exactly
         i = self.z_cells.searchsorted(z, side="right") - 1
         z_cell, dz, ga, gs_c, gs, u_top, curved = self.lift_rows.take(i, axis=0).T
         x1 = z - z_cell
@@ -326,7 +305,20 @@ class _DrainTable:
         u = u_top + _mapped(math.log1p, gs_c * dx / (ga + gs_c * x1)) / gs_c
         if self.any_flat:
             u = np.where(curved, u, u_top + dx / (ga + gs * 0.5 * (x1 + dz)))
-        return drained, z, u
+        return u
+
+    def step(self, z, u, seg, energy):
+        # one event in every lane at once: drain for seg from charge z
+        # (time-to-drain u), then lift by energy, elementwise, with the
+        # same float operations as _walk.  Returns the drained charge and
+        # the charge and u after the lift
+        u_end = u + seg
+        live = (z > 0.0) & (u_end < self.u_max)
+        # a lane that is empty or runs dry takes 0; clipped, its lookup
+        # stays in the table and its expm1 argument bounded
+        drained = np.where(live, self.z_of_u(np.minimum(u_end, self.u_max)), 0.0)
+        z = np.minimum(drained + energy, self.cap)
+        return drained, z, self.u_of_z(z)
 
 
 def _mapped(fn, x):

@@ -8,15 +8,16 @@ used to step, at the same tolerances: the stationary law and every other
 stage run unchanged on top of either.  The published rows, the two
 comparison constant-mismatch solves and a fixed set of probe constants
 covering every outcome must agree.  A solve that polishes c2 finds it on
-a table of the integrand and builds its trajectory from that table's
-panels (``numerics.path_from_panels``), integrating nothing; its
-reference is the unpolished solve at the c2 it found, stepped by RKF45,
-whose path must close the endpoint gap.
+a table of the integrand and starts the integration of its trajectory
+from that table's panels (``integrate_autonomous(..., panels=...)``);
+its reference is the unpolished solve at the c2 it found, stepped by
+RKF45, whose path must close the endpoint gap.
 
-The path from the table is also checked on its own: against the
-integrated path at the same c2, panel by panel against the one accuracy
-rule, and on a case where it must give way to the integrator.  Its
-inversion ``AutonomousPath.p_at`` is checked against the one it replaced.
+The integration from the table is also checked on its own: against the
+integration from scratch at the same c2, panel by panel against the one
+accuracy rule, by the states it evaluates F at, on a case where the
+table's c2 is off, and on a closed form.  The inversion
+``AutonomousPath.p_at`` is checked against the one it replaced.
 
 The quadrature tables are built once per grid: a ``Grid`` keeps the
 stencils of ``cumulative_integral``, and ``Grid.graded`` hands out one
@@ -75,7 +76,7 @@ PROBES = [
 class _Rkf45Path:
     """Stand-in for ``integrate_autonomous``'s result, stepped by RKF45."""
 
-    def __init__(self, rhs, p0, z_end, *, atol, rtol):
+    def __init__(self, rhs, p0, z_end, *, atol, rtol, panels=None):
         self._args = (lambda z, p: float(rhs(p)), 0.0, p0, z_end)
         self._kwargs = {"atol": atol, "rtol": rtol}
 
@@ -185,22 +186,31 @@ def test_probe_outcomes_match_rkf45(probe, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The trajectory of a polished solve, built from the endpoint table
+# The trajectory of a polished solve, integrated from the endpoint table
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def table_paths(monkeypatch):
-    # every path_from_panels call of the policy module: (its positional
-    # arguments, its keyword arguments, the path it returned)
+def seeded(monkeypatch):
+    # every integrate_autonomous call of the policy module that starts
+    # from given panels: [its positional arguments, its keyword
+    # arguments, the path it returned (None if it raised), the number of
+    # states it evaluated F at]
     calls = []
-    build = policy.path_from_panels
+    integrate = policy.integrate_autonomous
 
-    def spy(*args, **kwargs):
-        path = build(*args, **kwargs)
-        calls.append((args, kwargs, path))
-        return path
+    def spy(rhs, *args, **kwargs):
+        call = [(rhs,) + args, kwargs, None, 0]
+        if kwargs.get("panels") is not None:
+            calls.append(call)
 
-    monkeypatch.setattr(policy, "path_from_panels", spy)
+        def counted(p):
+            call[3] += np.size(p)
+            return rhs(p)
+
+        call[2] = integrate(counted, *args, **kwargs)
+        return call[2]
+
+    monkeypatch.setattr(policy, "integrate_autonomous", spy)
     return calls
 
 
@@ -211,13 +221,15 @@ def _solve_rows(src, leak, rows):
 
 
 @pytest.mark.parametrize("src,leak,rows", ALL_BENCHMARKS)
-def test_table_path_matches_the_integrated_path(src, leak, rows, table_paths, monkeypatch):
-    # the same polished solves, once with the trajectory built from the
-    # table and once integrated at the same c2, as when the table gives way
+def test_table_path_matches_the_integrated_path(src, leak, rows, seeded, monkeypatch):
+    # the same polished solves, once integrated from the table's panels
+    # and once from scratch at the same c2
     new = _solve_rows(src, leak, rows)
-    assert all(path is not None for *_, path in table_paths)
+    assert len(seeded) == len(rows)
+    integrate = numerics.integrate_autonomous
     with monkeypatch.context() as m:
-        m.setattr(policy, "path_from_panels", lambda *args, **kwargs: None)
+        m.setattr(policy, "integrate_autonomous",
+                  lambda *args, panels, **kwargs: integrate(*args, **kwargs))
         ref = _solve_rows(src, leak, rows)
     for a, b in zip(new, ref):
         assert a.constants.c2 == b.constants.c2
@@ -232,62 +244,88 @@ def test_table_path_matches_the_integrated_path(src, leak, rows, table_paths, mo
             assert abs(a.pi0 / a.kappa0 - b.pi0 / b.kappa0) <= 1e-13
 
 
-def test_every_table_path_panel_passes_the_accuracy_rule(table_paths):
+def test_every_table_path_panel_passes_the_accuracy_rule(seeded):
     for src, leak, rows in ALL_BENCHMARKS:
         _solve_rows(src, leak, rows)
     nodes = numerics._gauss_tables()[0]
     cut = 0
-    for (rhs, p0, z_end, sign, lefts, *_), tolerances, path in table_paths:
+    for (rhs, p0, z_end), kwargs, path, _ in seeded:
         # adjoining panels from p0 on that reach z_end, with dz/du
         # evaluated afresh at their nodes
+        sign, lefts, _, g = kwargs["panels"]
+        assert g.shape == (lefts.size, nodes.size + 1)
         a, h = path.lefts, path.widths
         assert a[0] == 0.0 and np.allclose(a[1:], a[:-1] + h[:-1], rtol=1e-14, atol=0.0)
         assert path.direction == sign and path.z_edges[-1] >= z_end
         s0 = math.log(p0)
         p = np.exp(s0 + sign * (a[:, None] + (nodes + 1.0) * (0.5 * h[:, None])))
-        admissible, g = numerics._admissible(p, rhs(p.ravel()).reshape(p.shape), sign)
-        assert admissible.all()
-        _, err, tol, floor = numerics._panel_test(a, h, p, g, s0, tolerances["atol"],
-                                                  tolerances["rtol"])
+        g = sign * p / rhs(p.ravel()).reshape(p.shape)
+        assert numerics._admissible(p, g).all()
+        _, err, tol, floor = numerics._panel_test(a, h, p, g, s0, kwargs["atol"],
+                                                  kwargs["rtol"])
         assert np.all((err <= tol) | floor)
         cut += a.size - lefts.size
     # the table's panels near the far end fail the rule and are cut
     assert cut > 0
 
 
-def test_table_path_gives_way_to_the_integrator(table_paths):
-    # at L = 1000 the table's c2 is off by ~5e-6 relative: the table path
-    # meets an inadmissible state and the solve integrates the trajectory,
-    # which blows up as it did before the table path was built
+def test_polished_rows_evaluate_few_states(seeded):
+    # F is evaluated only at p0 and at the pieces of the table's panels
+    # that fail the accuracy rule: 4,007 states over the 20 rows, where
+    # the table path and its fallback evaluated 5,737
+    solves = 0
+    for src, leak, rows in ALL_BENCHMARKS:
+        solves += len(_solve_rows(src, leak, rows))
+    assert solves == len(seeded) == 20
+    assert sum(states for *_, states in seeded) <= 5737
+
+
+def test_seeded_integration_blows_up_where_the_table_c2_is_off(seeded):
+    # at L = 1000 the table's c2 is off by ~5e-6 relative: the
+    # integration from the table's panels meets an inadmissible state
+    # and blows up, at the z the integration from scratch reports
     gauss = SOURCES["gaussian"]
     c1 = policy._c1_edge(gauss, CH, -0.5, 1.0) - 1e-5
     sol = solve_adaptive(gauss, CH, ARR, ZeroLeakage(), 1000.0, 1.0,
                          VariationalConstants(-0.5, c1, 0.3), refine_c2=True)
-    assert [path for *_, path in table_paths] == [None]
+    assert [path for *_, path, _ in seeded] == [None]
     assert sol.constants.c2 == pytest.approx(0.0360648, rel=1e-6)
     assert not sol.feasible
     assert sol.message == "ODE singular near z=859.76: right-hand side blew up"
 
 
-def test_path_from_panels_on_a_closed_form():
+def test_seeded_integration_on_a_closed_form():
     # p' = -p from 1: dz/du = 1, so z = u and p = exp(-z)
     rhs = lambda p: -p
     lefts = np.linspace(0.0, 6.0, 13)[:-1]
     widths = np.full(lefts.size, 0.5)
-    ones = np.ones((lefts.size, 8))
-    path = numerics.path_from_panels(rhs, 1.0, 5.0, -1.0, lefts, widths, ones,
-                                     atol=1e-10, rtol=1e-9)
+    panels = (-1.0, lefts, widths, np.ones((lefts.size, 9)))
+    path = numerics.integrate_autonomous(rhs, 1.0, 5.0, atol=1e-10, rtol=1e-9,
+                                         panels=panels)
     z = np.linspace(0.0, 5.0, 41)
     assert np.max(np.abs(path.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
     assert path.z_edges[-1] == 5.0
-    # short of z_end, a state the field does not admit, a wrong direction
-    assert numerics.path_from_panels(rhs, 1.0, 7.0, -1.0, lefts, widths, ones,
-                                     atol=1e-10, rtol=1e-9) is None
+    # panels that stop short of z_end: the path goes on past them
+    longer = numerics.integrate_autonomous(rhs, 1.0, 7.0, atol=1e-10, rtol=1e-9,
+                                           panels=panels)
+    assert longer.z_edges[-1] >= 7.0
+    z = np.linspace(0.0, 7.0, 57)
+    assert np.max(np.abs(longer.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
+    # a state the field does not admit, where the panels say so too
     hole = lambda p: np.where(np.abs(p - math.exp(-2.0)) < 1e-12, np.nan, -p)
-    assert numerics.path_from_panels(hole, 1.0, 5.0, -1.0, lefts, widths, ones,
-                                     atol=1e-10, rtol=1e-9) is None
-    assert numerics.path_from_panels(rhs, 1.0, 5.0, 1.0, lefts, widths, ones,
-                                     atol=1e-10, rtol=1e-9) is None
+    u = lefts[:, None] + (numerics._knot_tables()[0][1:] + 1.0) * (0.5 * widths[:, None])
+    p = np.exp(-u)
+    with pytest.raises(numerics.SingularityError, match="undefined") as exc:
+        numerics.integrate_autonomous(hole, 1.0, 5.0, atol=1e-10, rtol=1e-9,
+                                      panels=(-1.0, lefts, widths, -p / hole(p)))
+    assert exc.value.z == pytest.approx(2.0, abs=1e-9)
+    # panels that run the other way
+    with pytest.raises(ValueError, match="direction"):
+        numerics.integrate_autonomous(rhs, 1.0, 5.0, atol=1e-10, rtol=1e-9,
+                                      panels=(1.0, lefts, widths, np.ones((lefts.size, 9))))
+    # p0 on an equilibrium: the state stays there, whatever the panels say
+    still = numerics.integrate_autonomous(lambda p: 1.0 - p, 1.0, 5.0, panels=panels)
+    assert still.direction == 0.0 and np.all(still.p_at(z) == 1.0)
 
 
 def _p_at_before(path, z):
@@ -329,10 +367,10 @@ def _knots(path):
     return np.concatenate(inner + [path.z_edges])
 
 
-def test_p_at_matches_the_inversion_it_replaced(table_paths):
+def test_p_at_matches_the_inversion_it_replaced(seeded):
     gauss = SOURCES["gaussian"]
     _solve_rows(gauss, ZeroLeakage(), {5: ROWS_GAUSS_IDEAL[5]})
-    row = table_paths[-1][2]
+    row = seeded[-1][2]
     # logistic growth settles on p = 1 before z = 60
     logistic = numerics.integrate_autonomous(lambda p: p * (1.0 - p), 0.01, 60.0)
     assert logistic.z_edges[-1] < 60.0

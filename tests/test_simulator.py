@@ -217,6 +217,15 @@ def test_drain_times_equal_the_reference_table_bit_for_bit(policies, name):
     assert np.array_equal(table.z, ref.z_list)
     assert np.array_equal(table.u_node.view(np.uint64),
                           np.array(ref.u_node).view(np.uint64))
+    # so do u at any charge, where a run starts, and the charge at any
+    # u, where the burn-in cuts a drain: the lift and the drain of step
+    rng = np.random.default_rng(11)
+    z = rng.uniform(0.0, table.cap, 2000)
+    u = rng.uniform(0.0, table.u_max, 2000)
+    assert np.array_equal(table.u_of_z(z).view(np.uint64),
+                          np.array([ref.u_of_z(x) for x in z]).view(np.uint64))
+    assert np.array_equal(table.z_of_u(u).view(np.uint64),
+                          np.array([ref.z_of_u(x) for x in u]).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
