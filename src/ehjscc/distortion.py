@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .models import ArrivalModel, AwgnChannel, SourceModel
 from .numerics import seeded_rng
 
@@ -30,24 +32,31 @@ __all__ = [
 ]
 
 
-def distortion(src: SourceModel, ch: AwgnChannel, p: float, kappa: float) -> float:
+def _check_positive(name, x):
+    if isinstance(x, np.ndarray):
+        if not (x > 0.0).all():
+            raise ValueError(f"{name} must be > 0 everywhere")
+    elif not x > 0.0:
+        raise ValueError(f"{name} must be > 0, got {x}")
+
+
+def distortion(src: SourceModel, ch: AwgnChannel, p, kappa):
     """Distortion of the separation scheme at power p, mismatch kappa.
 
     Parameters
     ----------
     src, ch : source and channel models
-    p : transmit power, >= 0
-    kappa : channel uses per source symbol, > 0
+    p : transmit power, >= 0 (scalar or array)
+    kappa : channel uses per source symbol, > 0 (scalar or array)
 
     Returns
     -------
-    float
+    float or array
         ``src.rate_inverse(kappa * ch.rate(p))``; equals ``src.d_max`` at
         p = 0 and 0 once ``kappa * ch.rate(p)`` reaches the source's rate
         threshold.
     """
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    _check_positive("kappa", kappa)
     return src.rate_inverse(kappa * ch.rate(p))
 
 
@@ -64,10 +73,12 @@ def gaussian_distortion(variance: float, noise: float, p: float, kappa: float) -
     return variance * (1.0 + p / noise) ** (-kappa)
 
 
-def d_dagger(src: SourceModel, ch: AwgnChannel, p: float, q: float) -> float:
-    """Normalized distortion D_dagger(p, q) = q * D(p, 1/q) for q > 0."""
-    if not q > 0.0:
-        raise ValueError(f"q must be > 0, got {q}")
+def d_dagger(src: SourceModel, ch: AwgnChannel, p, q):
+    """Normalized distortion D_dagger(p, q) = q * D(p, 1/q) for q > 0.
+
+    p and q may be scalars or arrays, as for :func:`distortion`.
+    """
+    _check_positive("q", q)
     return q * distortion(src, ch, p, 1.0 / q)
 
 
@@ -124,22 +135,21 @@ _EDGE_MARGIN = 1e-2       # smallest p and q probed with a Hessian
 _DISTORTION_FLOOR = 1e-2  # smallest D/d_max probed with a Hessian
 
 
-def _hessian_eligible(src, ch, p: float, q: float, hp: float, hq: float) -> bool:
-    if p - hp <= 0.0 or q - hq <= 0.0:
-        return False
-    if p < _EDGE_MARGIN or q < _EDGE_MARGIN:
-        return False
-    if distortion(src, ch, p, 1.0 / q) < _DISTORTION_FLOOR * src.d_max:
-        return False
+def _hessian_eligible(src, ch, p, q, hp, hq):
+    # the samples (arrays) whose Hessian stencil is strictly interior
+    ok = (p - hp > 0.0) & (q - hq > 0.0) & (p >= _EDGE_MARGIN) & (q >= _EDGE_MARGIN)
+    ok[ok] = distortion(src, ch, p[ok], 1.0 / q[ok]) >= _DISTORTION_FLOOR * src.d_max
     if math.isinf(src.rate_threshold):
-        return True
+        return ok
     # every stencil corner must also sit strictly inside the
     # positive-distortion region, else the stencil straddles the kink
+    p, q, hp, hq = p[ok], q[ok], hp[ok], hq[ok]
+    inside = np.ones(p.shape, dtype=bool)
     for pp in (p - hp, p, p + hp):
         for qq in (q - hq, q, q + hq):
-            if ch.rate(pp) / qq > src.rate_threshold - _BOUNDARY_MARGIN:
-                return False
-    return True
+            inside &= ch.rate(pp) / qq <= src.rate_threshold - _BOUNDARY_MARGIN
+    ok[ok] = inside
+    return ok
 
 
 def convexity_probe(
@@ -162,43 +172,46 @@ def convexity_probe(
     central finite-difference Hessian check: leading minor and determinant
     both positive (Sylvester).
 
+    The draws are one ``(samples, 5)`` block from ``seeded_rng(seed)``,
+    the stream of one 5-draw per sample, and every check runs on arrays:
+    D_dagger is evaluated in a dozen array calls, whatever ``samples``.
+
     Returns a :class:`ConvexityReport`; violations are recorded with their
-    witness points rather than raised.
+    witness points, in sample order, rather than raised.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = seeded_rng(seed)
-    rep = ConvexityReport()
+    u = seeded_rng(seed).uniform(size=(samples, 5))
+    p1, p2 = (1.0 - u[:, 0]) * p_hi, (1.0 - u[:, 1]) * p_hi
+    q1, q2 = (1.0 - u[:, 2]) * q_hi, (1.0 - u[:, 3]) * q_hi
+    t = u[:, 4]
     f = lambda p, q: d_dagger(src, ch, p, q)
-    for _ in range(samples):
-        u = rng.uniform(size=5)
-        p1, p2 = (1.0 - u[0]) * p_hi, (1.0 - u[1]) * p_hi
-        q1, q2 = (1.0 - u[2]) * q_hi, (1.0 - u[3]) * q_hi
-        t = u[4]
-        lhs = f(t * p1 + (1 - t) * p2, t * q1 + (1 - t) * q2)
-        rhs = t * f(p1, q1) + (1 - t) * f(p2, q2)
-        rep.chord_checks += 1
-        if lhs > rhs + 1e-9:
-            rep.chord_violations.append(
-                {"p1": p1, "q1": q1, "p2": p2, "q2": q2, "t": t, "gap": lhs - rhs}
-            )
+    lhs = f(t * p1 + (1 - t) * p2, t * q1 + (1 - t) * q2)
+    rhs = t * f(p1, q1) + (1 - t) * f(p2, q2)
+    rep = ConvexityReport(chord_checks=samples)
+    for i in np.flatnonzero(lhs > rhs + 1e-9):
+        rep.chord_violations.append({
+            "p1": float(p1[i]), "q1": float(q1[i]), "p2": float(p2[i]),
+            "q2": float(q2[i]), "t": float(t[i]), "gap": float(lhs[i] - rhs[i]),
+        })
 
-        hp = 1e-4 * max(1.0, abs(p1))
-        hq = 1e-4 * max(1.0, abs(q1))
-        if not _hessian_eligible(src, ch, p1, q1, hp, hq):
-            continue
-        fpp = (f(p1 + hp, q1) - 2 * f(p1, q1) + f(p1 - hp, q1)) / (hp * hp)
-        fqq = (f(p1, q1 + hq) - 2 * f(p1, q1) + f(p1, q1 - hq)) / (hq * hq)
-        fpq = (
-            f(p1 + hp, q1 + hq)
-            - f(p1 + hp, q1 - hq)
-            - f(p1 - hp, q1 + hq)
-            + f(p1 - hp, q1 - hq)
-        ) / (4 * hp * hq)
-        det = fpp * fqq - fpq * fpq
-        rep.hessian_checks += 1
-        if not (fpp > 0.0 and det > 0.0):
-            rep.hessian_violations.append(
-                {"p": p1, "q": q1, "fpp": fpp, "det": det}
-            )
+    hp = 1e-4 * np.maximum(1.0, np.abs(p1))
+    hq = 1e-4 * np.maximum(1.0, np.abs(q1))
+    ok = _hessian_eligible(src, ch, p1, q1, hp, hq)
+    p, q, hp, hq = p1[ok], q1[ok], hp[ok], hq[ok]
+    rep.hessian_checks = p.size
+    centre = f(p, q)
+    fpp = (f(p + hp, q) - 2 * centre + f(p - hp, q)) / (hp * hp)
+    fqq = (f(p, q + hq) - 2 * centre + f(p, q - hq)) / (hq * hq)
+    fpq = (
+        f(p + hp, q + hq)
+        - f(p + hp, q - hq)
+        - f(p - hp, q + hq)
+        + f(p - hp, q - hq)
+    ) / (4 * hp * hq)
+    det = fpp * fqq - fpq * fpq
+    for i in np.flatnonzero(~((fpp > 0.0) & (det > 0.0))):
+        rep.hessian_violations.append(
+            {"p": float(p[i]), "q": float(q[i]), "fpp": float(fpp[i]), "det": float(det[i])}
+        )
     return rep

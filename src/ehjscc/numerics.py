@@ -725,6 +725,7 @@ def integrate_autonomous(
     atol: float = 1e-13,
     rtol: float = 1e-12,
     panels=None,
+    f0=None,
 ) -> AutonomousPath:
     """Solve the autonomous scalar ODE p' = rhs(p), p(0) = p0, on [0, z_end].
 
@@ -749,7 +750,9 @@ def integrate_autonomous(
     u from 0, where direction is +1 if p rises and -1 if it falls, and
     g holds dz/du = direction * p / F already found at each panel's
     Gauss nodes and right edge, one row of nine per panel.  That round
-    calls no ``rhs`` and goes through the steps of any other.
+    calls no ``rhs`` and goes through the steps of any other.  ``f0``,
+    if given, is rhs(p0), which the direction and the check of p0 are
+    then read from without a call.
 
     Returns an :class:`AutonomousPath`.  Raises :class:`SingularityError`
     carrying the z reached and the last admissible state when, before
@@ -765,17 +768,17 @@ def integrate_autonomous(
     if not (z_end > 0.0 and math.isfinite(z_end)):
         raise ValueError(f"z_end must be finite and positive, got {z_end}")
     with np.errstate(all="ignore"):
-        return _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels)
+        return _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels, f0)
 
 
-def _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels):
+def _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels, f0):
     to_antider = _gauss_tables()[3]
     empty = np.empty(0)
 
     def evaluate(p):
         return np.asarray(rhs(p), dtype=float)
 
-    f0 = float(evaluate(np.array([p0]))[0])
+    f0 = float(evaluate(np.array([p0]))[0] if f0 is None else f0)
     if f0 == 0.0:
         return AutonomousPath(p0, z_end, 0.0, empty, empty,
                               empty.reshape(0, _GL_ORDER + 1), np.zeros(1))

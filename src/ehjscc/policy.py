@@ -276,13 +276,14 @@ def _adaptive_field(ch, arrivals, consts, d_beta, r_beta, slope):
     # the denominator magnitude drops below 1e-12
     terms = _adaptive_terms(ch, arrivals, consts.c1, d_beta, r_beta, slope)
     shift = arrivals.lam * consts.c2 * r_beta
+    return lambda p: _field_from_terms(*terms(p), shift)
 
-    def rhs(p: np.ndarray) -> np.ndarray:
-        base, den = terms(p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(np.abs(den) < 1e-12, np.inf, (base + shift) / den)
 
-    return rhs
+def _field_from_terms(base, den, shift):
+    # F = (base + lam*c2*R_beta)/den from _adaptive_terms, +inf where
+    # |den| < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(den) < 1e-12, np.inf, (base + shift) / den)
 
 
 def _stationary_law(grid, drain, delta, lam):
@@ -313,13 +314,14 @@ def _battery_grid(capacity, p0plus, grid):
     return Grid.graded(capacity) if grid is None else grid
 
 
-def _law_on_grid(kind, field, grid, arrivals, leak, p0plus, panels=None, **tags):
+def _law_on_grid(kind, field, grid, arrivals, leak, p0plus, table=None, **tags):
     # p on the grid along the trajectory of p' = field(p) from p0plus,
-    # integrated from the panels given if any, plus the output of
-    # _stationary_law, or the infeasible outcome carrying tags if the
-    # trajectory turns singular before the last node
+    # integrated from the endpoint table's (panels, field at p0plus) if
+    # given, plus the output of _stationary_law, or the infeasible outcome
+    # carrying tags if the trajectory turns singular before the last node
+    start = {} if table is None else {"panels": table[0], "f0": table[1]}
     try:
-        path = integrate_autonomous(field, p0plus, grid.capacity, panels=panels,
+        path = integrate_autonomous(field, p0plus, grid.capacity, **start,
                                     **_ODE_TOLERANCES)
         p = path.p_at(grid.nodes)
     except SingularityError as exc:
@@ -402,12 +404,12 @@ _ROOT_RTOL = 1e-12
 def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
     """The c2 whose trajectory meets the endpoint condition, and its panels.
 
-    Returns None if there is no such c2, else (c2, panels), where panels
-    = (sign, lefts, widths, g) are the table's panels up to the one that
-    holds the root, in u, with dz/du at that c2 at their Gauss nodes and
-    right edges: the first round of
-    :func:`~ehjscc.numerics.integrate_autonomous`, which takes them as
-    its ``panels``.
+    Returns None if there is no such c2, else (c2, panels, f0), where
+    panels = (sign, lefts, widths, g) are the table's panels up to the
+    one that holds the root, in u, with dz/du at that c2 at their Gauss
+    nodes and right edges, and f0 is F(p0) at that c2: the first round
+    of :func:`~ehjscc.numerics.integrate_autonomous` and its start,
+    which it takes as ``panels`` and ``f0``.
 
     F = (base + lam*c2*R_beta)/den is affine in c2 (see
     :func:`_adaptive_terms`), and so is the endpoint gap, with slope
@@ -544,8 +546,10 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
             return None
         k, _, c2, v = dz_du(root)
         edge = edge_numer[:k + 1] / (edge_denom[:k + 1] + shift * c2)
+    # F(p0) as the field of c2 evaluates it, from the terms at p0 above
+    f0 = float(_field_from_terms(base0, den0, arrivals.lam * c2 * r_beta)[0])
     return c2, (sign, lefts[:k + 1], widths[:k + 1],
-                np.concatenate((v.reshape(k + 1, order), edge[:, None]), axis=1))
+                np.concatenate((v.reshape(k + 1, order), edge[:, None]), axis=1)), f0
 
 
 def solve_adaptive(
@@ -599,7 +603,7 @@ def solve_adaptive(
     r_beta = src.rate(d_beta)
     slope = src.rate_derivatives(d_beta)[0]
 
-    c2, panels = consts.c2, None
+    c2, table = consts.c2, None
     if refine_c2:
         found = _endpoint_c2(ch, arrivals, consts.c1, d_beta, r_beta, slope, p0plus, capacity)
         if found is None:
@@ -609,11 +613,11 @@ def solve_adaptive(
                 "p0plus to an end power that closes the gap at z = capacity",
                 d_beta=d_beta, constants=consts,
             )
-        c2, panels = found
+        c2, table = found[0], found[1:]
     used = replace(consts, c2=c2)
 
     field = _adaptive_field(ch, arrivals, used, d_beta, r_beta, slope)
-    law = _law_on_grid("adaptive", field, grid, arrivals, leak, p0plus, panels,
+    law = _law_on_grid("adaptive", field, grid, arrivals, leak, p0plus, table,
                        d_beta=d_beta, constants=used)
     if isinstance(law, PolicySolution):
         return law

@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehjscc.distortion import (
+    _BOUNDARY_MARGIN,
+    _DISTORTION_FLOOR,
+    _EDGE_MARGIN,
+    ConvexityReport,
     convexity_probe,
     d_dagger,
     distortion,
@@ -15,6 +19,7 @@ from ehjscc.distortion import (
     lower_bound,
 )
 from ehjscc.models import ArrivalModel, AwgnChannel, BernoulliSource, GaussianSource
+from ehjscc.numerics import seeded_rng
 
 GAUSS = GaussianSource(variance=1.0)
 BERN = BernoulliSource(prob=0.5)
@@ -160,6 +165,86 @@ def test_convexity_probe_is_deterministic():
 def test_convexity_probe_validates_samples():
     with pytest.raises(ValueError):
         convexity_probe(GAUSS, CH, samples=0, seed=0)
+
+
+def _scalar_hessian_eligible(src, ch, p, q, hp, hq):
+    if p - hp <= 0.0 or q - hq <= 0.0:
+        return False
+    if p < _EDGE_MARGIN or q < _EDGE_MARGIN:
+        return False
+    if distortion(src, ch, p, 1.0 / q) < _DISTORTION_FLOOR * src.d_max:
+        return False
+    if math.isinf(src.rate_threshold):
+        return True
+    for pp in (p - hp, p, p + hp):
+        for qq in (q - hq, q, q + hq):
+            if ch.rate(pp) / qq > src.rate_threshold - _BOUNDARY_MARGIN:
+                return False
+    return True
+
+
+def _scalar_convexity_probe(src, ch, samples, seed=0, p_hi=10.0, q_hi=5.0):
+    # convexity_probe as it was, one sample and one scalar D_dagger at a
+    # time: the reference of the array form
+    rng = seeded_rng(seed)
+    rep = ConvexityReport()
+    f = lambda p, q: d_dagger(src, ch, p, q)
+    for _ in range(samples):
+        u = rng.uniform(size=5)
+        p1, p2 = (1.0 - u[0]) * p_hi, (1.0 - u[1]) * p_hi
+        q1, q2 = (1.0 - u[2]) * q_hi, (1.0 - u[3]) * q_hi
+        t = u[4]
+        lhs = f(t * p1 + (1 - t) * p2, t * q1 + (1 - t) * q2)
+        rhs = t * f(p1, q1) + (1 - t) * f(p2, q2)
+        rep.chord_checks += 1
+        if lhs > rhs + 1e-9:
+            rep.chord_violations.append(
+                {"p1": p1, "q1": q1, "p2": p2, "q2": q2, "t": t, "gap": lhs - rhs}
+            )
+        hp = 1e-4 * max(1.0, abs(p1))
+        hq = 1e-4 * max(1.0, abs(q1))
+        if not _scalar_hessian_eligible(src, ch, p1, q1, hp, hq):
+            continue
+        fpp = (f(p1 + hp, q1) - 2 * f(p1, q1) + f(p1 - hp, q1)) / (hp * hp)
+        fqq = (f(p1, q1 + hq) - 2 * f(p1, q1) + f(p1, q1 - hq)) / (hq * hq)
+        fpq = (
+            f(p1 + hp, q1 + hq)
+            - f(p1 + hp, q1 - hq)
+            - f(p1 - hp, q1 + hq)
+            + f(p1 - hp, q1 - hq)
+        ) / (4 * hp * hq)
+        det = fpp * fqq - fpq * fpq
+        rep.hessian_checks += 1
+        if not (fpp > 0.0 and det > 0.0):
+            rep.hessian_violations.append({"p": p1, "q": q1, "fpp": fpp, "det": det})
+    return rep
+
+
+@pytest.mark.parametrize("src", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+@pytest.mark.parametrize("seed", range(4))
+def test_convexity_probe_matches_the_scalar_probe(src, seed):
+    # the same draws, eligibility rule and checks on arrays: equal counts
+    # and witness lists
+    got = convexity_probe(src, CH, samples=1000, seed=seed)
+    want = _scalar_convexity_probe(src, CH, samples=1000, seed=seed)
+    assert (got.chord_checks, got.hessian_checks) == (want.chord_checks, want.hessian_checks)
+    assert got.chord_violations == want.chord_violations
+    assert got.hessian_violations == want.hessian_violations
+    assert 0 < got.hessian_checks < got.chord_checks
+
+
+def test_distortion_takes_arrays():
+    p = np.array([0.0, 0.5, 3.0, 8.0])
+    kappa = np.array([2.0, 1.0, 1.0, 0.25])
+    for src in (GAUSS, BERN):
+        want = [distortion(src, CH, float(a), float(k)) for a, k in zip(p, kappa)]
+        assert np.allclose(distortion(src, CH, p, kappa), want, rtol=1e-14, atol=0.0)
+        assert np.allclose(d_dagger(src, CH, p, 1.0 / kappa), 1.0 / kappa * np.array(want),
+                           rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        distortion(GAUSS, CH, p, np.array([1.0, 1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        d_dagger(GAUSS, CH, p, np.array([1.0, -1.0, 1.0, 1.0]))
 
 
 def test_chord_equality_when_endpoints_coincide():

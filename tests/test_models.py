@@ -190,6 +190,83 @@ def test_bernoulli_inverse_is_relatively_accurate_at_small_distortion():
         assert np.max(np.abs(back - d) / d) <= 1e-11
 
 
+def _entropy_array(d):
+    # H(d) on an array of d in (0, 1), its second term through log1p
+    return -(d * np.log2(d) + (1.0 - d) * np.log1p(-d) / math.log(2.0))
+
+
+def _bisection_inverse(src, r):
+    """The bisection the Newton kernel replaced: the reference.
+
+    Halves [1e-300, d_max] until its width is 1e-15 relative to its upper
+    end, about 54 times.  Its entropy takes ln(1 - d) by log1p, where the
+    old one took log2 of the rounded 1 - d: that form is off by up to
+    ~1e-16/d relative in its second term, 2.4% of H at d ~ 1e-18, which
+    would be the reference's error, not the kernel's.
+    """
+    target = src.rate_threshold - r
+    lo = np.full(r.shape, 1e-300)
+    # entries set to d_max or 0 below start closed
+    hi = np.where((r > 0.0) & (r < src.rate_threshold), src.d_max, lo)
+    for _ in range(200):
+        open_ = hi - lo > 1e-15 * hi
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        below = _entropy_array(mid) < target
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+    d = 0.5 * (lo + hi)
+    d = np.where(r >= src.rate_threshold, 0.0, d)
+    return np.where(r == 0.0, src.d_max, d)
+
+
+def _rates_with_ends(src, n=760):
+    # rates across [0, H(prob)] and within 1e-17 to 1e-9 of either end
+    ends = np.geomspace(1e-17, 1e-9, 20)
+    top = src.rate_threshold
+    return np.concatenate((np.linspace(0.0, top, n), ends, top - ends))
+
+
+@pytest.mark.parametrize("prob", [0.05, 0.2, 0.45, 0.4999, 0.5])
+def test_bernoulli_inverse_matches_the_bisection(prob):
+    # d within 1e-13 relative where H is not flat, H(d) within 1e-15
+    # everywhere: near the flat top of H at prob ~ 0.5 both methods are
+    # bounded by the rounding of t = H(prob) - r, so they are compared on H
+    src = BernoulliSource(prob=prob)
+    r = _rates_with_ends(src)
+    assert r.size == 800
+    got, want = src.rate_inverse(r), _bisection_inverse(src, r)
+    inside = (want > 0.0) & (want < 0.5)
+    assert np.array_equal(got > 0.0, want > 0.0)
+    d, ref = got[inside], want[inside]
+    steep = np.log2((1.0 - ref) / ref) >= 0.1
+    assert steep.sum() > 700
+    assert np.max(np.abs(d - ref)[steep] / ref[steep]) <= 1e-13
+    assert np.max(np.abs(_entropy_array(d) - _entropy_array(ref))) <= 1e-15
+
+
+def test_bernoulli_inverse_scalar_and_array_agree_at_the_ends():
+    # scalars run through the kernel as NumPy scalars, so every digit
+    # agrees, also where the old scalar loop stopped short of the array
+    # bisection (0.4999999956 against 0.5 at r = 1e-17)
+    for prob in (0.05, 0.2, 0.45, 0.4999, 0.5):
+        src = BernoulliSource(prob=prob)
+        r = _rates_with_ends(src, n=40)
+        got = src.rate_inverse(r)
+        assert np.array_equal(got, [src.rate_inverse(float(x)) for x in r])
+        assert np.all((got >= 0.0) & (got <= src.d_max))
+    assert BERN.rate_inverse(1e-17) == 0.5 == BERN.rate_inverse(np.array([1e-17]))[0]
+
+
+def test_inverse_rejects_nan_rates():
+    for src in SOURCES:
+        with pytest.raises(ValueError):
+            src.rate_inverse(math.nan)
+        with pytest.raises(ValueError):
+            src.rate_inverse(np.array([0.1, math.nan]))
+
+
 # ---------------------------------------------------------------------------
 # channel
 # ---------------------------------------------------------------------------

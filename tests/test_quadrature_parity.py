@@ -328,6 +328,54 @@ def test_seeded_integration_on_a_closed_form():
     assert still.direction == 0.0 and np.all(still.p_at(z) == 1.0)
 
 
+def test_seeded_integration_takes_f0_in_place_of_a_call():
+    # f0 = rhs(p0) given: the direction and the check of p0 are read off
+    # it, and the path is the one found with the call
+    calls = []
+
+    def rhs(p):
+        calls.append(np.size(p))
+        return -p
+
+    lefts = np.linspace(0.0, 6.0, 13)[:-1]
+    widths = np.full(lefts.size, 0.5)
+    panels = (-1.0, lefts, widths, np.ones((lefts.size, 9)))
+    path = numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels, f0=-1.0)
+    assert 1 not in calls
+    ref = numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels)
+    z = np.linspace(0.0, 5.0, 41)
+    assert np.array_equal(path.p_at(z), ref.p_at(z))
+    with pytest.raises(ValueError, match="direction"):
+        numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels, f0=1.0)
+    with pytest.raises(numerics.SingularityError, match="blew up"):
+        numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels, f0=-math.inf)
+    still = numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels, f0=0.0)
+    assert still.direction == 0.0
+
+
+def test_polished_solves_call_no_field_at_p0_alone(monkeypatch):
+    # the endpoint table hands over F(p0) at the c2 it found, equal bit
+    # for bit to the field's own value, so the seeded integration of a
+    # polished solve never evaluates F at p0 alone
+    handed, single = [], []
+    integrate = policy.integrate_autonomous
+
+    def spy(rhs, p0, *args, **kwargs):
+        handed.append(kwargs["f0"] == float(rhs(np.array([p0]))[0]))
+
+        def counted(p):
+            single.append(np.size(p) == 1 and p[0] == p0)
+            return rhs(p)
+
+        return integrate(counted, p0, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "integrate_autonomous", spy)
+    for src, leak, rows in ALL_BENCHMARKS:
+        _solve_rows(src, leak, rows)
+    assert handed == [True] * 20
+    assert not any(single)
+
+
 def _p_at_before(path, z):
     # AutonomousPath.p_at as it was: Newton from the chord across the
     # whole panel, on strided rows of the coefficients
