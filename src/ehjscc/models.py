@@ -36,9 +36,10 @@ _LN2 = math.log(2.0)
 
 # The rate maps take a scalar or a NumPy array; arrays go through NumPy
 # elementwise and are rejected as a whole if any entry is out of domain.
-# Scalars keep the plain-float path, which is what the per-event code
-# uses, except the Bernoulli rate inverse: it has no closed form, and its
-# one NumPy kernel takes scalars as NumPy scalars.
+# Scalars keep a plain-float path, which the objectives of the scalar
+# root finders use (the distortion level of a beta, the endpoint root's
+# closing map), except the Bernoulli rate inverse: it has no closed form,
+# and its one NumPy kernel takes scalars as NumPy scalars.
 
 
 def binary_entropy(d: float) -> float:

@@ -3,9 +3,10 @@
 Real Lambert W branches, bracketed scalar root finding (``find_root``)
 and minimization (``find_minimum``), a solver for autonomous scalar ODEs
 p' = F(p) by Gauss-Legendre quadrature of z(p) = Int dq / F(q) with F
-evaluated on whole arrays (``integrate_autonomous``, which can start
-from panels whose integrand the caller has already evaluated), an
-embedded adaptive Runge-Kutta integrator for general scalar ODEs (the
+evaluated on whole arrays (``integrate_autonomous``), the root of a
+field affine in one constant that makes its path end where the constant
+closes it (``endpoint_root``, whose table is the solver's first round),
+an embedded adaptive Runge-Kutta integrator for general scalar ODEs (the
 reference the quadrature solver is tested against), composite
 quadrature on graded grids, and a deterministic seedable random stream.
 Nothing in here knows about sources, channels or batteries; the rest of
@@ -26,15 +27,17 @@ __all__ = [
     "SingularityError",
     "ConvergenceError",
     "lambert_w",
-    "RootBracket",
     "find_root",
     "find_minimum",
     "integrate_ode",
     "AutonomousPath",
     "integrate_autonomous",
+    "affine_field",
+    "endpoint_root",
     "Grid",
     "quadrature",
     "cumulative_integral",
+    "discounted_tail",
     "Rng",
     "seeded_rng",
 ]
@@ -144,23 +147,8 @@ def lambert_w(branch: int, x: float) -> float:
 # Root finding and minimization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootBracket:
-    """An interval [lo, hi] on which a continuous function changes sign."""
-
-    lo: float
-    hi: float
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-
-
-def find_root(g, bracket: RootBracket, max_iter: int = 200) -> float:
-    """Brent-Dekker root of g on the bracket.
+def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+    """Brent-Dekker root of g on the bracket [lo, hi].
 
     Each step interpolates g inversely through its last three values
     (quadratic, or the secant through two) and bisects instead whenever
@@ -171,12 +159,16 @@ def find_root(g, bracket: RootBracket, max_iter: int = 200) -> float:
 
     Deterministic; returns a point r with either g(r) = 0 hit exactly, or
     r an end of the final sign-change bracket, which is no wider than
-    ``bracket.tol`` (or holds no float strictly inside).  At most
-    ``max_iter`` evaluations follow the two at the ends.  Raises
-    ValueError if the function values at the endpoints do not straddle a
-    sign change.
+    ``tol`` (or holds no float strictly inside).  At most ``max_iter``
+    evaluations follow the two at the ends.  Raises ValueError if lo is
+    not below hi, if tol is not positive, or if the function values at
+    the endpoints do not straddle a sign change.
     """
-    a, b = bracket.lo, bracket.hi
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    a, b = lo, hi
     fa, fb = g(a), g(b)
     if fa == 0.0:
         return a
@@ -186,7 +178,7 @@ def find_root(g, bracket: RootBracket, max_iter: int = 200) -> float:
         raise ValueError(
             f"invalid bracket: g({a})={fa} and g({b})={fb} have the same sign"
         )
-    tol1 = 0.5 * bracket.tol
+    tol1 = 0.5 * tol
     # b is the best point so far, c the other end of the sign-change
     # bracket, a the previous b; d and e are the last two step lengths
     c, fc = a, fa
@@ -505,21 +497,23 @@ _GL_HALF_WEIGHTS = (0.36268378337836198297, 0.31370664587788728734,
                     0.22238103445337447054, 0.10122853629037625915)
 _GL_ORDER = 2 * len(_GL_HALF_NODES)
 
-# state range the quadrature explores (ln of [1e-300, 1e300]); leaving it
-# means p reached 0 or escaped to infinity
-_S_MIN = math.log(1e-300)
+# state range the quadrature explores (ln 1e300 either side of 0); leaving
+# it means p reached 0 or escaped to infinity
 _S_MAX = math.log(1e300)
 _RHS_CAP = 1e9           # |F| above this is a blow-up
-# The next five only set how the work is cut up: the error test alone
-# decides which panels are kept.  Setting any one of them 2-4 times
-# higher or lower changes the number of F calls and of states evaluated,
-# over the 20 polished published rows and over the parity probes, by at
-# most 20%, and their d_avg by at most 3e-15 relative.
+# width ratio of the panels graded toward an obstacle, and of those of
+# the endpoint table toward p0
+_GRADING = 4.0
+# The next four only set how the work is cut up: the error test alone
+# decides which panels are kept.  Setting any one of them, or the
+# integrator's _GRADING, 2-4 times higher or lower changes the number of
+# F calls and of states evaluated, over the 20 polished published rows
+# and over the parity probes, by at most 20%, and their d_avg by at most
+# 3e-15 relative.
 _FIRST_REACH = 16.0      # ln p covered by the first round, extended as needed
 _FIRST_PANELS = 32
 _MAX_SPLIT = 16          # most sub-panels a panel is cut into per round
 _LOCATE_POINTS = 63      # states tried per step when locating an obstacle
-_GRADING = 4.0           # width ratio of panels graded toward an obstacle
 _MIN_SHARE = 1.0 / 64.0  # smallest width a panel's error allowance scales with
 _MAX_ROUNDS = 400
 _SIGN_CHANGE = "right-hand side changed sign"
@@ -682,6 +676,13 @@ def _floor_width(s0, a):
     return 2e-15 * (1.0 + abs(s0) + a)
 
 
+def _knot_states(s0, sign, a, h):
+    # u and the state at the Gauss nodes and right edge of each panel
+    # with left edges a and widths h
+    u = a[:, None] + (_knot_tables()[0][1:] + 1.0) * (0.5 * h[:, None])
+    return u, np.exp(s0 + sign * u)
+
+
 def _admissible(p, g):
     # which states are admissible, by dz/du = sign * p / F at each: F
     # defined, of the path's sign and within 1e9 in size, and not 0
@@ -724,8 +725,7 @@ def integrate_autonomous(
     *,
     atol: float = 1e-13,
     rtol: float = 1e-12,
-    panels=None,
-    f0=None,
+    start=None,
 ) -> AutonomousPath:
     """Solve the autonomous scalar ODE p' = rhs(p), p(0) = p0, on [0, z_end].
 
@@ -745,21 +745,18 @@ def integrate_autonomous(
     z_end are dropped, and where the panels end short of z_end a new
     stretch of u is cut.
 
-    The first round is a stretch of evenly cut panels, or ``panels`` if
-    given: a tuple (direction, lefts, widths, g) of adjoining panels in
-    u from 0, where direction is +1 if p rises and -1 if it falls, and
-    g holds dz/du = direction * p / F already found at each panel's
-    Gauss nodes and right edge, one row of nine per panel.  That round
-    calls no ``rhs`` and goes through the steps of any other.  ``f0``,
-    if given, is rhs(p0), which the direction and the check of p0 are
-    then read from without a call.
+    The first round is a stretch of evenly cut panels after a call of
+    ``rhs`` at p0, or the panels of ``start`` without a call: a tuple
+    (rhs(p0), lefts, widths, g) as :func:`endpoint_root` returns it, of
+    adjoining panels in u from 0 and dz/du = p / |F| at each one's Gauss
+    nodes and right edge, a row of nine per panel.
 
     Returns an :class:`AutonomousPath`.  Raises :class:`SingularityError`
     carrying the z reached and the last admissible state when, before
     z_end, the state runs to 0 or escapes to infinity, leaves the domain
     of ``rhs``, or |rhs| exceeds 1e9.  A root of ``rhs`` on the path is
     an equilibrium the state approaches and, once the gap underflows,
-    sits on.  Raises ValueError if ``panels`` run against rhs(p0).
+    sits on.
     """
     p0 = float(p0)
     z_end = float(z_end)
@@ -768,17 +765,17 @@ def integrate_autonomous(
     if not (z_end > 0.0 and math.isfinite(z_end)):
         raise ValueError(f"z_end must be finite and positive, got {z_end}")
     with np.errstate(all="ignore"):
-        return _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels, f0)
+        return _integrate_autonomous(rhs, p0, z_end, atol, rtol, start)
 
 
-def _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels, f0):
+def _integrate_autonomous(rhs, p0, z_end, atol, rtol, start):
     to_antider = _gauss_tables()[3]
     empty = np.empty(0)
 
     def evaluate(p):
         return np.asarray(rhs(p), dtype=float)
 
-    f0 = float(evaluate(np.array([p0]))[0] if f0 is None else f0)
+    f0, a, h, known = start or (evaluate(np.array([p0]))[0], None, None, None)
     if f0 == 0.0:
         return AutonomousPath(p0, z_end, 0.0, empty, empty,
                               empty.reshape(0, _GL_ORDER + 1), np.zeros(1))
@@ -787,14 +784,12 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels, f0):
     if not _admissible(p0, g0):
         raise SingularityError(_invalid_reason(p0, g0), 0.0, p0)
     s0 = math.log(p0)
-    u_limit = (_S_MAX - s0) if sign > 0.0 else (s0 - _S_MIN)
-    # a panel's Gauss nodes and right edge, in its local coordinate
-    positions = _knot_tables()[0][1:]
+    u_limit = _S_MAX - sign * s0   # where the state leaves [1e-300, 1e300]
 
-    def fresh(start):
+    def fresh(u0):
         # the next stretch of u, as evenly cut candidate panels
-        reach = min(max(8.0 * start, _FIRST_REACH), u_limit - start)
-        cuts = start + np.linspace(0.0, reach, _FIRST_PANELS + 1)
+        reach = min(max(8.0 * u0, _FIRST_REACH), u_limit - u0)
+        cuts = u0 + np.linspace(0.0, reach, _FIRST_PANELS + 1)
         return cuts[:-1], np.diff(cuts)
 
     def locate(lo, hi):
@@ -829,13 +824,8 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels, f0):
     # every panel, in order of u: left edges, widths, Legendre
     # coefficients (zero until a round finds them), and the indices of
     # those awaiting a round, with dz/du at their points if known
-    if panels is None:
+    if a is None:
         a, h = fresh(0.0)
-        known = None
-    else:
-        direction, a, h, known = panels
-        if direction != sign:
-            raise ValueError(f"panels run in direction {direction}, rhs(p0) in {sign}")
     coef = np.zeros((a.size, _GL_ORDER))
     todo = np.arange(a.size)
     # the first inadmissible state found, the last admissible one before
@@ -848,8 +838,7 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels, f0):
         # where evaluated, and an obstacle hiding between a panel's last
         # node and its edge would otherwise end the path past it
         pend_a, pend_h = a[todo], h[todo]
-        u = pend_a[:, None] + (positions[None, :] + 1.0) * (0.5 * pend_h[:, None])
-        p = np.exp(s0 + sign * u)
+        u, p = _knot_states(s0, sign, pend_a, pend_h)
         g = sign * p / evaluate(p.ravel()).reshape(p.shape) if known is None else known
         known = None
         admissible_at = _admissible(p, g)
@@ -930,6 +919,139 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, panels, f0):
         a, h = np.concatenate((a, more_a)), np.concatenate((h, more_h))
         coef = np.concatenate((coef, np.zeros((more_a.size, _GL_ORDER))))
     raise SingularityError("quadrature did not converge", z_reached)
+
+
+def affine_field(base, den, shift):
+    """F = (base + shift) / den on arrays, +inf where |den| < 1e-12.
+
+    The form of every policy field: a denominator that small is a pole
+    of F, which :func:`integrate_autonomous` takes for a blow-up.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(den) < 1e-12, np.inf, (base + shift) / den)
+
+
+# the table of the endpoint root: panels per stretch of u, u covered by
+# the first stretch, and the narrowest width of the panels graded (by
+# _GRADING) toward p0
+_TABLE_PANELS = 128
+_TABLE_REACH = 16.0
+_TABLE_FLOOR = 1e-15
+# the root in u stops at this width, relative to the reach of its
+# stretch; c2 then agrees to 1e-11 relative, on the published rows and on
+# every probe of their searches, with a table of 16 times as many panels
+# whose root is found to rounding
+_ROOT_RTOL = 1e-12
+
+
+def endpoint_root(terms, scale, closing, p0, z_end):
+    """The c whose path of p' = F from p0 ends at z_end where c closes it.
+
+    F = (base + scale*c) / den, with ``terms`` mapping an array of states
+    to (base, den), and ``closing`` maps an end state P to the c at which
+    P closes the caller's condition.  The root is taken in P, of
+
+        Phi(P) = Int_{p0}^{P} den / (base + scale*closing(P)) dq - z_end,
+
+    on a table of base and den over Gauss-Legendre panels in u =
+    |ln q - ln p0|, 1/128 of a stretch wide and narrowing geometrically
+    toward p0: each trial of P is array arithmetic on it.  The path runs
+    the way F(p0) points at c = closing(p0).  Phi is +inf from the first
+    node where dz/du = q/|F| is not finite or is below q/1e9, which closes
+    the bracket.  The table covers 16 units of u, doubling its reach until
+    Phi at its end is not negative, within the states [1e-300, 1e300];
+    the root in u is found to 1e-12 relative to the reach.  Phi must
+    change sign at most once, which the caller's model has to ensure.
+
+    Returns None if F(p0) is not finite there, if Phi is not negative
+    within the first panel, stays negative to the end of the state range
+    or turns +inf before it turns positive.  Else returns (c, start): the
+    ``start`` of :func:`integrate_autonomous` at c, with the table's
+    panels up to the root's.
+    """
+    base0, den0 = terms(np.array([p0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f0 = float((base0[0] + scale * closing(p0)) / den0[0])
+    if not math.isfinite(f0):
+        return None   # den vanishes at p0 itself
+    sign = 1.0 if f0 > 0.0 else -1.0
+    s0 = math.log(p0)
+    u_limit = _S_MAX - sign * s0   # where the state leaves [1e-300, 1e300]
+    _, weights, to_coef, to_antider = _gauss_tables()
+    # node values -> monomial coefficients of the panel's antiderivative
+    to_poly = to_coef.T @ to_antider.T
+    lefts = widths = numer = denom = least = wts = edge_numer = edge_denom = np.empty(0)
+
+    def extend(a, b):
+        # the panels of the stretch [a, b], with base and den at the
+        # points where integrate_autonomous evaluates a panel: at its
+        # nodes, and apart at its right edge
+        nonlocal lefts, widths, numer, denom, least, wts, edge_numer, edge_denom
+        cuts = np.linspace(a, b, _TABLE_PANELS + 1)
+        if a == 0.0:
+            steps = math.ceil(math.log(cuts[1] / _TABLE_FLOOR, _GRADING))
+            cuts = np.concatenate(
+                ([0.0], cuts[1] * _GRADING ** -np.arange(steps, 0.0, -1.0), cuts[1:]))
+        h = np.diff(cuts)
+        q = _knot_states(s0, sign, cuts[:-1], h)[1]
+        base, den = terms(q)
+        top = sign * q * den
+        lefts = np.concatenate((lefts, cuts[:-1]))
+        widths = np.concatenate((widths, h))
+        numer = np.concatenate((numer, top[:, :-1]), axis=None)
+        denom = np.concatenate((denom, base[:, :-1]), axis=None)
+        edge_numer = np.concatenate((edge_numer, top[:, -1]))
+        edge_denom = np.concatenate((edge_denom, base[:, -1]))
+        least = np.concatenate((least, q[:, :-1] / _RHS_CAP), axis=None)
+        wts = np.concatenate((wts, (0.5 * h[:, None] * weights).ravel()))
+
+    closed = math.inf   # least u seen with Phi finite and not negative
+
+    def dz_du(u: float):
+        # the panels up to the one holding u, and dz/du = q/|F| at their
+        # nodes for the c that closes the condition at u
+        k = min(int(np.searchsorted(lefts, u, side="right")) - 1, lefts.size - 1)
+        m = _GL_ORDER * (k + 1)
+        c = closing(math.exp(s0 + sign * u))
+        return k, m, c, numer[:m] / (denom[:m] + scale * c)
+
+    def phi(u: float) -> float:
+        nonlocal closed
+        # dz/du is admissible from q/1e9 up to, but not including, inf; an
+        # infinite one (F = 0) leaves Phi inf or NaN
+        k, m, _, v = dz_du(u)
+        if not (v >= least[:m]).all():
+            return math.inf
+        t = 2.0 * (u - lefts[k]) / widths[k] - 1.0
+        part = 0.0
+        for coef in (v[m - _GL_ORDER:] @ to_poly)[::-1].tolist():
+            part = part * t + coef
+        value = float(v[:m - _GL_ORDER] @ wts[:m - _GL_ORDER]) + 0.5 * widths[k] * part - z_end
+        if not value < math.inf:
+            return math.inf
+        if value >= 0.0:
+            closed = min(closed, u)
+        return value
+
+    lo = hi = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            if hi >= u_limit:
+                return None
+            lo, hi = hi, min(max(2.0 * hi, _TABLE_REACH), u_limit)
+            extend(lo, hi)
+            if not phi(hi) < 0.0:
+                break
+        if not phi(lo) < 0.0:
+            return None   # inadmissible within the first panel past p0
+        tol = _ROOT_RTOL * max(1.0, hi)
+        root = find_root(phi, lo, hi, tol=tol)
+        if closed - root > tol:
+            return None
+        k, _, c, v = dz_du(root)
+        edge = edge_numer[:k + 1] / (edge_denom[:k + 1] + scale * c)
+    g = np.concatenate((v.reshape(k + 1, _GL_ORDER), edge[:, None]), axis=1)
+    return c, (float(affine_field(base0, den0, scale * c)[0]), lefts[:k + 1], widths[:k + 1], g)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,7 +1187,7 @@ def quadrature(values, grid: Grid) -> float:
 
     The dot product of the values with the grid's weights: exact (to
     rounding) for cubics, and equal to the last entry of
-    :func:`cumulative_integral` on the same nodes.
+    :func:`cumulative_integral` on the same grid.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
@@ -1077,40 +1199,54 @@ def quadrature(values, grid: Grid) -> float:
     return float(np.dot(grid.weights, values))
 
 
-def cumulative_integral(x, y) -> np.ndarray:
-    """Cumulative integral of samples y over abscissae x, order-4 accurate.
+def cumulative_integral(grid: Grid, y) -> np.ndarray:
+    """Cumulative integral of node values y over a grid, order-4 accurate.
 
     Returns an array C with C[0] = 0 and C[k] approximating the integral
-    of the sampled function from x[0] to x[k].  Each interval is
+    of the sampled function from 0 to node k.  Each interval is
     integrated under the local cubic through the four nearest samples
     (clamped stencils at the ends), so smooth integrands converge at
     O(h^4) -- needed where plain trapezoid error would be amplified by
-    steep multiplier profiles.  Falls back to trapezoid when fewer than
-    four samples are given.
-
-    x is an array of abscissae or a :class:`Grid`, whose nodes are the
-    abscissae; a grid brings its stencils, which an array has built
-    first.  Both give the same result to the last bit.
+    steep multiplier profiles.  Falls back to trapezoid when the grid has
+    fewer than four nodes.  The stencils are the grid's own, so a call
+    costs one gather and one running sum.
     """
+    return np.concatenate(([0.0], np.cumsum(_interval_integrals(grid, y))))
+
+
+def _interval_integrals(grid, y):
     y = np.asarray(y, dtype=float)
-    if isinstance(x, Grid):
-        if y.shape != x.nodes.shape:
-            raise ValueError(
-                f"length mismatch: {y.shape} values on {x.nodes.shape} nodes"
-            )
-        index, coef = x.stencil_index, x.stencil_coef
-    else:
-        x = np.asarray(x, dtype=float)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError("x and y must be 1-d arrays of equal length")
-        if x.size < 2:
-            raise ValueError("need at least two samples")
-        if np.any(np.diff(x) <= 0.0):
-            raise ValueError("x must be strictly increasing")
-        index, coef = _cubic_stencils(x)
+    if y.shape != grid.nodes.shape:
+        raise ValueError(
+            f"length mismatch: {y.shape} values on {grid.nodes.shape} nodes"
+        )
     # each interval's integral: its stencil terms summed in stencil order
-    inc = sum(coef * y[index])
-    return np.concatenate(([0.0], np.cumsum(inc)))
+    return sum(grid.stencil_coef * y[grid.stencil_index])
+
+
+# lam*z covered by one scale of e^{-lam u} in discounted_tail
+_TAIL_SPAN = 300.0
+
+
+def discounted_tail(grid: Grid, y, lam: float) -> np.ndarray:
+    """Int_z^L y(u) e^{-lam (u - z)} du at every node z of a grid.
+
+    The grid's interval integrals of y e^{-lam u} (as in
+    :func:`cumulative_integral`), summed from the right, so that a tail
+    far below the whole integral keeps its digits.  The nodes of each
+    stretch of 300 in lam*z scale e^{-lam u} by e^{lam c} at the
+    stretch's start c, so that neither it nor e^{lam z} over- or
+    underflows at any L; below the stretch, where only the stencils of
+    its first intervals reach, the scaled weight is capped at e^300.
+    """
+    lz = lam * grid.nodes
+    tail = np.empty_like(lz)
+    for c in _TAIL_SPAN * np.arange(lz[-1] // _TAIL_SPAN + 1.0):
+        inc = _interval_integrals(grid, y * np.exp(np.minimum(c - lz, _TAIL_SPAN)))
+        rest = np.append(np.cumsum(inc[::-1])[::-1], 0.0)
+        lo, hi = lz.searchsorted((c, c + _TAIL_SPAN))
+        tail[lo:hi] = rest[lo:hi] * np.exp(lz[lo:hi] - c)
+    return tail
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,13 @@ whole arrays of powers: the solvers hand F to
 :func:`~ehjscc.numerics.integrate_autonomous`, which integrates
 z(p) = Int dq / F(q) by quadrature and inverts it at the grid nodes.  The
 adaptive F and the endpoint gap are both affine in c2, so the c2 that
-closes the gap is one scalar root in the end power p(L), found on a
-table of F's two parts.  That table holds dz/du at the c2 found, so the
-one integration of a polished solve starts from the table's panels in
-place of evenly cut ones, and holds them to the same checks and
-accuracy rule as any other round.  Every way F can fail on the path (p
-running to 0 or escaping, |F| above 1e9, a vanishing denominator, p
-leaving the model's domain) comes back as an infeasible outcome whose
-message says near which z.
+closes the gap is one scalar root in the end power p(L), which
+:func:`~ehjscc.numerics.endpoint_root` finds on a table of F's two parts;
+this module gives it those parts and the closing map.  The one
+integration of a polished solve starts from that table's panels.  Every
+way F can fail on the path (p running to 0 or escaping, |F| above 1e9,
+a vanishing denominator, p leaving the model's domain) comes back as an
+infeasible outcome whose message says near which z.
 
 The constant-mismatch (kappa = 1) policy family and the constant-power
 scheme for unbounded storage are provided for comparison, as both are
@@ -46,11 +45,11 @@ from .distortion import distortion
 from .models import ArrivalModel, AwgnChannel, LeakageModel, SourceModel
 from .numerics import (
     Grid,
-    RootBracket,
     SingularityError,
-    _RHS_CAP,
-    _gauss_tables,
+    affine_field,
     cumulative_integral,
+    discounted_tail,
+    endpoint_root,
     find_root,
     integrate_autonomous,
     integrate_ode,  # noqa: F401 -- looked up here by benchmarks/tracer.py
@@ -182,9 +181,8 @@ def beta_to_distortion(src: SourceModel, beta: float) -> float:
         s = src.rate_derivatives(d)[0]
         return r / s - d - beta
 
-    bracket = RootBracket(1e-150, src.d_max * (1.0 - 1e-12), tol=1e-16 * src.d_max)
     try:
-        return find_root(g, bracket)
+        return find_root(g, 1e-150, src.d_max * (1.0 - 1e-12), tol=1e-16 * src.d_max)
     except ValueError as exc:
         raise ValueError(
             f"no representable distortion level for beta={beta}: {exc}"
@@ -272,18 +270,11 @@ def _c1_edge(src, ch, beta, p0):
 
 
 def _adaptive_field(ch, arrivals, consts, d_beta, r_beta, slope):
-    # F on an array of powers for a solved distortion level; +inf where
-    # the denominator magnitude drops below 1e-12
+    # F on an array of powers for a solved distortion level, with its
+    # shift rounded as (lam*R_beta)*c2, as the endpoint root rounds it
     terms = _adaptive_terms(ch, arrivals, consts.c1, d_beta, r_beta, slope)
-    shift = arrivals.lam * consts.c2 * r_beta
-    return lambda p: _field_from_terms(*terms(p), shift)
-
-
-def _field_from_terms(base, den, shift):
-    # F = (base + lam*c2*R_beta)/den from _adaptive_terms, +inf where
-    # |den| < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(den) < 1e-12, np.inf, (base + shift) / den)
+    shift = arrivals.lam * r_beta * consts.c2
+    return lambda p: affine_field(*terms(p), shift)
 
 
 def _stationary_law(grid, drain, delta, lam):
@@ -314,14 +305,13 @@ def _battery_grid(capacity, p0plus, grid):
     return Grid.graded(capacity) if grid is None else grid
 
 
-def _law_on_grid(kind, field, grid, arrivals, leak, p0plus, table=None, **tags):
+def _law_on_grid(kind, field, grid, arrivals, leak, p0plus, start=None, **tags):
     # p on the grid along the trajectory of p' = field(p) from p0plus,
-    # integrated from the endpoint table's (panels, field at p0plus) if
-    # given, plus the output of _stationary_law, or the infeasible outcome
-    # carrying tags if the trajectory turns singular before the last node
-    start = {} if table is None else {"panels": table[0], "f0": table[1]}
+    # integrated from the endpoint root's start if given, plus the output
+    # of _stationary_law, or the infeasible outcome carrying tags if the
+    # trajectory turns singular before the last node
     try:
-        path = integrate_autonomous(field, p0plus, grid.capacity, **start,
+        path = integrate_autonomous(field, p0plus, grid.capacity, start=start,
                                     **_ODE_TOLERANCES)
         p = path.p_at(grid.nodes)
     except SingularityError as exc:
@@ -348,8 +338,9 @@ def optimality_residual(
 
     with dD/dp = kappa*Rc'(p)/R_s'(D_beta) by implicit differentiation of
     R_s(D) = kappa*R_c(p).  The integrand then simplifies to
-    Rc'(p(u)) e^{-lam u}/R_s'(D_beta), evaluated by high-order cumulative
-    quadrature on the solution's own grid.
+    Rc'(p(u)) e^{-lam u}/R_s'(D_beta), whose tail from z, times e^{lam z},
+    is taken by :func:`~ehjscc.numerics.discounted_tail` on the
+    solution's own grid.
     """
     if consts is None:
         consts = solution.constants
@@ -361,19 +352,15 @@ def optimality_residual(
 
 
 def _residual_profile(src, ch, arrivals, solution, consts) -> np.ndarray:
-    nodes = solution.grid.nodes
     p, kappa = solution.p, solution.kappa
     d_beta = solution.d_beta
     slope = src.rate_derivatives(d_beta)[0]
-    delta, lam = arrivals.delta, arrivals.lam
 
     rc1 = ch.rate_derivatives(p)[0]
-    integrand = rc1 * np.exp(-lam * nodes) / slope
-    cum = cumulative_integral(solution.grid, integrand)
-    tail = cum[-1] - cum          # integral from z to L
+    tail = discounted_tail(solution.grid, rc1, arrivals.lam)
     d_dp = kappa * rc1 / slope
     return (
-        delta * np.exp(lam * nodes) * kappa * tail
+        arrivals.delta * kappa * tail / slope
         + d_beta
         - d_dp * p
         + consts.c1
@@ -387,46 +374,20 @@ def _residual_profile(src, ch, arrivals, solution, consts) -> np.ndarray:
 # (13%) longer each
 _ODE_TOLERANCES = {"atol": 1e-10, "rtol": 1e-9}
 
-# the table of the endpoint root (see _endpoint_c2): panels per stretch
-# of ln p, ln p covered by the first stretch, and the width ratio and
-# narrowest width of the panels graded toward p0
-_TABLE_PANELS = 128
-_TABLE_REACH = 16.0
-_TABLE_GRADING = 4.0
-_TABLE_FLOOR = 1e-15
-# the root in ln p(L) stops at this width, relative to the reach of its
-# stretch; c2 then agrees to 1e-11 relative, on the published rows and on
-# every probe of their searches, with a table of 16 times as many panels
-# whose root is found to rounding
-_ROOT_RTOL = 1e-12
-
-
 def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
-    """The c2 whose trajectory meets the endpoint condition, and its panels.
+    """The c2 whose trajectory meets the endpoint condition, and its start.
 
-    Returns None if there is no such c2, else (c2, panels, f0), where
-    panels = (sign, lefts, widths, g) are the table's panels up to the
-    one that holds the root, in u, with dz/du at that c2 at their Gauss
-    nodes and right edges, and f0 is F(p0) at that c2: the first round
-    of :func:`~ehjscc.numerics.integrate_autonomous` and its start,
-    which it takes as ``panels`` and ``f0``.
-
-    F = (base + lam*c2*R_beta)/den is affine in c2 (see
+    F = (base + lam*R_beta*c2)/den is affine in c2 (see
     :func:`_adaptive_terms`), and so is the endpoint gap, with slope
     kappa(L) > 0.  So the gap vanishes at
 
         c2 = h(P) = P*Rc'(P)/S - (D_beta + c1)*Rc(P)/R_beta,   P = p(L),
 
-    and the endpoint condition is one root in the end power,
-
-        Phi(P) = Int_{p0}^{P} den / (base + lam*h(P)*R_beta) dq - L = 0:
-
-    the charge the trajectory of c2 = h(P) needs to reach P, less the
-    capacity L.  base and den depend on (beta, c1) alone, so they are
-    tabulated once, on Gauss-Legendre panels in u = |ln q - ln p0|, and
-    each trial of P is array arithmetic on the table: no trajectory is
-    integrated and no start value is needed.  The root rests on these
-    facts:
+    and the endpoint condition is one root in the end power P of Phi(P),
+    the charge the trajectory of c2 = h(P) needs to reach P less the
+    capacity L.  :func:`~ehjscc.numerics.endpoint_root` finds it on a
+    table of base and den: None if there is none, else (c2, start), the
+    trajectory's start.  The root is unique by these facts:
 
     - At c2 = h(P), F(P) = delta*R_beta*Rc'(P) / (S*den(P)), which never
       vanishes.  So p0 fixes the side: P rises from p0 where F(p0) > 0 at
@@ -434,122 +395,27 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
       where den(p0) > 0, i.e. c1 above :func:`_c1_edge`.  Phi -> -L as
       P -> p0.
     - P is admissible while the integrand is finite and positive on the
-      whole of [p0, P], with |F| <= 1e9 as :func:`integrate_autonomous`
-      requires.  Past that the trajectory settles on a root of F short of
-      P, or den changes sign and it blows up; Phi is +inf there, so that
-      end closes the bracket.
-    - The integrand is at its largest where base + lam*h(P)*R_beta is
+      whole of [p0, P], with |F| <= 1e9.  Past that the trajectory settles
+      on a root of F short of P, or den changes sign and it blows up;
+      Phi is +inf there, so that end closes the bracket.
+    - The integrand is at its largest where base + lam*R_beta*h(P) is
       least: at p0, where the trajectory lingers while c2 nears the value
       that makes p0 an equilibrium, or at an extremum of base inside the
-      range.  Phi grows without bound as that least value nears 0.  The
-      panels, 1/128 of a stretch wide, narrow geometrically toward p0.
+      range.  Phi grows without bound as that least value nears 0, which
+      is why the table's panels narrow toward p0.
     - On the published rows, on every probe of the searches and on 300
       random (beta, c1, L) with L up to 100, Phi had at most one sign
       change, and a dense scan of the first 64 units of u found no second
       root.
-
-    The table first covers 16 units of u and doubles its reach until Phi
-    at its end is not negative; the state range [1e-300, 1e300] ends it.
-    A bracket that closes only on the end of the admissible range, with
-    Phi still negative before it, has no root.  Phi at the root has
-    found dz/du admissible at every node of the panels handed back.  Their
-    right edges, tabulated at the points the integrator evaluates, play
-    no part in Phi; the integrator tests them.
     """
     terms = _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope)
-    shift = arrivals.lam * r_beta
 
-    def closing_c2(p_end: float) -> float:
+    def closing(p_end: float) -> float:
+        # h(P), the c2 that closes the endpoint gap at end power P
         return (p_end * ch.rate_derivatives(p_end)[0] / slope
                 - (d_beta + c1) * ch.rate(p_end) / r_beta)
 
-    base0, den0 = terms(np.array([p0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f0 = float((base0[0] + shift * closing_c2(p0)) / den0[0])
-    if not math.isfinite(f0):
-        return None   # den vanishes at p0 itself
-    sign = 1.0 if f0 > 0.0 else -1.0
-    s0 = math.log(p0)
-    u_limit = math.log(1e300) - sign * s0
-    nodes, weights, to_coef, to_antider = _gauss_tables()
-    # node values -> monomial coefficients of the panel's antiderivative
-    to_poly = to_coef.T @ to_antider.T
-    order = nodes.size
-    positions = np.append(nodes, 1.0)
-    lefts = widths = numer = denom = least = wts = edge_numer = edge_denom = np.empty(0)
-
-    def extend(a, b):
-        # the panels of the stretch [a, b], with base and den at the
-        # points where integrate_autonomous evaluates a panel: at its
-        # nodes, and apart at its right edge
-        nonlocal lefts, widths, numer, denom, least, wts, edge_numer, edge_denom
-        cuts = np.linspace(a, b, _TABLE_PANELS + 1)
-        if a == 0.0:
-            steps = math.ceil(math.log(cuts[1] / _TABLE_FLOOR, _TABLE_GRADING))
-            cuts = np.concatenate(
-                ([0.0], cuts[1] * _TABLE_GRADING ** -np.arange(steps, 0.0, -1.0), cuts[1:]))
-        half = 0.5 * np.diff(cuts)
-        q = np.exp(s0 + sign * (cuts[:-1, None] + (positions + 1.0) * half[:, None]))
-        base, den = terms(q)
-        top = sign * q * den
-        lefts = np.concatenate((lefts, cuts[:-1]))
-        widths = np.concatenate((widths, 2.0 * half))
-        numer = np.concatenate((numer, top[:, :-1]), axis=None)
-        denom = np.concatenate((denom, base[:, :-1]), axis=None)
-        edge_numer = np.concatenate((edge_numer, top[:, -1]))
-        edge_denom = np.concatenate((edge_denom, base[:, -1]))
-        least = np.concatenate((least, q[:, :-1] / _RHS_CAP), axis=None)
-        wts = np.concatenate((wts, (half[:, None] * weights).ravel()))
-
-    closing = math.inf   # least u seen with Phi finite and not negative
-
-    def dz_du(u: float):
-        # the panels up to the one holding u, and dz/du = q/|F| at their
-        # nodes for the c2 that closes the gap at u
-        k = min(int(np.searchsorted(lefts, u, side="right")) - 1, lefts.size - 1)
-        m = order * (k + 1)
-        c2 = closing_c2(math.exp(s0 + sign * u))
-        return k, m, c2, numer[:m] / (denom[:m] + shift * c2)
-
-    def phi(u: float) -> float:
-        nonlocal closing
-        # dz/du is admissible from q/1e9 up to, but not including, inf; an
-        # infinite one (F = 0) leaves Phi inf or NaN
-        k, m, _, v = dz_du(u)
-        if not (v >= least[:m]).all():
-            return math.inf
-        t = 2.0 * (u - lefts[k]) / widths[k] - 1.0
-        part = 0.0
-        for coef in (v[m - order:] @ to_poly)[::-1].tolist():
-            part = part * t + coef
-        value = float(v[:m - order] @ wts[:m - order]) + 0.5 * widths[k] * part - capacity
-        if not value < math.inf:
-            return math.inf
-        if value >= 0.0:
-            closing = min(closing, u)
-        return value
-
-    lo = hi = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            if hi >= u_limit:
-                return None
-            lo, hi = hi, min(max(2.0 * hi, _TABLE_REACH), u_limit)
-            extend(lo, hi)
-            if not phi(hi) < 0.0:
-                break
-        if not phi(lo) < 0.0:
-            return None   # inadmissible within the first panel past p0
-        tol = _ROOT_RTOL * max(1.0, hi)
-        root = find_root(phi, RootBracket(lo, hi, tol=tol))
-        if closing - root > tol:
-            return None
-        k, _, c2, v = dz_du(root)
-        edge = edge_numer[:k + 1] / (edge_denom[:k + 1] + shift * c2)
-    # F(p0) as the field of c2 evaluates it, from the terms at p0 above
-    f0 = float(_field_from_terms(base0, den0, arrivals.lam * c2 * r_beta)[0])
-    return c2, (sign, lefts[:k + 1], widths[:k + 1],
-                np.concatenate((v.reshape(k + 1, order), edge[:, None]), axis=1)), f0
+    return endpoint_root(terms, arrivals.lam * r_beta, closing, p0, capacity)
 
 
 def solve_adaptive(
@@ -594,16 +460,15 @@ def solve_adaptive(
     ``consts.c2`` is ignored; (beta, c1) with no root come back as an
     infeasible outcome that says so.  The trajectory at that c2 is
     integrated once, by :func:`~ehjscc.numerics.integrate_autonomous`
-    from the root's table (see :func:`_endpoint_c2`): the table's panels
-    are its first round, and those that fail its accuracy rule are cut
-    and evaluated again.
+    from the root's start: the root's panels are its first round, and
+    those that fail its accuracy rule are cut and evaluated again.
     """
     grid = _battery_grid(capacity, p0plus, grid)
     d_beta = beta_to_distortion(src, consts.beta)
     r_beta = src.rate(d_beta)
     slope = src.rate_derivatives(d_beta)[0]
 
-    c2, table = consts.c2, None
+    c2, start = consts.c2, None
     if refine_c2:
         found = _endpoint_c2(ch, arrivals, consts.c1, d_beta, r_beta, slope, p0plus, capacity)
         if found is None:
@@ -613,11 +478,11 @@ def solve_adaptive(
                 "p0plus to an end power that closes the gap at z = capacity",
                 d_beta=d_beta, constants=consts,
             )
-        c2, table = found[0], found[1:]
+        c2, start = found
     used = replace(consts, c2=c2)
 
     field = _adaptive_field(ch, arrivals, used, d_beta, r_beta, slope)
-    law = _law_on_grid("adaptive", field, grid, arrivals, leak, p0plus, table,
+    law = _law_on_grid("adaptive", field, grid, arrivals, leak, p0plus, start,
                        d_beta=d_beta, constants=used)
     if isinstance(law, PolicySolution):
         return law
@@ -691,10 +556,7 @@ def _matched_field(src, ch, arrivals, c):
         rc1, rc2 = ch.rate_derivatives(p)
         d1 = rc1 / s1
         d2 = (rc2 - s2 * d1 * d1) / s1
-        den = p * d2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = -(lam * d_in + (delta - lam * p) * d1 + c) / den
-        f = np.where(np.abs(den) < 1e-12, np.inf, f)
+        f = affine_field(-(lam * d_in + (delta - lam * p) * d1), p * d2, -c)
         return np.where(inside, f, np.nan)
 
     return rhs

@@ -38,7 +38,7 @@ from .models import (
     SourceModel,
     ZeroLeakage,
 )
-from .numerics import RootBracket, find_minimum, find_root
+from .numerics import find_minimum, find_root
 from .policy import (
     PolicySolution,
     VariationalConstants,
@@ -284,7 +284,7 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
         # a sign change needs the low end short of the margin, the high end at it
         if gap(lo) < 0.0 <= gap(hi):
             bracketed = True
-            find_root(gap, RootBracket(lo, hi, tol=_BETA_RTOL * max(1.0, abs(hi))))
+            find_root(gap, lo, hi, tol=_BETA_RTOL * max(1.0, abs(hi)))
     if not bracketed:
         gap.best = None
     return gap.result()

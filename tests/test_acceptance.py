@@ -175,10 +175,7 @@ def test_c04_instantaneous_distortion_constant_on_accepted_policies(
     accepted_solutions,
 ):
     for src, sol in accepted_solutions:
-        dev = max(
-            abs(distortion(src, CH, p, k) - sol.d_beta) / sol.d_beta
-            for p, k in zip(sol.p, sol.kappa)
-        )
+        dev = np.max(np.abs(distortion(src, CH, sol.p, sol.kappa) - sol.d_beta)) / sol.d_beta
         assert dev <= 1e-8
 
 

@@ -1,16 +1,20 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehjscc import numerics
 from ehjscc.numerics import (
     ConvergenceError,
     Grid,
-    RootBracket,
     SingularityError,
     _gauss_tables,
     cumulative_integral,
+    discounted_tail,
+    endpoint_root,
     find_minimum,
     find_root,
     integrate_autonomous,
@@ -97,7 +101,7 @@ def test_lambert_domain_errors():
 # ---------------------------------------------------------------------------
 
 def test_find_root_linear():
-    r = find_root(lambda x: x - 2.0, RootBracket(0.0, 5.0))
+    r = find_root(lambda x: x - 2.0, 0.0, 5.0)
     assert r == pytest.approx(2.0, abs=1e-11)
 
 
@@ -110,28 +114,30 @@ def binary_entropy(d):
 def test_find_root_binary_entropy_gap():
     # rate gap of a fair binary source at 0.35342 bits: distortion ~0.1651
     g = lambda d: 1.0 - binary_entropy(d) - 0.35342
-    r = find_root(g, RootBracket(1e-9, 0.5 - 1e-9))
+    r = find_root(g, 1e-9, 0.5 - 1e-9)
     assert r == pytest.approx(0.1651, abs=1e-3)
 
 
 def test_find_root_matches_lambert():
     g = lambda w: w * math.exp(w) + 0.1
-    r = find_root(g, RootBracket(-10.0, -1.0))
+    r = find_root(g, -10.0, -1.0)
     assert r == pytest.approx(lambert_w(-1, -0.1), abs=1e-9)
 
 
 def test_find_root_idempotent():
     g = lambda x: math.cos(x) - x
-    r1 = find_root(g, RootBracket(0.0, 1.0))
-    r2 = find_root(g, RootBracket(r1 - 1e-6, r1 + 1e-6))
+    r1 = find_root(g, 0.0, 1.0)
+    r2 = find_root(g, r1 - 1e-6, r1 + 1e-6)
     assert r2 == pytest.approx(r1, abs=1e-9)
 
 
 def test_find_root_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        find_root(lambda x: x * x + 1.0, RootBracket(-1.0, 1.0))
-    with pytest.raises(ValueError):
-        RootBracket(2.0, 1.0)
+    with pytest.raises(ValueError, match="same sign"):
+        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="lo < hi"):
+        find_root(lambda x: x, 2.0, 1.0)
+    with pytest.raises(ValueError, match="tol"):
+        find_root(lambda x: x, -1.0, 1.0, tol=0.0)
 
 
 def counted(g):
@@ -161,7 +167,7 @@ def assert_near_sign_change(g, r, tol):
 def test_find_root_is_superlinear_on_smooth_roots(g, lo, hi, root):
     # bisection would take 40-43 evaluations to reach 1e-12 on these
     h, calls = counted(g)
-    r = find_root(h, RootBracket(lo, hi, tol=1e-12))
+    r = find_root(h, lo, hi, tol=1e-12)
     assert len(calls) <= 20
     assert r == pytest.approx(root, abs=1e-12)
     assert_near_sign_change(g, r, 1e-12)
@@ -170,7 +176,7 @@ def test_find_root_is_superlinear_on_smooth_roots(g, lo, hi, root):
 def test_find_root_on_a_jump_is_no_slower_than_bisection():
     g = lambda x: math.copysign(1.0, x - 0.3)
     h, calls = counted(g)
-    r = find_root(h, RootBracket(0.0, 1.0, tol=1e-12))
+    r = find_root(h, 0.0, 1.0, tol=1e-12)
     assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12)) + 2
     assert r == pytest.approx(0.3, abs=1e-12)
     assert_near_sign_change(g, r, 1e-12)
@@ -183,14 +189,14 @@ def test_find_root_on_a_jump_is_no_slower_than_bisection():
     (lambda x: -math.inf if x < 0.2 else math.exp(x) - 1.5, math.log(1.5)),
 ])
 def test_find_root_takes_the_finite_side_root(g, root):
-    r = find_root(g, RootBracket(0.0, 1.0, tol=1e-12))
+    r = find_root(g, 0.0, 1.0, tol=1e-12)
     assert r == pytest.approx(root, abs=1e-12)
     assert_near_sign_change(g, r, 1e-12)
 
 
 def test_find_root_respects_max_iter():
     h, calls = counted(lambda x: math.cos(x) - x)
-    r = find_root(h, RootBracket(0.0, 1.0, tol=1e-15), max_iter=3)
+    r = find_root(h, 0.0, 1.0, tol=1e-15, max_iter=3)
     assert len(calls) == 2 + 3
     assert 0.0 <= r <= 1.0
     assert r == pytest.approx(0.7390851332151607, abs=1e-2)
@@ -423,6 +429,25 @@ def test_autonomous_input_validation():
         integrate_autonomous(lambda p: p, 1.0, math.inf)
 
 
+def test_endpoint_root_on_a_closed_form():
+    # F = c with c = closing(P) = P: p(z) = p0 + P z, so the path from 1
+    # ends at P at z_end = 1/2 for P = 2, and it never reaches P at
+    # z_end >= 1
+    terms = lambda q: (np.zeros_like(q), np.ones_like(q))
+    c, start = endpoint_root(terms, 1.0, lambda end: end, 1.0, 0.5)
+    assert c == pytest.approx(2.0, rel=1e-11)
+    f0, lefts, widths, g = start
+    assert f0 == c
+    assert lefts[0] == 0.0 and lefts[-1] < math.log(c) <= lefts[-1] + widths[-1]
+    assert g.shape == (lefts.size, 9)
+    path = integrate_autonomous(lambda p: np.full_like(p, c), 1.0, 0.5, start=start)
+    assert path.p_at(0.5) == pytest.approx(2.0, rel=1e-11)
+    assert endpoint_root(terms, 1.0, lambda end: end, 1.0, 1.5) is None
+    # den vanishing at p0 itself
+    assert endpoint_root(lambda q: (np.ones_like(q), np.zeros_like(q)), 1.0,
+                         lambda end: end, 1.0, 0.5) is None
+
+
 # ---------------------------------------------------------------------------
 # Grid / quadrature / cumulative_integral
 # ---------------------------------------------------------------------------
@@ -437,7 +462,7 @@ def test_grid_invariants():
     assert g.weights.sum() == pytest.approx(5.0, abs=1e-12)
     # and they are those of cumulative_integral, fixed by the nodes alone
     y = np.exp(-g.nodes) * np.sin(g.nodes)
-    assert quadrature(y, g) == pytest.approx(cumulative_integral(g.nodes, y)[-1], abs=1e-14)
+    assert quadrature(y, g) == pytest.approx(cumulative_integral(g, y)[-1], abs=1e-14)
     assert np.array_equal(Grid(g.nodes).weights, g.weights)
 
 
@@ -484,7 +509,7 @@ def test_cumulative_integral_cubic_exactness():
     x = np.sort(np.concatenate((np.linspace(0.0, 2.0, 40), [0.013, 1.371])))
     y = x**3 - 2.0 * x + 1.0
     exact = x**4 / 4.0 - x**2 + x
-    c = cumulative_integral(x, y)
+    c = cumulative_integral(Grid(x), y)
     assert np.max(np.abs(c - exact)) < 1e-13
 
 
@@ -516,13 +541,43 @@ def test_cumulative_integral_matches_moment_matching():
     for x in grids:
         for y in (np.exp(x), np.sin(3.0 * x) + x**2 + 2.0, 1.0 / (x + 0.01)):
             ref = _cumulative_by_moment_matching(x, y)
-            got = cumulative_integral(x, y)
+            got = cumulative_integral(Grid(x), y)
             assert np.max(np.abs(got[1:] - ref[1:]) / np.abs(ref[1:])) <= 1e-13
+
+
+@pytest.mark.parametrize("capacity, lam, n", [(5.0, 1.0, 801), (1000.0, 1.0, 20001),
+                                             (50.0, 30.0, 20001)])
+def test_discounted_tail_matches_closed_form(capacity, lam, n):
+    # Int_z^L (2 + sin u) e^{-lam (u - z)} du, over one stretch of scales
+    # and over several, where e^{lam z} alone overflows
+    x = np.linspace(0.0, capacity, n)
+    d = capacity - x
+    exact = (2.0 * -np.expm1(-lam * d) / lam
+             + (np.exp(-lam * d) * (-lam * math.sin(capacity) - math.cos(capacity))
+                + lam * np.sin(x) + np.cos(x)) / (lam * lam + 1.0))
+    tail = discounted_tail(Grid(x), 2.0 + np.sin(x), lam)
+    assert tail[-1] == 0.0
+    assert np.max(np.abs(tail - exact)) <= 1e-6
+
+
+def test_only_numerics_reads_its_private_names():
+    # every other module goes through numerics' public names
+    package = Path(numerics.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("numerics"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from numerics"
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id == "numerics"):
+                raise AssertionError(f"{path.name} reads numerics.{node.attr}")
 
 
 def test_cumulative_integral_smooth_accuracy():
     x = np.linspace(0.0, 3.0, 800)
-    c = cumulative_integral(x, np.exp(x))
+    c = cumulative_integral(Grid(x), np.exp(x))
     exact = np.exp(x) - 1.0
     assert np.max(np.abs(c - exact)) < 1e-10
 

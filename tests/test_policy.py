@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -295,12 +296,12 @@ def _c2_at_rest(src, beta, c1, p0=1e-3):
 @pytest.fixture
 def integrations(monkeypatch):
     # one entry per trajectory the policy module integrates: whether it
-    # started from the endpoint table's panels
+    # started from the endpoint root's panels
     calls = []
     integrate = policy.integrate_autonomous
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("panels") is not None)
+        calls.append(kwargs.get("start") is not None)
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(policy, "integrate_autonomous", counted)
@@ -404,6 +405,32 @@ def test_raw_residual_scales_with_endpoint_gap(mid_raw, bench_refined):
     assert bench_refined.optimality_residual < raw_res / 100.0
 
 
+def _edge_solve(capacity):
+    # a polished solve hugging the c1 edge, as a tune's probes do
+    c1 = policy._c1_edge(GAUSS, CH, -0.3, 1e-3) - 1e-5
+    return solve_adaptive(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3,
+                          VariationalConstants(-0.3, c1, 0.3), refine_c2=True)
+
+
+def test_residual_keeps_its_digits_at_long_capacity():
+    # lam*L = 40: the tail of the condition's integral from z is ~e^{-40}
+    # of the whole, so taken as the whole less the head it was rounding
+    # noise, and the residual read 0.097
+    sol = _edge_solve(40.0)
+    assert sol.feasible
+    assert sol.optimality_residual <= 1e-3
+
+
+def test_residual_is_finite_past_the_overflow_of_exp_lam_l():
+    # e^{lam z} overflows above z ~ 709: the residual read NaN there,
+    # with overflow warnings, which pytest turns into errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = _edge_solve(720.0)
+    assert sol.feasible
+    assert math.isfinite(sol.optimality_residual)
+
+
 # ---------------------------------------------------------------------------
 # stationary-law invariants
 # ---------------------------------------------------------------------------
@@ -445,7 +472,7 @@ def test_level_crossing_balance(mid_raw, leaky_raw):
     for sol, leak in ((mid_raw, NO_LEAK), (leaky_raw, IncreasingLeakage())):
         nodes = sol.grid.nodes
         drain = sol.p + np.asarray(leak.rate(nodes), dtype=float)
-        flux = cumulative_integral(nodes, sol.f * np.exp(ARR.lam * nodes))
+        flux = cumulative_integral(sol.grid, sol.f * np.exp(ARR.lam * nodes))
         rhs = ARR.delta * np.exp(-ARR.lam * nodes) * (sol.pi0 + flux)
         rel = np.abs(sol.f * drain - rhs) / np.abs(rhs)
         assert rel.max() <= 1e-6

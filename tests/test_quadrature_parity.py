@@ -8,10 +8,11 @@ used to step, at the same tolerances: the stationary law and every other
 stage run unchanged on top of either.  The published rows, the two
 comparison constant-mismatch solves and a fixed set of probe constants
 covering every outcome must agree.  A solve that polishes c2 finds it on
-a table of the integrand and starts the integration of its trajectory
-from that table's panels (``integrate_autonomous(..., panels=...)``);
-its reference is the unpolished solve at the c2 it found, stepped by
-RKF45, whose path must close the endpoint gap.
+a table of the integrand (``numerics.endpoint_root``) and starts the
+integration of its trajectory from that table's panels and F(p0)
+(``integrate_autonomous(..., start=...)``); its reference is the
+unpolished solve at the c2 it found, stepped by RKF45, whose path must
+close the endpoint gap.
 
 The integration from the table is also checked on its own: against the
 integration from scratch at the same c2, panel by panel against the one
@@ -22,10 +23,10 @@ table's c2 is off, and on a closed form.  The inversion
 The quadrature tables are built once per grid: a ``Grid`` keeps the
 stencils of ``cumulative_integral``, and ``Grid.graded`` hands out one
 shared read-only grid per (capacity, n, z_min).  The last part checks
-that a cumulative integral on a grid equals, bit for bit, the one on its
-nodes and the per-call stencils it replaced, that the solvers' shared
-default grid gives bit for bit the solves of a freshly built one, and
-that the shared grid cannot be written to and its memo stays bounded.
+that a cumulative integral on a grid equals, bit for bit, the one from
+the per-call stencils it replaced, that the solvers' shared default grid
+gives bit for bit the solves of a freshly built one, and that the shared
+grid cannot be written to and its memo stays bounded.
 """
 
 import math
@@ -76,7 +77,7 @@ PROBES = [
 class _Rkf45Path:
     """Stand-in for ``integrate_autonomous``'s result, stepped by RKF45."""
 
-    def __init__(self, rhs, p0, z_end, *, atol, rtol, panels=None):
+    def __init__(self, rhs, p0, z_end, *, atol, rtol, start=None):
         self._args = (lambda z, p: float(rhs(p)), 0.0, p0, z_end)
         self._kwargs = {"atol": atol, "rtol": rtol}
 
@@ -192,15 +193,15 @@ def test_probe_outcomes_match_rkf45(probe, monkeypatch):
 @pytest.fixture
 def seeded(monkeypatch):
     # every integrate_autonomous call of the policy module that starts
-    # from given panels: [its positional arguments, its keyword
-    # arguments, the path it returned (None if it raised), the number of
-    # states it evaluated F at]
+    # from the endpoint root's start: [its positional arguments, its
+    # keyword arguments, the path it returned (None if it raised), the
+    # number of states it evaluated F at]
     calls = []
     integrate = policy.integrate_autonomous
 
     def spy(rhs, *args, **kwargs):
         call = [(rhs,) + args, kwargs, None, 0]
-        if kwargs.get("panels") is not None:
+        if kwargs.get("start") is not None:
             calls.append(call)
 
         def counted(p):
@@ -229,7 +230,7 @@ def test_table_path_matches_the_integrated_path(src, leak, rows, seeded, monkeyp
     integrate = numerics.integrate_autonomous
     with monkeypatch.context() as m:
         m.setattr(policy, "integrate_autonomous",
-                  lambda *args, panels, **kwargs: integrate(*args, **kwargs))
+                  lambda *args, start, **kwargs: integrate(*args, **kwargs))
         ref = _solve_rows(src, leak, rows)
     for a, b in zip(new, ref):
         assert a.constants.c2 == b.constants.c2
@@ -252,7 +253,8 @@ def test_every_table_path_panel_passes_the_accuracy_rule(seeded):
     for (rhs, p0, z_end), kwargs, path, _ in seeded:
         # adjoining panels from p0 on that reach z_end, with dz/du
         # evaluated afresh at their nodes
-        sign, lefts, _, g = kwargs["panels"]
+        f0, lefts, _, g = kwargs["start"]
+        sign = math.copysign(1.0, f0)
         assert g.shape == (lefts.size, nodes.size + 1)
         a, h = path.lefts, path.widths
         assert a[0] == 0.0 and np.allclose(a[1:], a[:-1] + h[:-1], rtol=1e-14, atol=0.0)
@@ -270,9 +272,9 @@ def test_every_table_path_panel_passes_the_accuracy_rule(seeded):
 
 
 def test_polished_rows_evaluate_few_states(seeded):
-    # F is evaluated only at p0 and at the pieces of the table's panels
-    # that fail the accuracy rule: 4,007 states over the 20 rows, where
-    # the table path and its fallback evaluated 5,737
+    # F is evaluated only at the pieces of the table's panels that fail
+    # the accuracy rule: 4,007 states over the 20 rows, where the table
+    # path and its fallback evaluated 5,737
     solves = 0
     for src, leak, rows in ALL_BENCHMARKS:
         solves += len(_solve_rows(src, leak, rows))
@@ -299,15 +301,15 @@ def test_seeded_integration_on_a_closed_form():
     rhs = lambda p: -p
     lefts = np.linspace(0.0, 6.0, 13)[:-1]
     widths = np.full(lefts.size, 0.5)
-    panels = (-1.0, lefts, widths, np.ones((lefts.size, 9)))
+    start = (-1.0, lefts, widths, np.ones((lefts.size, 9)))
     path = numerics.integrate_autonomous(rhs, 1.0, 5.0, atol=1e-10, rtol=1e-9,
-                                         panels=panels)
+                                         start=start)
     z = np.linspace(0.0, 5.0, 41)
     assert np.max(np.abs(path.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
     assert path.z_edges[-1] == 5.0
     # panels that stop short of z_end: the path goes on past them
     longer = numerics.integrate_autonomous(rhs, 1.0, 7.0, atol=1e-10, rtol=1e-9,
-                                           panels=panels)
+                                           start=start)
     assert longer.z_edges[-1] >= 7.0
     z = np.linspace(0.0, 7.0, 57)
     assert np.max(np.abs(longer.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
@@ -317,20 +319,18 @@ def test_seeded_integration_on_a_closed_form():
     p = np.exp(-u)
     with pytest.raises(numerics.SingularityError, match="undefined") as exc:
         numerics.integrate_autonomous(hole, 1.0, 5.0, atol=1e-10, rtol=1e-9,
-                                      panels=(-1.0, lefts, widths, -p / hole(p)))
+                                      start=(-1.0, lefts, widths, -p / hole(p)))
     assert exc.value.z == pytest.approx(2.0, abs=1e-9)
-    # panels that run the other way
-    with pytest.raises(ValueError, match="direction"):
-        numerics.integrate_autonomous(rhs, 1.0, 5.0, atol=1e-10, rtol=1e-9,
-                                      panels=(1.0, lefts, widths, np.ones((lefts.size, 9))))
     # p0 on an equilibrium: the state stays there, whatever the panels say
-    still = numerics.integrate_autonomous(lambda p: 1.0 - p, 1.0, 5.0, panels=panels)
+    still = numerics.integrate_autonomous(lambda p: 1.0 - p, 1.0, 5.0,
+                                          start=(0.0, lefts, widths, np.ones((lefts.size, 9))))
     assert still.direction == 0.0 and np.all(still.p_at(z) == 1.0)
 
 
 def test_seeded_integration_takes_f0_in_place_of_a_call():
-    # f0 = rhs(p0) given: the direction and the check of p0 are read off
-    # it, and the path is the one found with the call
+    # a start holds f0 = rhs(p0): the direction and the check of p0 are
+    # read off it, and the path is the one found from scratch, whose first
+    # round evaluates the same panels
     calls = []
 
     def rhs(p):
@@ -339,17 +339,21 @@ def test_seeded_integration_takes_f0_in_place_of_a_call():
 
     lefts = np.linspace(0.0, 6.0, 13)[:-1]
     widths = np.full(lefts.size, 0.5)
-    panels = (-1.0, lefts, widths, np.ones((lefts.size, 9)))
-    path = numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels, f0=-1.0)
-    assert 1 not in calls
-    ref = numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels)
+    g = np.ones((lefts.size, 9))
+    path = numerics.integrate_autonomous(rhs, 1.0, 5.0, start=(-1.0, lefts, widths, g))
+    assert calls == []
     z = np.linspace(0.0, 5.0, 41)
+    assert np.max(np.abs(path.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
+    # the same panels from scratch: one call at p0 and one per round
+    lefts, widths = np.linspace(0.0, 16.0, 33)[:-1], np.full(32, 0.5)
+    path = numerics.integrate_autonomous(rhs, 1.0, 5.0, start=(-1.0, lefts, widths,
+                                                                np.ones((32, 9))))
+    ref = numerics.integrate_autonomous(rhs, 1.0, 5.0)
+    assert calls[0] == 1
     assert np.array_equal(path.p_at(z), ref.p_at(z))
-    with pytest.raises(ValueError, match="direction"):
-        numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels, f0=1.0)
     with pytest.raises(numerics.SingularityError, match="blew up"):
-        numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels, f0=-math.inf)
-    still = numerics.integrate_autonomous(rhs, 1.0, 5.0, panels=panels, f0=0.0)
+        numerics.integrate_autonomous(rhs, 1.0, 5.0, start=(-math.inf, lefts, widths, g))
+    still = numerics.integrate_autonomous(rhs, 1.0, 5.0, start=(0.0, lefts, widths, g))
     assert still.direction == 0.0
 
 
@@ -361,7 +365,7 @@ def test_polished_solves_call_no_field_at_p0_alone(monkeypatch):
     integrate = policy.integrate_autonomous
 
     def spy(rhs, p0, *args, **kwargs):
-        handed.append(kwargs["f0"] == float(rhs(np.array([p0]))[0]))
+        handed.append(kwargs["start"][0] == float(rhs(np.array([p0]))[0]))
 
         def counted(p):
             single.append(np.size(p) == 1 and p[0] == p0)
@@ -481,15 +485,14 @@ QUADRATURE_GRIDS = {
 
 @pytest.mark.parametrize("name", sorted(QUADRATURE_GRIDS))
 def test_cumulative_integral_on_grid_matches_nodes_bit_for_bit(name):
+    # against the stencils rebuilt from the grid's nodes on every call
     grid = QUADRATURE_GRIDS[name]()
     x = grid.nodes
     rng = np.random.default_rng(17)
     for y in (np.exp(-x), 1.0 / (x + 1e-3), np.sin(40.0 * x), rng.normal(size=x.size),
               np.zeros_like(x), -np.ones_like(x)):
         on_grid = cumulative_integral(grid, y)
-        on_nodes = cumulative_integral(x, y)
         per_call, weights = _cumulative_per_call(x.copy(), y)
-        assert np.array_equal(_bits(on_grid), _bits(on_nodes))
         assert np.array_equal(_bits(on_grid), _bits(per_call))
         assert np.array_equal(_bits(grid.weights), _bits(weights))
     with pytest.raises(ValueError, match="length mismatch"):
