@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _INV_E = math.exp(-1.0)
+_EPS = 2.0 ** -52
 
 
 class NumericsError(Exception):
@@ -80,12 +81,16 @@ def lambert_w(branch: int, x: float) -> float:
     |w*exp(w) - x| <= 1e-12 * max(1, |x|); the scaling only matters for
     branch-0 arguments far above 1, where the identity itself is that
     ill-conditioned in double precision -- on [-1/e, 1] the bound is the
-    plain absolute 1e-12.
+    plain absolute 1e-12.  Relative to w it is as accurate as rounding
+    allows: on branch -1, within 8 eps*(1 + 1/|w + 1|) relative of a
+    50-digit W down to x = -1e-300, the last factor being the
+    conditioning of W at the branch point.
 
     Method: a cheap initial guess (square-root series near the branch
     point x = -1/e, logarithmic asymptotics elsewhere) refined by Halley
     iterations, which converge at better-than-quadratic rate for this
-    function.
+    function, until a step is within rounding of w or the residual is
+    within rounding of x.
     """
     x = float(x)
     if branch not in (0, -1):
@@ -119,18 +124,19 @@ def lambert_w(branch: int, x: float) -> float:
         lx = math.log(-x)
         w = lx - math.log(-lx)
 
-    # Halley refinement
-    tol = 0.25e-12 * max(1.0, abs(x))
+    # Halley refinement, until the step is below rounding relative to w or
+    # the residual is at the rounding of x (near the branch point, where
+    # w is that ill-conditioned and the steps are noise)
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= tol:
+        if abs(f) <= 4.0 * _EPS * abs(x):
             break
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = f / denom
         w -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
+        if abs(step) <= 4.0 * _EPS * abs(w):
             break
     else:
         raise ConvergenceError(f"lambert_w({branch}, {x}) did not converge")
@@ -937,7 +943,7 @@ def affine_field(base, den, shift):
 _TABLE_PANELS = 128
 _TABLE_REACH = 16.0
 _TABLE_FLOOR = 1e-15
-# the root in u stops at this width, relative to the reach of its
+# the root in u stops at this step, relative to the reach of its
 # stretch; c2 then agrees to 1e-11 relative, on the published rows and on
 # every probe of their searches, with a table of 16 times as many panels
 # whose root is found to rounding
@@ -949,19 +955,31 @@ def endpoint_root(terms, scale, closing, p0, z_end):
 
     F = (base + scale*c) / den, with ``terms`` mapping an array of states
     to (base, den), and ``closing`` maps an end state P to the c at which
-    P closes the caller's condition.  The root is taken in P, of
+    P closes the caller's condition and to dc/dP there.  The root is
+    taken in P, of
 
         Phi(P) = Int_{p0}^{P} den / (base + scale*closing(P)) dq - z_end,
 
     on a table of base and den over Gauss-Legendre panels in u =
     |ln q - ln p0|, 1/128 of a stretch wide and narrowing geometrically
-    toward p0: each trial of P is array arithmetic on it.  The path runs
-    the way F(p0) points at c = closing(p0).  Phi is +inf from the first
-    node where dz/du = q/|F| is not finite or is below q/1e9, which closes
-    the bracket.  The table covers 16 units of u, doubling its reach until
-    Phi at its end is not negative, within the states [1e-300, 1e300];
-    the root in u is found to 1e-12 relative to the reach.  Phi must
-    change sign at most once, which the caller's model has to ensure.
+    toward p0: each trial of P is array arithmetic on it, which gives
+    Phi and its derivative in u together.  The path runs the way F(p0)
+    points at c = closing(p0); the first stretch is evaluated with p0 on
+    the rising side, and evaluated again if the path falls.  Phi is +inf
+    from the first node where dz/du = q/|F| is not finite or is below
+    q/1e9, which closes the bracket.  The table covers 16 units of u,
+    doubling its reach until Phi at its end is not negative, within the
+    states [1e-300, 1e300].
+
+    The root is found by Newton's method on the reciprocal charge
+    1/(Phi + z_end) - 1/z_end, which is nearly linear where Phi climbs
+    toward its pole, inside the bracket of the table's last stretch
+    (Phi at its ends is already known): a step that leaves the bracket,
+    or one more than half the step before last, bisects it instead, and
+    a trial where Phi is +inf closes it.  The first step within 1e-12
+    relative to the reach ends the search and is taken; a bracket that
+    narrow without a root ends it too.  Phi must change sign at most
+    once, which the caller's model has to ensure.
 
     Returns None if F(p0) is not finite there, if Phi is not negative
     within the first panel, stays negative to the end of the state range
@@ -969,34 +987,54 @@ def endpoint_root(terms, scale, closing, p0, z_end):
     ``start`` of :func:`integrate_autonomous` at c, with the table's
     panels up to the root's.
     """
-    base0, den0 = terms(np.array([p0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f0 = float((base0[0] + scale * closing(p0)) / den0[0])
-    if not math.isfinite(f0):
-        return None   # den vanishes at p0 itself
-    sign = 1.0 if f0 > 0.0 else -1.0
     s0 = math.log(p0)
-    u_limit = _S_MAX - sign * s0   # where the state leaves [1e-300, 1e300]
     _, weights, to_coef, to_antider = _gauss_tables()
     # node values -> monomial coefficients of the panel's antiderivative
     to_poly = to_coef.T @ to_antider.T
-    lefts = widths = numer = denom = least = wts = edge_numer = edge_denom = np.empty(0)
 
-    def extend(a, b):
-        # the panels of the stretch [a, b], with base and den at the
-        # points where integrate_autonomous evaluates a panel: at its
-        # nodes, and apart at its right edge
-        nonlocal lefts, widths, numer, denom, least, wts, edge_numer, edge_denom
+    def stretch(sign, a):
+        # the panels of the stretch from a on, and the states at the points
+        # where integrate_autonomous evaluates a panel: at its nodes, and
+        # apart at its right edge; None past the state range
+        b = min(max(2.0 * a, _TABLE_REACH), _S_MAX - sign * s0)
+        if not b > a:
+            return None
         cuts = np.linspace(a, b, _TABLE_PANELS + 1)
         if a == 0.0:
             steps = math.ceil(math.log(cuts[1] / _TABLE_FLOOR, _GRADING))
             cuts = np.concatenate(
                 ([0.0], cuts[1] * _GRADING ** -np.arange(steps, 0.0, -1.0), cuts[1:]))
         h = np.diff(cuts)
-        q = _knot_states(s0, sign, cuts[:-1], h)[1]
-        base, den = terms(q)
+        return cuts[:-1], h, _knot_states(s0, sign, cuts[:-1], h)[1]
+
+    # base and den at p0 come with the first stretch on the rising side;
+    # a path that falls takes its own
+    first = stretch(1.0, 0.0)
+    base, den = terms(np.array([p0]) if first is None else np.append(p0, first[2]))
+    base0, den0 = base[:1], den[:1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f0 = float((base0[0] + scale * closing(p0)[0]) / den0[0])
+    if not math.isfinite(f0):
+        return None   # den vanishes at p0 itself
+    sign = 1.0 if f0 > 0.0 else -1.0
+    if sign > 0.0:
+        base, den = base[1:], den[1:]
+    else:
+        first = stretch(-1.0, 0.0)
+        if first is not None:
+            base, den = terms(first[2])
+    if first is None:
+        return None
+
+    lefts = widths = numer = denom = least = wts = edge_numer = edge_denom = np.empty(0)
+
+    def extend(a, h, q, base, den):
+        # add the panels with left edges a and widths h, where the
+        # states at their points are q, to the table
+        nonlocal lefts, widths, numer, denom, least, wts, edge_numer, edge_denom
+        base, den = base.reshape(q.shape), den.reshape(q.shape)
         top = sign * q * den
-        lefts = np.concatenate((lefts, cuts[:-1]))
+        lefts = np.concatenate((lefts, a))
         widths = np.concatenate((widths, h))
         numer = np.concatenate((numer, top[:, :-1]), axis=None)
         denom = np.concatenate((denom, base[:, :-1]), axis=None)
@@ -1005,50 +1043,93 @@ def endpoint_root(terms, scale, closing, p0, z_end):
         least = np.concatenate((least, q[:, :-1] / _RHS_CAP), axis=None)
         wts = np.concatenate((wts, (0.5 * h[:, None] * weights).ravel()))
 
-    closed = math.inf   # least u seen with Phi finite and not negative
-
-    def dz_du(u: float):
-        # the panels up to the one holding u, and dz/du = q/|F| at their
-        # nodes for the c that closes the condition at u
+    def at(u: float):
+        # the panel k holding u, the c that closes the condition at u and
+        # dc/du, and dz/du = q/|F| at the nodes of the panels up to k at
+        # that c (row 0) with its derivative in c over -scale (row 1)
         k = min(int(np.searchsorted(lefts, u, side="right")) - 1, lefts.size - 1)
         m = _GL_ORDER * (k + 1)
-        c = closing(math.exp(s0 + sign * u))
-        return k, m, c, numer[:m] / (denom[:m] + scale * c)
+        p_end = math.exp(s0 + sign * u)
+        c, dc_dp = closing(p_end)
+        shifted = denom[:m] + scale * c
+        v = np.empty((2, m))
+        np.divide(numer[:m], shifted, out=v[0])
+        np.divide(v[0], shifted, out=v[1])
+        return k, c, dc_dp * sign * p_end, v
 
-    def phi(u: float) -> float:
-        nonlocal closed
-        # dz/du is admissible from q/1e9 up to, but not including, inf; an
-        # infinite one (F = 0) leaves Phi inf or NaN
-        k, m, _, v = dz_du(u)
-        if not (v >= least[:m]).all():
-            return math.inf
+    last = None   # u and at(u) of the last trial
+
+    def phi(u: float):
+        # Phi and dPhi/du at u: +inf (and NaN) where dz/du is not
+        # admissible, from q/1e9 up to, but not including, inf
+        nonlocal last
+        k, c, dc_du, v = at(u)
+        last = u, k, c, v[0]
+        whole = _GL_ORDER * k
+        if not (v[0] >= least[:whole + _GL_ORDER]).all():
+            return math.inf, math.nan
+        # the panels before k whole, and panel k's antiderivative up to t,
+        # with its slope, of dz/du and of its derivative in c
+        done = v[:, :whole] @ wts[:whole]
         t = 2.0 * (u - lefts[k]) / widths[k] - 1.0
-        part = 0.0
-        for coef in (v[m - _GL_ORDER:] @ to_poly)[::-1].tolist():
+        part = slope = part_c = 0.0
+        for coef, coef_c in zip(*(v[:, whole:] @ to_poly)[:, ::-1].tolist()):
+            slope = slope * t + part
             part = part * t + coef
-        value = float(v[:m - _GL_ORDER] @ wts[:m - _GL_ORDER]) + 0.5 * widths[k] * part - z_end
+            part_c = part_c * t + coef_c
+        half = 0.5 * widths[k]
+        value = float(done[0]) + half * part - z_end
         if not value < math.inf:
-            return math.inf
-        if value >= 0.0:
-            closed = min(closed, u)
-        return value
+            return math.inf, math.nan
+        return value, slope - scale * (float(done[1]) + half * part_c) * dc_du
 
-    lo = hi = 0.0
+    hi = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
+        # grow the table until Phi at its end is not negative
         while True:
-            if hi >= u_limit:
-                return None
-            lo, hi = hi, min(max(2.0 * hi, _TABLE_REACH), u_limit)
-            extend(lo, hi)
-            if not phi(hi) < 0.0:
+            extend(*first, base, den)
+            lo, hi = hi, float(lefts[-1] + widths[-1])
+            f_hi, df_hi = phi(hi)
+            if not f_hi < 0.0:
                 break
-        if not phi(lo) < 0.0:
+            first = stretch(sign, hi)
+            if first is None:
+                return None
+            base, den = terms(first[2])
+        if lo == 0.0 and not phi(0.0)[0] < 0.0:
             return None   # inadmissible within the first panel past p0
+
         tol = _ROOT_RTOL * max(1.0, hi)
-        root = find_root(phi, lo, hi, tol=tol)
-        if closed - root > tol:
-            return None
-        k, _, c, v = dz_du(root)
+        x, fx, dfx = hi, f_hi, df_hi
+        step = hi - lo
+        while fx != 0.0:
+            # the Newton step on 1/(Phi + z_end) - 1/z_end from x
+            before, step = step, -fx * (fx + z_end) / (z_end * dfx)
+            if abs(step) <= tol:
+                x = min(max(x + step, lo), hi)
+                break
+            if lo < x + step < hi and abs(step) <= 0.5 * abs(before):
+                x += step
+            elif hi - lo <= tol:
+                # a bracket this narrow without a root: Phi jumps to +inf,
+                # or is finite and not negative at hi
+                if not f_hi < math.inf:
+                    return None
+                x = hi
+                break
+            else:
+                step = 0.5 * (hi - lo)
+                x = lo + step
+            fx, dfx = phi(x)
+            if fx < 0.0:
+                lo = x
+            else:
+                hi, f_hi = x, fx
+        if last[0] == x:
+            _, k, c, v = last
+        else:
+            k, c, _, v = at(x)
+            v = v[0]
         edge = edge_numer[:k + 1] / (edge_denom[:k + 1] + scale * c)
     g = np.concatenate((v.reshape(k + 1, _GL_ORDER), edge[:, None]), axis=1)
     return c, (float(affine_field(base0, den0, scale * c)[0]), lefts[:k + 1], widths[:k + 1], g)

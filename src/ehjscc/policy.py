@@ -36,13 +36,14 @@ used to sandwich the adaptive policy between bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .distortion import distortion
-from .models import ArrivalModel, AwgnChannel, LeakageModel, SourceModel
+from .models import ArrivalModel, AwgnChannel, GaussianSource, LeakageModel, SourceModel
 from .numerics import (
     Grid,
     SingularityError,
@@ -153,6 +154,11 @@ def _infeasible(kind, p0plus, message, *, d_beta=None, constants=None, c=None):
 # beta <-> distortion level
 # ---------------------------------------------------------------------------
 
+# the root of the Bernoulli level is taken in ln D, from the least
+# normal float up, to a width of a few units in the last place of D
+_LN_LEAST_NORMAL = math.log(sys.float_info.min)
+
+
 def beta_range(src: SourceModel) -> tuple[float, float]:
     """Open interval of admissible beta values: (-d_max, 0).
 
@@ -166,35 +172,44 @@ def beta_range(src: SourceModel) -> tuple[float, float]:
 def beta_to_distortion(src: SourceModel, beta: float) -> float:
     """The unique D in (0, d_max) with R_s(D)/R_s'(D) - D = beta.
 
-    The left side is strictly decreasing in D, so its one root is found
-    by :func:`~ehjscc.numerics.find_root` to rounding, in about 11
-    evaluations; betas pinned against the edges of the admissible range may
-    have no representable root (the Bernoulli map flattens only
-    logarithmically near D = 0) and raise ValueError.
+    For a Gaussian source this is the paper's closed form
+    (:func:`gaussian_d_beta`).  Otherwise the left side is strictly
+    decreasing in D, and its one root is found in ln D by
+    :func:`~ehjscc.numerics.find_root`, so the stop is relative: D to
+    within a few units in the last place.  Betas whose root is not a
+    normal float raise ValueError: the Bernoulli map flattens only
+    logarithmically near D = 0, so at prob 0.5 a beta above about -1e-3
+    has its root below 1e-308.
     """
     lo_b, hi_b = beta_range(src)
     if not lo_b < beta < hi_b:
         raise ValueError(f"beta must be in ({lo_b}, {hi_b}), got {beta}")
 
-    def g(d):
-        r = src.rate(d)
-        s = src.rate_derivatives(d)[0]
-        return r / s - d - beta
+    def g(s):
+        d = math.exp(s)
+        return src.rate(d) / src.rate_derivatives(d)[0] - d - beta
 
     try:
-        return find_root(g, 1e-150, src.d_max * (1.0 - 1e-12), tol=1e-16 * src.d_max)
+        if isinstance(src, GaussianSource):
+            d = gaussian_d_beta(src.variance, beta)
+        else:
+            d = math.exp(find_root(g, _LN_LEAST_NORMAL, math.log(src.d_max * (1.0 - 1e-12)),
+                                   tol=1e-15))
+        if not d >= sys.float_info.min:
+            raise ValueError(f"D = {d} is not a normal float")
     except ValueError as exc:
         raise ValueError(
             f"no representable distortion level for beta={beta}: {exc}"
         ) from None
+    return d
 
 
 def gaussian_d_beta(variance: float, beta: float) -> float:
     """Closed form for the Gaussian distortion level.
 
     D = variance * exp(W_{-1}(beta/(variance*e)) + 1), the lower real
-    branch being the only one landing inside (0, variance).  Kept as an
-    independent path against the generic root finder.
+    branch being the only one landing inside (0, variance); relative to
+    D it is as accurate as W_{-1}.
     """
     if not -variance < beta < 0.0:
         raise ValueError(f"beta must be in (-{variance}, 0), got {beta}")
@@ -221,6 +236,10 @@ def gaussian_kappa_closed_form(variance, noise, beta, p):
 # the charge-adaptive ODE
 # ---------------------------------------------------------------------------
 
+# Rc'(p) = _HALF_OVER_LN2 / (noise + p) for the AWGN channel
+_HALF_OVER_LN2 = 0.5 / math.log(2.0)
+
+
 def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
     """Parts of the right-hand side F with p'(z) = F(p(z)) for the adaptive policy.
 
@@ -236,18 +255,30 @@ def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
 
     The returned function maps an array of powers to (base, den) with
     F = (base + lam*c2*R_beta) / den: c2 enters the numerator alone, so
-    F is affine in c2.  The formula is never trusted on its own: every
-    accepted solution is audited by :func:`optimality_residual` against
-    the original condition.
+    F is affine in c2.  It takes the channel's rates in closed form, with
+    n = noise + p: Rc' = 1/(2 ln2 n) and p*Rc'' + Rc' = Rc'*noise/n, so
+
+        den  = Rc' * (D_beta + c1 - (R_beta/S)*noise/n)
+        base = (R_beta/S)*Rc'*(delta - lam*p) + lam*(D_beta+c1)*Rc
+
+    with the coefficients taken once per (beta, c1) and the powers
+    checked once per call.  The formula is never trusted on its own:
+    every accepted solution is audited by :func:`optimality_residual`
+    against the original condition.
     """
-    delta, lam = arrivals.delta, arrivals.lam
     ratio = r_beta / slope
+    noise, level = ch.noise, d_beta + c1
+    # the coefficients of the two formulas above, Rc = log2(1 + p/noise)/2
+    inner, drive, drain = ratio * noise, arrivals.delta * ratio, arrivals.lam * ratio
+    hold = 0.5 * arrivals.lam * level
 
     def terms(p: np.ndarray):
-        rc = ch.rate(p)
-        rc1, rc2 = ch.rate_derivatives(p)
-        den = (d_beta + c1) * rc1 - ratio * (p * rc2 + rc1)
-        base = delta * ratio * rc1 + lam * (d_beta + c1) * rc - lam * ratio * p * rc1
+        if not (np.asarray(p) >= 0.0).all():
+            raise ValueError("power must be >= 0 everywhere")
+        n = noise + p
+        rc1 = _HALF_OVER_LN2 / n
+        den = rc1 * (level - inner / n)
+        base = rc1 * (drive - drain * p) + hold * np.log2(1.0 + p / noise)
         return base, den
 
     return terms
@@ -409,11 +440,16 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
       root.
     """
     terms = _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope)
+    noise, level = ch.noise, d_beta + c1
 
-    def closing(p_end: float) -> float:
-        # h(P), the c2 that closes the endpoint gap at end power P
-        return (p_end * ch.rate_derivatives(p_end)[0] / slope
-                - (d_beta + c1) * ch.rate(p_end) / r_beta)
+    def closing(p_end: float):
+        # h(P), the c2 that closes the endpoint gap at end power P, and
+        # h'(P) = Rc'(P)*(noise/(noise + P)/S - (D_beta + c1)/R_beta)
+        n = noise + p_end
+        rc1 = _HALF_OVER_LN2 / n
+        rc = 0.5 * math.log2(1.0 + p_end / noise)
+        return (p_end * rc1 / slope - level * rc / r_beta,
+                rc1 * (noise / n / slope - level / r_beta))
 
     return endpoint_root(terms, arrivals.lam * r_beta, closing, p0, capacity)
 

@@ -1,4 +1,5 @@
 import ast
+import decimal
 import math
 from pathlib import Path
 
@@ -83,6 +84,44 @@ def test_lambert_m1_monotone_decreasing():
         if x1 == x2:
             continue
         assert lambert_w(-1, x1) > lambert_w(-1, x2)
+
+
+def _lambert_m1_reference(x, w):
+    # W_-1(x) to 50 digits, by Newton on w*exp(w) = x in decimal
+    # arithmetic from the float w
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x, w = decimal.Decimal(x), decimal.Decimal(w)
+        for _ in range(60):
+            ew = w.exp()
+            step = (w * ew - x) / (ew * (w + 1))
+            w -= step
+            if abs(step) <= abs(w) * decimal.Decimal("1e-50"):
+                return w
+    raise AssertionError(f"reference did not converge at x={x}")
+
+
+def test_lambert_m1_is_relatively_accurate_down_to_tiny_arguments():
+    # relative to the conditioning of W_-1, which grows as 1/|w + 1| at
+    # the branch point: an absolute residual of 1e-12 says nothing once
+    # |x| is below it
+    rng = np.random.default_rng(20)
+    xs = np.concatenate((
+        -np.exp(rng.uniform(math.log(1e-300), -1.0, 300)),
+        -INV_E + np.exp(rng.uniform(math.log(1e-15), math.log(0.3), 60)),
+        [-1e-300, -1e-100, -1e-12, -5e-12, -1e-10, -1e-3 / math.e],
+    ))
+    for x in xs:
+        w = lambert_w(-1, x)
+        ref = _lambert_m1_reference(x, w)
+        err = abs(float((decimal.Decimal(w) - ref) / ref))
+        assert err <= 8.0 * 2.0 ** -52 * (1.0 + 1.0 / max(abs(float(ref) + 1.0), 1e-300))
+
+
+def test_lambert_m1_frozen_near_minus_1e_12():
+    # [DERIVED] 50-digit W_-1, rounded to 20 digits
+    assert lambert_w(-1, -1e-12) == pytest.approx(-31.067172842017230863, rel=4e-16)
+    assert lambert_w(-1, -5e-12) == pytest.approx(-29.402668643921116899, rel=4e-16)
 
 
 def test_lambert_domain_errors():
@@ -434,7 +473,7 @@ def test_endpoint_root_on_a_closed_form():
     # ends at P at z_end = 1/2 for P = 2, and it never reaches P at
     # z_end >= 1
     terms = lambda q: (np.zeros_like(q), np.ones_like(q))
-    c, start = endpoint_root(terms, 1.0, lambda end: end, 1.0, 0.5)
+    c, start = endpoint_root(terms, 1.0, lambda end: (end, 1.0), 1.0, 0.5)
     assert c == pytest.approx(2.0, rel=1e-11)
     f0, lefts, widths, g = start
     assert f0 == c
@@ -442,10 +481,23 @@ def test_endpoint_root_on_a_closed_form():
     assert g.shape == (lefts.size, 9)
     path = integrate_autonomous(lambda p: np.full_like(p, c), 1.0, 0.5, start=start)
     assert path.p_at(0.5) == pytest.approx(2.0, rel=1e-11)
-    assert endpoint_root(terms, 1.0, lambda end: end, 1.0, 1.5) is None
+    assert endpoint_root(terms, 1.0, lambda end: (end, 1.0), 1.0, 1.5) is None
     # den vanishing at p0 itself
     assert endpoint_root(lambda q: (np.ones_like(q), np.zeros_like(q)), 1.0,
-                         lambda end: end, 1.0, 0.5) is None
+                         lambda end: (end, 1.0), 1.0, 0.5) is None
+
+
+def test_endpoint_root_on_a_closed_form_falling():
+    # F = c with c = closing(P) = P - 3: from p0 = 1 the state falls, and
+    # p(z) = 1 + c z ends at P = 1/3 at z_end = 1/4 for c = -8/3
+    terms = lambda q: (np.zeros_like(q), np.ones_like(q))
+    c, start = endpoint_root(terms, 1.0, lambda end: (end - 3.0, 1.0), 1.0, 0.25)
+    assert c == pytest.approx(-8.0 / 3.0, rel=1e-11)
+    f0, lefts, widths, g = start
+    assert f0 == c
+    assert lefts[-1] < math.log(3.0) <= lefts[-1] + widths[-1]
+    path = integrate_autonomous(lambda p: np.full_like(p, c), 1.0, 0.25, start=start)
+    assert path.p_at(0.25) == pytest.approx(1.0 / 3.0, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,26 @@ def test_beta_to_distortion_edge_behavior():
     assert d == pytest.approx(0.9985861198102801, rel=1e-9)
 
 
+@pytest.mark.parametrize("src, beta, root", [
+    # [DERIVED] 50-digit roots: the search to an absolute width returned
+    # its bracket end 1e-150 for the first two and was 3.9e-6 off for the
+    # third
+    (BERN, -0.01, 7.8886090522101294366e-31),
+    (GAUSS, -8.3e-16, 2.1066608795119734638e-17),
+    (GAUSS, -1e-10, 3.6584498169035715725e-12),
+    (BERN, -0.0015, 2.0574828506798239054e-201),
+])
+def test_beta_to_distortion_is_relatively_accurate_near_zero(src, beta, root):
+    assert beta_to_distortion(src, beta) == pytest.approx(root, rel=1e-13)
+
+
+def test_beta_to_distortion_rejects_roots_below_the_normal_floats():
+    # the Bernoulli root at beta = -9e-4 is about 1e-334
+    for src, beta in ((BERN, -9e-4), (BERN, -5e-324), (GAUSS, -5e-324)):
+        with pytest.raises(ValueError, match="no representable distortion level"):
+            beta_to_distortion(src, beta)
+
+
 def test_beta_to_distortion_rejects_out_of_range():
     for bad in (0.0, -1.0, -1.5, 0.3):
         with pytest.raises(ValueError):
@@ -437,10 +457,7 @@ def test_residual_is_finite_past_the_overflow_of_exp_lam_l():
 
 def test_constant_instantaneous_distortion(mid_raw, bench_refined, leaky_raw):
     for sol in (mid_raw, bench_refined, leaky_raw):
-        dev = max(
-            abs(distortion(GAUSS, CH, p, k) - sol.d_beta) / sol.d_beta
-            for p, k in zip(sol.p, sol.kappa)
-        )
+        dev = np.max(np.abs(distortion(GAUSS, CH, sol.p, sol.kappa) - sol.d_beta)) / sol.d_beta
         assert dev <= 1e-8
 
 
