@@ -36,10 +36,11 @@ _LN2 = math.log(2.0)
 
 # The rate maps take a scalar or a NumPy array; arrays go through NumPy
 # elementwise and are rejected as a whole if any entry is out of domain.
-# Scalars keep a plain-float path, which the objectives of the scalar
-# root finders use (the distortion level of a beta, the endpoint root's
-# closing map), except the Bernoulli rate inverse: it has no closed form,
-# and its one NumPy kernel takes scalars as NumPy scalars.
+# Scalars keep a plain-float path, which the once-per-solve or per-probe
+# scalar callers use: the Bernoulli distortion level's root, c1_edge,
+# solve_adaptive's R_beta and slope, lower_bound and the SimConfig check.
+# The Bernoulli rate inverse is the exception: it has no closed form, and
+# its one NumPy kernel takes scalars as NumPy scalars.
 
 
 def binary_entropy(d: float) -> float:
@@ -48,7 +49,9 @@ def binary_entropy(d: float) -> float:
         raise ValueError(f"binary entropy needs d in [0, 1], got {d}")
     if d == 0.0 or d == 1.0:
         return 0.0
-    return -(d * math.log2(d) + (1.0 - d) * math.log2(1.0 - d))
+    # log1p(-d), not log2 of the rounded 1 - d, which loses the digits
+    # of the second term for small d
+    return -(d * math.log2(d) + (1.0 - d) * math.log1p(-d) / _LN2)
 
 
 # H^-1 by Newton (see _entropy_inverse): the least entropy inverted, so

@@ -1340,25 +1340,21 @@ class Rng:
     Built on the PCG64 bit stream; uniforms are raw 64-bit draws mapped to
     [0, 1) with 53-bit resolution, and exponentials are exact inverse-CDF
     transforms -log1p(-u)/rate of those uniforms.  Identical seeds give
-    identical streams.
+    identical streams: the mapping is this class's own, because NumPy's
+    ``Generator`` does not promise the same stream across NumPy versions.
     """
 
     def __init__(self, seed: int):
         self._bits = np.random.PCG64(seed)
         self.seed = int(seed)
 
-    def uniform(self, size=None):
-        raw = self._bits.random_raw(size if size is not None else 1)
-        u = (raw >> np.uint64(11)) * (1.0 / (1 << 53))
-        if size is None:
-            return float(u[0])
-        return u
+    def uniform(self, size):
+        raw = self._bits.random_raw(size)
+        return (raw >> np.uint64(11)) * (1.0 / (1 << 53))
 
-    def exponential(self, rate: float = 1.0, size=None):
+    def exponential(self, rate: float, size):
         if rate <= 0.0:
             raise ValueError("rate must be positive")
-        if size is None:
-            return -math.log1p(-self.uniform()) / rate
         return -np.log1p(-self.uniform(size=size)) / rate
 
 

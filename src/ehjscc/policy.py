@@ -63,6 +63,7 @@ __all__ = [
     "PolicySolution",
     "beta_range",
     "beta_to_distortion",
+    "c1_edge",
     "gaussian_d_beta",
     "optimality_residual",
     "solve_adaptive",
@@ -284,7 +285,7 @@ def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
     return terms
 
 
-def _c1_edge(src, ch, beta, p0):
+def c1_edge(src, ch, beta, p0):
     """The c1 at which the denominator of F vanishes at p0.
 
     den(p0) = (D_beta + c1)*Rc'(p0) - (R_beta/S)*(p0*Rc''(p0) + Rc'(p0))
@@ -423,7 +424,7 @@ def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
     - At c2 = h(P), F(P) = delta*R_beta*Rc'(P) / (S*den(P)), which never
       vanishes.  So p0 fixes the side: P rises from p0 where F(p0) > 0 at
       c2 = h(p0) and falls where it is negative, which (as S < 0) is
-      where den(p0) > 0, i.e. c1 above :func:`_c1_edge`.  Phi -> -L as
+      where den(p0) > 0, i.e. c1 above :func:`c1_edge`.  Phi -> -L as
       P -> p0.
     - P is admissible while the integrand is finite and positive on the
       whole of [p0, P], with |F| <= 1e9.  Past that the trajectory settles

@@ -42,8 +42,8 @@ from .numerics import find_minimum, find_root
 from .policy import (
     PolicySolution,
     VariationalConstants,
-    _c1_edge,
     beta_range,
+    c1_edge,
     solve_adaptive,
     solve_constant_kappa,
 )
@@ -235,7 +235,7 @@ def _edge_probe(problem: Problem, spec: SearchSpec) -> _Probe:
     src, ch = problem.src, problem.ch
 
     def gap(beta: float):
-        c1 = _c1_edge(src, ch, beta, problem.p0plus) - _EDGE_OFFSET
+        c1 = c1_edge(src, ch, beta, problem.p0plus) - _EDGE_OFFSET
         sol = solve_adaptive(
             src, ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,

@@ -10,7 +10,7 @@ excess above the capacity, and a drained battery sits at zero until the
 next arrival.  Consumed energy equals drained charge identically, so
 energy conservation holds to rounding, not to an integrator tolerance.
 
-The path is computed a run of arrivals at a time.  After a first slice
+The path is computed a run of arrivals at a time.  After a first run
 of 1024 events, a run holds 16,384, and lanes of 128 consecutive events
 are advanced together, one event per vectorized step: lane 0 from the
 true state, every other lane from an empty battery.  Chains driven by
@@ -24,13 +24,14 @@ the walker walks all of it.  Wall times and the energy books are
 running sums by ``np.cumsum``, which adds in order as a loop does, so
 the statistics do not depend on how the path was found.
 
-Every slice of 1024 events is then accounted for in bulk with array
-operations: the drain segments are clipped to the measurement window
+Every run is then accounted for in bulk with array operations: its
+drain segments and empty waits are clipped to the measurement window
 (everything after the burn-in), and each segment end adds its count and
 two closed-form moments to its cell of the charge grid.  Both the
 time-weighted integrals of power, inverse mismatch and reported
 distortion and the drain time spent below each bin edge of the charge
-CDF are read off these per-cell sums.  Memory stays flat in the horizon.
+CDF are read off these per-cell sums.  Memory is bounded by the run
+length, not the horizon.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from .distortion import distortion
 from .models import AwgnChannel, SourceModel, SystemConfig
-from .numerics import cumulative_integral, quadrature, seeded_rng
+from .numerics import cumulative_integral, seeded_rng
 from .policy import PolicySolution
 
 __all__ = [
@@ -52,15 +53,14 @@ __all__ = [
     "SimulationStats",
     "DivergenceReport",
     "simulate",
-    "analytic_stats",
     "compare_to_analytic",
 ]
 
 _BINS = 512
 _BURN_IN_FRACTION = 0.01
 _RNG_BLOCK = 8192
-_SLICE = 1024               # events per bulk accounting step
-_CHUNK = 2 * _RNG_BLOCK     # events per run after the first slice
+_SLICE = 1024               # events in the first run, which is walked
+_CHUNK = 2 * _RNG_BLOCK     # events per run after the first
 _LANE = 128                 # events per speculative lane
 _MIN_LANES = 32             # fewer lanes do not repay a vector step's fixed cost
 # lanes run while the last run's chain regenerated (ran dry or
@@ -370,7 +370,7 @@ def _walk(lists, segs, energies, targets, z, u):
 
 class _Tally:
     # time-weighted statistics of the measurement window [burn, horizon],
-    # accumulated from slices of drain segments and empty intervals.  A
+    # accumulated a run of drain segments and empty waits at a time.  A
     # drain segment is recorded by its two ends: per cell, the net count
     # of segment ends (bottom ends +1, top ends -1) and the net sums of
     # their moments a and b
@@ -381,51 +381,42 @@ class _Tally:
         self.end_moments = np.zeros((3, len(table.dz)))
         self.pi0_time = 0.0
 
-    def add_path(self, t_at, segs, z_in, u_in, drained):
-        # a run of the true path, event by event: wall time, interval
+    def add_run(self, t_at, segs, z_in, u_in, drained):
+        # one run of the true path, event by event: wall time, interval
         # length, entry charge and u, and the charge the drain left.  An
-        # event drains from its entry charge, running dry at u_max, or
-        # waits on an empty battery.  Records go in a slice of _SLICE
-        # events at a time, in event order
-        u_max = self.table.u_max
-        for s in range(0, len(segs), _SLICE):
-            t, seg, z, u, z_lo = (
-                x[s:s + _SLICE] for x in (t_at, segs, z_in, u_in, drained)
-            )
-            drains = z > 0.0
-            u_end = u + seg
-            emptied = drains & (u_end >= u_max)
-            u_end[emptied] = u_max
-            self.add_drains(t[drains], u[drains], u_end[drains], z[drains],
-                            z_lo[drains])
-            drain_time = u_max - u
-            waits = ~drains | emptied
-            self.add_empty(
-                np.where(drains, t + drain_time, t)[waits],
-                np.where(drains, seg - drain_time, seg)[waits],
-            )
-
-    def add_drains(self, t_a, u_a, hi, z_hi, z_lo):
-        # the charge drains from z_hi at wall time t_a (u = u_a) down to
-        # z_lo (u = hi); clip each segment to the window, then record its
-        # ends.  Every segment ends by the horizon, so only the burn-in
-        # cuts segments
-        if not len(t_a):
-            return
+        # event drains from its entry charge until its interval ends or the
+        # battery runs dry at u_max, and waits empty for what is left.
+        # Both are clipped to the window; every drain segment ends by the
+        # horizon, so only the burn-in cuts one, and it is recorded by its
+        # ends
         table = self.table
-        lo = np.maximum(u_a, u_a + (self.burn - t_a))
-        live = hi > lo
-        if not live.all():
-            lo, u_a, z_hi, z_lo = (x[live] for x in (lo, u_a, z_hi, z_lo))
+        u_max = table.u_max
+        drains = z_in > 0.0
+        # a drain runs from u_in, or from the burn-in if later, to u_end
+        u_end = np.minimum(u_in + segs, u_max)
+        lo = np.maximum(u_in, u_in + (self.burn - t_at))
+        lo, u_a, z_hi, z_lo = (
+            x[drains & (u_end > lo)] for x in (lo, u_in, z_in, drained)
+        )
         cut = lo != u_a
         if cut.any():
             z_hi[cut] = table.z_of_u(lo[cut])
         self.end_moments += self._moment_sums(z_lo) - self._moment_sums(z_hi)
 
+        # the battery waits empty through an interval it starts empty, or
+        # from where a drain runs dry
+        drain_time = u_max - u_in
+        waits = ~drains | (u_end == u_max)
+        t_a = np.where(drains, t_at + drain_time, t_at)[waits]
+        dt = np.where(drains, segs - drain_time, segs)[waits]
+        lo = np.maximum(t_a, self.burn)
+        hi = np.minimum(t_a + dt, self.horizon)
+        self.pi0_time += float(np.sum(np.maximum(hi - lo, 0.0)))
+
     def _moment_sums(self, z):
         # per cell: the number of points of z and the sums of their
         # moments; sorted keys make the cell search several times faster,
-        # and the sums do not depend on the order
+        # and the order changes the sums only in their rounding
         table = self.table
         z = np.sort(z)
         i = table.cell_of(z)
@@ -436,14 +427,6 @@ class _Tally:
             np.bincount(i, weights=a, minlength=n),
             np.bincount(i, weights=b, minlength=n),
         ))
-
-    def add_empty(self, t_a, dt):
-        # the battery sits empty from wall time t_a for dt
-        if not len(t_a):
-            return
-        lo = np.maximum(t_a, self.burn)
-        hi = np.minimum(t_a + dt, self.horizon)
-        self.pi0_time += float(np.sum(np.maximum(hi - lo, 0.0)))
 
     def drain_times(self):
         # drain time spent at or below each merged node z[j]: the sum over
@@ -570,7 +553,7 @@ def simulate(config: SimConfig) -> SimulationStats:
     t = 0.0
     z = z0
     u = float(table.u_of_z(np.array([z]))[0])
-    # the first slice is walked, to see how often the chain regenerates
+    # the first run is walked, to see how often the chain regenerates
     size, speculate = _SLICE, False
     while True:
         taus, energies = arrivals.take(size)
@@ -595,7 +578,7 @@ def simulate(config: SimConfig) -> SimulationStats:
         z_in, u_in, drained, z, u = _true_path(
             table, taus, energies, z, u, lanes if lanes >= _MIN_LANES else 0
         )
-        tally.add_path(t_at[:-1], taus, z_in, u_in, drained)
+        tally.add_run(t_at[:-1], taus, z_in, u_in, drained)
         events += full
         consumed = _running_sum(consumed, z_in - drained)
         arrived = _running_sum(arrived, energies)
@@ -644,32 +627,6 @@ def _analytic_cdf(solution: PolicySolution, edges: np.ndarray) -> np.ndarray:
     cdf = solution.pi0 + np.interp(edges, solution.grid.nodes, cum_f)
     cdf[-1] = 1.0
     return cdf
-
-
-def analytic_stats(solution: PolicySolution) -> SimulationStats:
-    """Package a solution's stationary law in simulation-statistics form.
-
-    Useful as the zero-divergence reference point: comparing the result
-    against the same solution reports vanishing gaps everywhere.
-    """
-    if solution.grid is None or not solution.feasible:
-        raise ValueError("solution must be feasible")
-    cap = solution.grid.capacity
-    edges = np.linspace(0.0, cap, _BINS + 1)
-    cdf = _analytic_cdf(solution, edges)
-    return SimulationStats(
-        capacity=cap,
-        horizon=math.inf,
-        bin_edges=edges,
-        empirical_cdf=cdf,
-        pi0_hat=solution.pi0,
-        mean_power=quadrature(solution.p * solution.f, solution.grid),
-        mean_inv_kappa=1.0,
-        mean_d_dagger=solution.d_avg,
-        overflow_energy=0.0,
-        event_count=0,
-        energy_residual=0.0,
-    )
 
 
 def compare_to_analytic(

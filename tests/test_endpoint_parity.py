@@ -160,7 +160,7 @@ def _random_cases(count):
         capacity = float(math.exp(rng.uniform(math.log(0.5), math.log(100.0))))
         p0plus = float(math.exp(rng.uniform(math.log(1e-4), 0.0)))
         offset = math.exp(rng.uniform(math.log(1e-6), 0.0))
-        c1 = policy._c1_edge(src, CH, beta, p0plus) + float(rng.choice((-1.0, 1.0))) * offset
+        c1 = policy.c1_edge(src, CH, beta, p0plus) + float(rng.choice((-1.0, 1.0))) * offset
         leak = ZeroLeakage() if rng.random() < 0.5 else IncreasingLeakage()
         cases.append((src, leak, capacity, p0plus, beta, c1))
     return cases

@@ -1,5 +1,6 @@
 """Tests for the source / channel / leakage / arrival models."""
 
+import decimal
 import math
 
 import numpy as np
@@ -41,6 +42,32 @@ def test_entropy_endpoints_and_max():
 @given(st.floats(min_value=1e-12, max_value=0.5))
 def test_entropy_symmetry(d):
     assert binary_entropy(d) == pytest.approx(binary_entropy(1.0 - d), rel=1e-12)
+
+
+def _entropy_reference(d):
+    # H(d) to 50 digits in decimal; ln(1 - d) by its series below 1e-3,
+    # where 1 - d itself would round the d away
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(d)
+        if x > decimal.Decimal("1e-3"):
+            ln_rest = (1 - x).ln()
+        else:
+            ln_rest, term, k = decimal.Decimal(0), x, 1
+            while term > x * decimal.Decimal("1e-55"):
+                ln_rest -= term / k
+                term *= x
+                k += 1
+        return -(x * x.ln() + (1 - x) * ln_rest) / decimal.Decimal(2).ln()
+
+
+def test_entropy_is_accurate_to_a_few_ulps_down_to_tiny_d():
+    # the (1 - d) term matters to the last digits for every d: at
+    # d = 1e-17 it is 2.5% of H, and log2 of the rounded 1 - d loses it
+    for d in np.logspace(-300.0, math.log10(0.5), 400):
+        ref = _entropy_reference(float(d))
+        err = abs(decimal.Decimal(binary_entropy(float(d))) - ref)
+        assert err <= 4 * decimal.Decimal(math.ulp(float(ref))), d
 
 
 def test_entropy_domain():

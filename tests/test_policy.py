@@ -184,7 +184,7 @@ def test_c1_edge_is_the_sign_change_of_the_denominator(src, fraction):
     d_beta = beta_to_distortion(src, beta)
     r_beta, slope = src.rate(d_beta), src.rate_derivatives(d_beta)[0]
     p0 = np.array([1e-3])
-    edge = policy._c1_edge(src, CH, beta, 1e-3)
+    edge = policy.c1_edge(src, CH, beta, 1e-3)
 
     def den(c1):
         return policy._adaptive_terms(CH, ARR, c1, d_beta, r_beta, slope)(p0)[1][0]
@@ -363,7 +363,7 @@ def test_endpoint_without_root_integrates_nothing(integrations):
     # down to 1e-300 is reached before z = 3, so no c2 closes the gap, and
     # that is known before any trajectory is integrated
     consts = VariationalConstants(-0.37026, -0.12884, 0.73470)
-    assert consts.c1 > policy._c1_edge(BERN, CH, consts.beta, 1e-3)
+    assert consts.c1 > policy.c1_edge(BERN, CH, consts.beta, 1e-3)
     sol = solve_adaptive(BERN, CH, ARR, NO_LEAK, 3.0, 1e-3, consts, refine_c2=True)
     assert not sol.feasible and sol.grid is None
     assert sol.message.startswith("endpoint condition has no root")
@@ -375,7 +375,7 @@ def test_endpoint_root_on_the_falling_side():
     # p0plus = 1 and the root lies below it; the solve is certified like
     # the rising ones, whatever the start
     consts = VariationalConstants(-0.3, 0.0064, 0.5)
-    assert consts.c1 > policy._c1_edge(GAUSS, CH, consts.beta, 1.0)
+    assert consts.c1 > policy.c1_edge(GAUSS, CH, consts.beta, 1.0)
     sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 1.0, 1.0, consts, refine_c2=True)
     assert sol.feasible
     assert np.all(np.diff(sol.p) < 0.0) and sol.p[-1] == pytest.approx(0.4225, abs=1e-4)
@@ -427,7 +427,7 @@ def test_raw_residual_scales_with_endpoint_gap(mid_raw, bench_refined):
 
 def _edge_solve(capacity):
     # a polished solve hugging the c1 edge, as a tune's probes do
-    c1 = policy._c1_edge(GAUSS, CH, -0.3, 1e-3) - 1e-5
+    c1 = policy.c1_edge(GAUSS, CH, -0.3, 1e-3) - 1e-5
     return solve_adaptive(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3,
                           VariationalConstants(-0.3, c1, 0.3), refine_c2=True)
 

@@ -287,7 +287,7 @@ def test_seeded_integration_blows_up_where_the_table_c2_is_off(seeded):
     # integration from the table's panels meets an inadmissible state
     # and blows up, at the z the integration from scratch reports
     gauss = SOURCES["gaussian"]
-    c1 = policy._c1_edge(gauss, CH, -0.5, 1.0) - 1e-5
+    c1 = policy.c1_edge(gauss, CH, -0.5, 1.0) - 1e-5
     sol = solve_adaptive(gauss, CH, ARR, ZeroLeakage(), 1000.0, 1.0,
                          VariationalConstants(-0.5, c1, 0.3), refine_c2=True)
     assert [path for *_, path, _ in seeded] == [None]

@@ -18,14 +18,15 @@ from ehjscc.models import (
     SystemConfig,
     ZeroLeakage,
 )
-from ehjscc.numerics import Grid
+from ehjscc.numerics import Grid, quadrature
 from ehjscc.policy import VariationalConstants, solve_adaptive, solve_constant_kappa
 from ehjscc.simulator import (
     DivergenceReport,
     SimConfig,
     SimulationStats,
+    _BINS,
     _DrainTable,
-    analytic_stats,
+    _analytic_cdf,
     compare_to_analytic,
     simulate,
 )
@@ -366,6 +367,29 @@ def test_start_state_washes_out(bench_policy):
 # ---------------------------------------------------------------------------
 # analytic packaging and comparison plumbing
 # ---------------------------------------------------------------------------
+
+def analytic_stats(solution):
+    # a solution's stationary law in simulation-statistics form: the
+    # zero-divergence reference, which compared against the same solution
+    # reports vanishing gaps everywhere
+    if solution.grid is None or not solution.feasible:
+        raise ValueError("solution must be feasible")
+    cap = solution.grid.capacity
+    edges = np.linspace(0.0, cap, _BINS + 1)
+    return SimulationStats(
+        capacity=cap,
+        horizon=math.inf,
+        bin_edges=edges,
+        empirical_cdf=_analytic_cdf(solution, edges),
+        pi0_hat=solution.pi0,
+        mean_power=quadrature(solution.p * solution.f, solution.grid),
+        mean_inv_kappa=1.0,
+        mean_d_dagger=solution.d_avg,
+        overflow_energy=0.0,
+        event_count=0,
+        energy_residual=0.0,
+    )
+
 
 def test_self_comparison_is_exactly_zero(bench_policy):
     # [TRIVIAL] the analytic law compared against itself
