@@ -17,7 +17,6 @@ numerics fail outright.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -41,7 +40,7 @@ from .models import (
     TabulatedLeakage,
     ZeroLeakage,
 )
-from .numerics import Grid, SingularityError
+from .numerics import Grid, NumericsError
 from .policy import (
     PolicySolution,
     VariationalConstants,
@@ -465,22 +464,18 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _search_setup(cfg: RunConfig, args, capacity: float):
-    # the operating point and the search spec, with the --seed override
+def _search_setup(cfg: RunConfig, capacity: float):
     problem = Problem(
         src=cfg.src, ch=cfg.ch, arrivals=cfg.arrivals, leak=cfg.leak,
         capacity=capacity, p0plus=cfg.p0plus,
     )
-    spec = cfg.search_spec or SearchSpec()
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-    return problem, spec
+    return problem, cfg.search_spec or SearchSpec()
 
 
 def cmd_search(cfg: RunConfig, args) -> int:
     if math.isinf(cfg.capacity):
         raise ConfigError("capacity: search needs a finite battery")
-    problem, spec = _search_setup(cfg, args, cfg.capacity)
+    problem, spec = _search_setup(cfg, cfg.capacity)
     result = tune_constants(problem, spec)
     if not result.feasible:
         raise InfeasibleError(
@@ -508,7 +503,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     shell_capacity = (
         cfg.capacity if math.isfinite(cfg.capacity) else cfg.sweep_capacities[0]
     )
-    problem, spec = _search_setup(cfg, args, shell_capacity)
+    problem, spec = _search_setup(cfg, shell_capacity)
     result = capacity_sweep(
         problem, cfg.sweep_capacities, spec, kappa_budget=cfg.kappa_budget
     )
@@ -711,7 +706,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (SingularityError, ArithmeticError) as exc:
+    except (NumericsError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

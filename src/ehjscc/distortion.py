@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ArrivalModel, AwgnChannel, SourceModel
-from .numerics import seeded_rng
+from .numerics import Rng
 
 __all__ = [
     "distortion",
-    "gaussian_distortion",
     "d_dagger",
     "lower_bound",
     "ConvexityReport",
@@ -58,19 +57,6 @@ def distortion(src: SourceModel, ch: AwgnChannel, p, kappa):
     """
     _check_positive("kappa", kappa)
     return src.rate_inverse(kappa * ch.rate(p))
-
-
-def gaussian_distortion(variance: float, noise: float, p: float, kappa: float) -> float:
-    """Closed form sigma^2 (1 + p/N)^(-kappa) for the Gaussian/AWGN pair.
-
-    Kept as an independent path so the generic inversion route can be
-    cross-checked against it.
-    """
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    if p < 0.0:
-        raise ValueError(f"power must be >= 0, got {p}")
-    return variance * (1.0 + p / noise) ** (-kappa)
 
 
 def d_dagger(src: SourceModel, ch: AwgnChannel, p, q):
@@ -172,7 +158,7 @@ def convexity_probe(
     central finite-difference Hessian check: leading minor and determinant
     both positive (Sylvester).
 
-    The draws are one ``(samples, 5)`` block from ``seeded_rng(seed)``,
+    The draws are one ``(samples, 5)`` block from ``Rng(seed)``,
     the stream of one 5-draw per sample, and every check runs on arrays:
     D_dagger is evaluated in a dozen array calls, whatever ``samples``.
 
@@ -181,7 +167,7 @@ def convexity_probe(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    u = seeded_rng(seed).uniform(size=(samples, 5))
+    u = Rng(seed).uniform(size=(samples, 5))
     p1, p2 = (1.0 - u[:, 0]) * p_hi, (1.0 - u[:, 1]) * p_hi
     q1, q2 = (1.0 - u[:, 2]) * q_hi, (1.0 - u[:, 3]) * q_hi
     t = u[:, 4]

@@ -1,12 +1,13 @@
 """Self-contained numerical kernel.
 
-Real Lambert W branches, bracketed scalar root finding (``find_root``)
-and minimization (``find_minimum``), a solver for autonomous scalar ODEs
-p' = F(p) by Gauss-Legendre quadrature of z(p) = Int dq / F(q) with F
-evaluated on whole arrays (``integrate_autonomous``), the root of a
-field affine in one constant that makes its path end where the constant
-closes it (``endpoint_root``, whose table is the solver's first round),
-an embedded adaptive Runge-Kutta integrator for general scalar ODEs (the
+The lower branch of Lambert W (``lambert_wm1``), bracketed scalar root
+finding (``find_root``) and minimization (``find_minimum``), a solver
+for autonomous scalar ODEs p' = F(p) by Gauss-Legendre quadrature of
+z(p) = Int dq / F(q) with F evaluated on whole arrays
+(``integrate_autonomous``), the root of a field affine in one constant
+that makes its path end where the constant closes it
+(``endpoint_root``, whose table is the solver's first round), an
+embedded adaptive Runge-Kutta integrator for general scalar ODEs (the
 reference the quadrature solver is tested against), composite
 quadrature on graded grids, and a deterministic seedable random stream.
 Nothing in here knows about sources, channels or batteries; the rest of
@@ -26,7 +27,7 @@ __all__ = [
     "NumericsError",
     "SingularityError",
     "ConvergenceError",
-    "lambert_w",
+    "lambert_wm1",
     "find_root",
     "find_minimum",
     "integrate_ode",
@@ -39,7 +40,6 @@ __all__ = [
     "cumulative_integral",
     "discounted_tail",
     "Rng",
-    "seeded_rng",
 ]
 
 _INV_E = math.exp(-1.0)
@@ -73,18 +73,14 @@ class ConvergenceError(NumericsError):
 # Lambert W
 # ---------------------------------------------------------------------------
 
-def lambert_w(branch: int, x: float) -> float:
-    """Real Lambert W: the solution w of w*exp(w) = x on the given branch.
+def lambert_wm1(x: float) -> float:
+    """Lower real branch of Lambert W: the w <= -1 with w*exp(w) = x.
 
-    branch 0 is defined for x >= -1/e and returns w >= -1; branch -1 is
-    defined for -1/e <= x < 0 and returns w <= -1.  The result satisfies
-    |w*exp(w) - x| <= 1e-12 * max(1, |x|); the scaling only matters for
-    branch-0 arguments far above 1, where the identity itself is that
-    ill-conditioned in double precision -- on [-1/e, 1] the bound is the
-    plain absolute 1e-12.  Relative to w it is as accurate as rounding
-    allows: on branch -1, within 8 eps*(1 + 1/|w + 1|) relative of a
-    50-digit W down to x = -1e-300, the last factor being the
-    conditioning of W at the branch point.
+    Defined for -1/e <= x < 0.  The result satisfies |w*exp(w) - x| <=
+    1e-12, and relative to w it is as accurate as rounding allows:
+    within 8 eps*(1 + 1/|w + 1|) relative of a 50-digit W down to
+    x = -1e-300, the last factor being the conditioning of W at the
+    branch point.
 
     Method: a cheap initial guess (square-root series near the branch
     point x = -1/e, logarithmic asymptotics elsewhere) refined by Halley
@@ -93,8 +89,6 @@ def lambert_w(branch: int, x: float) -> float:
     within rounding of x.
     """
     x = float(x)
-    if branch not in (0, -1):
-        raise ValueError(f"branch must be 0 or -1, got {branch}")
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     if x < -_INV_E:
@@ -102,11 +96,8 @@ def lambert_w(branch: int, x: float) -> float:
         if x > -_INV_E - 1e-14:
             return -1.0
         raise ValueError(f"x={x} below the branch point -1/e")
-    if branch == -1 and x >= 0.0:
-        raise ValueError(f"branch -1 requires x < 0, got {x}")
-
-    if branch == 0 and x == 0.0:
-        return 0.0
+    if x >= 0.0:
+        raise ValueError(f"W_-1 requires x < 0, got {x}")
 
     # initial guess
     t = 2.0 * (math.e * x + 1.0)
@@ -114,13 +105,11 @@ def lambert_w(branch: int, x: float) -> float:
         return -1.0  # exactly at the branch point within rounding
     if x < -0.25:
         # series around the branch point: w = -1 + s - s^2/3 + 11 s^3/72,
-        # with s = +sqrt(t) on branch 0 and -sqrt(t) on branch -1
-        s = math.sqrt(t) if branch == 0 else -math.sqrt(t)
+        # with s = -sqrt(t)
+        s = -math.sqrt(t)
         w = -1.0 + s * (1.0 + s * (-1.0 / 3.0 + s * (11.0 / 72.0)))
-    elif branch == 0:
-        w = math.log1p(x)
     else:
-        # branch -1, x in (-0.25, 0): asymptotic guess from w ~ ln(-x) - ln(-ln(-x))
+        # x in (-0.25, 0): asymptotic guess from w ~ ln(-x) - ln(-ln(-x))
         lx = math.log(-x)
         w = lx - math.log(-lx)
 
@@ -139,12 +128,12 @@ def lambert_w(branch: int, x: float) -> float:
         if abs(step) <= 4.0 * _EPS * abs(w):
             break
     else:
-        raise ConvergenceError(f"lambert_w({branch}, {x}) did not converge")
+        raise ConvergenceError(f"lambert_wm1({x}) did not converge")
 
     resid = abs(w * math.exp(w) - x)
-    if resid > 1e-12 * max(1.0, abs(x)):
+    if resid > 1e-12:
         raise ConvergenceError(
-            f"lambert_w({branch}, {x}): residual {resid:.3e} above tolerance"
+            f"lambert_wm1({x}): residual {resid:.3e} above tolerance"
         )
     return w
 
@@ -1084,7 +1073,8 @@ def endpoint_root(terms, scale, closing, p0, z_end):
         return value, slope - scale * (float(done[1]) + half * part_c) * dc_du
 
     hi = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # dz/du and Phi may overflow: Phi is then +inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # grow the table until Phi at its end is not negative
         while True:
             extend(*first, base, den)
@@ -1356,8 +1346,3 @@ class Rng:
         if rate <= 0.0:
             raise ValueError("rate must be positive")
         return -np.log1p(-self.uniform(size=size)) / rate
-
-
-def seeded_rng(seed: int) -> Rng:
-    """Create a deterministic random stream from a 64-bit seed."""
-    return Rng(seed)

@@ -54,7 +54,7 @@ from .numerics import (
     find_root,
     integrate_autonomous,
     integrate_ode,  # noqa: F401 -- looked up here by benchmarks/tracer.py
-    lambert_w,
+    lambert_wm1,
     quadrature,
 )
 
@@ -69,7 +69,6 @@ __all__ = [
     "solve_adaptive",
     "solve_constant_kappa",
     "constant_power_scheme",
-    "gaussian_kappa_closed_form",
 ]
 
 
@@ -214,23 +213,8 @@ def gaussian_d_beta(variance: float, beta: float) -> float:
     """
     if not -variance < beta < 0.0:
         raise ValueError(f"beta must be in (-{variance}, 0), got {beta}")
-    w = lambert_w(-1, beta / (variance * math.e))
+    w = lambert_wm1(beta / (variance * math.e))
     return variance * math.exp(w + 1.0)
-
-
-def gaussian_kappa_closed_form(variance, noise, beta, p):
-    """Mismatch at power p (scalar or array) for a Gaussian source.
-
-    kappa = -(W_{-1}(beta/(variance*e)) + 1) / ln(1 + p/noise); identical
-    to R_s(D_beta)/R_c(p), and decreasing in p at fixed beta.
-    """
-    if not -variance < beta < 0.0:
-        raise ValueError(f"beta must be in (-{variance}, 0), got {beta}")
-    if not np.all(np.asarray(p) > 0.0):
-        raise ValueError("power must be > 0")
-    w = lambert_w(-1, beta / (variance * math.e))
-    out = -(w + 1.0) / np.log1p(np.asarray(p, dtype=float) / noise)
-    return float(out) if np.ndim(p) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +343,6 @@ def optimality_residual(
     ch: AwgnChannel,
     arrivals: ArrivalModel,
     solution: PolicySolution,
-    consts: Optional[VariationalConstants] = None,
 ) -> float:
     """Max |residual| of the stationarity condition over the solved grid.
 
@@ -374,8 +357,7 @@ def optimality_residual(
     is taken by :func:`~ehjscc.numerics.discounted_tail` on the
     solution's own grid.
     """
-    if consts is None:
-        consts = solution.constants
+    consts = solution.constants
     if consts is None:
         raise ValueError("no constants attached to this solution")
     if solution.grid is None or solution.d_beta is None:
@@ -562,7 +544,7 @@ def solve_adaptive(
         constants=used,
         message=message,
     )
-    residual = optimality_residual(src, ch, arrivals, solution, used)
+    residual = optimality_residual(src, ch, arrivals, solution)
     object.__setattr__(solution, "optimality_residual", residual)
     return solution
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .distortion import distortion
 from .models import AwgnChannel, SourceModel, SystemConfig
-from .numerics import cumulative_integral, seeded_rng
+from .numerics import Rng, cumulative_integral
 from .policy import PolicySolution
 
 __all__ = [
@@ -549,7 +549,7 @@ def simulate(config: SimConfig) -> SimulationStats:
     overflow = 0.0
     events = 0
 
-    arrivals = _Arrivals(seeded_rng(config.seed), arr.delta, arr.lam)
+    arrivals = _Arrivals(Rng(config.seed), arr.delta, arr.lam)
     t = 0.0
     z = z0
     u = float(table.u_of_z(np.array([z]))[0])

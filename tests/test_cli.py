@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
+from ehjscc import policy
 from ehjscc.cli import _json, load_run_config, main
+from ehjscc.numerics import ConvergenceError
 
 GAUSS_SYSTEM = """\
 source: {kind: gaussian, variance: 1.0}
@@ -214,6 +216,18 @@ def test_solve_infeasible_exit_code(workdir, capsys):
     assert main(["solve", "--config", str(cfg), "--out",
                  str(cfg.parent / "blowup_out")]) == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_solve_numerical_failure_exit_code(workdir, bench_config, monkeypatch, capsys):
+    # a Lambert W that does not converge stops the Gaussian solve as a
+    # numerical failure, as a singular ODE does
+    def no_convergence(x):
+        raise ConvergenceError(f"lambert_wm1({x}) did not converge")
+
+    monkeypatch.setattr(policy, "lambert_wm1", no_convergence)
+    assert main(["solve", "--config", bench_config, "--out",
+                 str(workdir / "no_convergence_out")]) == 4
+    assert "numerical failure: lambert_wm1(" in capsys.readouterr().err
 
 
 def test_solve_requires_constants(workdir, capsys):
@@ -434,33 +448,51 @@ def _set_column(rows, column, value):
     return rows[:10] + [",".join(cells)] + rows[11:]
 
 
-@pytest.mark.parametrize("edit_csv,edit_sidecar", [
-    pytest.param(lambda rows: _set_column(rows, 1, "0.0"), None, id="zero-power"),
-    pytest.param(lambda rows: _set_column(rows, 2, "0.0"), None, id="zero-kappa"),
-    pytest.param(None, lambda side: {k: v for k, v in side.items() if k != "pi0"},
+def _drop_column(rows):
+    return [row.rsplit(",", 1)[0] for row in rows]
+
+
+# an edit returns the file's new content, or None to leave the file out
+@pytest.mark.parametrize("edit_csv,edit_sidecar,code", [
+    pytest.param(lambda rows: _set_column(rows, 1, "0.0"), None, 2, id="zero-power"),
+    pytest.param(lambda rows: _set_column(rows, 2, "0.0"), None, 2, id="zero-kappa"),
+    pytest.param(None, lambda side: {k: v for k, v in side.items() if k != "pi0"}, 2,
                  id="no-pi0"),
-    pytest.param(None, lambda side: {**side, "kappa0": None}, id="null-kappa0"),
+    pytest.param(None, lambda side: {**side, "kappa0": None}, 2, id="null-kappa0"),
+    pytest.param(lambda rows: None, None, 2, id="no-csv"),
+    pytest.param(lambda rows: _set_column(rows, 1, "high"), None, 2, id="unparsable-csv"),
+    pytest.param(_drop_column, None, 2, id="three-columns"),
+    pytest.param(lambda rows: rows[:2], None, 2, id="single-row"),
+    pytest.param(lambda rows: _set_column(rows, 3, "inf"), None, 2, id="infinite-f"),
+    pytest.param(None, lambda side: None, 2, id="no-sidecar"),
+    pytest.param(None, lambda side: "{", 2, id="unparsable-sidecar"),
+    pytest.param(None, lambda side: [side], 2, id="sidecar-not-an-object"),
+    pytest.param(None, lambda side: {**side, "feasible": False}, 3, id="infeasible"),
 ])
 def test_simulate_rejects_an_invalid_policy_artifact(tmp_path, solve_artifacts, capsys,
-                                                     edit_csv, edit_sidecar):
-    # a re-ingested artifact is outside input: a row or a sidecar value
-    # the simulator cannot use stops the run as a config error
+                                                     edit_csv, edit_sidecar, code):
+    # a re-ingested artifact is outside input: a file, a row or a sidecar
+    # value the simulator cannot use stops the run as a config error, and
+    # a policy marked infeasible stops it as infeasible
     rows = (solve_artifacts / "solution.csv").read_text().splitlines()
     sidecar = json.loads((solve_artifacts / "solution.json").read_text())
-    (tmp_path / "solution.csv").write_text(
-        "\n".join(edit_csv(rows) if edit_csv else rows) + "\n"
-    )
-    (tmp_path / "solution.json").write_text(
-        json.dumps(edit_sidecar(sidecar) if edit_sidecar else sidecar)
-    )
+    rows = edit_csv(rows) if edit_csv else rows
+    if rows is not None:
+        (tmp_path / "solution.csv").write_text("\n".join(rows) + "\n")
+    sidecar = edit_sidecar(sidecar) if edit_sidecar else sidecar
+    if sidecar is not None:
+        (tmp_path / "solution.json").write_text(
+            sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
+        )
     cfg = tmp_path / "sim.yaml"
     cfg.write_text(
         GAUSS_SYSTEM
         + "simulate:\n  horizon: 1000.0\n  seed: 0\n"
         + f"  policy_csv: {tmp_path / 'solution.csv'}\n"
     )
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "config error: simulate.policy_csv: " in capsys.readouterr().err
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert {2: "config error: simulate.policy_csv: ", 3: "infeasible: policy in "}[code] \
+        in capsys.readouterr().err
 
 
 def test_simulate_seed_override(workdir, bench_config, capsys):

@@ -15,11 +15,10 @@ from ehjscc.distortion import (
     convexity_probe,
     d_dagger,
     distortion,
-    gaussian_distortion,
     lower_bound,
 )
 from ehjscc.models import ArrivalModel, AwgnChannel, BernoulliSource, GaussianSource
-from ehjscc.numerics import seeded_rng
+from ehjscc.numerics import Rng
 
 GAUSS = GaussianSource(variance=1.0)
 BERN = BernoulliSource(prob=0.5)
@@ -45,6 +44,19 @@ def test_distortion_validates_kappa():
         distortion(GAUSS, CH, p=1.0, kappa=0.0)
     with pytest.raises(ValueError):
         distortion(GAUSS, CH, p=1.0, kappa=-1.0)
+
+
+def gaussian_distortion(variance: float, noise: float, p: float, kappa: float) -> float:
+    """Closed form sigma^2 (1 + p/N)^(-kappa) for the Gaussian/AWGN pair.
+
+    Kept as an independent path so the generic inversion route can be
+    cross-checked against it.
+    """
+    if not kappa > 0.0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if p < 0.0:
+        raise ValueError(f"power must be >= 0, got {p}")
+    return variance * (1.0 + p / noise) ** (-kappa)
 
 
 def test_gaussian_dual_path_agreement():
@@ -186,7 +198,7 @@ def _scalar_hessian_eligible(src, ch, p, q, hp, hq):
 def _scalar_convexity_probe(src, ch, samples, seed=0, p_hi=10.0, q_hi=5.0):
     # convexity_probe as it was, one sample and one scalar D_dagger at a
     # time: the reference of the array form
-    rng = seeded_rng(seed)
+    rng = Rng(seed)
     rep = ConvexityReport()
     f = lambda p, q: d_dagger(src, ch, p, q)
     for _ in range(samples):

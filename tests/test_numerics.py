@@ -20,40 +20,37 @@ from ehjscc.numerics import (
     find_root,
     integrate_autonomous,
     integrate_ode,
-    lambert_w,
+    lambert_wm1,
+    Rng,
     quadrature,
-    seeded_rng,
 )
 
 INV_E = math.exp(-1.0)
 
 
 # ---------------------------------------------------------------------------
-# lambert_w
+# lambert_wm1
 # ---------------------------------------------------------------------------
 
 def test_lambert_branch_point_and_zero():
-    assert lambert_w(-1, -INV_E) == pytest.approx(-1.0, abs=1e-9)
-    assert lambert_w(0, -INV_E) == pytest.approx(-1.0, abs=1e-9)
-    assert lambert_w(0, 0.0) == 0.0
+    assert lambert_wm1(-INV_E) == pytest.approx(-1.0, abs=1e-9)
+    # W_-1 runs to -inf as x rises to 0, which is outside its domain
+    assert lambert_wm1(-1e-300) < -690.0
+    with pytest.raises(ValueError):
+        lambert_wm1(0.0)
 
 
 def test_lambert_defining_identity_spot_values():
     for x in [-0.3678, -0.25, -0.1, -1e-3, -1e-9]:
-        w = lambert_w(-1, x)
+        w = lambert_wm1(x)
         assert w <= -1.0
         assert abs(w * math.exp(w) - x) <= 1e-12
-    for x in [-0.3678, -0.2, 0.5, 1.0, math.e, 100.0, 1e8]:
-        w = lambert_w(0, x)
-        assert w >= -1.0
-        # identity tolerance is absolute up to |x|=1, conditioned-scaled beyond
-        assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
 
 
 def test_lambert_against_bisection_oracle():
     # frozen from a 200-step bisection on w*exp(w) = x over w in [-60, -1]
-    assert lambert_w(-1, -0.1) == pytest.approx(-3.577152063957297, abs=1e-11)
-    w = lambert_w(-1, -0.8738 / math.e)
+    assert lambert_wm1(-0.1) == pytest.approx(-3.577152063957297, abs=1e-11)
+    w = lambert_wm1(-0.8738 / math.e)
     assert w == pytest.approx(-1.6129988464487552, abs=1e-11)
     # the quantity the Gaussian policy machinery extracts from this root
     assert math.exp(w + 1.0) == pytest.approx(0.5417, abs=2e-3)
@@ -62,17 +59,9 @@ def test_lambert_against_bisection_oracle():
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-INV_E + 1e-12, max_value=-1e-12))
 def test_lambert_m1_identity_property(x):
-    w = lambert_w(-1, x)
+    w = lambert_wm1(x)
     assert w <= -1.0
     assert abs(w * math.exp(w) - x) <= 1e-12
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=-INV_E + 1e-12, max_value=1e6))
-def test_lambert_0_identity_property(x):
-    w = lambert_w(0, x)
-    assert w >= -1.0 - 1e-15
-    assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
 
 
 def test_lambert_m1_monotone_decreasing():
@@ -83,7 +72,7 @@ def test_lambert_m1_monotone_decreasing():
         x1, x2 = min(x1, x2), max(x1, x2)
         if x1 == x2:
             continue
-        assert lambert_w(-1, x1) > lambert_w(-1, x2)
+        assert lambert_wm1(x1) > lambert_wm1(x2)
 
 
 def _lambert_m1_reference(x, w):
@@ -112,7 +101,7 @@ def test_lambert_m1_is_relatively_accurate_down_to_tiny_arguments():
         [-1e-300, -1e-100, -1e-12, -5e-12, -1e-10, -1e-3 / math.e],
     ))
     for x in xs:
-        w = lambert_w(-1, x)
+        w = lambert_wm1(x)
         ref = _lambert_m1_reference(x, w)
         err = abs(float((decimal.Decimal(w) - ref) / ref))
         assert err <= 8.0 * 2.0 ** -52 * (1.0 + 1.0 / max(abs(float(ref) + 1.0), 1e-300))
@@ -120,19 +109,18 @@ def test_lambert_m1_is_relatively_accurate_down_to_tiny_arguments():
 
 def test_lambert_m1_frozen_near_minus_1e_12():
     # [DERIVED] 50-digit W_-1, rounded to 20 digits
-    assert lambert_w(-1, -1e-12) == pytest.approx(-31.067172842017230863, rel=4e-16)
-    assert lambert_w(-1, -5e-12) == pytest.approx(-29.402668643921116899, rel=4e-16)
+    assert lambert_wm1(-1e-12) == pytest.approx(-31.067172842017230863, rel=4e-16)
+    assert lambert_wm1(-5e-12) == pytest.approx(-29.402668643921116899, rel=4e-16)
 
 
 def test_lambert_domain_errors():
     with pytest.raises(ValueError):
-        lambert_w(-1, 0.1)
+        lambert_wm1(0.1)
     with pytest.raises(ValueError):
-        lambert_w(-1, -0.5)  # below -1/e
-    with pytest.raises(ValueError):
-        lambert_w(0, -0.4)
-    with pytest.raises(ValueError):
-        lambert_w(2, 0.5)
+        lambert_wm1(-0.5)  # below -1/e
+    for x in (-math.inf, math.nan):
+        with pytest.raises(ValueError):
+            lambert_wm1(x)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +148,7 @@ def test_find_root_binary_entropy_gap():
 def test_find_root_matches_lambert():
     g = lambda w: w * math.exp(w) + 0.1
     r = find_root(g, -10.0, -1.0)
-    assert r == pytest.approx(lambert_w(-1, -0.1), abs=1e-9)
+    assert r == pytest.approx(lambert_wm1(-0.1), abs=1e-9)
 
 
 def test_find_root_idempotent():
@@ -200,7 +188,7 @@ def assert_near_sign_change(g, r, tol):
 
 @pytest.mark.parametrize("g, lo, hi, root", [
     (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
-    (lambda w: w * math.exp(w) + 0.1, -10.0, -1.0, lambert_w(-1, -0.1)),
+    (lambda w: w * math.exp(w) + 0.1, -10.0, -1.0, lambert_wm1(-0.1)),
     (lambda x: x**9 - 1e-9, 0.0, 1.0, 0.1),
 ])
 def test_find_root_is_superlinear_on_smooth_roots(g, lo, hi, root):
@@ -485,6 +473,10 @@ def test_endpoint_root_on_a_closed_form():
     # den vanishing at p0 itself
     assert endpoint_root(lambda q: (np.ones_like(q), np.zeros_like(q)), 1.0,
                          lambda end: (end, 1.0), 1.0, 0.5) is None
+    # a rising path from the top of the state range has no table
+    assert endpoint_root(terms, 1.0, lambda end: (end, 1.0), 1e300, 0.5) is None
+    # |F| = 1e10 past the blow-up cap: Phi is +inf within the first panel
+    assert endpoint_root(terms, 1.0, lambda end: (1e10, 0.0), 1.0, 0.5) is None
 
 
 def test_endpoint_root_on_a_closed_form_falling():
@@ -498,6 +490,35 @@ def test_endpoint_root_on_a_closed_form_falling():
     assert lefts[-1] < math.log(3.0) <= lefts[-1] + widths[-1]
     path = integrate_autonomous(lambda p: np.full_like(p, c), 1.0, 0.25, start=start)
     assert path.p_at(0.25) == pytest.approx(1.0 / 3.0, rel=1e-11)
+
+
+def test_endpoint_root_takes_a_jump_in_phi_at_its_upper_side():
+    # F = c with c = closing(P) = 1 below P = 2 and 1/2 from there:
+    # Phi(P) = (P - 1)/c - 3/2 jumps from -1/2 to +1/2 at P = 2 without a
+    # root, and the bracket closes on the jump's upper side
+    terms = lambda q: (np.zeros_like(q), np.ones_like(q))
+    trials = []
+
+    def closing(end):
+        trials.append(end)
+        return (1.0 if end < 2.0 else 0.5), 0.0
+
+    c, (f0, lefts, widths, g) = endpoint_root(terms, 1.0, closing, 1.0, 1.5)
+    assert c == f0 == 0.5
+    assert min(end for end in trials if end >= 2.0) <= 2.0 * (1.0 + 1e-10)
+    assert lefts[-1] < math.log(2.0) <= lefts[-1] + widths[-1]
+
+
+def test_endpoint_root_through_an_overflowing_table():
+    # F = 2/p^44: z(P) = (P^45 - 1)/90, and dz/du = p^45/2 overflows to
+    # +inf on the first stretch's last panels, so Phi at its end is +inf
+    # and the root is found inside
+    terms = lambda q: (np.zeros_like(q), q ** 44)
+    c, start = endpoint_root(terms, 1.0, lambda end: (2.0, 0.0), 1.0, 1.0)
+    assert c == 2.0
+    end = 91.0 ** (1.0 / 45.0)
+    path = integrate_autonomous(lambda p: 2.0 / p ** 44, 1.0, 1.0, start=start)
+    assert path.p_at(1.0) == pytest.approx(end, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -642,24 +663,24 @@ def test_cumulative_integral_smooth_accuracy():
 
 
 # ---------------------------------------------------------------------------
-# seeded rng
+# random stream
 # ---------------------------------------------------------------------------
 
 def test_rng_reproducible():
-    a = seeded_rng(42)
-    b = seeded_rng(42)
+    a = Rng(42)
+    b = Rng(42)
     assert np.array_equal(a.uniform(size=1000), b.uniform(size=1000))
     assert np.array_equal(a.exponential(2.0, size=1000), b.exponential(2.0, size=1000))
 
 
 def test_rng_streams_differ_across_seeds():
     assert not np.array_equal(
-        seeded_rng(1).uniform(size=100), seeded_rng(2).uniform(size=100)
+        Rng(1).uniform(size=100), Rng(2).uniform(size=100)
     )
 
 
 def test_rng_exponential_means():
-    r = seeded_rng(7)
+    r = Rng(7)
     x = r.exponential(1.0, size=1_000_000)
     assert abs(x.mean() - 1.0) < 0.01
     y = r.exponential(2.0, size=1_000_000)
@@ -667,10 +688,10 @@ def test_rng_exponential_means():
 
 
 def test_rng_uniform_range():
-    u = seeded_rng(0).uniform(size=10000)
+    u = Rng(0).uniform(size=10000)
     assert np.all((u >= 0.0) & (u < 1.0))
 
 
 def test_rng_rejects_bad_rate():
     with pytest.raises(ValueError):
-        seeded_rng(0).exponential(0.0, size=10)
+        Rng(0).exponential(0.0, size=10)

@@ -167,6 +167,30 @@ def test_box_below_the_root_is_infeasible():
     assert res.infeasible_evals == res.evaluations
 
 
+def test_a_probe_whose_solve_has_no_grid_is_infeasible(monkeypatch):
+    # below beta = -0.9 every solve stops before it has a grid: such a
+    # probe reads -inf, on the side of the root where the share falls
+    # short, and counts as infeasible
+    unpatched = tune_constants(PROB5)
+    solve = search.solve_adaptive
+
+    def gridless_below(src, ch, arrivals, leak, capacity, p0plus, consts, **kwargs):
+        if consts.beta < -0.9:
+            return policy._infeasible("adaptive", p0plus, "no grid", constants=consts)
+        return solve(src, ch, arrivals, leak, capacity, p0plus, consts, **kwargs)
+
+    monkeypatch.setattr(search, "solve_adaptive", gridless_below)
+    probe = search._edge_probe(PROB5, SearchSpec())
+    assert probe(-0.95) == -math.inf
+    assert probe(-0.85) > 0.0
+    res = probe.result()
+    assert (res.evaluations, res.infeasible_evals) == (2, 1)
+    assert res.constants.beta == -0.85
+    res = tune_constants(PROB5)
+    assert res.infeasible_evals > unpatched.infeasible_evals
+    assert res.d_avg == pytest.approx(unpatched.d_avg, rel=1e-6)
+
+
 def test_budget_one_probes_single_point():
     res = tune_constants(PROB2, SearchSpec(budget=1, seed=0))
     assert res.evaluations == 1

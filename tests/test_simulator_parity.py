@@ -28,7 +28,7 @@ from ehjscc.models import (
     ZeroLeakage,
 )
 from ehjscc import simulator
-from ehjscc.numerics import seeded_rng
+from ehjscc.numerics import Rng
 from ehjscc.policy import VariationalConstants, solve_adaptive, solve_constant_kappa
 from ehjscc.search import Problem, tune_constants
 from ehjscc.simulator import SimConfig, SimulationStats, simulate
@@ -216,7 +216,7 @@ def reference_simulate(config):
     delta, lam = arr.delta, arr.lam
     horizon = config.horizon
     burn = _BURN_IN_FRACTION * horizon
-    rng = seeded_rng(config.seed)
+    rng = Rng(config.seed)
 
     occupancy_partial = [0.0] * _BINS
     full_crossings = [0] * (_BINS + 1)              # difference form
@@ -441,7 +441,7 @@ def test_burn_in_boundary_inside_a_drain_segment(policies):
     # the first wait from a full battery outlasts the burn-in, so the
     # first drain segment is cut at the burn-in boundary
     horizon, seed = 60.0, 4
-    first_wait = seeded_rng(seed).exponential(rate=ARR.delta, size=_RNG_BLOCK)[0]
+    first_wait = Rng(seed).exponential(rate=ARR.delta, size=_RNG_BLOCK)[0]
     assert first_wait > _BURN_IN_FRACTION * horizon
     _assert_parity(_config(policies, "gauss-L5", horizon=horizon, seed=seed, z0=5.0))
 
