@@ -557,13 +557,20 @@ def _load_policy_csv(path: str) -> PolicySolution:
         raise ConfigError(
             f"simulate.policy_csv: sidecar {sidecar_path!r} must hold an object"
         )
-    if not sidecar.get("feasible", False):
+    feasible = sidecar.get("feasible")
+    if feasible is False:
         raise InfeasibleError(f"policy in {path!r} is marked infeasible")
+    if feasible is not True:
+        raise ConfigError(
+            f"simulate.policy_csv: sidecar {sidecar_path!r}: feasible must be "
+            f"true or false, got {feasible!r}"
+        )
 
     def number(key, positive=False):
+        # a JSON true or false is a bool, which Python counts as an int
         value = sidecar.get(key)
-        if (isinstance(value, (int, float)) and math.isfinite(value)
-                and (value > 0.0 or not positive)):
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and (value > 0.0 or not positive)):
             return float(value)
         raise ConfigError(
             f"simulate.policy_csv: sidecar {sidecar_path!r}: {key} must be a "
@@ -576,7 +583,6 @@ def _load_policy_csv(path: str) -> PolicySolution:
         raise ConfigError(f"simulate.policy_csv: {path!r}: {exc}")
     adaptive = sidecar.get("d_beta") is not None
     return PolicySolution(
-        kind="adaptive" if adaptive else "constant-kappa",
         grid=grid,
         p=p,
         kappa=kappa,
@@ -586,7 +592,6 @@ def _load_policy_csv(path: str) -> PolicySolution:
         d_beta=number("d_beta", positive=True) if adaptive else None,
         d_avg=number("d_avg"),
         optimality_residual=sidecar.get("residual50"),
-        feasible=True,
         p0plus=float(p[0]),         # the power on the z = 0 row
     )
 
@@ -670,7 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="YAML config file")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None,
-                        help="override the config's RNG seed")
+                        help="override the config's simulate.seed; only "
+                             "simulate reads it")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output file format")
     parser = argparse.ArgumentParser(

@@ -15,11 +15,11 @@ This module builds that ODE, solves it, reconstructs the stationary
 charge law (density, atom at zero, mismatch at zero), and audits the
 result against the original integro-differential stationarity condition.
 
-Both policy ODEs here are autonomous, p' = F(p), with F evaluated on
-whole arrays of powers: the solvers hand F to
-:func:`~ehjscc.numerics.integrate_autonomous`, which integrates
-z(p) = Int dq / F(q) by quadrature and inverts it at the grid nodes.  The
-adaptive F and the endpoint gap are both affine in c2, so the c2 that
+Both policy ODEs here are autonomous and affine in their free constant,
+p' = F(p) = (base + scale*constant)/den on whole arrays of powers: the
+solvers hand F to :func:`~ehjscc.numerics.integrate_autonomous`, which
+integrates z(p) = Int dq / F(q) by quadrature and inverts it at the grid
+nodes.  The endpoint gap is affine in c2 too, so the c2 that
 closes the gap is one scalar root in the end power p(L), which
 :func:`~ehjscc.numerics.endpoint_root` finds on a table of F's two parts;
 this module gives it those parts and the closing map.  The one
@@ -101,26 +101,25 @@ class PolicySolution:
     solution can be shared freely.  ``d_beta`` and ``optimality_residual``
     are ``None`` for constant-mismatch solutions (their instantaneous
     distortion varies with charge and they satisfy a different
-    stationarity condition).  Infeasible outcomes keep ``feasible=False``,
-    ``d_avg=inf`` and carry a diagnostic ``message``; their arrays may be
-    empty.
+    stationarity condition), so ``d_beta`` tells the two kinds apart.  An
+    infeasible outcome carries a diagnostic ``message`` and
+    ``d_avg = inf``; one that stopped before it had a trajectory has no
+    grid, empty arrays and NaN ``pi0`` and ``kappa0``, the defaults.
     """
 
-    kind: str                      # "adaptive" or "constant-kappa"
-    grid: Optional[Grid]
-    p: np.ndarray                  # power per node
-    kappa: np.ndarray              # mismatch per node
-    f: np.ndarray                  # stationary charge density per node
-    pi0: float                     # probability atom at zero charge
-    kappa0: float                  # mismatch prescribed at zero charge
-    d_beta: Optional[float]        # constant distortion level (adaptive only)
-    d_avg: float                   # stationary average distortion
-    optimality_residual: Optional[float]
-    feasible: bool
     p0plus: float
+    grid: Optional[Grid] = None
+    p: np.ndarray = ()             # power per node
+    kappa: np.ndarray = ()         # mismatch per node
+    f: np.ndarray = ()             # stationary charge density per node
+    pi0: float = math.nan          # probability atom at zero charge
+    kappa0: float = math.nan       # mismatch prescribed at zero charge
+    d_beta: Optional[float] = None  # constant distortion level (adaptive only)
+    d_avg: float = math.inf        # stationary average distortion
+    optimality_residual: Optional[float] = None
     constants: Optional[VariationalConstants] = None
     c: Optional[float] = None      # constant-mismatch free constant
-    message: str = ""
+    message: str = ""              # why the outcome is infeasible, else ""
 
     def __post_init__(self):
         for name in ("p", "kappa", "f"):
@@ -128,26 +127,14 @@ class PolicySolution:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @property
+    def kind(self) -> str:
+        """``"adaptive"`` or ``"constant-kappa"``."""
+        return "constant-kappa" if self.d_beta is None else "adaptive"
 
-def _infeasible(kind, p0plus, message, *, d_beta=None, constants=None, c=None):
-    empty = np.empty(0)
-    return PolicySolution(
-        kind=kind,
-        grid=None,
-        p=empty,
-        kappa=empty.copy(),
-        f=empty.copy(),
-        pi0=math.nan,
-        kappa0=math.nan,
-        d_beta=d_beta,
-        d_avg=math.inf,
-        optimality_residual=None,
-        feasible=False,
-        p0plus=p0plus,
-        constants=constants,
-        c=c,
-        message=message,
-    )
+    @property
+    def feasible(self) -> bool:
+        return not self.message
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +213,7 @@ _HALF_OVER_LN2 = 0.5 / math.log(2.0)
 
 
 def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
-    """Parts of the right-hand side F with p'(z) = F(p(z)) for the adaptive policy.
+    """The adaptive field F with p'(z) = F(p(z)), as (terms, scale, closing).
 
     Derivation: with the distortion pinned at D_beta, the mismatch is
     kappa = R_beta/R_c(p) (R_beta := R_s(D_beta)); substituting into the
@@ -238,10 +225,11 @@ def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
                  - lam*(R_beta/S)*p*Rc' + lam*c2*R_beta ]
                / [ (D_beta+c1)*Rc' - (R_beta/S)*(p*Rc'' + Rc') ]
 
-    The returned function maps an array of powers to (base, den) with
-    F = (base + lam*c2*R_beta) / den: c2 enters the numerator alone, so
-    F is affine in c2.  It takes the channel's rates in closed form, with
-    n = noise + p: Rc' = 1/(2 ln2 n) and p*Rc'' + Rc' = Rc'*noise/n, so
+    ``terms`` maps an array of powers to (base, den) with
+    F = (base + scale*c2)/den, scale = lam*R_beta: c2 enters the
+    numerator alone, so F is affine in c2.  It takes the channel's rates
+    in closed form, with n = noise + p: Rc' = 1/(2 ln2 n) and
+    p*Rc'' + Rc' = Rc'*noise/n, so
 
         den  = Rc' * (D_beta + c1 - (R_beta/S)*noise/n)
         base = (R_beta/S)*Rc'*(delta - lam*p) + lam*(D_beta+c1)*Rc
@@ -250,6 +238,36 @@ def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
     checked once per call.  The formula is never trusted on its own:
     every accepted solution is audited by :func:`optimality_residual`
     against the original condition.
+
+    The endpoint gap is affine in c2 as well, with slope kappa(L) > 0, so
+    it vanishes at
+
+        c2 = h(P) = P*Rc'(P)/S - (D_beta + c1)*Rc(P)/R_beta,   P = p(L),
+
+    and ``closing`` maps P to h(P) and h'(P).  The endpoint condition is
+    then one root in P of Phi(P), the charge the trajectory of c2 = h(P)
+    needs to reach P less the capacity L, which
+    :func:`~ehjscc.numerics.endpoint_root` finds on a table of base and
+    den.  The root is unique by these facts:
+
+    - At c2 = h(P), F(P) = delta*R_beta*Rc'(P) / (S*den(P)), which never
+      vanishes.  So p0 fixes the side: P rises from p0 where F(p0) > 0 at
+      c2 = h(p0) and falls where it is negative, which (as S < 0) is
+      where den(p0) > 0, i.e. c1 above :func:`c1_edge`.  Phi -> -L as
+      P -> p0.
+    - P is admissible while the integrand is finite and positive on the
+      whole of [p0, P], with |F| <= 1e9.  Past that the trajectory settles
+      on a root of F short of P, or den changes sign and it blows up;
+      Phi is +inf there, so that end closes the bracket.
+    - The integrand is at its largest where base + lam*R_beta*h(P) is
+      least: at p0, where the trajectory lingers while c2 nears the value
+      that makes p0 an equilibrium, or at an extremum of base inside the
+      range.  Phi grows without bound as that least value nears 0, which
+      is why the table's panels narrow toward p0.
+    - On the published rows, on every probe of the searches and on 300
+      random (beta, c1, L) with L up to 100, Phi had at most one sign
+      change, and a dense scan of the first 64 units of u found no second
+      root.
     """
     ratio = r_beta / slope
     noise, level = ch.noise, d_beta + c1
@@ -266,7 +284,15 @@ def _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope):
         base = rc1 * (drive - drain * p) + hold * np.log2(1.0 + p / noise)
         return base, den
 
-    return terms
+    def closing(p_end: float):
+        # h(P) and h'(P) = Rc'(P)*(noise/(noise + P)/S - (D_beta + c1)/R_beta)
+        n = noise + p_end
+        rc1 = _HALF_OVER_LN2 / n
+        rc = 0.5 * math.log2(1.0 + p_end / noise)
+        return (p_end * rc1 / slope - level * rc / r_beta,
+                rc1 * (noise / n / slope - level / r_beta))
+
+    return terms, arrivals.lam * r_beta, closing
 
 
 def c1_edge(src, ch, beta, p0):
@@ -283,14 +309,6 @@ def c1_edge(src, ch, beta, p0):
     ratio = src.rate(d_beta) / src.rate_derivatives(d_beta)[0]
     rc1, rc2 = ch.rate_derivatives(p0)
     return float(ratio * (1.0 + p0 * rc2 / rc1) - d_beta)
-
-
-def _adaptive_field(ch, arrivals, consts, d_beta, r_beta, slope):
-    # F on an array of powers for a solved distortion level, with its
-    # shift rounded as (lam*R_beta)*c2, as the endpoint root rounds it
-    terms = _adaptive_terms(ch, arrivals, consts.c1, d_beta, r_beta, slope)
-    shift = arrivals.lam * r_beta * consts.c2
-    return lambda p: affine_field(*terms(p), shift)
 
 
 def _stationary_law(grid, drain, delta, lam):
@@ -321,18 +339,25 @@ def _battery_grid(capacity, p0plus, grid):
     return Grid.graded(capacity) if grid is None else grid
 
 
-def _law_on_grid(kind, field, grid, arrivals, leak, p0plus, start=None, **tags):
-    # p on the grid along the trajectory of p' = field(p) from p0plus,
-    # integrated from the endpoint root's start if given, plus the output
-    # of _stationary_law, or the infeasible outcome carrying tags if the
-    # trajectory turns singular before the last node
+# the error target of every trajectory (see integrate_autonomous): on the
+# published rows, d_avg agrees to 1e-15 relative and the stationarity
+# residual to 1e-7 relative with solves at 1e-13/1e-12, which take ~0.5 ms
+# (13%) longer each
+_ODE_TOLERANCES = {"atol": 1e-10, "rtol": 1e-9}
+
+
+def _law_on_grid(terms, shift, grid, arrivals, leak, p0plus, start=None, **tags):
+    # p on the grid along the trajectory of p' = (base + shift)/den from
+    # p0plus, integrated from the endpoint root's start if given, plus the
+    # output of _stationary_law, or the infeasible outcome carrying tags if
+    # the trajectory turns singular before the last node
     try:
-        path = integrate_autonomous(field, p0plus, grid.capacity, start=start,
-                                    **_ODE_TOLERANCES)
+        path = integrate_autonomous(lambda p: affine_field(*terms(p), shift), p0plus,
+                                    grid.capacity, start=start, **_ODE_TOLERANCES)
         p = path.p_at(grid.nodes)
     except SingularityError as exc:
-        return _infeasible(
-            kind, p0plus, f"ODE singular near z={exc.z:.6g}: {exc.message}", **tags
+        return PolicySolution(
+            p0plus=p0plus, message=f"ODE singular near z={exc.z:.6g}: {exc.message}", **tags
         )
     drain = p + np.asarray(leak.rate(grid.nodes), dtype=float)
     return (p,) + _stationary_law(grid, drain, arrivals.delta, arrivals.lam)
@@ -357,16 +382,15 @@ def optimality_residual(
     is taken by :func:`~ehjscc.numerics.discounted_tail` on the
     solution's own grid.
     """
-    consts = solution.constants
-    if consts is None:
+    if solution.constants is None:
         raise ValueError("no constants attached to this solution")
     if solution.grid is None or solution.d_beta is None:
         raise ValueError("optimality residual needs a solved adaptive policy")
-    return float(np.max(np.abs(_residual_profile(src, ch, arrivals, solution, consts))))
+    return float(np.max(np.abs(_residual_profile(src, ch, arrivals, solution))))
 
 
-def _residual_profile(src, ch, arrivals, solution, consts) -> np.ndarray:
-    p, kappa = solution.p, solution.kappa
+def _residual_profile(src, ch, arrivals, solution) -> np.ndarray:
+    p, kappa, consts = solution.p, solution.kappa, solution.constants
     d_beta = solution.d_beta
     slope = src.rate_derivatives(d_beta)[0]
 
@@ -380,61 +404,6 @@ def _residual_profile(src, ch, arrivals, solution, consts) -> np.ndarray:
         + consts.c1
         + consts.c2 * kappa
     )
-
-
-# the error target of every trajectory (see integrate_autonomous): on the
-# published rows, d_avg agrees to 1e-15 relative and the stationarity
-# residual to 1e-7 relative with solves at 1e-13/1e-12, which take ~0.5 ms
-# (13%) longer each
-_ODE_TOLERANCES = {"atol": 1e-10, "rtol": 1e-9}
-
-def _endpoint_c2(ch, arrivals, c1, d_beta, r_beta, slope, p0, capacity):
-    """The c2 whose trajectory meets the endpoint condition, and its start.
-
-    F = (base + lam*R_beta*c2)/den is affine in c2 (see
-    :func:`_adaptive_terms`), and so is the endpoint gap, with slope
-    kappa(L) > 0.  So the gap vanishes at
-
-        c2 = h(P) = P*Rc'(P)/S - (D_beta + c1)*Rc(P)/R_beta,   P = p(L),
-
-    and the endpoint condition is one root in the end power P of Phi(P),
-    the charge the trajectory of c2 = h(P) needs to reach P less the
-    capacity L.  :func:`~ehjscc.numerics.endpoint_root` finds it on a
-    table of base and den: None if there is none, else (c2, start), the
-    trajectory's start.  The root is unique by these facts:
-
-    - At c2 = h(P), F(P) = delta*R_beta*Rc'(P) / (S*den(P)), which never
-      vanishes.  So p0 fixes the side: P rises from p0 where F(p0) > 0 at
-      c2 = h(p0) and falls where it is negative, which (as S < 0) is
-      where den(p0) > 0, i.e. c1 above :func:`c1_edge`.  Phi -> -L as
-      P -> p0.
-    - P is admissible while the integrand is finite and positive on the
-      whole of [p0, P], with |F| <= 1e9.  Past that the trajectory settles
-      on a root of F short of P, or den changes sign and it blows up;
-      Phi is +inf there, so that end closes the bracket.
-    - The integrand is at its largest where base + lam*R_beta*h(P) is
-      least: at p0, where the trajectory lingers while c2 nears the value
-      that makes p0 an equilibrium, or at an extremum of base inside the
-      range.  Phi grows without bound as that least value nears 0, which
-      is why the table's panels narrow toward p0.
-    - On the published rows, on every probe of the searches and on 300
-      random (beta, c1, L) with L up to 100, Phi had at most one sign
-      change, and a dense scan of the first 64 units of u found no second
-      root.
-    """
-    terms = _adaptive_terms(ch, arrivals, c1, d_beta, r_beta, slope)
-    noise, level = ch.noise, d_beta + c1
-
-    def closing(p_end: float):
-        # h(P), the c2 that closes the endpoint gap at end power P, and
-        # h'(P) = Rc'(P)*(noise/(noise + P)/S - (D_beta + c1)/R_beta)
-        n = noise + p_end
-        rc1 = _HALF_OVER_LN2 / n
-        rc = 0.5 * math.log2(1.0 + p_end / noise)
-        return (p_end * rc1 / slope - level * rc / r_beta,
-                rc1 * (noise / n / slope - level / r_beta))
-
-    return endpoint_root(terms, arrivals.lam * r_beta, closing, p0, capacity)
 
 
 def solve_adaptive(
@@ -475,7 +444,7 @@ def solve_adaptive(
     by ~1e-2, and their feasibility can flip when they sit near the
     normalization boundary.  That c2 is found as one root in the end
     power p(capacity), before any trajectory is built (see
-    :func:`_endpoint_c2`), so it depends on beta and c1 alone and
+    :func:`_adaptive_terms`), so it depends on beta and c1 alone and
     ``consts.c2`` is ignored; (beta, c1) with no root come back as an
     infeasible outcome that says so.  The trajectory at that c2 is
     integrated once, by :func:`~ehjscc.numerics.integrate_autonomous`
@@ -486,22 +455,23 @@ def solve_adaptive(
     d_beta = beta_to_distortion(src, consts.beta)
     r_beta = src.rate(d_beta)
     slope = src.rate_derivatives(d_beta)[0]
+    terms, scale, closing = _adaptive_terms(ch, arrivals, consts.c1, d_beta, r_beta, slope)
 
     c2, start = consts.c2, None
     if refine_c2:
-        found = _endpoint_c2(ch, arrivals, consts.c1, d_beta, r_beta, slope, p0plus, capacity)
+        found = endpoint_root(terms, scale, closing, p0plus, capacity)
         if found is None:
-            return _infeasible(
-                "adaptive", p0plus,
-                "endpoint condition has no root: no c2 carries the power from "
-                "p0plus to an end power that closes the gap at z = capacity",
-                d_beta=d_beta, constants=consts,
+            return PolicySolution(
+                p0plus=p0plus,
+                d_beta=d_beta,
+                constants=consts,
+                message="endpoint condition has no root: no c2 carries the power from "
+                        "p0plus to an end power that closes the gap at z = capacity",
             )
         c2, start = found
     used = replace(consts, c2=c2)
 
-    field = _adaptive_field(ch, arrivals, used, d_beta, r_beta, slope)
-    law = _law_on_grid("adaptive", field, grid, arrivals, leak, p0plus, start,
+    law = _law_on_grid(terms, scale * c2, grid, arrivals, leak, p0plus, start,
                        d_beta=d_beta, constants=used)
     if isinstance(law, PolicySolution):
         return law
@@ -526,10 +496,9 @@ def solve_adaptive(
         )
     else:
         kappa0, message = pi0 / (1.0 - q_f_over_kappa), ""
-    feasible = not message
 
     solution = PolicySolution(
-        kind="adaptive",
+        p0plus=p0plus,
         grid=grid,
         p=p,
         kappa=kappa,
@@ -538,9 +507,6 @@ def solve_adaptive(
         kappa0=kappa0,
         d_beta=d_beta,
         d_avg=d_avg,
-        optimality_residual=None,
-        feasible=feasible,
-        p0plus=p0plus,
         constants=used,
         message=message,
     )
@@ -553,21 +519,23 @@ def solve_adaptive(
 # constant-mismatch policy (kappa = 1)
 # ---------------------------------------------------------------------------
 
-def _matched_field(src, ch, arrivals, c):
-    """Array right-hand side of the constant-mismatch power ODE.
+def _matched_terms(src, ch, arrivals):
+    """Parts of the constant-mismatch power ODE's right-hand side.
 
     With D~(p) := D(p, 1) and its derivatives from implicit
     differentiation of R_s(D~) = R_c(p):
 
         F(p) = -( lam*D~ + (delta - lam*p)*D~' + c ) / ( p * D~'' )
 
-    NaN where D~ leaves (0, d_max) (the state has left the model's
-    domain, e.g. Bernoulli R_c(p) reaching H(prob)), +inf where the
-    denominator magnitude drops below 1e-12.
+    The returned function maps an array of powers to (base, den) with
+    F = (base - c)/den, affine in c as the adaptive field is in c2.  den
+    is NaN where D~ leaves (0, d_max) (the state has left the model's
+    domain, e.g. Bernoulli R_c(p) reaching H(prob)), which makes F NaN
+    there.
     """
     delta, lam = arrivals.delta, arrivals.lam
 
-    def rhs(p: np.ndarray) -> np.ndarray:
+    def terms(p: np.ndarray):
         d = distortion(src, ch, p, 1.0)
         inside = (d > 0.0) & (d < src.d_max)
         d_in = np.where(inside, d, 0.5 * src.d_max)
@@ -575,10 +543,9 @@ def _matched_field(src, ch, arrivals, c):
         rc1, rc2 = ch.rate_derivatives(p)
         d1 = rc1 / s1
         d2 = (rc2 - s2 * d1 * d1) / s1
-        f = affine_field(-(lam * d_in + (delta - lam * p) * d1), p * d2, -c)
-        return np.where(inside, f, np.nan)
+        return -(lam * d_in + (delta - lam * p) * d1), np.where(inside, p * d2, np.nan)
 
-    return rhs
+    return terms
 
 
 def solve_constant_kappa(
@@ -610,8 +577,8 @@ def solve_constant_kappa(
     charge law.
     """
     grid = _battery_grid(capacity, p0plus, grid)
-    law = _law_on_grid("constant-kappa", _matched_field(src, ch, arrivals, c),
-                       grid, arrivals, leak, p0plus, c=c)
+    law = _law_on_grid(_matched_terms(src, ch, arrivals), -c, grid, arrivals, leak,
+                       p0plus, c=c)
     if isinstance(law, PolicySolution):
         return law
     p, pi0, _, f = law
@@ -620,18 +587,14 @@ def solve_constant_kappa(
     d_avg = pi0 * src.d_max + quadrature(d_of_z * f, grid)
 
     return PolicySolution(
-        kind="constant-kappa",
+        p0plus=p0plus,
         grid=grid,
         p=p,
         kappa=np.ones_like(p),
         f=f,
         pi0=pi0,
         kappa0=1.0,
-        d_beta=None,
         d_avg=float(d_avg),
-        optimality_residual=None,
-        feasible=True,
-        p0plus=p0plus,
         c=c,
     )
 

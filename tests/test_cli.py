@@ -277,6 +277,33 @@ def test_config_error_exit_codes(workdir, capsys):
         assert main(["bound", "--config", str(path)]) == 2
         assert f"{key}: unknown key" in capsys.readouterr().err
 
+    # a config the command cannot run: an unbounded battery, a section
+    # it needs left out, or a negative seed on the command line
+    unbounded = (GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: .inf")
+                 + BENCH_CONSTANTS + "simulate: {horizon: 10.0}\n")
+    cannot_run = [
+        ("solve", unbounded, [], "capacity"),
+        ("search", unbounded, [], "capacity"),
+        ("simulate", unbounded, [], "capacity"),
+        ("sweep", GAUSS_SYSTEM, [], "sweep.capacities"),
+        ("simulate", GAUSS_SYSTEM + BENCH_CONSTANTS, [], "simulate.horizon"),
+        ("bound", GAUSS_SYSTEM, ["--seed", "-1"], "--seed"),
+    ]
+    for i, (command, text, extra, key) in enumerate(cannot_run):
+        path = workdir / f"cannot_run_{i}.yaml"
+        path.write_text(text)
+        out = str(workdir / f"cannot_run_{i}")
+        assert main([command, "--config", str(path), "--out", out] + extra) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+
+    # a search box the source admits but where no probe is usable is an
+    # infeasible run, not a config error
+    below_root = workdir / "below_root.yaml"
+    below_root.write_text(GAUSS_SYSTEM + "search: {beta_bounds: [-0.95, -0.9], budget: 5}\n")
+    assert main(["search", "--config", str(below_root),
+                 "--out", str(workdir / "below_root")]) == 3
+    assert "infeasible: search exhausted " in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command, section, key", [
     ("simulate", "simulate: {horizon: 10.0, seed: -1}\n", "simulate.seed"),
@@ -468,6 +495,13 @@ def _drop_column(rows):
     pytest.param(None, lambda side: "{", 2, id="unparsable-sidecar"),
     pytest.param(None, lambda side: [side], 2, id="sidecar-not-an-object"),
     pytest.param(None, lambda side: {**side, "feasible": False}, 3, id="infeasible"),
+    # JSON true is a bool, and Python counts a bool as an int
+    pytest.param(None, lambda side: {**side, "pi0": True}, 2, id="pi0-true"),
+    pytest.param(None, lambda side: {**side, "kappa0": True}, 2, id="kappa0-true"),
+    pytest.param(None, lambda side: {**side, "feasible": "no"}, 2, id="feasible-string"),
+    pytest.param(None, lambda side: {**side, "feasible": 1}, 2, id="feasible-one"),
+    pytest.param(None, lambda side: {k: v for k, v in side.items() if k != "feasible"}, 2,
+                 id="no-feasible"),
 ])
 def test_simulate_rejects_an_invalid_policy_artifact(tmp_path, solve_artifacts, capsys,
                                                      edit_csv, edit_sidecar, code):

@@ -81,6 +81,12 @@ def test_entropy_domain():
 # rate-distortion curves
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("prob", [0.0, 1.0, math.nan])
+def test_bernoulli_source_rejects_a_degenerate_prob(prob):
+    with pytest.raises(ValueError, match="prob must be in"):
+        BernoulliSource(prob=prob)
+
+
 def test_gaussian_rate_values():
     # [TRIVIAL] 1/2 log2(1/0.25) = 1 bit
     assert GAUSS.rate(0.25) == pytest.approx(1.0, abs=1e-15)

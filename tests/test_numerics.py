@@ -167,6 +167,11 @@ def test_find_root_rejects_bad_bracket():
         find_root(lambda x: x, -1.0, 1.0, tol=0.0)
 
 
+def test_find_root_returns_an_exact_zero_at_either_end():
+    assert find_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+
 def counted(g):
     # g plus a list whose length is the number of evaluations
     calls = []
@@ -548,6 +553,10 @@ def test_grid_rejects_bad_nodes():
         Grid([0.0])
     with pytest.raises(ValueError, match="z_min"):
         Grid.graded(5.0, z_min=0.0)
+    with pytest.raises(ValueError, match="z_min"):
+        Grid.graded(5.0, z_min=0.5)
+    with pytest.raises(ValueError, match="at least 16 nodes"):
+        Grid.graded(5.0, n=15)
 
 
 def test_quadrature_constant():
@@ -575,6 +584,14 @@ def test_quadrature_length_mismatch():
     g = Grid.graded(1.0, n=100, z_min=0.001)
     with pytest.raises(ValueError):
         quadrature(np.ones(99), g)
+
+
+def test_quadrature_rejects_non_finite_values():
+    g = Grid.graded(1.0, n=100, z_min=0.001)
+    values = np.ones_like(g.nodes)
+    values[50] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        quadrature(values, g)
 
 
 def test_cumulative_integral_cubic_exactness():

@@ -20,7 +20,7 @@ from ehjscc.models import (
     IncreasingLeakage,
     ZeroLeakage,
 )
-from ehjscc.numerics import Grid, cumulative_integral, lambert_wm1
+from ehjscc.numerics import Grid, affine_field, cumulative_integral, lambert_wm1
 from ehjscc.policy import (
     VariationalConstants,
     beta_range,
@@ -136,12 +136,22 @@ def test_beta_to_distortion_rejects_roots_below_the_normal_floats():
             beta_to_distortion(src, beta)
 
 
+@pytest.mark.parametrize("name", ["beta", "c1", "c2"])
+def test_constants_must_be_finite(name):
+    values = {"beta": -0.5, "c1": -0.9, "c2": 0.3, name: math.nan}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        VariationalConstants(**values)
+
+
 def test_beta_to_distortion_rejects_out_of_range():
     for bad in (0.0, -1.0, -1.5, 0.3):
         with pytest.raises(ValueError):
             beta_to_distortion(GAUSS, bad)
     with pytest.raises(ValueError):
         beta_to_distortion(BERN, -0.5)
+    # the Gaussian closed form checks its own range
+    with pytest.raises(ValueError, match="beta must be in"):
+        gaussian_d_beta(1.0, -2.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,9 +171,10 @@ def test_beta_root_reconstructs_beta(beta):
 def _adaptive_field(src, consts):
     # the adaptive right-hand side F(p), on arrays of powers
     d_beta = beta_to_distortion(src, consts.beta)
-    return policy._adaptive_field(
-        CH, ARR, consts, d_beta, src.rate(d_beta), src.rate_derivatives(d_beta)[0]
+    terms, scale, _ = policy._adaptive_terms(
+        CH, ARR, consts.c1, d_beta, src.rate(d_beta), src.rate_derivatives(d_beta)[0]
     )
+    return lambda p: affine_field(*terms(p), scale * consts.c2)
 
 
 def test_adaptive_rhs_positive_at_benchmark_start():
@@ -186,7 +197,7 @@ def test_c1_edge_is_the_sign_change_of_the_denominator(src, fraction):
     edge = policy.c1_edge(src, CH, beta, 1e-3)
 
     def den(c1):
-        return policy._adaptive_terms(CH, ARR, c1, d_beta, r_beta, slope)(p0)[1][0]
+        return policy._adaptive_terms(CH, ARR, c1, d_beta, r_beta, slope)[0](p0)[1][0]
 
     rc1, rc2 = CH.rate_derivatives(p0)
     scale = abs((d_beta + edge) * rc1[0]) + abs(r_beta / slope * (p0[0] * rc2[0] + rc1[0]))
@@ -385,6 +396,20 @@ def test_endpoint_root_on_the_falling_side():
     assert again.constants.c2 == sol.constants.c2
 
 
+def test_residual_needs_a_solved_adaptive_policy():
+    matched = solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, c=-0.55)
+    assert matched.feasible and matched.kind == "constant-kappa"
+    with pytest.raises(ValueError, match="no constants attached"):
+        optimality_residual(GAUSS, CH, ARR, matched)
+    # the power runs to 0 almost at once: an adaptive outcome with no grid
+    gridless = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
+                              VariationalConstants(-0.90386, -0.75767, 0.06803))
+    assert gridless.grid is None and gridless.kind == "adaptive"
+    assert not gridless.feasible and gridless.p.size == 0 and math.isnan(gridless.pi0)
+    with pytest.raises(ValueError, match="needs a solved adaptive policy"):
+        optimality_residual(GAUSS, CH, ARR, gridless)
+
+
 def test_residual_detects_perturbation(bench_refined):
     # scaling the power profile by 1.1 must light the residual up
     sol = bench_refined
@@ -404,7 +429,7 @@ def test_residual_endpoint_reduces_to_algebraic_form(mid_raw):
     # d_beta - (dD/dp) p + c1 + c2 kappa
     from ehjscc.policy import _residual_profile
 
-    prof = _residual_profile(GAUSS, CH, ARR, mid_raw, mid_raw.constants)
+    prof = _residual_profile(GAUSS, CH, ARR, mid_raw)
     s1 = GAUSS.rate_derivatives(mid_raw.d_beta)[0]
     p_end, k_end = mid_raw.p[-1], mid_raw.kappa[-1]
     direct = (
@@ -626,14 +651,14 @@ def test_constant_kappa_blowup_position_matches_stepping():
     # the reported position is where |F| passes the 1e9 cap, as located
     # by the RKF45 stepper on the same right-hand side
     from ehjscc.numerics import SingularityError, integrate_ode
-    from ehjscc.policy import _matched_field
+    from ehjscc.policy import _matched_terms
 
     sol = solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3, c=-0.65)
     assert sol.message.startswith("ODE singular near z=")
     assert "blew up" in sol.message
-    F = _matched_field(GAUSS, CH, ARR, -0.65)
+    terms = _matched_terms(GAUSS, CH, ARR)
     with pytest.raises(SingularityError) as exc:
-        integrate_ode(lambda z, p: float(F(p)), 0.0, 1e-3, 5.0,
+        integrate_ode(lambda z, p: float(affine_field(*terms(p), 0.65)), 0.0, 1e-3, 5.0,
                       atol=1e-13, rtol=1e-12)
     z = float(sol.message.split("z=")[1].split(":")[0])
     assert z == pytest.approx(exc.value.z, rel=1e-5)
@@ -653,18 +678,18 @@ def test_constant_kappa_bernoulli_domain_exit_is_cheap(monkeypatch):
     # exit is located in a few array evaluations of F, where stepping
     # the ODE used to spin through its whole step budget
     states = []  # size of each array F is called on
-    matched_field = policy._matched_field
+    matched_terms = policy._matched_terms
 
-    def counted_field(*args):
-        field = matched_field(*args)
+    def counted_terms(*args):
+        terms = matched_terms(*args)
 
-        def rhs(p):
+        def parts(p):
             states.append(np.size(p))
-            return field(p)
+            return terms(p)
 
-        return rhs
+        return parts
 
-    monkeypatch.setattr(policy, "_matched_field", counted_field)
+    monkeypatch.setattr(policy, "_matched_terms", counted_terms)
     c_star = -ARR.lam * distortion(BERN, CH, ARR.delta / ARR.lam, 1.0)
     sol = solve_constant_kappa(BERN, CH, ARR, NO_LEAK, 5.0, 1e-3, c=c_star - 0.5)
     assert len(states) <= 50

@@ -149,7 +149,7 @@ def test_published_rows_match_rkf45(src, leak, rows, monkeypatch):
         new, ref = _both(solve, monkeypatch)
         _assert_same_solution(new, ref)
         # the stationarity residual at z = L, where its integral term is empty
-        gap = policy._residual_profile(src, CH, ARR, ref, ref.constants)[-1]
+        gap = policy._residual_profile(src, CH, ARR, ref)[-1]
         assert abs(gap) <= 1e-9
         if src == SOURCES["gaussian"] and isinstance(leak, ZeroLeakage) and cap == 4:
             # this row stays over-subscribed after the polish

@@ -129,13 +129,13 @@ def test_tune_work_is_bounded(monkeypatch):
     adaptive_terms = policy._adaptive_terms
 
     def counted_terms(*args):
-        terms = adaptive_terms(*args)
+        terms, scale, closing = adaptive_terms(*args)
 
         def parts(p):
             calls.append(np.size(p))
             return terms(p)
 
-        return parts
+        return parts, scale, closing
 
     monkeypatch.setattr(policy, "_adaptive_terms", counted_terms)
     res = tune_constants(PROB5)
@@ -176,7 +176,7 @@ def test_a_probe_whose_solve_has_no_grid_is_infeasible(monkeypatch):
 
     def gridless_below(src, ch, arrivals, leak, capacity, p0plus, consts, **kwargs):
         if consts.beta < -0.9:
-            return policy._infeasible("adaptive", p0plus, "no grid", constants=consts)
+            return policy.PolicySolution(p0plus=p0plus, constants=consts, message="no grid")
         return solve(src, ch, arrivals, leak, capacity, p0plus, consts, **kwargs)
 
     monkeypatch.setattr(search, "solve_adaptive", gridless_below)
