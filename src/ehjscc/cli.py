@@ -82,11 +82,12 @@ _SECTION_KEYS = {
     "source": ("kind", "variance", "prob"),
     "channel": ("noise",),
     "arrivals": ("delta", "lam"),
-    "constants": ("beta", "c1", "c2", "c"),
-    "search": ("budget", "seed", "margin", "beta_bounds"),
+    "search": ("budget", "margin", "beta_bounds"),
     "sweep": ("capacities", "kappa_budget"),
     "simulate": ("horizon", "seed", "z0", "policy_csv"),
 }
+# each policy kind reads its own constants
+_CONSTANT_KEYS = {"adaptive": ("beta", "c1", "c2"), "constant-kappa": ("c",)}
 
 
 def _fail(path: str, why: str):
@@ -96,15 +97,26 @@ def _fail(path: str, why: str):
 def _reject_unknown(data: dict, known, path: str):
     for key in data:
         if key not in known:
-            _fail(f"{path}{key}", "unknown key")
+            _fail(f"{path}{key}", f"unknown key (known: {', '.join(known)})")
 
 
-def _section(data: dict, key: str) -> dict:
+def _section(data: dict, key: str, known=None, required: bool = True) -> Optional[dict]:
+    # an optional section that is absent (or null) reads as None
     got = data.get(key)
+    if got is None and not required:
+        return None
     if not isinstance(got, dict):
-        _fail(key, "missing or not a mapping")
-    _reject_unknown(got, _SECTION_KEYS[key], f"{key}.")
+        _fail(key, f"expected a mapping, got {got!r}" if key in data else "missing")
+    _reject_unknown(got, known or _SECTION_KEYS[key], f"{key}.")
     return got
+
+
+def _build(path: str, kind, **kwargs):
+    # a library type, its own checks reported under the config key
+    try:
+        return kind(**kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 # YAML 1.1, which PyYAML reads, resolves 1e-3 or 1e300 (no decimal point
@@ -146,15 +158,12 @@ def _pair(raw, path: str) -> tuple:
 
 def _build_source(data: dict):
     kind = data.get("kind")
-    try:
-        if kind == "gaussian":
-            return GaussianSource(variance=_number(data.get("variance", 1.0),
-                                                   "source.variance"))
-        if kind == "bernoulli":
-            return BernoulliSource(prob=_number(data.get("prob", 0.5),
-                                                "source.prob"))
-    except ValueError as exc:
-        _fail("source", str(exc))
+    if kind == "gaussian":
+        return _build("source", GaussianSource,
+                      variance=_number(data.get("variance", 1.0), "source.variance"))
+    if kind == "bernoulli":
+        return _build("source", BernoulliSource,
+                      prob=_number(data.get("prob", 0.5), "source.prob"))
     _fail("source.kind", f"must be 'gaussian' or 'bernoulli', got {kind!r}")
 
 
@@ -199,8 +208,9 @@ class RunConfig:
     """Validated contents of one config file.
 
     Holds the physical system (source, channel, arrivals, leakage,
-    capacity, startup power) plus the optional per-command sections,
-    already coerced to library types.
+    capacity, startup power), one policy kind with its constants, and the
+    optional per-command sections, already coerced to library types.  A
+    key that no command reads under the config's policy is an error.
     """
 
     def __init__(self, data: dict):
@@ -209,70 +219,59 @@ class RunConfig:
         _reject_unknown(data, _TOP_KEYS, "")
         self.src = _build_source(_section(data, "source"))
         ch_sec = _section(data, "channel")
+        self.ch = _build("channel", AwgnChannel,
+                         noise=_number(ch_sec.get("noise", 1.0), "channel.noise"))
         arr_sec = _section(data, "arrivals")
-        try:
-            self.ch = AwgnChannel(noise=_number(ch_sec.get("noise", 1.0),
-                                                "channel.noise"))
-            self.arrivals = ArrivalModel(
-                delta=_number(arr_sec.get("delta", 1.0), "arrivals.delta"),
-                lam=_number(arr_sec.get("lam", 1.0), "arrivals.lam"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.arrivals = _build("arrivals", ArrivalModel,
+                               delta=_number(arr_sec.get("delta", 1.0), "arrivals.delta"),
+                               lam=_number(arr_sec.get("lam", 1.0), "arrivals.lam"))
         self.leak = _build_leakage(data.get("leakage", "zero"))
         self.capacity = _number(data.get("capacity"), "capacity",
                                 allow_inf=True, positive=True)
         self.p0plus = _number(data.get("p0plus", 1e-3), "p0plus", positive=True)
 
         self.policy_kind = data.get("policy", "adaptive")
-        if self.policy_kind not in ("adaptive", "constant-kappa"):
+        if self.policy_kind not in _CONSTANT_KEYS:
             _fail("policy", f"must be 'adaptive' or 'constant-kappa', "
                             f"got {self.policy_kind!r}")
+        adaptive = self.policy_kind == "adaptive"
+        if "refine_c2" in data and not adaptive:
+            _fail("refine_c2", "only policy 'adaptive' reads it")
         self.refine_c2: Optional[bool] = data.get("refine_c2")
         if self.refine_c2 is not None and not isinstance(self.refine_c2, bool):
             _fail("refine_c2", "must be a boolean")
 
         self.constants = None
         self.constant_c = None
-        if "constants" in data:
-            sec = _section(data, "constants")
-            if self.policy_kind == "constant-kappa":
-                self.constant_c = _number(sec.get("c"), "constants.c")
-            else:
-                try:
-                    self.constants = VariationalConstants(
-                        beta=_number(sec.get("beta"), "constants.beta"),
-                        c1=_number(sec.get("c1"), "constants.c1"),
-                        c2=_number(sec.get("c2"), "constants.c2"),
-                    )
-                except ValueError as exc:
-                    raise ConfigError(f"constants: {exc}") from exc
-                lo, hi = beta_range(self.src)
-                if not lo < self.constants.beta < hi:
-                    _fail("constants.beta",
-                          f"must sit strictly inside the source's range ({lo}, {hi})")
+        sec = _section(data, "constants", _CONSTANT_KEYS[self.policy_kind], required=False)
+        if sec is not None and not adaptive:
+            self.constant_c = _number(sec.get("c"), "constants.c")
+        elif sec is not None:
+            self.constants = _build(
+                "constants", VariationalConstants,
+                beta=_number(sec.get("beta"), "constants.beta"),
+                c1=_number(sec.get("c1"), "constants.c1"),
+                c2=_number(sec.get("c2"), "constants.c2"),
+            )
+            lo, hi = beta_range(self.src)
+            if not lo < self.constants.beta < hi:
+                _fail("constants.beta",
+                      f"must sit strictly inside the source's range ({lo}, {hi})")
 
-        self.search_spec = self._parse_search(data.get("search"))
+        self.search_spec = self._parse_search(_section(data, "search", required=False) or {})
         self.sweep_capacities, self.kappa_budget = self._parse_sweep(
-            data.get("sweep")
+            _section(data, "sweep", required=False)
         )
-        self._parse_simulate(data.get("simulate"))
+        self._parse_simulate(_section(data, "simulate", required=False))
         out = data.get("out")
         if out is not None and not isinstance(out, str):
             _fail("out", "must be a directory path string")
         self.out = out
 
-    def _parse_search(self, sec) -> Optional[SearchSpec]:
-        if sec is None:
-            return None
-        if not isinstance(sec, dict):
-            _fail("search", "expected a mapping")
-        _reject_unknown(sec, _SECTION_KEYS["search"], "search.")
+    def _parse_search(self, sec: dict) -> SearchSpec:
         kwargs = {}
         if "budget" in sec:
             kwargs["budget"] = _integer(sec["budget"], "search.budget")
-        if "seed" in sec:
-            kwargs["seed"] = _integer(sec["seed"], "search.seed")
         if "margin" in sec:
             kwargs["margin"] = _number(sec["margin"], "search.margin")
         if "beta_bounds" in sec:
@@ -281,44 +280,27 @@ class RunConfig:
             spec = SearchSpec(**kwargs)
             spec.resolved_bounds(self.src)
         except ValueError as exc:
-            raise ConfigError(f"search: {exc}") from exc
+            _fail("search", str(exc))
         return spec
 
     def _parse_sweep(self, sec):
         if sec is None:
             return None, 240
-        if not isinstance(sec, dict):
-            _fail("sweep", "expected a mapping")
-        _reject_unknown(sec, _SECTION_KEYS["sweep"], "sweep.")
         raw = sec.get("capacities")
         if not isinstance(raw, (list, tuple)) or not raw:
             _fail("sweep.capacities", "expected a non-empty list")
         caps = [_number(v, f"sweep.capacities[{i}]", positive=True)
                 for i, v in enumerate(raw)]
-        budget = 240
-        if "kappa_budget" in sec:
-            budget = _integer(sec["kappa_budget"], "sweep.kappa_budget", minimum=1)
-        return caps, budget
+        return caps, _integer(sec.get("kappa_budget", 240), "sweep.kappa_budget", minimum=1)
 
     def _parse_simulate(self, sec):
-        self.horizon = None
-        self.sim_seed = 0
-        self.sim_z0 = 0.0
-        self.policy_csv = None
-        if sec is None:
-            return
-        if not isinstance(sec, dict):
-            _fail("simulate", "expected a mapping")
-        _reject_unknown(sec, _SECTION_KEYS["simulate"], "simulate.")
-        self.horizon = _number(sec.get("horizon"), "simulate.horizon")
-        if "seed" in sec:
-            self.sim_seed = _integer(sec["seed"], "simulate.seed", minimum=0)
-        if "z0" in sec:
-            self.sim_z0 = _number(sec["z0"], "simulate.z0")
-        if "policy_csv" in sec:
-            if not isinstance(sec["policy_csv"], str):
-                _fail("simulate.policy_csv", "must be a file path string")
-            self.policy_csv = sec["policy_csv"]
+        self.horizon = None if sec is None else _number(sec.get("horizon"), "simulate.horizon")
+        sec = sec or {}
+        self.sim_seed = _integer(sec.get("seed", 0), "simulate.seed", minimum=0)
+        self.sim_z0 = _number(sec.get("z0", 0.0), "simulate.z0")
+        self.policy_csv = sec.get("policy_csv")
+        if self.policy_csv is not None and not isinstance(self.policy_csv, str):
+            _fail("simulate.policy_csv", "must be a file path string")
 
 
 # libyaml's safe loader where PyYAML was built with it: the same
@@ -404,22 +386,27 @@ def _out_dir(cfg: RunConfig, args) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def _solve_from_config(cfg: RunConfig, *, default_refine: bool) -> PolicySolution:
-    refine = cfg.refine_c2 if cfg.refine_c2 is not None else default_refine
+def _problem(cfg: RunConfig, command: str, capacity: Optional[float] = None) -> Problem:
+    # the run's operating point, at the config's capacity unless one is given
+    capacity = cfg.capacity if capacity is None else capacity
+    if math.isinf(capacity):
+        raise ConfigError(f"capacity: {command} needs a finite battery")
+    return Problem(src=cfg.src, ch=cfg.ch, arrivals=cfg.arrivals, leak=cfg.leak,
+                   capacity=capacity, p0plus=cfg.p0plus)
+
+
+def _solve_from_config(cfg: RunConfig, problem: Problem, *,
+                       default_refine: bool) -> PolicySolution:
+    point = (problem.src, problem.ch, problem.arrivals, problem.leak,
+             problem.capacity, problem.p0plus)
     if cfg.policy_kind == "constant-kappa":
         if cfg.constant_c is None:
             raise ConfigError("constants.c: required for a constant-kappa solve")
-        return solve_constant_kappa(
-            cfg.src, cfg.ch, cfg.arrivals, cfg.leak,
-            cfg.capacity, cfg.p0plus, cfg.constant_c,
-        )
+        return solve_constant_kappa(*point, cfg.constant_c)
     if cfg.constants is None:
         raise ConfigError("constants: required for an adaptive solve")
-    return solve_adaptive(
-        cfg.src, cfg.ch, cfg.arrivals, cfg.leak,
-        cfg.capacity, cfg.p0plus, cfg.constants,
-        refine_c2=refine,
-    )
+    refine = cfg.refine_c2 if cfg.refine_c2 is not None else default_refine
+    return solve_adaptive(*point, cfg.constants, refine_c2=refine)
 
 
 def cmd_bound(cfg: RunConfig, args) -> int:
@@ -441,9 +428,7 @@ def cmd_bound(cfg: RunConfig, args) -> int:
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
-    if math.isinf(cfg.capacity):
-        raise ConfigError("capacity: solve needs a finite battery")
-    sol = _solve_from_config(cfg, default_refine=False)
+    sol = _solve_from_config(cfg, _problem(cfg, "solve"), default_refine=False)
     if not sol.feasible:
         raise InfeasibleError(sol.message or "constants give no feasible policy")
     sidecar = _solution_sidecar(sol)
@@ -464,19 +449,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _search_setup(cfg: RunConfig, capacity: float):
-    problem = Problem(
-        src=cfg.src, ch=cfg.ch, arrivals=cfg.arrivals, leak=cfg.leak,
-        capacity=capacity, p0plus=cfg.p0plus,
-    )
-    return problem, cfg.search_spec or SearchSpec()
-
-
 def cmd_search(cfg: RunConfig, args) -> int:
-    if math.isinf(cfg.capacity):
-        raise ConfigError("capacity: search needs a finite battery")
-    problem, spec = _search_setup(cfg, cfg.capacity)
-    result = tune_constants(problem, spec)
+    result = tune_constants(_problem(cfg, "search"), cfg.search_spec)
     if not result.feasible:
         raise InfeasibleError(
             f"search exhausted {result.evaluations} evaluations "
@@ -500,12 +474,10 @@ def cmd_search(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep_capacities is None:
         raise ConfigError("sweep.capacities: required for the sweep command")
-    shell_capacity = (
-        cfg.capacity if math.isfinite(cfg.capacity) else cfg.sweep_capacities[0]
-    )
-    problem, spec = _search_setup(cfg, shell_capacity)
+    # the sweep poses the problem again at each of its capacities
+    problem = _problem(cfg, "sweep", cfg.sweep_capacities[0])
     result = capacity_sweep(
-        problem, cfg.sweep_capacities, spec, kappa_budget=cfg.kappa_budget
+        problem, cfg.sweep_capacities, cfg.search_spec, kappa_budget=cfg.kappa_budget
     )
     header = "L,d_avg_adaptive,d_avg_constk,d_lb"
     lines = [header]
@@ -581,7 +553,13 @@ def _load_policy_csv(path: str) -> PolicySolution:
         grid = Grid(z)
     except ValueError as exc:
         raise ConfigError(f"simulate.policy_csv: {path!r}: {exc}")
+    # a null d_beta marks a constant-mismatch policy, which has kappa = 1
+    # throughout and no optimality residual; an adaptive one has a residual
     adaptive = sidecar.get("d_beta") is not None
+    if not (adaptive or (np.all(kappa == 1.0) and sidecar.get("kappa0") == 1.0
+                         and sidecar.get("residual50") is None)):
+        raise ConfigError(f"simulate.policy_csv: {path!r}: a null d_beta needs kappa "
+                          "and kappa0 equal to 1 and a null residual50")
     return PolicySolution(
         grid=grid,
         p=p,
@@ -591,7 +569,7 @@ def _load_policy_csv(path: str) -> PolicySolution:
         kappa0=number("kappa0", positive=True),
         d_beta=number("d_beta", positive=True) if adaptive else None,
         d_avg=number("d_avg"),
-        optimality_residual=sidecar.get("residual50"),
+        optimality_residual=number("residual50") if adaptive else None,
         p0plus=float(p[0]),         # the power on the z = 0 row
     )
 
@@ -599,30 +577,29 @@ def _load_policy_csv(path: str) -> PolicySolution:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     if cfg.horizon is None:
         raise ConfigError("simulate.horizon: required for the simulate command")
-    if math.isinf(cfg.capacity):
-        raise ConfigError("capacity: simulate needs a finite battery")
+    problem = _problem(cfg, "simulate")
     if cfg.policy_csv is not None:
         policy = _load_policy_csv(cfg.policy_csv)
     else:
         # a simulable policy must close the mismatch normalization, so the
         # endpoint polish is on unless the config explicitly disables it
-        policy = _solve_from_config(cfg, default_refine=True)
+        policy = _solve_from_config(cfg, problem, default_refine=True)
         if not policy.feasible:
             raise InfeasibleError(
                 policy.message or "constants give no feasible policy"
             )
     seed = args.seed if args.seed is not None else cfg.sim_seed
     system = SystemConfig(
-        arrivals=cfg.arrivals, leakage=cfg.leak,
-        capacity=cfg.capacity, p0plus=cfg.p0plus,
+        arrivals=problem.arrivals, leakage=problem.leak,
+        capacity=problem.capacity, p0plus=problem.p0plus,
     )
     try:
         sim_config = SimConfig(
             policy=policy, system=system, horizon=cfg.horizon,
-            seed=seed, z0=cfg.sim_z0, src=cfg.src, ch=cfg.ch,
+            seed=seed, z0=cfg.sim_z0, src=problem.src, ch=problem.ch,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        _fail("simulate", str(exc))
     stats = simulate(sim_config)
     report = compare_to_analytic(stats, policy)
     report_payload = {

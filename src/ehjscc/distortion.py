@@ -111,6 +111,8 @@ class ConvexityReport:
         return self.violations == 0
 
 
+_P_HI, _Q_HI = 10.0, 5.0  # convexity_probe draws from (0, _P_HI] x (0, _Q_HI]
+
 # FD Hessians are meaningless where D_dagger has a kink (the
 # zero-distortion boundary kappa*R_c = R_s^th), where curvature
 # concentrates as D -> 0 (truncation error explodes), and where the
@@ -143,12 +145,10 @@ def convexity_probe(
     ch: AwgnChannel,
     samples: int,
     seed: int = 0,
-    p_hi: float = 10.0,
-    q_hi: float = 5.0,
 ) -> ConvexityReport:
     """Randomized chord and Hessian checks of D_dagger's joint convexity.
 
-    For each of ``samples`` draws: two points in (0, p_hi] x (0, q_hi] and
+    For each of ``samples`` draws: two points in (0, 10] x (0, 5] and
     a mixing weight t get a chord check
 
         D_dagger(t*a + (1-t)*b) <= t*D_dagger(a) + (1-t)*D_dagger(b) + 1e-9,
@@ -168,8 +168,8 @@ def convexity_probe(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     u = Rng(seed).uniform(size=(samples, 5))
-    p1, p2 = (1.0 - u[:, 0]) * p_hi, (1.0 - u[:, 1]) * p_hi
-    q1, q2 = (1.0 - u[:, 2]) * q_hi, (1.0 - u[:, 3]) * q_hi
+    p1, p2 = (1.0 - u[:, 0]) * _P_HI, (1.0 - u[:, 1]) * _P_HI
+    q1, q2 = (1.0 - u[:, 2]) * _Q_HI, (1.0 - u[:, 3]) * _Q_HI
     t = u[:, 4]
     f = lambda p, q: d_dagger(src, ch, p, q)
     lhs = f(t * p1 + (1 - t) * p2, t * q1 + (1 - t) * q2)

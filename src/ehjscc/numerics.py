@@ -142,7 +142,10 @@ def lambert_wm1(x: float) -> float:
 # Root finding and minimization
 # ---------------------------------------------------------------------------
 
-def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+_MAX_ITER = 200  # the most evaluations find_root and find_minimum take past their first
+
+
+def find_root(g, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Brent-Dekker root of g on the bracket [lo, hi].
 
     Each step interpolates g inversely through its last three values
@@ -154,7 +157,7 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
 
     Deterministic; returns a point r with either g(r) = 0 hit exactly, or
     r an end of the final sign-change bracket, which is no wider than
-    ``tol`` (or holds no float strictly inside).  At most ``max_iter``
+    ``tol`` (or holds no float strictly inside).  At most 200
     evaluations follow the two at the ends.  Raises ValueError if lo is
     not below hi, if tol is not positive, or if the function values at
     the endpoints do not straddle a sign change.
@@ -178,7 +181,7 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
     # bracket, a the previous b; d and e are the last two step lengths
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -220,7 +223,7 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def find_minimum(f, lo: float, hi: float, tol, max_iter: int = 200) -> float:
+def find_minimum(f, lo: float, hi: float, tol) -> float:
     """Brent's minimization of f on (lo, hi): the best point it sees.
 
     From the golden point, each step goes to the vertex of the parabola
@@ -228,15 +231,15 @@ def find_minimum(f, lo: float, hi: float, tol, max_iter: int = 200) -> float:
     less than half the step before last, else a golden-section step into
     the larger side; a +inf value (an infeasible point) among the three
     forces the golden step.  Stops once the best point x lies within
-    tol(x)/2 of both ends of the bracket, or after ``max_iter``
-    evaluations past the first.  The ends are never evaluated.
+    tol(x)/2 of both ends of the bracket, or after 200 evaluations
+    past the first.  The ends are never evaluated.
     """
     a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = f(x)
     # d and e are the last two step lengths
     d = e = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         tol1 = 0.25 * tol(x)
         mid = 0.5 * (a + b)
         if max(x - a, b - x) <= 2.0 * tol1:
@@ -1336,7 +1339,6 @@ class Rng:
 
     def __init__(self, seed: int):
         self._bits = np.random.PCG64(seed)
-        self.seed = int(seed)
 
     def uniform(self, size):
         raw = self._bits.random_raw(size)

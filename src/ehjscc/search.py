@@ -98,9 +98,9 @@ class SearchSpec:
     c1 and c2 are not search axes: c1 sits at the closed-form edge, and
     each probe's solve fixes c2 by the endpoint condition, a root that
     depends on (beta, c1) alone.  ``budget`` counts probes, one per
-    beta; the root takes 11 or 12.  ``seed`` is accepted for
-    configs and callers that pass one, but the search draws no random
-    numbers, so it does not steer anything.
+    beta; the root takes 11 or 12.  ``seed`` steers nothing, since the
+    search draws no random numbers; it is kept only because the
+    benchmark harness in ``benchmarks/`` passes one.
 
     ``margin`` is the minimum accepted value of pi0/kappa(0), the share
     of the mismatch budget spent on the empty battery.  Minimizing the

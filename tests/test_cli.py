@@ -104,7 +104,7 @@ def test_every_json_artifact_is_strict(workdir, bench_config, capsys):
     cfg = workdir / "strict.yaml"
     cfg.write_text(
         GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: 2.0")
-        + "search: {budget: 60, seed: 3}\n"
+        + "search: {budget: 60}\n"
         + "sweep: {capacities: [2.0], kappa_budget: 30}\n"
     )
     constk = workdir / "strict_constk.yaml"
@@ -270,6 +270,12 @@ def test_config_error_exit_codes(workdir, capsys):
         "constants.c3": GAUSS_SYSTEM + "constants: {beta: -0.87, c1: -0.89, c2: 0.3, c3: 0}\n",
         "sweep.capacity": GAUSS_SYSTEM + "sweep: {capacities: [2.0], capacity: 3.0}\n",
         "simulate.seeds": GAUSS_SYSTEM + "simulate: {horizon: 10.0, seeds: 1}\n",
+        # keys no command reads: the search draws no random numbers, and
+        # each policy reads only its own constants
+        "search.seed": GAUSS_SYSTEM + "search: {budget: 60, seed: 3}\n",
+        "constants.c": GAUSS_SYSTEM + "constants: {beta: -0.87, c1: -0.89, c2: 0.3, c: 12345}\n",
+        "constants.beta": GAUSS_SYSTEM + "policy: constant-kappa\n"
+                                         "constants: {c: -0.55, beta: 7.0, c1: 99}\n",
     }
     for i, (key, text) in enumerate(unknown.items()):
         path = workdir / f"unknown_{i}.yaml"
@@ -294,6 +300,47 @@ def test_config_error_exit_codes(workdir, capsys):
         path.write_text(text)
         out = str(workdir / f"cannot_run_{i}")
         assert main([command, "--config", str(path), "--out", out] + extra) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+
+    # every other rejection of the config reader, each under its key
+    tables = {"three_columns": "z,rate\n0.0,0.0,1.0\n5.0,0.1,1.0\n",
+              "non_numeric": "z,rate\n0.0,0.0\n5.0,fast\n",
+              "non_increasing": "0.0,0.0\n5.0,0.1\n5.0,0.2\n"}
+    for name, table in tables.items():
+        (workdir / f"leak_{name}.csv").write_text(table)
+    constant_kappa = GAUSS_SYSTEM + "policy: constant-kappa\n"
+    rejected = [
+        ("bound", GAUSS_SYSTEM.replace("source: {kind: gaussian, variance: 1.0}",
+                                       "source: 3"), "source"),
+        ("bound", GAUSS_SYSTEM.replace("kind: gaussian", "kind: laplace"), "source.kind"),
+        ("bound", GAUSS_SYSTEM.replace("p0plus: 0.001", "p0plus: .nan"), "p0plus"),
+        ("bound", GAUSS_SYSTEM.replace("{noise: 1.0}", "{noise: -1}"), "channel"),
+        ("bound", GAUSS_SYSTEM.replace("delta: 1.0", "delta: -1"), "arrivals"),
+        ("bound", "- source\n- channel\n", "top level"),
+        ("bound", GAUSS_SYSTEM + "policy: other\n", "policy"),
+        ("bound", GAUSS_SYSTEM + "refine_c2: 'yes'\n", "refine_c2"),
+        ("bound", constant_kappa + "constants: {c: -0.55}\nrefine_c2: true\n", "refine_c2"),
+        ("bound", GAUSS_SYSTEM + "out: 3\n", "out"),
+        ("bound", GAUSS_SYSTEM + "search: {budget: 1.5}\n", "search.budget"),
+        ("bound", GAUSS_SYSTEM + "search: {beta_bounds: [-0.5]}\n", "search.beta_bounds"),
+        ("bound", GAUSS_SYSTEM + "search: 3\n", "search"),
+        ("bound", GAUSS_SYSTEM + "sweep: 3\n", "sweep"),
+        ("bound", GAUSS_SYSTEM + "sweep: {capacities: []}\n", "sweep.capacities"),
+        ("bound", GAUSS_SYSTEM + "sweep: {}\n", "sweep.capacities"),
+        ("bound", GAUSS_SYSTEM + "simulate: 3\n", "simulate"),
+        ("bound", GAUSS_SYSTEM + "simulate: {horizon: 10.0, policy_csv: 3}\n",
+         "simulate.policy_csv"),
+        ("solve", constant_kappa, "constants.c"),
+        ("simulate", GAUSS_SYSTEM + BENCH_CONSTANTS + "simulate: {horizon: 10.0, z0: 7.0}\n",
+         "simulate"),
+    ] + [("bound", GAUSS_SYSTEM.replace("leakage: zero",
+                                        f"leakage: custom:{workdir / f'leak_{name}.csv'}"),
+          "leakage") for name in tables]
+    for i, (command, text, key) in enumerate(rejected):
+        path = workdir / f"rejected_{i}.yaml"
+        path.write_text(text)
+        out = str(workdir / f"rejected_{i}")
+        assert main([command, "--config", str(path), "--out", out]) == 2, key
         assert f"config error: {key}: " in capsys.readouterr().err
 
     # a search box the source admits but where no probe is usable is an
@@ -479,6 +526,18 @@ def _drop_column(rows):
     return [row.rsplit(",", 1)[0] for row in rows]
 
 
+def _kappa_one(rows):
+    # the CSV with kappa = 1 on every data row, as a constant-mismatch
+    # policy has it
+    return [rows[0]] + [",".join(row.split(",")[:2] + ["1.0"] + row.split(",")[3:])
+                        for row in rows[1:]]
+
+
+def _constant_sidecar(side):
+    # the sidecar of a constant-mismatch policy: no level, no residual
+    return {**side, "d_beta": None, "kappa0": 1.0, "residual50": None}
+
+
 # an edit returns the file's new content, or None to leave the file out
 @pytest.mark.parametrize("edit_csv,edit_sidecar,code", [
     pytest.param(lambda rows: _set_column(rows, 1, "0.0"), None, 2, id="zero-power"),
@@ -502,6 +561,20 @@ def _drop_column(rows):
     pytest.param(None, lambda side: {**side, "feasible": 1}, 2, id="feasible-one"),
     pytest.param(None, lambda side: {k: v for k, v in side.items() if k != "feasible"}, 2,
                  id="no-feasible"),
+    # the kind the sidecar names must be the kind the CSV holds
+    pytest.param(None, lambda side: {**side, "d_beta": None, "residual50": "not a number"},
+                 2, id="null-d-beta-on-adaptive-rows"),
+    pytest.param(None, _constant_sidecar, 2, id="constant-sidecar-on-adaptive-rows"),
+    pytest.param(lambda rows: _set_column(_kappa_one(rows), 2, "0.5"), _constant_sidecar, 2,
+                 id="constant-with-one-kappa-off-one"),
+    pytest.param(_kappa_one, lambda side: {**_constant_sidecar(side), "kappa0": 2.0}, 2,
+                 id="constant-with-kappa0-off-one"),
+    pytest.param(_kappa_one, lambda side: {**_constant_sidecar(side), "residual50": 1e-3}, 2,
+                 id="constant-with-residual"),
+    pytest.param(None, lambda side: {**side, "residual50": "not a number"}, 2,
+                 id="adaptive-residual-string"),
+    pytest.param(None, lambda side: {**side, "residual50": None}, 2,
+                 id="adaptive-residual-null"),
 ])
 def test_simulate_rejects_an_invalid_policy_artifact(tmp_path, solve_artifacts, capsys,
                                                      edit_csv, edit_sidecar, code):
@@ -527,6 +600,28 @@ def test_simulate_rejects_an_invalid_policy_artifact(tmp_path, solve_artifacts, 
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
     assert {2: "config error: simulate.policy_csv: ", 3: "infeasible: policy in "}[code] \
         in capsys.readouterr().err
+
+
+def test_simulate_roundtrip_from_a_constant_mismatch_csv(workdir, capsys):
+    # a constant-mismatch artifact passes the loader's kind check and
+    # reproduces the direct run
+    system = GAUSS_SYSTEM + "simulate: {horizon: 2000.0, seed: 1}\n"
+    direct = workdir / "constk_sim.yaml"
+    direct.write_text(system + "policy: constant-kappa\nconstants: {c: -0.55}\n")
+    assert main(["solve", "--config", str(direct), "--out",
+                 str(workdir / "constk_sim_solve")]) == 0
+    assert main(["simulate", "--config", str(direct), "--out",
+                 str(workdir / "constk_sim_direct")]) == 0
+    from_csv = workdir / "constk_sim_csv.yaml"
+    from_csv.write_text(system.replace(
+        "seed: 1}", f"seed: 1, policy_csv: {workdir / 'constk_sim_solve' / 'solution.csv'}}}"))
+    assert main(["simulate", "--config", str(from_csv), "--out",
+                 str(workdir / "constk_sim_from_csv")]) == 0
+    capsys.readouterr()
+    a = json.loads((workdir / "constk_sim_direct" / "simulation.json").read_text())
+    b = json.loads((workdir / "constk_sim_from_csv" / "simulation.json").read_text())
+    assert a["mean_d_dagger"] == b["mean_d_dagger"]
+    assert a["empirical_cdf"] == b["empirical_cdf"]
 
 
 def test_simulate_seed_override(workdir, bench_config, capsys):
@@ -562,7 +657,7 @@ def test_search_and_sweep(workdir, capsys):
     cfg = workdir / "search.yaml"
     cfg.write_text(
         GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: 2.0")
-        + "search: {budget: 150, seed: 7}\n"
+        + "search: {budget: 150}\n"
         + "sweep: {capacities: [2.0], kappa_budget: 60}\n"
     )
     out = workdir / "search_out"

@@ -226,9 +226,10 @@ def test_find_root_takes_the_finite_side_root(g, root):
     assert_near_sign_change(g, r, 1e-12)
 
 
-def test_find_root_respects_max_iter():
+def test_find_root_respects_max_iter(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_ITER", 3)
     h, calls = counted(lambda x: math.cos(x) - x)
-    r = find_root(h, 0.0, 1.0, tol=1e-15, max_iter=3)
+    r = find_root(h, 0.0, 1.0, tol=1e-15)
     assert len(calls) == 2 + 3
     assert 0.0 <= r <= 1.0
     assert r == pytest.approx(0.7390851332151607, abs=1e-2)
@@ -270,13 +271,14 @@ def test_find_minimum_converges_onto_an_infinite_edge_from_the_finite_side():
     assert 0.3 <= x <= 0.3 + 1e-9
 
 
-def test_find_minimum_terminates_when_everything_is_infinite():
+def test_find_minimum_terminates_when_everything_is_infinite(monkeypatch):
     h, calls = counted(lambda x: math.inf)
     x = find_minimum(h, 0.0, 1.0, lambda x: 1e-9)
     assert 0.0 < x < 1.0
     assert len(calls) <= 50
+    monkeypatch.setattr(numerics, "_MAX_ITER", 7)
     h, calls = counted(lambda x: math.inf)
-    find_minimum(h, 0.0, 1.0, lambda x: 1e-300, max_iter=7)
+    find_minimum(h, 0.0, 1.0, lambda x: 1e-300)
     assert len(calls) == 1 + 7
 
 
