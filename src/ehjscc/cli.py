@@ -44,7 +44,7 @@ from .numerics import Grid, NumericsError
 from .policy import (
     PolicySolution,
     VariationalConstants,
-    beta_range,
+    beta_to_distortion,
     solve_adaptive,
     solve_constant_kappa,
 )
@@ -228,7 +228,9 @@ class RunConfig:
         self.leak = _build_leakage(data.get("leakage", "zero"))
         self.capacity = _number(data.get("capacity"), "capacity",
                                 allow_inf=True, positive=True)
-        self.p0plus = _number(data.get("p0plus", 1e-3), "p0plus", positive=True)
+        self.p0plus = _number(data.get("p0plus", 1e-3), "p0plus")
+        if not 1e-300 <= self.p0plus <= 1e300:
+            _fail("p0plus", f"must be in [1e-300, 1e300], got {self.p0plus}")
 
         self.policy_kind = data.get("policy", "adaptive")
         if self.policy_kind not in _CONSTANT_KEYS:
@@ -253,10 +255,8 @@ class RunConfig:
                 c1=_number(sec.get("c1"), "constants.c1"),
                 c2=_number(sec.get("c2"), "constants.c2"),
             )
-            lo, hi = beta_range(self.src)
-            if not lo < self.constants.beta < hi:
-                _fail("constants.beta",
-                      f"must sit strictly inside the source's range ({lo}, {hi})")
+            # a beta in the source's range whose distortion level is a normal float
+            _build("constants.beta", beta_to_distortion, src=self.src, beta=self.constants.beta)
 
         self.search_spec = self._parse_search(_section(data, "search", required=False) or {})
         self.sweep_capacities, self.kappa_budget = self._parse_sweep(
@@ -395,6 +395,14 @@ def _problem(cfg: RunConfig, command: str, capacity: Optional[float] = None) -> 
                    capacity=capacity, p0plus=cfg.p0plus)
 
 
+def _search_spec(cfg: RunConfig) -> SearchSpec:
+    # the box's ends bound every probe's distortion level; checked only where a
+    # search runs: at a Bernoulli prob <= 1e-3 the default box's high end has none
+    for beta in cfg.search_spec.resolved_bounds(cfg.src):
+        _build("search.beta_bounds", beta_to_distortion, src=cfg.src, beta=beta)
+    return cfg.search_spec
+
+
 def _solve_from_config(cfg: RunConfig, problem: Problem, *,
                        default_refine: bool) -> PolicySolution:
     point = (problem.src, problem.ch, problem.arrivals, problem.leak,
@@ -430,7 +438,7 @@ def cmd_bound(cfg: RunConfig, args) -> int:
 def cmd_solve(cfg: RunConfig, args) -> int:
     sol = _solve_from_config(cfg, _problem(cfg, "solve"), default_refine=False)
     if not sol.feasible:
-        raise InfeasibleError(sol.message or "constants give no feasible policy")
+        raise InfeasibleError(sol.message)
     sidecar = _solution_sidecar(sol)
     out = _out_dir(cfg, args)
     if args.format == "json":
@@ -450,7 +458,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 
 def cmd_search(cfg: RunConfig, args) -> int:
-    result = tune_constants(_problem(cfg, "search"), cfg.search_spec)
+    result = tune_constants(_problem(cfg, "search"), _search_spec(cfg))
     if not result.feasible:
         raise InfeasibleError(
             f"search exhausted {result.evaluations} evaluations "
@@ -477,7 +485,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     # the sweep poses the problem again at each of its capacities
     problem = _problem(cfg, "sweep", cfg.sweep_capacities[0])
     result = capacity_sweep(
-        problem, cfg.sweep_capacities, cfg.search_spec, kappa_budget=cfg.kappa_budget
+        problem, cfg.sweep_capacities, _search_spec(cfg), kappa_budget=cfg.kappa_budget
     )
     header = "L,d_avg_adaptive,d_avg_constk,d_lb"
     lines = [header]
@@ -585,9 +593,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         # endpoint polish is on unless the config explicitly disables it
         policy = _solve_from_config(cfg, problem, default_refine=True)
         if not policy.feasible:
-            raise InfeasibleError(
-                policy.message or "constants give no feasible policy"
-            )
+            raise InfeasibleError(policy.message)
     seed = args.seed if args.seed is not None else cfg.sim_seed
     system = SystemConfig(
         arrivals=problem.arrivals, leakage=problem.leak,
@@ -648,30 +654,26 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="YAML config file")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config's simulate.seed; only "
-                             "simulate reads it")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output file format")
     parser = argparse.ArgumentParser(
         prog="ehjscc",
         description="Charge-adaptive power/bandwidth policies for an "
                     "energy-harvesting transmitter",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bound", parents=[common],
-                   help="distortion lower bound for the configured battery")
-    sub.add_parser("solve", parents=[common],
-                   help="solve the policy for given constants")
-    sub.add_parser("search", parents=[common],
-                   help="tune the constants under an evaluation budget")
-    sub.add_parser("sweep", parents=[common],
-                   help="adaptive vs constant-mismatch distortion over capacities")
-    sub.add_parser("simulate", parents=[common],
-                   help="Monte-Carlo run of a solved policy")
+    parser.add_argument(
+        "command", choices=_COMMANDS,
+        help="bound: distortion lower bound for the configured battery; "
+             "solve: solve the policy for given constants; "
+             "search: tune the constants under an evaluation budget; "
+             "sweep: adaptive vs constant-mismatch distortion over capacities; "
+             "simulate: Monte-Carlo run of a solved policy",
+    )
+    parser.add_argument("--config", required=True, help="YAML config file")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config's simulate.seed; only "
+                             "simulate reads it")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output file format")
     return parser
 
 

@@ -330,13 +330,19 @@ def _stationary_law(grid, drain, delta, lam):
     return math.exp(log_pi0), log_pi0, np.exp(log_pi0 + log_shape)
 
 
-def _battery_grid(capacity, p0plus, grid):
-    # both solvers check the battery before any work
+def check_battery(capacity: float, p0plus: float) -> None:
+    """Raise ValueError unless both solvers can take this battery."""
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise ValueError(f"capacity must be finite and positive, got {capacity}")
-    if not (math.isfinite(p0plus) and p0plus > 0.0):
-        raise ValueError(f"p0plus must be finite and positive, got {p0plus}")
-    return Grid.graded(capacity) if grid is None else grid
+    if not 1e-300 <= p0plus <= 1e300:
+        raise ValueError(f"p0plus must be in the ODE state range [1e-300, 1e300], got {p0plus}")
+
+
+def _battery_grid(capacity, p0plus, grid):
+    # both solvers check the battery before any work; the default grid's
+    # geometric section starts at 1e-6, or lower in a smaller battery
+    check_battery(capacity, p0plus)
+    return Grid.graded(capacity, z_min=min(1e-6, capacity / 20)) if grid is None else grid
 
 
 # the error target of every trajectory (see integrate_autonomous): on the

@@ -44,6 +44,7 @@ from .policy import (
     VariationalConstants,
     beta_range,
     c1_edge,
+    check_battery,
     solve_adaptive,
     solve_constant_kappa,
 )
@@ -83,10 +84,7 @@ class Problem:
     p0plus: float = 1e-3
 
     def __post_init__(self):
-        if not (math.isfinite(self.capacity) and self.capacity > 0.0):
-            raise ValueError(f"capacity must be finite and positive, got {self.capacity}")
-        if not (math.isfinite(self.p0plus) and self.p0plus > 0.0):
-            raise ValueError(f"p0plus must be finite and positive, got {self.p0plus}")
+        check_battery(self.capacity, self.p0plus)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ the same arrivals keep their order and coalesce once the upper one runs
 dry or the lower one overflows, so a scalar walker follows each later
 lane from the true end of the one before only until its charge equals
 the speculated one; from there the speculation is exact, because the
-vector step does the walker's float operations in the walker's order.
+vector step reads the walker's table, one row of constants per cell of
+the charge grid, and does the walker's float operations in its order.
 Where the chain seldom runs dry or overflows, a run gets no lanes and
 the walker walks all of it.  Wall times and the energy books are
 running sums by ``np.cumsum``, which adds in order as a loop does, so
@@ -200,7 +201,7 @@ class _DrainTable:
         self.z = z
         dz = self.dz = np.diff(z)
         ga = self.ga = g[:-1]
-        self.gb = g[1:]
+        gb = g[1:]
         gs = self.gs = np.diff(g) / dz                  # drain slope per cell
         # a cell whose drain rate barely changes takes the constant-rate
         # form instead: the log form would lose every digit
@@ -238,25 +239,17 @@ class _DrainTable:
         self.u_max = float(self.u_node[0])
         self.neg_u_cells = -self.u_node[:-1]            # ascending
 
-        # per-cell rows that step() gathers in one indexing operation
-        # each, and the same tables as plain python lists for _walk (scalar
-        # math on lists is several times faster than on small numpy
-        # arrays); the search tables leave out the last node, so z = cap
-        # and u = 0 both land in the top cell instead of past the end
+        # one row of drain and lift constants per cell, which the vector
+        # step gathers for its lanes in one indexing operation and _walk
+        # reads as python lists (scalar math on lists is several times
+        # faster than on small numpy arrays); the search tables leave out
+        # the last node, so z = cap and u = 0 both land in the top cell
         u_top = self.u_node[1:]
         self.z_cells = z[:-1]
-        self.drain_rows = np.stack(
-            (u_top, -gs_c, z[1:], self.gb / gs_c, self.gb, self.curved), axis=1
-        )
-        self.lift_rows = np.stack(
-            (self.z_cells, dz, ga, gs_c, gs, u_top, self.curved), axis=1
-        )
-        self.walk_lists = (
-            self.z_cells.tolist(), self.neg_u_cells.tolist(), z[1:].tolist(),
-            u_top.tolist(), dz.tolist(), ga.tolist(), self.gb.tolist(),
-            gs.tolist(), (self.gb / gs_c).tolist(), self.curved.tolist(),
-            cap, self.u_max,
-        )
+        self.rows = np.stack((self.z_cells, z[1:], dz, ga, gb, gs, gs_c, u_top,
+                              gb / gs_c, self.curved), axis=1)
+        self.walk_lists = (self.z_cells.tolist(), self.neg_u_cells.tolist(),
+                           self.rows.tolist(), cap, self.u_max)
 
     def moments(self, i, x):
         # from offset x in cell i up to the cell's top, elementwise: the
@@ -277,8 +270,8 @@ class _DrainTable:
         return t, a, b
 
     def cell_of(self, z):
-        i = np.searchsorted(self.z, z, side="right") - 1
-        return np.clip(i, 0, len(self.dz) - 1)
+        # the cell of each charge in [0, cap], for the lifts and the tally
+        return self.z_cells.searchsorted(z, side="right") - 1
 
     def z_of_u(self, u):
         # the charge after draining from the top for time u (at most
@@ -287,9 +280,9 @@ class _DrainTable:
         # expm1 differs from libm's in the last bit), so that every
         # charge equals the walker's
         i = self.neg_u_cells.searchsorted(-u, side="right") - 1
-        u_top, neg_gs, z_top, ratio, gb, curved = self.drain_rows.take(i, axis=0).T
+        _, z_top, _, _, gb, gs, _, u_top, ratio, curved = self.rows.take(i, axis=0).T
         tau = u - u_top
-        z = z_top + ratio * _mapped(math.expm1, neg_gs * tau)
+        z = z_top + ratio * _mapped(math.expm1, -gs * tau)
         if self.any_flat:
             z = np.where(curved, z, z_top - gb * tau)
         return z
@@ -298,8 +291,8 @@ class _DrainTable:
         # the time to drain from the top down to charge z (at most cap),
         # elementwise: the lift of _walk, through libm's log1p as above;
         # at the capacity it gives u = 0 exactly
-        i = self.z_cells.searchsorted(z, side="right") - 1
-        z_cell, dz, ga, gs_c, gs, u_top, curved = self.lift_rows.take(i, axis=0).T
+        i = self.cell_of(z)
+        z_cell, _, dz, ga, _, gs, gs_c, u_top, _, curved = self.rows.take(i, axis=0).T
         x1 = z - z_cell
         dx = dz - x1
         u = u_top + _mapped(math.log1p, gs_c * dx / (ga + gs_c * x1)) / gs_c
@@ -333,8 +326,7 @@ def _walk(lists, segs, energies, targets, z, u):
     # whose charge equals its target, where a speculated path has met the
     # true one.  Returns every walked event's entry charge and u and the
     # charge its drain left, and the state after the last lift
-    (z_cells, neg_u_cells, z_top, u_top, dz_l, ga_l, gb_l, gs_l, ratio_l,
-     curved_l, cap, u_max) = lists
+    z_cells, neg_u_cells, rows, cap, u_max = lists
     expm1, log1p = math.expm1, math.log1p
     z_in, u_in, drained = [], [], []
     push_z, push_u, push_drained = z_in.append, u_in.append, drained.append
@@ -345,10 +337,11 @@ def _walk(lists, segs, energies, targets, z, u):
             u_end = u + seg
             if u_end < u_max:
                 i = bisect_right(neg_u_cells, -u_end) - 1
-                if curved_l[i]:
-                    z = z_top[i] + ratio_l[i] * expm1(-gs_l[i] * (u_end - u_top[i]))
+                _, z_top, _, _, gb, gs, _, u_top, ratio, curved = rows[i]
+                if curved:
+                    z = z_top + ratio * expm1(-gs * (u_end - u_top))
                 else:
-                    z = z_top[i] - gb_l[i] * (u_end - u_top[i])
+                    z = z_top - gb * (u_end - u_top)
             else:
                 z = 0.0
         push_drained(z)
@@ -356,13 +349,12 @@ def _walk(lists, segs, energies, targets, z, u):
         if z > cap:
             z, u = cap, 0.0
         else:
-            i = bisect_right(z_cells, z) - 1
-            x1 = z - z_cells[i]
-            gs = gs_l[i]
-            if curved_l[i]:
-                u = u_top[i] + log1p(gs * (dz_l[i] - x1) / (ga_l[i] + gs * x1)) / gs
+            z_cell, _, dz, ga, _, gs, _, u_top, _, curved = rows[bisect_right(z_cells, z) - 1]
+            x1 = z - z_cell
+            if curved:
+                u = u_top + log1p(gs * (dz - x1) / (ga + gs * x1)) / gs
             else:
-                u = u_top[i] + (dz_l[i] - x1) / (ga_l[i] + gs * 0.5 * (x1 + dz_l[i]))
+                u = u_top + (dz - x1) / (ga + gs * 0.5 * (x1 + dz))
         if z == target:
             break
     return z_in, u_in, drained, z, u

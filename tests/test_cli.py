@@ -309,7 +309,25 @@ def test_config_error_exit_codes(workdir, capsys):
     for name, table in tables.items():
         (workdir / f"leak_{name}.csv").write_text(table)
     constant_kappa = GAUSS_SYSTEM + "policy: constant-kappa\n"
+    # the ODE integrator starts a trajectory from a state in [1e-300,
+    # 1e300], and at prob 0.5 a Bernoulli beta above about -1e-3 has no
+    # distortion level that is a normal float
+    p0plus_low = GAUSS_SYSTEM.replace("p0plus: 0.001", "p0plus: 1.0e-301") + BENCH_CONSTANTS
+    p0plus_high = GAUSS_SYSTEM.replace("p0plus: 0.001", "p0plus: 1.0e+301") + BENCH_CONSTANTS
+    bern = GAUSS_SYSTEM.replace("kind: gaussian, variance: 1.0", "kind: bernoulli, prob: 0.5")
+    horizon = "simulate: {horizon: 10.0}\n"
     rejected = [
+        ("solve", p0plus_low, "p0plus"),
+        ("search", p0plus_low + "search: {budget: 5}\n", "p0plus"),
+        ("simulate", p0plus_low + horizon, "p0plus"),
+        ("solve", p0plus_high, "p0plus"),
+        ("simulate", p0plus_high + horizon, "p0plus"),
+        ("solve", bern + "constants: {beta: -1.0e-5, c1: -0.89, c2: 0.34}\n",
+         "constants.beta"),
+        ("search", bern + "search: {beta_bounds: [-0.49, -1.0e-5], budget: 5}\n",
+         "search.beta_bounds"),
+        # the default box ends at -1e-5 here
+        ("search", bern.replace("prob: 0.5", "prob: 0.001"), "search.beta_bounds"),
         ("bound", GAUSS_SYSTEM.replace("source: {kind: gaussian, variance: 1.0}",
                                        "source: 3"), "source"),
         ("bound", GAUSS_SYSTEM.replace("kind: gaussian", "kind: laplace"), "source.kind"),
@@ -343,6 +361,12 @@ def test_config_error_exit_codes(workdir, capsys):
         assert main([command, "--config", str(path), "--out", out]) == 2, key
         assert f"config error: {key}: " in capsys.readouterr().err
 
+    # only the search commands read the box
+    bern_bound = workdir / "bern_bound.yaml"
+    bern_bound.write_text(bern.replace("prob: 0.5", "prob: 0.001"))
+    assert main(["bound", "--config", str(bern_bound)]) == 0
+    capsys.readouterr()
+
     # a search box the source admits but where no probe is usable is an
     # infeasible run, not a config error
     below_root = workdir / "below_root.yaml"
@@ -350,6 +374,18 @@ def test_config_error_exit_codes(workdir, capsys):
     assert main(["search", "--config", str(below_root),
                  "--out", str(workdir / "below_root")]) == 3
     assert "infeasible: search exhausted " in capsys.readouterr().err
+
+
+def test_solve_in_a_battery_below_the_default_grid_start(workdir, capsys):
+    # the default grid's geometric section starts at 1e-6, or at a
+    # twentieth of a smaller battery
+    tiny = workdir / "tiny.yaml"
+    tiny.write_text(GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: 1.0e-6")
+                    + BENCH_CONSTANTS)
+    assert main(["solve", "--config", str(tiny), "--out", str(workdir / "tiny")]) == 0
+    sidecar = json.loads(capsys.readouterr().out)
+    # the battery is almost always empty, where the distortion is d_max = 1
+    assert sidecar["feasible"] and sidecar["d_avg"] == pytest.approx(1.0, abs=1e-5)
 
 
 @pytest.mark.parametrize("command, section, key", [

@@ -427,3 +427,15 @@ def test_comparison_rejects_infeasible_solution(bench_policy):
         compare_to_analytic(analytic_stats(bench_policy), raw)
     with pytest.raises(ValueError):
         analytic_stats(raw)
+
+
+@pytest.mark.parametrize("name", ["gauss-L5", "bern-fixed-point"])
+def test_cell_of_is_the_clipped_node_search(policies, name):
+    # the one charge-to-cell search against the rule it stands for, the
+    # last node at or below z clipped into the table: at z = 0, at every
+    # node, one ulp below every node above 0 and at the capacity
+    table = _DrainTable(_config(policies, name, horizon=1.0))
+    nodes = table.z
+    z = np.concatenate(([0.0], nodes, np.nextafter(nodes[1:], 0.0), [table.cap]))
+    expected = np.clip(np.searchsorted(nodes, z, side="right") - 1, 0, len(table.dz) - 1)
+    assert np.array_equal(table.cell_of(z), expected)
