@@ -45,6 +45,7 @@ from .policy import (
     PolicySolution,
     VariationalConstants,
     beta_to_distortion,
+    check_battery,
     solve_adaptive,
     solve_constant_kappa,
 )
@@ -291,6 +292,8 @@ class RunConfig:
             _fail("sweep.capacities", "expected a non-empty list")
         caps = [_number(v, f"sweep.capacities[{i}]", positive=True)
                 for i, v in enumerate(raw)]
+        for i, cap in enumerate(caps):
+            _build(f"sweep.capacities[{i}]", check_battery, capacity=cap, p0plus=self.p0plus)
         return caps, _integer(sec.get("kappa_budget", 240), "sweep.kappa_budget", minimum=1)
 
     def _parse_simulate(self, sec):
@@ -388,11 +391,12 @@ def _out_dir(cfg: RunConfig, args) -> str:
 
 def _problem(cfg: RunConfig, command: str, capacity: Optional[float] = None) -> Problem:
     # the run's operating point, at the config's capacity unless one is given
+    # (a sweep's capacities are checked as the config is read)
     capacity = cfg.capacity if capacity is None else capacity
     if math.isinf(capacity):
         raise ConfigError(f"capacity: {command} needs a finite battery")
-    return Problem(src=cfg.src, ch=cfg.ch, arrivals=cfg.arrivals, leak=cfg.leak,
-                   capacity=capacity, p0plus=cfg.p0plus)
+    return _build("capacity", Problem, src=cfg.src, ch=cfg.ch, arrivals=cfg.arrivals,
+                  leak=cfg.leak, capacity=capacity, p0plus=cfg.p0plus)
 
 
 def _search_spec(cfg: RunConfig) -> SearchSpec:
@@ -461,8 +465,8 @@ def cmd_search(cfg: RunConfig, args) -> int:
     result = tune_constants(_problem(cfg, "search"), _search_spec(cfg))
     if not result.feasible:
         raise InfeasibleError(
-            f"search exhausted {result.evaluations} evaluations "
-            f"({result.infeasible_evals} infeasible) without a feasible point"
+            f"search found no feasible point in {result.evaluations} evaluations "
+            f"({result.infeasible_evals} infeasible): {result.reason}"
         )
     payload = {
         "beta": result.constants.beta,

@@ -35,6 +35,7 @@ used to sandwich the adaptive policy between bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -101,7 +102,9 @@ class PolicySolution:
     solution can be shared freely.  ``d_beta`` and ``optimality_residual``
     are ``None`` for constant-mismatch solutions (their instantaneous
     distortion varies with charge and they satisfy a different
-    stationarity condition), so ``d_beta`` tells the two kinds apart.  An
+    stationarity condition), so ``d_beta`` tells the two kinds apart;
+    ``optimality_residual`` is also ``None`` on an adaptive solve that was
+    not audited (``solve_adaptive(..., residual=False)``).  An
     infeasible outcome carries a diagnostic ``message`` and
     ``d_avg = inf``; one that stopped before it had a trajectory has no
     grid, empty arrays and NaN ``pi0`` and ``kappa0``, the defaults.
@@ -189,6 +192,14 @@ def beta_to_distortion(src: SourceModel, beta: float) -> float:
             f"no representable distortion level for beta={beta}: {exc}"
         ) from None
     return d
+
+
+@functools.lru_cache(maxsize=1)
+def _level(src: SourceModel, beta: float) -> tuple[float, float, float]:
+    # (D_beta, R_s(D_beta), R_s'(D_beta)).  The last beta asked for is
+    # kept: a search probe asks twice, in c1_edge and in solve_adaptive
+    d_beta = beta_to_distortion(src, beta)
+    return d_beta, src.rate(d_beta), src.rate_derivatives(d_beta)[0]
 
 
 def gaussian_d_beta(variance: float, beta: float) -> float:
@@ -305,8 +316,8 @@ def c1_edge(src, ch, beta, p0):
 
     and positive above.  The tuned optimum hugs this edge from below.
     """
-    d_beta = beta_to_distortion(src, beta)
-    ratio = src.rate(d_beta) / src.rate_derivatives(d_beta)[0]
+    d_beta, r_beta, slope = _level(src, beta)
+    ratio = r_beta / slope
     rc1, rc2 = ch.rate_derivatives(p0)
     return float(ratio * (1.0 + p0 * rc2 / rc1) - d_beta)
 
@@ -330,19 +341,47 @@ def _stationary_law(grid, drain, delta, lam):
     return math.exp(log_pi0), log_pi0, np.exp(log_pi0 + log_shape)
 
 
+def _default_z_min(capacity):
+    # the default grid's geometric section starts at 1e-6, or at a
+    # twentieth of a smaller battery
+    return min(1e-6, capacity / 20)
+
+
+# a battery below 2e-5, where the default grid is one grid scaled by the
+# capacity
+_SMALL_BATTERY = 1e-5
+
+
+@functools.cache
+def _least_capacity() -> float:
+    # In a small battery the default grid's narrowest interval, its first
+    # geometric step, is a fixed share of the capacity (~1.09e-4).  The
+    # grid's cubic stencils multiply four lengths of an interval's scale,
+    # which leave the normal floats in batteries below this floor
+    # (~1.12e-73): the weights lose their digits, and they sum to 0 at a
+    # capacity of 1e-80 and to NaN at 1e-200
+    grid = Grid.graded(_SMALL_BATTERY, z_min=_default_z_min(_SMALL_BATTERY))
+    return sys.float_info.min ** 0.25 * _SMALL_BATTERY / float(np.diff(grid.nodes).min())
+
+
 def check_battery(capacity: float, p0plus: float) -> None:
     """Raise ValueError unless both solvers can take this battery."""
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise ValueError(f"capacity must be finite and positive, got {capacity}")
+    # a battery of 1e-5 or more, far above the floor, builds no grid for it
+    if capacity < _SMALL_BATTERY and capacity < _least_capacity():
+        raise ValueError(
+            f"capacity must be at least {_least_capacity():.3g}, got {capacity}: the "
+            "quadrature weights of the default grid underflow in a smaller battery"
+        )
     if not 1e-300 <= p0plus <= 1e300:
         raise ValueError(f"p0plus must be in the ODE state range [1e-300, 1e300], got {p0plus}")
 
 
 def _battery_grid(capacity, p0plus, grid):
-    # both solvers check the battery before any work; the default grid's
-    # geometric section starts at 1e-6, or lower in a smaller battery
+    # both solvers check the battery before any work
     check_battery(capacity, p0plus)
-    return Grid.graded(capacity, z_min=min(1e-6, capacity / 20)) if grid is None else grid
+    return Grid.graded(capacity, z_min=_default_z_min(capacity)) if grid is None else grid
 
 
 # the error target of every trajectory (see integrate_autonomous): on the
@@ -423,6 +462,7 @@ def solve_adaptive(
     *,
     grid: Optional[Grid] = None,
     refine_c2: bool = False,
+    residual: bool = True,
 ) -> PolicySolution:
     """Solve the charge-adaptive policy and its stationary charge law.
 
@@ -456,11 +496,16 @@ def solve_adaptive(
     integrated once, by :func:`~ehjscc.numerics.integrate_autonomous`
     from the root's start: the root's panels are its first round, and
     those that fail its accuracy rule are cut and evaluated again.
+
+    Every solve with a trajectory is audited by
+    :func:`optimality_residual` unless ``residual=False``, which leaves
+    ``optimality_residual`` as ``None`` and changes nothing else: the
+    adaptive tuner passes it for its probes, which it reads only for
+    feasibility, d_avg and pi0/kappa0, and audits the one solution it
+    returns.
     """
     grid = _battery_grid(capacity, p0plus, grid)
-    d_beta = beta_to_distortion(src, consts.beta)
-    r_beta = src.rate(d_beta)
-    slope = src.rate_derivatives(d_beta)[0]
+    d_beta, r_beta, slope = _level(src, consts.beta)
     terms, scale, closing = _adaptive_terms(ch, arrivals, consts.c1, d_beta, r_beta, slope)
 
     c2, start = consts.c2, None
@@ -516,8 +561,9 @@ def solve_adaptive(
         constants=used,
         message=message,
     )
-    residual = optimality_residual(src, ch, arrivals, solution)
-    object.__setattr__(solution, "optimality_residual", residual)
+    if residual:
+        object.__setattr__(solution, "optimality_residual",
+                           optimality_residual(src, ch, arrivals, solution))
     return solution
 
 

@@ -17,7 +17,11 @@ which is what the plotting and CLI layers consume.
 Every probe is a full solve on the solvers' default grid, built once
 per capacity and shared (see :meth:`~ehjscc.numerics.Grid.graded`), and
 the result is the best usable probe's own solution: no point is
-re-solved.
+re-solved.  Probes are not audited, since a search reads only their
+feasibility, d_avg and pi0/kappa0: the adaptive tuner solves them with
+``residual=False`` and computes the stationarity residual of the one
+solution it returns.  A search with no solution says why in its
+result's ``reason``.
 The root in beta stops once its bracket is narrower than
 1e-7 * max(1, |beta|), the minimization once its bracket is narrower
 than 1e-7 * max(1, |C|).
@@ -26,10 +30,12 @@ than 1e-7 * max(1, |C|).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
+# the returned solution's audit is looked up as policy.optimality_residual,
+# where benchmarks/tracer.py wraps it
+from . import policy
 from .distortion import distortion, lower_bound
 from .models import (
     ArrivalModel,
@@ -147,12 +153,14 @@ class TuneResult:
     ``None``.  ``evaluations`` counts objective probes and
     ``infeasible_evals`` how many of them failed to produce a usable
     policy.  A search where nothing was feasible has no solution, and
-    reports ``d_avg`` of infinity and no constants.
+    reports ``d_avg`` of infinity, no constants and in ``reason`` why it
+    has none; ``reason`` is empty when there is a solution.
     """
 
     solution: Optional[PolicySolution]
     evaluations: int
     infeasible_evals: int
+    reason: str = ""
 
     @property
     def constants(self) -> Optional[VariationalConstants]:
@@ -215,8 +223,10 @@ class _Probe:
                 self.best = sol
         return self.seen[x]
 
-    def result(self) -> TuneResult:
-        return TuneResult(self.best, len(self.seen), self.infeasible)
+    def result(self, reason: str = "") -> TuneResult:
+        # reason says why a search with no usable probe has no solution
+        return TuneResult(self.best, len(self.seen), self.infeasible,
+                          "" if self.best is not None else reason)
 
 
 def _edge_probe(problem: Problem, spec: SearchSpec) -> _Probe:
@@ -238,7 +248,7 @@ def _edge_probe(problem: Problem, spec: SearchSpec) -> _Probe:
             src, ch, problem.arrivals, problem.leak,
             problem.capacity, problem.p0plus,
             VariationalConstants(beta, c1, 0.0),
-            refine_c2=True,
+            refine_c2=True, residual=False,
         )
         if sol.grid is None:
             return -math.inf, None
@@ -268,24 +278,40 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     short of the margin.  A box whose low end reaches the margin or
     whose high end falls short has no sign change and gives the
     infeasible result, as does a budget spent before both ends are
-    known; a budget spent inside the root stops it where it is.  The
-    usable probe of least d_avg is returned as it was solved, with its
-    stationarity residual at quadrature noise and its normalizations
-    exact.  The search draws no random numbers, so ``spec.seed`` does
+    known, and its ``reason`` says which; a budget spent inside the root
+    stops it where it is.  The usable probe of least d_avg is returned
+    as it was solved, with its normalizations exact.  Probes are solved
+    without the stationarity audit, and the returned solution alone is
+    audited: its ``optimality_residual``, at quadrature noise, is set
+    here.  The search draws no random numbers, so ``spec.seed`` does
     not change the result.
     """
     lo, hi = spec.resolved_bounds(problem.src)
     gap = _edge_probe(problem, spec)
 
     bracketed = False
-    with suppress(_BudgetSpent):
+    try:
         # a sign change needs the low end short of the margin, the high end at it
-        if gap(lo) < 0.0 <= gap(hi):
+        if not gap(lo) < 0.0:
+            why = f"no sign change over the beta box: its low end {lo:.6g} meets the margin"
+        elif not gap(hi) >= 0.0:
+            why = f"no sign change over the beta box: its high end {hi:.6g} falls short of it"
+        else:
             bracketed = True
             find_root(gap, lo, hi, tol=_BETA_RTOL * max(1.0, abs(hi)))
+            why = "no probe of the root in beta had a usable solve"
+    except _BudgetSpent:
+        where = ("inside the root in beta" if bracketed
+                 else "before it probed both ends of the beta box")
+        why = f"the budget of {spec.budget} probes ran out {where}"
     if not bracketed:
         gap.best = None
-    return gap.result()
+    elif gap.best is not None:
+        # the probes were not audited; the solution returned is
+        sol = gap.best
+        object.__setattr__(sol, "optimality_residual", policy.optimality_residual(
+            problem.src, problem.ch, problem.arrivals, sol))
+    return gap.result(why)
 
 
 def tune_constant_kappa(
@@ -335,9 +361,12 @@ def tune_constant_kappa(
         return 2.0 * math.log1p(h * math.exp(t))
 
     d_avg = _Probe(budget, outcome)
-    with suppress(_BudgetSpent):
+    try:
         find_minimum(d_avg, -math.log(c_star - lo), -math.log(c_star - hi), width)
-    return d_avg.result()
+        why = "no probe in the box of C had a feasible solve"
+    except _BudgetSpent:
+        why = f"the budget of {budget} probes ran out before a feasible one"
+    return d_avg.result(why)
 
 
 def capacity_sweep(

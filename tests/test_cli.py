@@ -373,7 +373,9 @@ def test_config_error_exit_codes(workdir, capsys):
     below_root.write_text(GAUSS_SYSTEM + "search: {beta_bounds: [-0.95, -0.9], budget: 5}\n")
     assert main(["search", "--config", str(below_root),
                  "--out", str(workdir / "below_root")]) == 3
-    assert "infeasible: search exhausted " in capsys.readouterr().err
+    assert ("infeasible: search found no feasible point in 2 evaluations (2 infeasible): "
+            "no sign change over the beta box: its high end -0.9 falls short of it"
+            ) in capsys.readouterr().err
 
 
 def test_solve_in_a_battery_below_the_default_grid_start(workdir, capsys):
@@ -386,6 +388,33 @@ def test_solve_in_a_battery_below_the_default_grid_start(workdir, capsys):
     sidecar = json.loads(capsys.readouterr().out)
     # the battery is almost always empty, where the distortion is d_max = 1
     assert sidecar["feasible"] and sidecar["d_avg"] == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("capacity", ["1.0e-80", "1.0e-200", "1.0e-300"])
+def test_batteries_below_the_grid_floor_are_config_errors(workdir, capsys, capacity):
+    # the default grid's quadrature weights underflow below ~1.12e-73
+    solve = workdir / f"floor_solve_{capacity}.yaml"
+    solve.write_text(GAUSS_SYSTEM.replace("capacity: 5.0", f"capacity: {capacity}")
+                     + BENCH_CONSTANTS)
+    sweep = workdir / f"floor_sweep_{capacity}.yaml"
+    sweep.write_text(GAUSS_SYSTEM + f"sweep: {{capacities: [2.0, {capacity}]}}\n")
+    for command, path, key in (("solve", solve, "capacity"),
+                               ("sweep", sweep, "sweep.capacities[1]")):
+        assert main([command, "--config", str(path), "--out", str(workdir / "unused")]) == 2
+        assert (f"config error: {key}: capacity must be at least 1.12e-73"
+                in capsys.readouterr().err)
+
+
+def test_search_says_why_it_has_no_result(workdir, capsys):
+    # at a battery of 1e-6 the low end of the beta box already meets the
+    # margin: one feasible probe, and no sign change to find a root in
+    path = workdir / "search_tiny.yaml"
+    path.write_text(GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: 1.0e-6")
+                    + "search: {budget: 30}\n")
+    assert main(["search", "--config", str(path), "--out", str(workdir / "search_tiny")]) == 3
+    assert capsys.readouterr().err == (
+        "infeasible: search found no feasible point in 1 evaluations (0 infeasible): "
+        "no sign change over the beta box: its low end -0.99 meets the margin\n")
 
 
 @pytest.mark.parametrize("command, section, key", [

@@ -479,6 +479,46 @@ def test_residual_is_finite_past_the_overflow_of_exp_lam_l():
 # stationary-law invariants
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("src,consts,cap", [
+    (GAUSS, BENCH, 5.0),
+    (BERN, VariationalConstants(-0.2901, -0.35, 0.5), 3.0),
+])
+def test_unaudited_solve_equals_the_audited_one(src, consts, cap):
+    # residual=False skips the stationarity audit and nothing else
+    audited = solve_adaptive(src, CH, ARR, NO_LEAK, cap, 1e-3, consts, refine_c2=True)
+    bare = solve_adaptive(src, CH, ARR, NO_LEAK, cap, 1e-3, consts, refine_c2=True,
+                          residual=False)
+    assert audited.feasible and audited.optimality_residual <= 1e-5
+    assert bare.optimality_residual is None
+    for name in ("p", "kappa", "f"):
+        assert np.array_equal(getattr(bare, name), getattr(audited, name))
+    assert (bare.pi0, bare.kappa0, bare.d_beta, bare.d_avg, bare.constants, bare.message) == (
+        audited.pi0, audited.kappa0, audited.d_beta, audited.d_avg, audited.constants,
+        audited.message)
+    assert bare.grid is audited.grid
+
+
+@pytest.mark.parametrize("capacity", [1e-80, 1e-200, 1e-300])
+def test_batteries_below_the_grid_floor_are_rejected(capacity):
+    # the default grid's cubic stencils multiply four lengths of its
+    # narrowest interval, ~1.09e-4 of a small battery; below ~1.12e-73 the
+    # products leave the normal floats and the weights sum to 0 or NaN
+    with pytest.raises(ValueError, match=r"capacity must be at least 1\.12e-73"):
+        solve_adaptive(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, BENCH, refine_c2=True)
+    with pytest.raises(ValueError, match=r"capacity must be at least 1\.12e-73"):
+        solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, c=-0.55)
+
+
+def test_the_battery_floor_keeps_the_grid_weights():
+    # just above the floor the default grid's weights still integrate a
+    # constant to the capacity, and the solvers run
+    capacity = 1.2e-73
+    grid = Grid.graded(capacity, z_min=capacity / 20)
+    assert grid.weights.sum() == pytest.approx(capacity, rel=1e-12)
+    sol = solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, c=-0.55)
+    assert sol.feasible and sol.d_avg == pytest.approx(1.0, abs=1e-12)
+
+
 def test_constant_instantaneous_distortion(mid_raw, bench_refined, leaky_raw):
     for sol in (mid_raw, bench_refined, leaky_raw):
         dev = np.max(np.abs(distortion(GAUSS, CH, sol.p, sol.kappa) - sol.d_beta)) / sol.d_beta

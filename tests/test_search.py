@@ -11,6 +11,7 @@ from ehjscc.distortion import lower_bound
 from ehjscc.models import (
     ArrivalModel,
     AwgnChannel,
+    BernoulliSource,
     GaussianSource,
     IncreasingLeakage,
     ZeroLeakage,
@@ -110,6 +111,62 @@ def test_tuned_solutions_are_probes_own_solves(monkeypatch):
         assert res.d_avg == min(sol.d_avg for sol in usable)
         # one grid serves every probe
         assert len({id(sol.grid) for sol in solves if sol.grid is not None}) == 1
+
+
+def test_a_tune_audits_only_the_solution_it_returns(monkeypatch):
+    # probes read feasibility, d_avg and pi0/kappa0 alone: the residual is
+    # computed once, for the returned solve, through policy's lookup
+    audit = policy.optimality_residual
+    audits = []
+
+    def counted(*args):
+        audits.append(args[-1])
+        return audit(*args)
+
+    monkeypatch.setattr(policy, "optimality_residual", counted)
+    res = tune_constants(PROB5)
+    assert res.evaluations == 11
+    assert len(audits) == 1 and audits[0] is res.solution
+    assert res.solution.optimality_residual == audit(GAUSS, CH, ARR, res.solution)
+    assert res.solution.optimality_residual <= 1e-5
+
+
+def test_a_bernoulli_tune_finds_each_probes_level_once(monkeypatch):
+    # c1_edge and the probe's solve share one root for D_beta
+    bern = Problem(BernoulliSource(prob=0.5), CH, ARR, IncreasingLeakage(), capacity=3.0)
+    # a level of another source, so that none of this source is still held
+    policy.c1_edge(GAUSS, CH, -0.5, 1e-3)
+    roots = []
+    find_root = policy.find_root
+
+    def counted(*args, **kwargs):
+        roots.append(args)
+        return find_root(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "find_root", counted)
+    res = tune_constants(bern)
+    assert res.feasible and res.evaluations == 12
+    assert len(roots) == res.evaluations
+
+
+def test_a_search_without_a_solution_says_why():
+    # at a battery of 1e-6 the box's low end already meets the margin
+    tiny = tune_constants(replace(PROB5, capacity=1e-6), SearchSpec(budget=30))
+    assert (tiny.solution, tiny.evaluations) == (None, 1)
+    assert tiny.reason == "no sign change over the beta box: its low end -0.99 meets the margin"
+    below = tune_constants(PROB5, SearchSpec(beta_bounds=(-0.95, -0.9), budget=5))
+    assert below.reason == (
+        "no sign change over the beta box: its high end -0.9 falls short of it")
+    spent = tune_constants(PROB5, SearchSpec(budget=1))
+    assert spent.reason == (
+        "the budget of 1 probes ran out before it probed both ends of the beta box")
+    # a search with a solution has no reason to give
+    assert tune_constants(PROB5, SearchSpec(budget=6)).reason == ""
+    # every constant this steep blows the power up before the endpoint
+    steep = tune_constant_kappa(PROB5, c_bounds=(-3.0, -2.5))
+    assert steep.reason == "no probe in the box of C had a feasible solve"
+    steep = tune_constant_kappa(PROB5, c_bounds=(-3.0, -2.5), budget=12)
+    assert steep.reason == "the budget of 12 probes ran out before a feasible one"
 
 
 def test_tuner_is_deterministic(tuned2):
