@@ -82,10 +82,8 @@ def lower_bound(
     """
     if not capacity > 0.0:
         raise ValueError(f"capacity must be positive, got {capacity}")
-    if math.isinf(capacity):
-        p_avg = arrivals.mean_harvest_rate
-    else:
-        p_avg = arrivals.mean_harvest_rate * (-math.expm1(-arrivals.lam * capacity))
+    # at capacity inf the delivered share -expm1(-inf) is exactly 1
+    p_avg = arrivals.mean_harvest_rate * (-math.expm1(-arrivals.lam * capacity))
     return d_dagger(src, ch, p_avg, 1.0)
 
 

@@ -34,13 +34,37 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# The rate maps take a scalar or a NumPy array; arrays go through NumPy
-# elementwise and are rejected as a whole if any entry is out of domain.
-# Scalars keep a plain-float path, which the once-per-solve or per-probe
-# scalar callers use: the Bernoulli distortion level's root, c1_edge,
-# solve_adaptive's R_beta and slope, lower_bound and the SimConfig check.
-# The Bernoulli rate inverse is the exception: it has no closed form, and
-# its one NumPy kernel takes scalars as NumPy scalars.
+# The rate maps take a scalar or a NumPy array, which goes through NumPy
+# elementwise.  _check states each domain rule once for both: an array
+# fails if any entry breaks it, and NaN breaks every rule.  A scalar
+# keeps a float path only where it is computed differently: math.log2
+# and the Gaussian inverse's special cases.  The Bernoulli inverse has no
+# closed form; its one NumPy kernel takes scalars as NumPy scalars.
+
+
+def _check(x, ok, rule, *args):
+    # raise unless ok, the rule's truth at x (one per entry of an array);
+    # the message, rule formatted with args, is built only then
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        rule = rule.format(*args)
+        raise ValueError(f"{rule} everywhere" if isinstance(x, np.ndarray) else f"{rule}, got {x}")
+
+
+def _check_distortion(d):
+    _check(d, d >= 0.0, "distortion must be >= 0")
+
+
+def _check_level(d, d_max):
+    # the open range on which R_s is differentiable
+    _check(d, (d > 0.0) & (d < d_max), "need 0 < d < {}", d_max)
+
+
+def _check_rate(r):
+    _check(r, r >= 0.0, "rate must be >= 0")
+
+
+def _check_power(p):
+    _check(p, p >= 0.0, "power must be >= 0")
 
 
 def binary_entropy(d: float) -> float:
@@ -152,8 +176,7 @@ class GaussianSource:
         return math.inf
 
     def rate(self, d: float) -> float:
-        if d < 0.0:
-            raise ValueError(f"distortion must be >= 0, got {d}")
+        _check_distortion(d)
         if d == 0.0:
             return math.inf
         if d >= self.variance:
@@ -161,20 +184,13 @@ class GaussianSource:
         return 0.5 * math.log2(self.variance / d)
 
     def rate_derivatives(self, d):
-        if isinstance(d, np.ndarray):
-            if not np.all((d > 0.0) & (d < self.d_max)):
-                raise ValueError(f"need 0 < d < {self.d_max} everywhere")
-        elif not 0.0 < d < self.d_max:
-            raise ValueError(f"need 0 < d < {self.d_max}, got {d}")
+        _check_level(d, self.d_max)
         return -1.0 / (2.0 * d * _LN2), 1.0 / (2.0 * d * d * _LN2)
 
     def rate_inverse(self, r):
+        _check_rate(r)
         if isinstance(r, np.ndarray):
-            if not np.all(r >= 0.0):
-                raise ValueError("rate must be >= 0 everywhere")
             return self.variance * np.exp2(-2.0 * r)
-        if not r >= 0.0:
-            raise ValueError(f"rate must be >= 0, got {r}")
         if r == 0.0:
             return self.d_max
         if math.isinf(r):
@@ -201,23 +217,15 @@ class BernoulliSource:
         return binary_entropy(self.prob)
 
     def rate(self, d: float) -> float:
-        if d < 0.0:
-            raise ValueError(f"distortion must be >= 0, got {d}")
+        _check_distortion(d)
         if d >= self.d_max:
             return 0.0
         return self.rate_threshold - binary_entropy(d)
 
     def rate_derivatives(self, d):
-        if isinstance(d, np.ndarray):
-            if not np.all((d > 0.0) & (d < self.d_max)):
-                raise ValueError(f"need 0 < d < {self.d_max} everywhere")
-            first = np.log2(d / (1.0 - d))
-        elif not 0.0 < d < self.d_max:
-            raise ValueError(f"need 0 < d < {self.d_max}, got {d}")
-        else:
-            first = math.log2(d / (1.0 - d))
-        second = 1.0 / (d * (1.0 - d) * _LN2)
-        return first, second
+        _check_level(d, self.d_max)
+        log2 = np.log2 if isinstance(d, np.ndarray) else math.log2
+        return log2(d / (1.0 - d)), 1.0 / (d * (1.0 - d) * _LN2)
 
     def rate_inverse(self, r):
         """The distortion at rate r (scalar or array), d_max at r = 0.
@@ -235,14 +243,11 @@ class BernoulliSource:
         ``rate`` divided by H'(d).  Raises ValueError on a negative or
         NaN rate.
         """
+        _check_rate(r)
         if isinstance(r, np.ndarray):
-            if not (r >= 0.0).all():
-                raise ValueError("rate must be >= 0 everywhere")
             d = _entropy_inverse(self.rate_threshold - r, self.d_max)
             d = np.where(r >= self.rate_threshold, 0.0, d)
             return np.where(r == 0.0, self.d_max, d)
-        if not r >= 0.0:
-            raise ValueError(f"rate must be >= 0, got {r}")
         if r == 0.0:
             return self.d_max
         if r >= self.rate_threshold:
@@ -264,20 +269,12 @@ class AwgnChannel:
             raise ValueError(f"noise must be positive, got {self.noise}")
 
     def rate(self, p):
-        if isinstance(p, np.ndarray):
-            if not np.all(p >= 0.0):
-                raise ValueError("power must be >= 0 everywhere")
-            return 0.5 * np.log2(1.0 + p / self.noise)
-        if p < 0.0:
-            raise ValueError(f"power must be >= 0, got {p}")
-        return 0.5 * math.log2(1.0 + p / self.noise)
+        _check_power(p)
+        log2 = np.log2 if isinstance(p, np.ndarray) else math.log2
+        return 0.5 * log2(1.0 + p / self.noise)
 
     def rate_derivatives(self, p):
-        if isinstance(p, np.ndarray):
-            if not np.all(p >= 0.0):
-                raise ValueError("power must be >= 0 everywhere")
-        elif p < 0.0:
-            raise ValueError(f"power must be >= 0, got {p}")
+        _check_power(p)
         denom = self.noise + p
         first = 1.0 / (2.0 * _LN2 * denom)
         second = -1.0 / (2.0 * _LN2 * denom * denom)
@@ -294,8 +291,7 @@ class AwgnChannel:
 # regardless of the model's limit from above.
 
 def _check_charge(z):
-    if np.any(np.asarray(z) < 0.0):
-        raise ValueError("charge must be >= 0")
+    _check(z, np.asarray(z) >= 0.0, "charge must be >= 0")
 
 
 @dataclass(frozen=True)

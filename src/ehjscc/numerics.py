@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1181,9 +1182,12 @@ class Grid:
     from (``stencil_index`` and ``stencil_coef``, see
     :func:`cumulative_integral`), so a cumulative integral on it costs
     one gather and one running sum.  Every array is read-only, and the
-    grid is immutable: one grid can be shared by every solve on it.
+    grid is immutable: one grid can be shared by every solve on it.  Its
+    nodes lie at least ``least_interval`` (~1.22e-77) apart: the stencils
+    multiply four interval lengths, which must stay normal floats.
     """
 
+    least_interval = sys.float_info.min ** 0.25
     nodes: np.ndarray
     weights: np.ndarray = field(init=False)
     stencil_index: np.ndarray = field(init=False, repr=False)
@@ -1197,8 +1201,11 @@ class Grid:
             raise ValueError("need at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError("first node must be 0")
-        if not np.all(np.diff(nodes) > 0.0):
+        gaps = np.diff(nodes)
+        if not np.all(gaps > 0.0):
             raise ValueError("nodes must be strictly increasing")
+        if gaps.min() < self.least_interval:
+            raise ValueError(f"nodes must lie at least {self.least_interval:.3g} apart")
         index, coef = _cubic_stencils(nodes)
         weights = sum(np.bincount(i, c, minlength=nodes.size) for i, c in zip(index, coef))
         nodes.flags.writeable = weights.flags.writeable = False

@@ -341,10 +341,10 @@ def _stationary_law(grid, drain, delta, lam):
     return math.exp(log_pi0), log_pi0, np.exp(log_pi0 + log_shape)
 
 
-def _default_z_min(capacity):
-    # the default grid's geometric section starts at 1e-6, or at a
+def _default_grid(capacity):
+    # the solvers' grid: its geometric section starts at 1e-6, or at a
     # twentieth of a smaller battery
-    return min(1e-6, capacity / 20)
+    return Grid.graded(capacity, z_min=min(1e-6, capacity / 20))
 
 
 # a battery below 2e-5, where the default grid is one grid scaled by the
@@ -354,26 +354,26 @@ _SMALL_BATTERY = 1e-5
 
 @functools.cache
 def _least_capacity() -> float:
-    # In a small battery the default grid's narrowest interval, its first
-    # geometric step, is a fixed share of the capacity (~1.09e-4).  The
-    # grid's cubic stencils multiply four lengths of an interval's scale,
-    # which leave the normal floats in batteries below this floor
-    # (~1.12e-73): the weights lose their digits, and they sum to 0 at a
-    # capacity of 1e-80 and to NaN at 1e-200
-    grid = Grid.graded(_SMALL_BATTERY, z_min=_default_z_min(_SMALL_BATTERY))
-    return sys.float_info.min ** 0.25 * _SMALL_BATTERY / float(np.diff(grid.nodes).min())
+    # the battery floor (~1.12e-73) that check_battery reports: in a small
+    # battery the default grid's narrowest interval, its first geometric
+    # step, is a fixed share of the capacity (~1.09e-4)
+    nodes = _default_grid(_SMALL_BATTERY).nodes
+    return Grid.least_interval * _SMALL_BATTERY / float(np.diff(nodes).min())
 
 
 def check_battery(capacity: float, p0plus: float) -> None:
     """Raise ValueError unless both solvers can take this battery."""
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise ValueError(f"capacity must be finite and positive, got {capacity}")
-    # a battery of 1e-5 or more, far above the floor, builds no grid for it
-    if capacity < _SMALL_BATTERY and capacity < _least_capacity():
-        raise ValueError(
-            f"capacity must be at least {_least_capacity():.3g}, got {capacity}: the "
-            "quadrature weights of the default grid underflow in a smaller battery"
-        )
+    # a battery of 1e-5 or more, far above the floor, builds no grid here
+    if capacity < _SMALL_BATTERY:
+        try:
+            _default_grid(capacity)
+        except ValueError:
+            raise ValueError(
+                f"capacity must be at least {_least_capacity():.3g}, got {capacity}: the "
+                "quadrature weights of the default grid underflow in a smaller battery"
+            ) from None
     if not 1e-300 <= p0plus <= 1e300:
         raise ValueError(f"p0plus must be in the ODE state range [1e-300, 1e300], got {p0plus}")
 
@@ -381,7 +381,7 @@ def check_battery(capacity: float, p0plus: float) -> None:
 def _battery_grid(capacity, p0plus, grid):
     # both solvers check the battery before any work
     check_battery(capacity, p0plus)
-    return Grid.graded(capacity, z_min=_default_z_min(capacity)) if grid is None else grid
+    return _default_grid(capacity) if grid is None else grid
 
 
 # the error target of every trajectory (see integrate_autonomous): on the

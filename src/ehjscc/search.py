@@ -382,21 +382,19 @@ def capacity_sweep(
     """
     if len(capacities) == 0:
         raise ValueError("capacities must be non-empty")
-    if any(not (math.isfinite(L) and L > 0.0) for L in capacities):
-        raise ValueError("capacities must be finite and positive")
-
+    # pose every problem, which checks its battery, before any work
+    subs = [replace(problem, capacity=float(L)) for L in capacities]
     adaptive = []
     constant = []
     bounds = []
-    for L in capacities:
-        sub = replace(problem, capacity=float(L))
+    for sub in subs:
         adaptive.append(tune_constants(sub, spec))
         constant.append(tune_constant_kappa(sub, budget=kappa_budget))
         bounds.append(
-            lower_bound(problem.src, problem.ch, problem.arrivals, float(L))
+            lower_bound(problem.src, problem.ch, problem.arrivals, sub.capacity)
         )
     return SweepResult(
-        capacities=tuple(float(L) for L in capacities),
+        capacities=tuple(sub.capacity for sub in subs),
         adaptive=tuple(adaptive),
         constant_kappa=tuple(constant),
         d_lb=tuple(bounds),

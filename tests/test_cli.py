@@ -587,6 +587,12 @@ def _set_column(rows, column, value):
     return rows[:10] + [",".join(cells)] + rows[11:]
 
 
+def _first_nodes_apart(rows, gap):
+    # the CSV with the two nodes after z = 0 moved to gap and 2*gap
+    moved = [f"{k * gap!r},{row.split(',', 1)[1]}" for k, row in enumerate(rows[2:4], 1)]
+    return rows[:2] + moved + rows[4:]
+
+
 def _drop_column(rows):
     return [row.rsplit(",", 1)[0] for row in rows]
 
@@ -614,6 +620,9 @@ def _constant_sidecar(side):
     pytest.param(lambda rows: _set_column(rows, 1, "high"), None, 2, id="unparsable-csv"),
     pytest.param(_drop_column, None, 2, id="three-columns"),
     pytest.param(lambda rows: rows[:2], None, 2, id="single-row"),
+    # the quadrature stencils of nodes this close lose their weights
+    pytest.param(lambda rows: _first_nodes_apart(rows, 1e-300), None, 2,
+                 id="nodes-1e-300-apart"),
     pytest.param(lambda rows: _set_column(rows, 3, "inf"), None, 2, id="infinite-f"),
     pytest.param(None, lambda side: None, 2, id="no-sidecar"),
     pytest.param(None, lambda side: "{", 2, id="unparsable-sidecar"),

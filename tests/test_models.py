@@ -449,3 +449,9 @@ def test_array_forms_reject_out_of_domain_entries():
     for src in (GAUSS, BERN):
         with pytest.raises(ValueError):
             src.rate_inverse(np.array([0.5, -1.0]))
+    # NaN breaks a rule in the scalar form as it does in the array form
+    for check in (AwgnChannel(noise=1.0).rate, AwgnChannel(noise=1.0).rate_derivatives,
+                  GAUSS.rate, IncreasingLeakage().rate):
+        for x in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError):
+                check(x)

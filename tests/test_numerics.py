@@ -551,6 +551,9 @@ def test_grid_rejects_bad_nodes():
         Grid([0.5, 1.0, 2.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         Grid([0.0, 0.25, 0.25, 1.0])
+    # the stencils multiply four interval lengths, which must stay normal
+    with pytest.raises(ValueError, match=r"nodes must lie at least 1\.22e-77 apart"):
+        Grid(np.array([0.0, 1e-300, 2e-300, 3e-300, 1.0]))
     with pytest.raises(ValueError, match="at least two"):
         Grid([0.0])
     with pytest.raises(ValueError, match="z_min"):

@@ -25,6 +25,7 @@ from ehjscc.policy import (
     VariationalConstants,
     beta_range,
     beta_to_distortion,
+    check_battery,
     constant_power_scheme,
     gaussian_d_beta,
     optimality_residual,
@@ -517,6 +518,32 @@ def test_the_battery_floor_keeps_the_grid_weights():
     assert grid.weights.sum() == pytest.approx(capacity, rel=1e-12)
     sol = solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, c=-0.55)
     assert sol.feasible and sol.d_avg == pytest.approx(1.0, abs=1e-12)
+
+
+def _takes_default_grid(capacity):
+    try:
+        Grid.graded(capacity, z_min=capacity / 20)
+    except ValueError:
+        return False
+    return True
+
+
+def test_the_battery_floor_is_the_grid_interval_floor():
+    # at the reported floor, at the least battery whose default grid Grid
+    # takes, and one ulp on either side of each, check_battery takes a
+    # battery exactly when Grid takes its default grid
+    reported = policy._least_capacity()
+    lo, hi = 1e-74, reported
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if _takes_default_grid(mid) else (mid, hi)
+    assert not _takes_default_grid(lo) and _takes_default_grid(hi)
+    for floor in (reported, hi):
+        for capacity in (math.nextafter(floor, 0.0), floor, math.nextafter(floor, 1.0)):
+            if _takes_default_grid(capacity):
+                check_battery(capacity, 1e-3)
+            else:
+                with pytest.raises(ValueError, match=r"capacity must be at least 1\.12e-73"):
+                    check_battery(capacity, 1e-3)
 
 
 def test_constant_instantaneous_distortion(mid_raw, bench_refined, leaky_raw):
