@@ -8,8 +8,10 @@ z(p) = Int dq / F(q) with F evaluated on whole arrays
 that makes its path end where the constant closes it
 (``endpoint_root``, whose table is the solver's first round), an
 embedded adaptive Runge-Kutta integrator for general scalar ODEs (the
-reference the quadrature solver is tested against), composite
-quadrature on graded grids, and a deterministic seedable random stream.
+reference the quadrature solver is tested against), the panel rule that
+integrates on a solved path's own Gauss-Legendre panels (``Grid``, whose
+nodes ``AutonomousPath.knots`` gives), and a deterministic seedable
+random stream.
 Nothing in here knows about sources, channels or batteries; the rest of
 the package builds on this single auditable core instead of pulling in a
 general-purpose solver library.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -486,9 +487,9 @@ def integrate_ode(
 # ordinary integral z(p) = Int_{p0}^{p} dq / F(q), so instead of stepping
 # the ODE the solution is built as z(s) on composite 8-point Gauss-Legendre
 # panels in s = ln p (the state spans decades, and ln p keeps the panels
-# evenly loaded), then inverted at the requested z by Newton's method on
-# each panel's interpolating polynomial.  Every evaluation of F is one
-# array call over all the panels a refinement round proposes.
+# evenly loaded); the stationary law is integrated on those same panels,
+# where z and p are explicit, so nothing is inverted.  Every evaluation of
+# F is one array call over all the panels a refinement round proposes.
 
 _GL_HALF_NODES = (0.18343464249564980494, 0.52553240991632898582,
                   0.79666647741362673959, 0.96028985649753623168)
@@ -550,16 +551,43 @@ def _gauss_tables():
 
 
 @functools.cache
-def _knot_tables():
-    """The ten knots of a panel in t and the powers of the first nine.
+def _panel_tables():
+    """The fixed maps of the panel rule (see :class:`Grid`).
 
-    The knots are -1, the Gauss nodes and 1; column i of the powers
-    holds knot i to the powers 0 .. 8, so the monomial coefficients of a
-    panel's z(t) times the powers give z at its left edge and nodes.
+    ``share`` holds the nine knots of a panel as shares of its width in
+    t: 0, then the Gauss nodes.  ``slope`` takes z at the knots to dz/dt
+    at the Gauss nodes, the derivative of the degree-8 interpolant (the
+    barycentric differentiation matrix).  ``left`` and ``right`` take
+    y * weight at the Gauss nodes to the integral of the degree-7
+    interpolant of y dz/dt from the panel's left edge to each Gauss node,
+    and from each one to its right edge.  ``to_s`` takes the monomial
+    coefficients of a polynomial in t to those in s = t + 1, and ``end``
+    takes z at the knots to the interpolant's z at t = 1.
     """
-    nodes = _gauss_tables()[0]
-    knot_t = np.concatenate(([-1.0], nodes, [1.0]))
-    return knot_t, knot_t[:-1][None, :] ** np.arange(_GL_ORDER + 1)[:, None]
+    nodes, weights, to_coef, to_antider = _gauss_tables()
+    knot_t = np.concatenate(([-1.0], nodes))
+    gaps = knot_t[:, None] - knot_t[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    bary = 1.0 / gaps.prod(axis=1)
+    slope = bary[None, :] / (bary[:, None] * gaps)
+    np.fill_diagonal(slope, 0.0)
+    np.fill_diagonal(slope, -slope.sum(axis=1))
+    powers = nodes[:, None] ** np.arange(_GL_ORDER + 1)
+    left = powers @ to_antider @ to_coef / weights
+    degree = np.arange(_GL_ORDER + 1)
+    to_s = np.array([[math.comb(j, k) * (-1.0) ** (j - k) for k in degree] for j in degree])
+    end = bary * np.prod(1.0 - knot_t) / (1.0 - knot_t)
+    return 0.5 * (knot_t + 1.0), slope[1:], left, 1.0 - left, to_s, end
+
+
+def _rising(poly, s):
+    # z(s) - z(0) at the points s (one row per panel) of the panels with
+    # monomial coefficients poly in s, their constant terms 0
+    acc = poly[:, -1:] * s
+    for column in poly.T[-2:0:-1]:
+        acc += column[:, None]
+        acc *= s
+    return acc
 
 
 class AutonomousPath:
@@ -587,77 +615,103 @@ class AutonomousPath:
         self.antider = antider
         self.z_edges = z_edges
 
-    def p_at(self, z) -> np.ndarray:
-        """p at each charge in ``z`` (values in [0, z_end]).
+    def knots(self, span: float = math.inf):
+        """(z, p): the nodes of the panel rule on [0, z_end] and p there.
 
-        z(t) is inverted on each charge's panel by Newton's method until
-        no step exceeds 1e-12 in t.  Newton starts from the chord between
-        the two knots that bracket the charge, out of ten per panel (its
-        edges and its Gauss nodes); from so close a start it takes three
-        passes on the published rows.  Past the last edge, p is the
-        equilibrium's.
+        Each panel gives its left edge and the images of the Gauss nodes
+        under its z(t), and p = p0 e^{direction u} is exact at each: no
+        inversion.  The panel holding z_end is clipped there by one root
+        in t, and a panel wider than ``span`` in z is cut evenly in t
+        until no piece is; each piece is still a degree-8 polynomial in
+        its own t.  The endpoint table grades its panels toward p0 down
+        to 1e-15 in u, where knots a few ulps of p or 1e-20 of z apart
+        would tell the law nothing: the leading panels, up to the first
+        left edge where a knot gap moves u by 16 ulps and z by 1e-12 *
+        z_end, become one piece in u, with z at its knots from the panels
+        they fall in.  They stay as they are where that piece is wider
+        than ``span`` or its interpolant misses the edge by more than
+        1e-12 of its width.  Past the last edge, where the state sits on
+        its equilibrium, and on the whole battery for direction 0, the
+        panels are cut evenly in z, no wider than ``span``.  The last
+        node is z_end.  A piece whose knots do not rise in z (one a few
+        ulps wide, left by a clip next to an edge) is dropped.
         """
-        z = np.asarray(z, dtype=float)
-        if self.direction == 0.0 or self.widths.size == 0 or z.size == 0:
-            return np.full(z.shape, self.p0)
-        flat = z.ravel()
-        edges = self.z_edges
-        # past the last edge the state sits on its equilibrium: aim at the
-        # edge, so that those charges converge too
-        target = np.minimum(flat, edges[-1])
-        rows = _newton_rows(self.antider, edges, self.widths)
-        knot_t, powers = _knot_tables()
-        # z at each panel's left edge and Gauss nodes, then at the last
-        # right edge, made monotone against rounding
-        knots = rows[:, 0, :].T @ powers
-        knots[:, 0] = edges[:-1]
-        knots = np.maximum.accumulate(np.append(knots.ravel(), edges[-1]))
-        # the panel holding each charge and the chord through the knots
-        # that bracket it
-        at = np.clip(knots.searchsorted(target, side="right") - 1, 0, knots.size - 2)
-        k, j = np.divmod(at, _GL_ORDER + 1)
-        z_a, z_b = knots[at], knots[at + 1]
-        share = np.divide(target - z_a, z_b - z_a, out=np.ones_like(flat), where=z_b > z_a)
-        t = knot_t[j] + (knot_t[j + 1] - knot_t[j]) * share
-        np.clip(t, -1.0, 1.0, out=t)
-        # Newton on z(t) - z, in place; z is increasing in t on the panel,
-        # so the clipped iteration stays inside it
-        poly = rows.take(k, axis=2)           # (degree + 1, 2, len(z)), contiguous
-        acc, step = np.empty_like(poly[0]), np.empty_like(t)
-        value, slope = acc
-        for _ in range(12):
-            np.multiply(poly[-1], t, out=acc)
-            for row in poly[-2:0:-1]:
-                acc += row
-                acc *= t
-            acc += poly[0]
-            # the step (z(t) - z) / z'(t), or 0 where z is flat in t
-            np.subtract(value, target, out=step)
-            if slope.min() > 0.0:
-                step /= slope
+        share, slope, _, _, to_s, end = _panel_tables()
+        z_end, n = self.z_end, self.widths.size
+
+        def even(z_a, u_a):
+            # [z_a, z_end] cut evenly into pieces no wider than span, u_a
+            # at their knots
+            cuts = np.linspace(z_a, z_end, max(1, math.ceil((z_end - z_a) / span)) + 1)
+            z = cuts[:-1, None] + np.diff(cuts)[:, None] * share
+            return z, np.full_like(z, u_a)
+
+        u_top = 0.0    # u where the path's own panels end
+        if n == 0:
+            z, u = even(0.0, 0.0)
+        else:
+            edges = self.z_edges
+            # the panels' z(s) - z(0) in s = t + 1, which keeps the digits
+            # of a clip close to the left edge
+            poly = 0.5 * self.widths[:, None] * (self.antider @ to_s)
+            poly[:, 0] = 0.0
+            lo, hi = np.zeros(n), np.full(n, 2.0)
+            if edges[-1] >= z_end:
+                row, target = poly[-1].tolist()[::-1], z_end - edges[-2]
+
+                def short(s):
+                    acc = 0.0
+                    for c in row:
+                        acc = acc * s + c
+                    return acc - target
+
+                if short(2.0) > 0.0:
+                    hi[-1] = find_root(short, 0.0, 2.0,
+                                       tol=_EPS * target / (edges[-1] - edges[-2]))
+                reached = z_end
             else:
-                rising = slope > 0.0
-                np.divide(step, slope, out=step, where=rising)
-                step[~rising] = 0.0
-            t -= step
-            np.clip(t, -1.0, 1.0, out=t)
-            if np.abs(step, out=step).max() <= 1e-12:
-                break
-        u = self.lefts[k] + (t + 1.0) * (0.5 * self.widths[k])
-        u[flat > edges[-1]] = self.lefts[-1] + self.widths[-1]
-        # exp(ln p0) need not round back to p0
-        return np.where(flat > 0.0, np.exp(math.log(self.p0) + self.direction * u),
-                        self.p0).reshape(z.shape)
-
-
-def _newton_rows(antider, z_edges, widths):
-    # the monomial coefficients in t of z(t) and of z'(t) on each panel,
-    # as an array of shape (degree + 1, 2, panels)
-    value = 0.5 * widths[:, None] * antider
-    value[:, 0] += z_edges[:-1]
-    slope = np.zeros_like(value)
-    slope[:, :-1] = value[:, 1:] * np.arange(1.0, value.shape[1])
-    return np.stack((value.T, slope.T), axis=1)
+                reached = float(edges[-1])
+            u_top = float(self.lefts[-1] + 0.5 * hi[-1] * self.widths[-1])
+            # the leading panels, up to the first left edge m where a knot
+            # gap (share[1] of a piece at least) moves u by 16 ulps and z
+            # by 1e-12 * z_end, make one piece in u, if its interpolant
+            # meets edge m to 1e-12 of its width
+            m = max(int(np.searchsorted(self.lefts, 16.0 * _EPS / share[1])),
+                    int(np.searchsorted(edges[:-1], 1e-12 * z_end / share[1])))
+            pieces, first = [], 0
+            if m >= 2:
+                u_m, z_m = (self.lefts[m], edges[m]) if m < n else (u_top, reached)
+                u = u_m * share
+                j = np.searchsorted(self.lefts, u, side="right") - 1
+                z = edges[j] + _rising(poly[j], (u - self.lefts[j])[:, None]
+                                       / (0.5 * self.widths[j, None]))[:, 0]
+                if z_m <= span and abs(z @ end - z_m) <= 1e-12 * z_m:
+                    pieces, first = [(z[None, :], u[None, :])], m
+            k = np.arange(first, n)
+            lo, hi = lo[k], hi[k]
+            while True:
+                wide = np.ceil(_rising(poly[k], np.stack((lo, hi), axis=1)) @ [-1.0, 1.0] / span)
+                if not (wide > 1.0).any():
+                    break
+                parts = np.maximum(wide, 1.0).astype(int)
+                step = np.repeat((hi - lo) / parts, parts)
+                lo = np.repeat(lo, parts) + (np.arange(step.size)
+                                             - np.repeat(np.cumsum(parts) - parts, parts)) * step
+                hi, k = lo + step, np.repeat(k, parts)
+            s = lo[:, None] + (hi - lo)[:, None] * share
+            pieces.append((edges[k][:, None] + _rising(poly[k], s),
+                           self.lefts[k][:, None] + s * (0.5 * self.widths[k])[:, None]))
+            if reached < z_end:
+                pieces.append(even(reached, u_top))
+            z, u = (np.concatenate(part) for part in zip(*pieces))
+        p = self.p0 * np.exp(self.direction * u)
+        # the pieces whose knots rise, up to the next piece's left edge,
+        # with dz/dt > 0 at each Gauss node
+        after = np.append(z[1:, 0], z_end)
+        keep = ((np.diff(z, axis=1) > 0.0).all(axis=1) & (after > z[:, -1])
+                & (z @ slope.T > 0.0).all(axis=1))
+        return (np.append(z[keep].ravel(), z_end),
+                np.append(p[keep].ravel(), self.p0 * math.exp(self.direction * u_top)))
 
 
 def _invalid_reason(p: float, g: float) -> str:
@@ -678,7 +732,7 @@ def _floor_width(s0, a):
 def _knot_states(s0, sign, a, h):
     # u and the state at the Gauss nodes and right edge of each panel
     # with left edges a and widths h
-    u = a[:, None] + (_knot_tables()[0][1:] + 1.0) * (0.5 * h[:, None])
+    u = a[:, None] + (np.append(_gauss_tables()[0], 1.0) + 1.0) * (0.5 * h[:, None])
     return u, np.exp(s0 + sign * u)
 
 
@@ -1133,142 +1187,69 @@ def endpoint_root(terms, scale, closing, p0, z_end):
 # Quadrature
 # ---------------------------------------------------------------------------
 
-def _cubic_stencils(x: np.ndarray):
-    """Per-interval quadrature stencils on the abscissae x.
-
-    Returns (index, coef), two read-only arrays of one row per stencil
-    point: the integral over [x[i], x[i + 1]] is
-    sum_k coef[k, i] * y[index[k, i]].  Each interval is integrated under
-    the local cubic through the four nearest samples (clamped stencils at
-    the ends); with fewer than four samples the stencil is the trapezoid.
-    """
-    n = x.size
-    h = np.diff(x)
-    if n < 4:
-        j0 = np.arange(n - 1)
-        index, coef = np.array([j0, j0 + 1]), np.array([0.5 * h, 0.5 * h])
-    else:
-        j0 = np.clip(np.arange(n - 1) - 1, 0, n - 4)  # stencil start per interval
-        index = np.array([j0 + k for k in range(4)])
-        mid = 0.5 * (x[:-1] + x[1:])
-        # stencil abscissae about each interval's midpoint
-        t = [x[j] - mid for j in index]
-        # weight k integrates the Lagrange cubic l_k over [-h/2, h/2]; its
-        # numerator (t - t_a)(t - t_b)(t - t_c) has odd moments that vanish
-        # there, leaving -(t_a + t_b + t_c) h^3/12 - t_a t_b t_c h
-        rows = []
-        for k in range(4):
-            a, b, c = (t[j] for j in range(4) if j != k)
-            numer = -((a + b + c) * (h * h * h / 12.0) + a * b * c * h)
-            rows.append(numer / ((t[k] - a) * (t[k] - b) * (t[k] - c)))
-        coef = np.array(rows)
-    index.flags.writeable = coef.flags.writeable = False
-    return index, coef
-
-
 @dataclass(frozen=True)
 class Grid:
-    """Quadrature grid on [0, L]: nodes from 0 up plus composite order-4 weights.
+    """The panel rule on [0, L]: nodes from 0 up and their weights.
 
-    The weights are those of :func:`cumulative_integral` summed over the
-    whole grid, so they integrate any cubic exactly, sum to L and depend
-    on the nodes alone: a grid rebuilt from saved nodes integrates like
-    the one it was saved from.  Where neighbouring intervals differ much
-    in width, some weights are negative: on a graded grid of 300 nodes
-    or more, that of the second positive node, as [0, z_min] is far
-    wider than the intervals after it.
-
-    The grid also keeps the per-interval stencils its weights are summed
-    from (``stencil_index`` and ``stencil_coef``, see
-    :func:`cumulative_integral`), so a cumulative integral on it costs
-    one gather and one running sum.  Every array is read-only, and the
-    grid is immutable: one grid can be shared by every solve on it.  Its
-    nodes lie at least ``least_interval`` (~1.22e-77) apart: the stencils
-    multiply four interval lengths, which must stay normal floats.
+    The nodes come in panels of nine knots: a panel's left edge, then the
+    images of the 8 Gauss-Legendre nodes under its map z(t), t in
+    [-1, 1]; the last node is L, the right edge of the last panel.  z(t)
+    is the degree-8 polynomial through a panel's knots, so its weights
+    are the Gauss weights times dz/dt at the Gauss nodes, and the edge
+    knots carry none.  A smooth y is integrated as y dz/dt in t, to the
+    Gauss rule's order on each panel.  The weights depend on the nodes
+    alone: a grid rebuilt from saved nodes integrates like the one it was
+    saved from.  Nodes whose panels do not rise (dz/dt <= 0 at a Gauss
+    node), or do not meet (a panel's z(t) at t = 1 more than 1e-12 * L
+    from the next panel's left edge, or from L), are refused: their
+    weights would not sum to L.  The arrays are read-only and the grid
+    immutable.
     """
 
-    least_interval = sys.float_info.min ** 0.25
     nodes: np.ndarray
     weights: np.ndarray = field(init=False)
-    stencil_index: np.ndarray = field(init=False, repr=False)
-    stencil_coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a private read-only copy: one grid is shared by every solution
-        # solved on it
+        # a private read-only copy: a solution shares its grid freely
         nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError("first node must be 0")
-        gaps = np.diff(nodes)
-        if not np.all(gaps > 0.0):
+        if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
-        if gaps.min() < self.least_interval:
-            raise ValueError(f"nodes must lie at least {self.least_interval:.3g} apart")
-        index, coef = _cubic_stencils(nodes)
-        weights = sum(np.bincount(i, c, minlength=nodes.size) for i, c in zip(index, coef))
+        if nodes.size % (_GL_ORDER + 1) != 1:
+            raise ValueError(
+                "nodes must be panel knots, nine per panel (its left edge and the images "
+                f"of the 8 Gauss nodes) and L last; got {nodes.size} nodes"
+            )
+        _, slope, _, _, _, end = _panel_tables()
+        knots = nodes[:-1].reshape(-1, _GL_ORDER + 1)
+        dz_dt = knots @ slope.T
+        if not np.all(dz_dt > 0.0):
+            raise ValueError("nodes must be panel knots rising in z: dz/dt is not "
+                             "positive at every Gauss node")
+        if not np.all(np.abs(knots @ end - np.append(knots[1:, 0], nodes[-1]))
+                      <= 1e-12 * nodes[-1]):
+            raise ValueError("nodes must be panel knots that meet: a panel's z(t) must "
+                             "reach the next panel's left edge, or L, at t = 1")
+        weights = np.zeros_like(nodes)
+        weights[:-1].reshape(dz_dt.shape[0], -1)[:, 1:] = dz_dt * _gauss_tables()[1]
         nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "stencil_index", index)
-        object.__setattr__(self, "stencil_coef", coef)
 
     @property
     def capacity(self) -> float:
         return float(self.nodes[-1])
 
-    @classmethod
-    def graded(
-        cls,
-        capacity: float,
-        n: int = 800,
-        z_min: float = 1e-6,
-    ) -> "Grid":
-        """n nodes: 0, then geometric spacing from z_min up to a knee, then uniform.
-
-        The stationary density develops a sharp boundary layer above z = 0
-        when the policy's power there is small; the geometric section (40%
-        of the nodes, up to a knee at a tenth of the capacity) resolves it
-        at a fixed nodes-per-decade cost while the uniform section keeps
-        the bulk truncation error small.  At the default 800 nodes the
-        average distortion of the published rows is within 1e-7 relative
-        of a 32k-node solve.
-
-        Each grid is built once: the same (capacity, n, z_min) returns the
-        same shared, read-only grid while it is among the 16
-        (``_GRADED_MEMO``) most recently asked for.
-        """
-        if capacity <= 0.0 or not math.isfinite(capacity):
-            raise ValueError("capacity must be finite and positive")
-        if n < 16:
-            raise ValueError("need at least 16 nodes")
-        if not 0.0 < z_min < capacity * 0.1:
-            raise ValueError("need 0 < z_min < capacity / 10")
-        return _graded_grid(float(capacity), n, float(z_min))
-
-
-# graded grids kept for reuse, the least recently asked for dropped
-# first.  A tune or a sweep solves every probe at one capacity, and the
-# published rows span five; an 800-node grid holds ~64 kB
-_GRADED_MEMO = 16
-
-
-@functools.lru_cache(maxsize=_GRADED_MEMO)
-def _graded_grid(capacity: float, n: int, z_min: float) -> Grid:
-    knee = capacity * 0.1
-    n_geo = int(round(n * 0.4))
-    geo = np.geomspace(z_min, knee, n_geo)
-    lin = np.linspace(knee, capacity, n - n_geo)[1:]
-    return Grid(np.concatenate(([0.0], geo, lin)))
-
 
 def quadrature(values, grid: Grid) -> float:
-    """Composite order-4 integral of node values over [0, L].
+    """The panel rule's integral of node values over [0, L].
 
-    The dot product of the values with the grid's weights: exact (to
-    rounding) for cubics, and equal to the last entry of
-    :func:`cumulative_integral` on the same grid.
+    The dot product of the values with the grid's weights, which agrees
+    to rounding with the last entry of :func:`cumulative_integral` on the
+    same grid.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
@@ -1280,29 +1261,37 @@ def quadrature(values, grid: Grid) -> float:
     return float(np.dot(grid.weights, values))
 
 
-def cumulative_integral(grid: Grid, y) -> np.ndarray:
-    """Cumulative integral of node values y over a grid, order-4 accurate.
-
-    Returns an array C with C[0] = 0 and C[k] approximating the integral
-    of the sampled function from 0 to node k.  Each interval is
-    integrated under the local cubic through the four nearest samples
-    (clamped stencils at the ends), so smooth integrands converge at
-    O(h^4) -- needed where plain trapezoid error would be amplified by
-    steep multiplier profiles.  Falls back to trapezoid when the grid has
-    fewer than four nodes.  The stencils are the grid's own, so a call
-    costs one gather and one running sum.
-    """
-    return np.concatenate(([0.0], np.cumsum(_interval_integrals(grid, y))))
-
-
-def _interval_integrals(grid, y):
+def _gauss_terms(grid, y):
+    # y times the weight at each Gauss node, one row per panel
     y = np.asarray(y, dtype=float)
     if y.shape != grid.nodes.shape:
         raise ValueError(
             f"length mismatch: {y.shape} values on {grid.nodes.shape} nodes"
         )
-    # each interval's integral: its stencil terms summed in stencil order
-    return sum(grid.stencil_coef * y[grid.stencil_index])
+    return (y * grid.weights)[:-1].reshape(-1, _GL_ORDER + 1)[:, 1:]
+
+
+def _by_panel(first, inner, last):
+    # node values from each panel's value at its left edge and Gauss
+    # nodes, and the value at L
+    out = np.empty((first.size, _GL_ORDER + 1))
+    out[:, 0], out[:, 1:] = first, inner
+    return np.append(out.ravel(), last)
+
+
+def cumulative_integral(grid: Grid, y) -> np.ndarray:
+    """Cumulative integral of node values y over a grid, by its panels.
+
+    Returns an array C with C[0] = 0 and C[k] the integral of the sampled
+    function from 0 to node k: the whole panels before k by their Gauss
+    sums, and the part of k's panel up to it by the antiderivative of the
+    panel's Legendre interpolant of y dz/dt.  y at the edge knots is not
+    read.
+    """
+    terms = _gauss_terms(grid, y)
+    before = np.concatenate(([0.0], np.cumsum(terms.sum(axis=1))))
+    return _by_panel(before[:-1], before[:-1, None] + terms @ _panel_tables()[2].T,
+                     before[-1])
 
 
 # lam*z covered by one scale of e^{-lam u} in discounted_tail
@@ -1312,19 +1301,21 @@ _TAIL_SPAN = 300.0
 def discounted_tail(grid: Grid, y, lam: float) -> np.ndarray:
     """Int_z^L y(u) e^{-lam (u - z)} du at every node z of a grid.
 
-    The grid's interval integrals of y e^{-lam u} (as in
-    :func:`cumulative_integral`), summed from the right, so that a tail
-    far below the whole integral keeps its digits.  The nodes of each
-    stretch of 300 in lam*z scale e^{-lam u} by e^{lam c} at the
+    The panels' integrals of y e^{-lam u}, summed from the right, and the
+    part of each node's panel above it from its Legendre interpolant, so
+    that a tail far below the whole integral keeps its digits.  The nodes
+    of each stretch of 300 in lam*z scale e^{-lam u} by e^{lam c} at the
     stretch's start c, so that neither it nor e^{lam z} over- or
-    underflows at any L; below the stretch, where only the stencils of
-    its first intervals reach, the scaled weight is capped at e^300.
+    underflows at any L; below the stretch, whose panels the stretch's
+    tails do not read, the scaled weight is capped at e^300.
     """
     lz = lam * grid.nodes
     tail = np.empty_like(lz)
+    right = _panel_tables()[3]
     for c in _TAIL_SPAN * np.arange(lz[-1] // _TAIL_SPAN + 1.0):
-        inc = _interval_integrals(grid, y * np.exp(np.minimum(c - lz, _TAIL_SPAN)))
-        rest = np.append(np.cumsum(inc[::-1])[::-1], 0.0)
+        terms = _gauss_terms(grid, y * np.exp(np.minimum(c - lz, _TAIL_SPAN)))
+        after = np.append(np.cumsum(terms.sum(axis=1)[::-1])[::-1], 0.0)
+        rest = _by_panel(after[:-1], after[1:, None] + terms @ right.T, 0.0)
         lo, hi = lz.searchsorted((c, c + _TAIL_SPAN))
         tail[lo:hi] = rest[lo:hi] * np.exp(lz[lo:hi] - c)
     return tail

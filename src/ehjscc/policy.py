@@ -18,8 +18,11 @@ result against the original integro-differential stationarity condition.
 Both policy ODEs here are autonomous and affine in their free constant,
 p' = F(p) = (base + scale*constant)/den on whole arrays of powers: the
 solvers hand F to :func:`~ehjscc.numerics.integrate_autonomous`, which
-integrates z(p) = Int dq / F(q) by quadrature and inverts it at the grid
-nodes.  The endpoint gap is affine in c2 too, so the c2 that
+integrates z(p) = Int dq / F(q) by quadrature on Gauss-Legendre panels
+in ln p.  The stationary law, its normalizations and the residual's tail
+are integrated on those panels' own knots, where z and p are explicit
+(:meth:`~ehjscc.numerics.AutonomousPath.knots` and
+:class:`~ehjscc.numerics.Grid`): nothing is inverted.  The endpoint gap is affine in c2 too, so the c2 that
 closes the gap is one scalar root in the end power p(L), which
 :func:`~ehjscc.numerics.endpoint_root` finds on a table of F's two parts;
 this module gives it those parts and the closing map.  The one
@@ -98,8 +101,9 @@ class VariationalConstants:
 class PolicySolution:
     """A solved policy plus its stationary charge law.
 
-    Arrays are aligned with ``grid.nodes``; they are locked read-only so a
-    solution can be shared freely.  ``d_beta`` and ``optimality_residual``
+    Arrays are aligned with ``grid.nodes``, the knots of the path's
+    panels; they are locked read-only so a solution can be shared
+    freely.  ``d_beta`` and ``optimality_residual``
     are ``None`` for constant-mismatch solutions (their instantaneous
     distortion varies with charge and they satisfy a different
     stationarity condition), so ``d_beta`` tells the two kinds apart;
@@ -341,47 +345,17 @@ def _stationary_law(grid, drain, delta, lam):
     return math.exp(log_pi0), log_pi0, np.exp(log_pi0 + log_shape)
 
 
-def _default_grid(capacity):
-    # the solvers' grid: its geometric section starts at 1e-6, or at a
-    # twentieth of a smaller battery
-    return Grid.graded(capacity, z_min=min(1e-6, capacity / 20))
-
-
-# a battery below 2e-5, where the default grid is one grid scaled by the
-# capacity
-_SMALL_BATTERY = 1e-5
-
-
-@functools.cache
-def _least_capacity() -> float:
-    # the battery floor (~1.12e-73) that check_battery reports: in a small
-    # battery the default grid's narrowest interval, its first geometric
-    # step, is a fixed share of the capacity (~1.09e-4)
-    nodes = _default_grid(_SMALL_BATTERY).nodes
-    return Grid.least_interval * _SMALL_BATTERY / float(np.diff(nodes).min())
-
-
 def check_battery(capacity: float, p0plus: float) -> None:
     """Raise ValueError unless both solvers can take this battery."""
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise ValueError(f"capacity must be finite and positive, got {capacity}")
-    # a battery of 1e-5 or more, far above the floor, builds no grid here
-    if capacity < _SMALL_BATTERY:
-        try:
-            _default_grid(capacity)
-        except ValueError:
-            raise ValueError(
-                f"capacity must be at least {_least_capacity():.3g}, got {capacity}: the "
-                "quadrature weights of the default grid underflow in a smaller battery"
-            ) from None
+    # the grid's weights are differences of its knots, which in a battery
+    # below the least normal float are subnormal, with bits to spare no more
+    if capacity < sys.float_info.min:
+        raise ValueError(f"capacity must be at least the least normal float "
+                         f"{sys.float_info.min!r}, got {capacity!r}")
     if not 1e-300 <= p0plus <= 1e300:
         raise ValueError(f"p0plus must be in the ODE state range [1e-300, 1e300], got {p0plus}")
-
-
-def _battery_grid(capacity, p0plus, grid):
-    # both solvers check the battery before any work
-    check_battery(capacity, p0plus)
-    return _default_grid(capacity) if grid is None else grid
 
 
 # the error target of every trajectory (see integrate_autonomous): on the
@@ -390,22 +364,30 @@ def _battery_grid(capacity, p0plus, grid):
 # (13%) longer each
 _ODE_TOLERANCES = {"atol": 1e-10, "rtol": 1e-9}
 
+# the widest panel of the law, in lam*z: the law and the residual's tail
+# carry e^{-lam z}, and the 8-point Gauss rule's error on e^{-a t} over
+# [-1, 1] is 2^17 (8!)^4 / (17 (16!)^3) a^16 e^{a xi}, about 2.2e-18 a^16
+# times the integrand's size: 1.5e-13 at a = lam*dz/2 = 2, and a
+# ~1e-14 relative share of the panel's integral
+_LAW_SPAN = 4.0
 
-def _law_on_grid(terms, shift, grid, arrivals, leak, p0plus, start=None, **tags):
-    # p on the grid along the trajectory of p' = (base + shift)/den from
-    # p0plus, integrated from the endpoint root's start if given, plus the
-    # output of _stationary_law, or the infeasible outcome carrying tags if
-    # the trajectory turns singular before the last node
+
+def _law_on_path(terms, shift, arrivals, leak, capacity, p0plus, start=None, **tags):
+    # the grid of the trajectory of p' = (base + shift)/den from p0plus,
+    # integrated from the endpoint root's start if given, p on it, plus
+    # the output of _stationary_law, or the infeasible outcome carrying
+    # tags if the trajectory turns singular before z = capacity
     try:
         path = integrate_autonomous(lambda p: affine_field(*terms(p), shift), p0plus,
-                                    grid.capacity, start=start, **_ODE_TOLERANCES)
-        p = path.p_at(grid.nodes)
+                                    capacity, start=start, **_ODE_TOLERANCES)
     except SingularityError as exc:
         return PolicySolution(
             p0plus=p0plus, message=f"ODE singular near z={exc.z:.6g}: {exc.message}", **tags
         )
-    drain = p + np.asarray(leak.rate(grid.nodes), dtype=float)
-    return (p,) + _stationary_law(grid, drain, arrivals.delta, arrivals.lam)
+    z, p = path.knots(_LAW_SPAN / arrivals.lam)
+    grid = Grid(z)
+    drain = p + np.asarray(leak.rate(z), dtype=float)
+    return (grid, p) + _stationary_law(grid, drain, arrivals.delta, arrivals.lam)
 
 
 def optimality_residual(
@@ -460,7 +442,6 @@ def solve_adaptive(
     p0plus: float,
     consts: VariationalConstants,
     *,
-    grid: Optional[Grid] = None,
     refine_c2: bool = False,
     residual: bool = True,
 ) -> PolicySolution:
@@ -504,7 +485,7 @@ def solve_adaptive(
     feasibility, d_avg and pi0/kappa0, and audits the one solution it
     returns.
     """
-    grid = _battery_grid(capacity, p0plus, grid)
+    check_battery(capacity, p0plus)
     d_beta, r_beta, slope = _level(src, consts.beta)
     terms, scale, closing = _adaptive_terms(ch, arrivals, consts.c1, d_beta, r_beta, slope)
 
@@ -522,11 +503,11 @@ def solve_adaptive(
         c2, start = found
     used = replace(consts, c2=c2)
 
-    law = _law_on_grid(terms, scale * c2, grid, arrivals, leak, p0plus, start,
+    law = _law_on_path(terms, scale * c2, arrivals, leak, capacity, p0plus, start,
                        d_beta=d_beta, constants=used)
     if isinstance(law, PolicySolution):
         return law
-    p, pi0, log_pi0, f = law
+    grid, p, pi0, log_pi0, f = law
     kappa = r_beta / ch.rate(p)
 
     # mismatch normalization: pi0/kappa0 + int f/kappa = 1 fixes kappa0
@@ -608,8 +589,6 @@ def solve_constant_kappa(
     capacity: float,
     p0plus: float,
     c: float,
-    *,
-    grid: Optional[Grid] = None,
 ) -> PolicySolution:
     """Solve the matched-bandwidth (kappa = 1) power policy.
 
@@ -628,12 +607,12 @@ def solve_constant_kappa(
     is 1 and the average distortion integrates D~(p(z)) against the
     charge law.
     """
-    grid = _battery_grid(capacity, p0plus, grid)
-    law = _law_on_grid(_matched_terms(src, ch, arrivals), -c, grid, arrivals, leak,
+    check_battery(capacity, p0plus)
+    law = _law_on_path(_matched_terms(src, ch, arrivals), -c, arrivals, leak, capacity,
                        p0plus, c=c)
     if isinstance(law, PolicySolution):
         return law
-    p, pi0, _, f = law
+    grid, p, pi0, _, f = law
 
     d_of_z = distortion(src, ch, p, 1.0)
     d_avg = pi0 * src.d_max + quadrature(d_of_z * f, grid)

@@ -14,9 +14,8 @@ C of the constant-mismatch policy is found by one Brent minimization,
 sweep ties both tuners and the converse bound together into one table,
 which is what the plotting and CLI layers consume.
 
-Every probe is a full solve on the solvers' default grid, built once
-per capacity and shared (see :meth:`~ehjscc.numerics.Grid.graded`), and
-the result is the best usable probe's own solution: no point is
+Every probe is a full solve, its law integrated on its own path's
+panels (see :class:`~ehjscc.numerics.Grid`), and the result is the best usable probe's own solution: no point is
 re-solved.  Probes are not audited, since a search reads only their
 feasibility, d_avg and pi0/kappa0: the adaptive tuner solves them with
 ``residual=False`` and computes the stationarity residual of the one
@@ -68,7 +67,8 @@ __all__ = [
 # the root in beta and the minimization in C stop at this width relative
 # to max(1, |beta|) and max(1, |C|).  On the published rows the tuned
 # d_avg is then within 6e-7 relative of a root found to 1e-11 (one or two
-# probes more), and the default grid within 1e-7 of a 32k-node solve
+# probes more), which bounds its accuracy: the law's panels are within
+# 1e-12 of a 32k-node solve
 _BETA_RTOL = 1e-7
 _C_RTOL = 1e-7
 # adaptive probes set c1 this far below c1_edge(beta).  With zero leakage
@@ -110,9 +110,9 @@ class SearchSpec:
     of the mismatch budget spent on the empty battery.  Minimizing the
     average distortion pushes solutions against the normalization
     boundary where that share hits zero and kappa(0) diverges, so the
-    search stays a fixed distance inside.  The default grid's error of
-    up to 1e-7 relative in d_avg moves the share by ~1e-7, a ten-thousandth
-    of the default margin, so a probe tells the two sides apart.  The
+    search stays a fixed distance inside.  The law's quadrature error of
+    ~1e-12 relative in d_avg moves the share by ~1e-12, far below the
+    default margin, so a probe tells the two sides apart.  The
     cost is bounded by margin * d_max, far below the tolerance at the
     default.
     """
@@ -232,8 +232,8 @@ class _Probe:
 def _edge_probe(problem: Problem, spec: SearchSpec) -> _Probe:
     """The margin gap of the edge solve at beta, as a probe of ``spec.budget``.
 
-    A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves on the
-    solvers' default grid with c2 fixed by the endpoint condition, so its
+    A probe sets c1 = c1_edge(beta) - _EDGE_OFFSET and solves with c2
+    fixed by the endpoint condition, so its
     outcome depends on beta alone (the c2 passed in is ignored).  It
     returns the share pi0/kappa0 less ``spec.margin``, or -inf when the
     solve is unusable.

@@ -161,7 +161,8 @@ def test_bound_writes_csv(workdir, bench_config):
 def test_solve_artifacts_shape(solve_artifacts):
     csv = (solve_artifacts / "solution.csv").read_text().splitlines()
     assert csv[0] == "z,p,kappa,f"
-    assert len(csv) == 801
+    # panels of nine knots and L last
+    assert (len(csv) - 1) % 9 == 1
     # the grid starts at z = 0, where the power is p0plus
     assert csv[1].split(",")[:2] == ["0.0", "0.001"]
     sidecar = json.loads((solve_artifacts / "solution.json").read_text())
@@ -193,7 +194,7 @@ def test_solve_json_format_includes_arrays(workdir, bench_config):
     assert main(["solve", "--config", bench_config, "--out", str(out),
                  "--format", "json"]) == 0
     payload = json.loads((out / "solution.json").read_text())
-    assert len(payload["z"]) == len(payload["p"]) == 800
+    assert len(payload["z"]) == len(payload["p"]) and len(payload["z"]) % 9 == 1
     assert not (out / "solution.csv").exists()
 
 
@@ -379,8 +380,7 @@ def test_config_error_exit_codes(workdir, capsys):
 
 
 def test_solve_in_a_battery_below_the_default_grid_start(workdir, capsys):
-    # the default grid's geometric section starts at 1e-6, or at a
-    # twentieth of a smaller battery
+    # a small battery, below where the old graded grid started
     tiny = workdir / "tiny.yaml"
     tiny.write_text(GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: 1.0e-6")
                     + BENCH_CONSTANTS)
@@ -390,9 +390,9 @@ def test_solve_in_a_battery_below_the_default_grid_start(workdir, capsys):
     assert sidecar["feasible"] and sidecar["d_avg"] == pytest.approx(1.0, abs=1e-5)
 
 
-@pytest.mark.parametrize("capacity", ["1.0e-80", "1.0e-200", "1.0e-300"])
+@pytest.mark.parametrize("capacity", ["1.0e-310", "5.0e-324"])
 def test_batteries_below_the_grid_floor_are_config_errors(workdir, capsys, capacity):
-    # the default grid's quadrature weights underflow below ~1.12e-73
+    # the grid's knots are subnormal below the least normal float
     solve = workdir / f"floor_solve_{capacity}.yaml"
     solve.write_text(GAUSS_SYSTEM.replace("capacity: 5.0", f"capacity: {capacity}")
                      + BENCH_CONSTANTS)
@@ -401,8 +401,18 @@ def test_batteries_below_the_grid_floor_are_config_errors(workdir, capsys, capac
     for command, path, key in (("solve", solve, "capacity"),
                                ("sweep", sweep, "sweep.capacities[1]")):
         assert main([command, "--config", str(path), "--out", str(workdir / "unused")]) == 2
-        assert (f"config error: {key}: capacity must be at least 1.12e-73"
+        assert (f"config error: {key}: capacity must be at least the least normal float"
                 in capsys.readouterr().err)
+
+
+def test_a_battery_of_1e_300_solves(workdir, capsys):
+    # far below the old stencil floor of ~1.12e-73: the battery is almost
+    # always empty, where the distortion is d_max = 1
+    solve = workdir / "tiny_solve.yaml"
+    solve.write_text(GAUSS_SYSTEM.replace("capacity: 5.0", "capacity: 1.0e-300")
+                     + BENCH_CONSTANTS)
+    assert main(["solve", "--config", str(solve), "--out", str(workdir / "tiny_300")]) == 0
+    assert json.loads(capsys.readouterr().out)["d_avg"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_search_says_why_it_has_no_result(workdir, capsys):
@@ -593,6 +603,16 @@ def _first_nodes_apart(rows, gap):
     return rows[:2] + moved + rows[4:]
 
 
+def _shrunk_panel(rows):
+    # the CSV with the inner knots of the 40th panel pulled halfway toward
+    # its left edge: the panel still rises but stops short of the next one
+    head = 1 + 9 * 40
+    left = float(rows[head].split(",", 1)[0])
+    moved = [f"{left + 0.5 * (float(row.split(',', 1)[0]) - left)!r},{row.split(',', 1)[1]}"
+             for row in rows[head + 1:head + 9]]
+    return rows[:head + 1] + moved + rows[head + 9:]
+
+
 def _drop_column(rows):
     return [row.rsplit(",", 1)[0] for row in rows]
 
@@ -620,9 +640,16 @@ def _constant_sidecar(side):
     pytest.param(lambda rows: _set_column(rows, 1, "high"), None, 2, id="unparsable-csv"),
     pytest.param(_drop_column, None, 2, id="three-columns"),
     pytest.param(lambda rows: rows[:2], None, 2, id="single-row"),
-    # the quadrature stencils of nodes this close lose their weights
+    # no rising panel goes through knots this close
     pytest.param(lambda rows: _first_nodes_apart(rows, 1e-300), None, 2,
                  id="nodes-1e-300-apart"),
+    # 800 rows of the old graded grid are not panel knots
+    pytest.param(lambda rows: [rows[0]] + [
+        f"{float(z)!r},{row.split(',', 1)[1]}" for z, row in zip(
+            np.concatenate(([0.0], np.geomspace(1e-6, 0.5, 320),
+                            np.linspace(0.5, 5.0, 480)[1:])), rows[1:801])], None, 2,
+                 id="graded-800-rows"),
+    pytest.param(_shrunk_panel, None, 2, id="panels-that-do-not-meet"),
     pytest.param(lambda rows: _set_column(rows, 3, "inf"), None, 2, id="infinite-f"),
     pytest.param(None, lambda side: None, 2, id="no-sidecar"),
     pytest.param(None, lambda side: "{", 2, id="unparsable-sidecar"),
@@ -672,8 +699,13 @@ def test_simulate_rejects_an_invalid_policy_artifact(tmp_path, solve_artifacts, 
         + f"  policy_csv: {tmp_path / 'solution.csv'}\n"
     )
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
-    assert {2: "config error: simulate.policy_csv: ", 3: "infeasible: policy in "}[code] \
-        in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert {2: "config error: simulate.policy_csv: ", 3: "infeasible: policy in "}[code] in err
+    if rows is not None and len(rows) == 801:
+        # the old layout: the message names the one the CSV must have
+        assert "nodes must be panel knots, nine per panel" in err
+    if edit_csv is _shrunk_panel:
+        assert "nodes must be panel knots that meet" in err
 
 
 def test_simulate_roundtrip_from_a_constant_mismatch_csv(workdir, capsys):

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from ehjscc.models import (
     IncreasingLeakage,
     ZeroLeakage,
 )
-from ehjscc.numerics import Grid, affine_field, cumulative_integral, lambert_wm1
+from ehjscc.numerics import affine_field, cumulative_integral, lambert_wm1, quadrature
 from ehjscc.policy import (
     VariationalConstants,
     beta_range,
@@ -242,22 +243,25 @@ def test_non_finite_p0plus_is_rejected(p0plus):
         solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, 5.0, p0plus, c=-0.55)
 
 
-@pytest.mark.parametrize("n", [None, 300], ids=["default-grid", "300-nodes"])
-def test_underflowing_empty_battery_atom_is_infeasible(n):
+@pytest.mark.parametrize("span", [None, 0.2], ids=["default-grid", "300-nodes"])
+def test_underflowing_empty_battery_atom_is_infeasible(span, monkeypatch):
     # the charge law piles up so far from empty that pi0 = exp(-1359)
     # underflows to 0; no positive kappa0 is representable then, and the
-    # outcome says so instead of raising
-    grid = None if n is None else Grid.graded(5.0, n=n)
+    # outcome says so instead of raising, on the default grid and on one
+    # refined to ~300 knots by panels no wider than 0.2/lam
+    if span is not None:
+        monkeypatch.setattr(policy, "_LAW_SPAN", span)
     sol = solve_adaptive(
         GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
         VariationalConstants(-0.0678944386606244, -0.9432553321559033,
                              0.012719901038464166),
-        grid=grid,
     )
     assert not sol.feasible
     assert sol.pi0 == 0.0
     assert math.isnan(sol.kappa0)
     assert "underflows" in sol.message
+    if span is not None:
+        assert abs(sol.grid.nodes.size - 300) < 10
 
 
 def test_infeasible_constants_return_outcome_not_exception():
@@ -363,8 +367,7 @@ def test_bracket_reaches_a_root_near_c2_zero_geometrically(integrations):
     # the state stays at p0: the endpoint root is found on the table, and
     # the one trajectory, at the c2 found, starts from it
     sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 5.0, 1e-3,
-                         VariationalConstants(-0.3127, -0.9434, 0.1444),
-                         grid=Grid.graded(5.0, n=300), refine_c2=True)
+                         VariationalConstants(-0.3127, -0.9434, 0.1444), refine_c2=True)
     assert sol.constants.c2 == pytest.approx(0.0905097949635, abs=1e-9)
     assert integrations == [True]
 
@@ -496,54 +499,67 @@ def test_unaudited_solve_equals_the_audited_one(src, consts, cap):
     assert (bare.pi0, bare.kappa0, bare.d_beta, bare.d_avg, bare.constants, bare.message) == (
         audited.pi0, audited.kappa0, audited.d_beta, audited.d_avg, audited.constants,
         audited.message)
-    assert bare.grid is audited.grid
+    assert np.array_equal(bare.grid.weights, audited.grid.weights)
 
 
 @pytest.mark.parametrize("capacity", [1e-80, 1e-200, 1e-300])
-def test_batteries_below_the_grid_floor_are_rejected(capacity):
-    # the default grid's cubic stencils multiply four lengths of its
-    # narrowest interval, ~1.09e-4 of a small battery; below ~1.12e-73 the
-    # products leave the normal floats and the weights sum to 0 or NaN
-    with pytest.raises(ValueError, match=r"capacity must be at least 1\.12e-73"):
-        solve_adaptive(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, BENCH, refine_c2=True)
-    with pytest.raises(ValueError, match=r"capacity must be at least 1\.12e-73"):
-        solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, c=-0.55)
+def test_tiny_batteries_solve_with_their_mass(capacity):
+    # the weights take one length, dz/dt, from the knots: a battery far
+    # below the old stencil floor of ~1.12e-73 solves, and its law holds
+    # its mass to 1e-12
+    for sol in (solve_adaptive(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, BENCH, refine_c2=True),
+                solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, c=-0.55)):
+        assert sol.feasible and sol.grid.capacity == capacity
+        assert sol.grid.weights.sum() == pytest.approx(capacity, rel=1e-12)
+        assert abs(sol.pi0 + quadrature(sol.f, sol.grid) - 1.0) <= 1e-12
+        assert sol.d_avg == pytest.approx(1.0, abs=1e-12)
 
 
 def test_the_battery_floor_keeps_the_grid_weights():
-    # just above the floor the default grid's weights still integrate a
-    # constant to the capacity, and the solvers run
-    capacity = 1.2e-73
-    grid = Grid.graded(capacity, z_min=capacity / 20)
-    assert grid.weights.sum() == pytest.approx(capacity, rel=1e-12)
-    sol = solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, c=-0.55)
-    assert sol.feasible and sol.d_avg == pytest.approx(1.0, abs=1e-12)
+    # the floor is the least normal float: there the grid's weights still
+    # integrate a constant to the capacity and the solvers run, and one
+    # ulp below it the battery is refused
+    capacity = sys.float_info.min
+    for sol in (solve_adaptive(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, BENCH, refine_c2=True),
+                solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, c=-0.55)):
+        assert sol.grid.weights.sum() == pytest.approx(capacity, rel=1e-12)
+        assert sol.feasible and sol.d_avg == pytest.approx(1.0, abs=1e-12)
+    check_battery(capacity, 1e-3)
+    for below in (math.nextafter(capacity, 0.0), 5e-324):
+        with pytest.raises(ValueError, match="capacity must be at least the least normal float"):
+            check_battery(below, 1e-3)
 
 
-def _takes_default_grid(capacity):
+def _solves_with_its_mass(capacity):
     try:
-        Grid.graded(capacity, z_min=capacity / 20)
+        sols = (solve_adaptive(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, BENCH, refine_c2=True),
+                solve_constant_kappa(GAUSS, CH, ARR, NO_LEAK, capacity, 1e-3, c=-0.55))
     except ValueError:
         return False
-    return True
+    return all(sol.feasible and sol.grid.weights.sum() == pytest.approx(capacity, rel=1e-12)
+               for sol in sols)
 
 
-def test_the_battery_floor_is_the_grid_interval_floor():
-    # at the reported floor, at the least battery whose default grid Grid
-    # takes, and one ulp on either side of each, check_battery takes a
-    # battery exactly when Grid takes its default grid
-    reported = policy._least_capacity()
-    lo, hi = 1e-74, reported
+def test_the_battery_floor_is_the_grid_interval_floor(monkeypatch):
+    # with check_battery lifted, the solvers keep the grid's weights down
+    # to half the least normal float, where the knots' intervals are
+    # subnormal; below that a tolerance scaled to the battery underflows.
+    # The floor check_battery sets, the least normal float, is at most a
+    # factor 2 above that limit, and it takes a battery exactly from there
+    monkeypatch.setattr(policy, "check_battery", lambda capacity, p0plus: None)
+    floor = sys.float_info.min
+    lo, hi = 5e-324, floor
+    assert not _solves_with_its_mass(lo) and _solves_with_its_mass(hi)
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (lo, mid) if _takes_default_grid(mid) else (mid, hi)
-    assert not _takes_default_grid(lo) and _takes_default_grid(hi)
-    for floor in (reported, hi):
-        for capacity in (math.nextafter(floor, 0.0), floor, math.nextafter(floor, 1.0)):
-            if _takes_default_grid(capacity):
+        lo, hi = (lo, mid) if _solves_with_its_mass(mid) else (mid, hi)
+    assert not _solves_with_its_mass(lo) and _solves_with_its_mass(hi)
+    assert 0.5 * floor <= hi <= floor
+    for capacity in (math.nextafter(floor, 0.0), floor, math.nextafter(floor, 1.0)):
+        if capacity >= floor:
+            check_battery(capacity, 1e-3)
+        else:
+            with pytest.raises(ValueError, match="capacity must be at least the least normal float"):
                 check_battery(capacity, 1e-3)
-            else:
-                with pytest.raises(ValueError, match=r"capacity must be at least 1\.12e-73"):
-                    check_battery(capacity, 1e-3)
 
 
 def test_constant_instantaneous_distortion(mid_raw, bench_refined, leaky_raw):
@@ -642,41 +658,62 @@ def test_policy_shape_monotone(bench_refined, leaky_raw):
 def test_solution_arrays_are_immutable(mid_raw):
     with pytest.raises(ValueError):
         mid_raw.p[0] = 99.0
-    # the grid is shared by every solution solved on it
+    # the grid goes with the solution to the simulator and the CLI
     with pytest.raises(ValueError):
         mid_raw.grid.nodes[0] = 99.0
     with pytest.raises(ValueError):
         mid_raw.grid.weights[0] = 99.0
 
 
-def test_coarse_grid_stays_close(mid_raw):
+def test_coarse_grid_stays_close(mid_raw, monkeypatch):
+    # the path's panels alone, none cut to 4/lam in z, give d_avg to 1e-12
+    monkeypatch.setattr(policy, "_LAW_SPAN", math.inf)
     small = solve_adaptive(
         GAUSS, CH, ARR, NO_LEAK, 3.0, 1e-3,
         VariationalConstants(-0.8940, -0.90, 0.32),
-        grid=Grid.graded(3.0, n=300),
     )
-    assert small.d_avg == pytest.approx(mid_raw.d_avg, rel=1e-3)
+    assert small.grid.nodes.size <= mid_raw.grid.nodes.size
+    assert small.d_avg == pytest.approx(mid_raw.d_avg, rel=1e-12)
+
+
+def test_residual_resolves_a_long_battery():
+    # L = 100 hugging the edge: panels no wider than 4/lam in z resolve
+    # the residual's e^{-lam (u - z)}, which the 800-node grid of old,
+    # ~0.14 apart at the far end, left at 3.4e-4
+    c1 = policy.c1_edge(GAUSS, CH, -0.3, 1e-3) - 1e-5
+    sol = solve_adaptive(GAUSS, CH, ARR, NO_LEAK, 100.0, 1e-3,
+                         VariationalConstants(-0.3, c1, 0.0), refine_c2=True)
+    assert sol.feasible and sol.optimality_residual <= 1e-5
+    assert np.diff(sol.grid.nodes[::9]).max() <= 4.0 * (1.0 + 1e-12)
+
+
+# d_avg of each published row, polished, on the 32k-node cubic-stencil
+# grid graded from 1e-12 that the law was integrated on before it moved
+# to the path's panels (the 800-node grid of then was 2.8e-9 to 8.7e-8
+# off these; the panels are within 6.2e-13)
+DENSE_D_AVG = [
+    0.6970684212836531, 0.615225378438539, 0.5765896281138041, 0.5546957135034721,
+    0.5419613352853853, 0.7540236483573797, 0.6988770621022711, 0.6791821137996125,
+    0.6725841381337542, 0.6708482506213697, 0.21128998177790279, 0.16675672220839322,
+    0.1475343087924187, 0.13669831365139856, 0.1320491287054527, 0.24310960678049626,
+    0.22039610516979677, 0.2081492958715017, 0.20738942217622233, 0.20123734619142422,
+]
 
 
 @pytest.mark.parametrize("src,leak,rows", ALL_BENCHMARKS)
 def test_default_grid_matches_a_dense_reference(src, leak, rows):
-    # the law is integrated over the whole of [0, L]: on the default grid
-    # d_avg is within 1e-6 relative of a 32k-node grid graded from 1e-12
-    # (8.7e-8 at most measured), where the trapezoid law over [1e-6, L]
-    # was off by up to 3.1e-4
-    for cap, (_, beta, c1, c2) in rows.items():
+    # the solvers' grid is the knots of the path's own panels, and the
+    # law is integrated over the whole of [0, L] on them
+    first = 5 * [table for _, _, table in ALL_BENCHMARKS].index(rows)
+    for (cap, (_, beta, c1, c2)), dense in zip(rows.items(), DENSE_D_AVG[first:]):
         consts = VariationalConstants(beta, c1, c2)
         sol = solve_adaptive(src, CH, ARR, leak, float(cap), 1e-3, consts, refine_c2=True)
-        ref = solve_adaptive(src, CH, ARR, leak, float(cap), 1e-3, consts, refine_c2=True,
-                             grid=Grid.graded(float(cap), n=32_000, z_min=1e-12))
-        assert sol.d_avg == pytest.approx(ref.d_avg, rel=1e-6)
+        assert sol.d_avg == pytest.approx(dense, rel=1e-11)
         assert sol.optimality_residual <= 1e-5
-        # the charge CDF starts at the atom and rises at once: the mass
-        # over (0, z1] lies between z1 times the density at either end
-        z1 = sol.grid.nodes[1]
-        cdf = _analytic_cdf(sol, np.array([0.0, z1, float(cap)]))
-        assert cdf[0] == sol.pi0
-        assert min(sol.f[:2]) <= (cdf[1] - sol.pi0) / z1 <= max(sol.f[:2])
+        assert abs(sol.pi0 + quadrature(sol.f, sol.grid) - 1.0) <= 1e-12
+        # the charge CDF starts at the atom and ends at 1
+        cdf = _analytic_cdf(sol, np.array([0.0, float(cap)]))
+        assert cdf[0] == sol.pi0 and abs(cdf[1] - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,21 @@ close the endpoint gap.
 The integration from the table is also checked on its own: against the
 integration from scratch at the same c2, panel by panel against the one
 accuracy rule, by the states it evaluates F at, on a case where the
-table's c2 is off, and on a closed form.  The inversion
-``AutonomousPath.p_at`` is checked against the one it replaced.
+table's c2 is off, and on a closed form.  The knots a path hands the
+law (``AutonomousPath.knots``) are checked against its panels' own
+polynomials.
 
-The quadrature tables are built once per grid: a ``Grid`` keeps the
-stencils of ``cumulative_integral``, and ``Grid.graded`` hands out one
-shared read-only grid per (capacity, n, z_min).  The last part checks
-that a cumulative integral on a grid equals, bit for bit, the one from
-the per-call stencils it replaced, that the solvers' shared default grid
-gives bit for bit the solves of a freshly built one, and that the shared
-grid cannot be written to and its memo stays bounded.
+The law is integrated on the path's panels: a ``Grid`` is the panel rule
+of its nodes alone.  The last part checks that a grid rebuilt from a
+copy of the nodes integrates bit for bit like the one it was copied
+from, as the CLI rebuilds a solve's grid from its CSV, that a solve so
+rebuilt gives the same law bit for bit, and that a solve's grid cannot
+be written to.
 """
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ import ehjscc.numerics as numerics
 import ehjscc.policy as policy
 from ehjscc.distortion import distortion
 from ehjscc.models import BernoulliSource, GaussianSource, ZeroLeakage
-from ehjscc.numerics import Grid, cumulative_integral, integrate_ode
+from ehjscc.numerics import Grid, cumulative_integral, integrate_ode, quadrature
 from ehjscc.policy import (
     VariationalConstants,
     optimality_residual,
@@ -74,33 +75,47 @@ PROBES = [
 ]
 
 
+def _even_knots(z_end, panels=89):
+    # the knots of even panels in z over [0, z_end], about 800 nodes
+    share = numerics._panel_tables()[0]
+    edges = np.linspace(0.0, z_end, panels + 1)
+    return np.append((edges[:-1, None] + np.diff(edges)[:, None] * share).ravel(), z_end)
+
+
 class _Rkf45Path:
-    """Stand-in for ``integrate_autonomous``'s result, stepped by RKF45."""
+    """Stand-in for ``integrate_autonomous``'s result, stepped by RKF45.
 
-    def __init__(self, rhs, p0, z_end, *, atol, rtol, start=None):
-        self._args = (lambda z, p: float(rhs(p)), 0.0, p0, z_end)
-        self._kwargs = {"atol": atol, "rtol": rtol}
+    Its knots are the nodes it is given, or those of even panels where it
+    has none; p is stepped to them at once, so that a singularity raises
+    where ``integrate_autonomous`` would.
+    """
 
-    def p_at(self, z):
+    def __init__(self, rhs, p0, z_end, *, atol, rtol, start=None, nodes=None):
+        z = _even_knots(z_end) if nodes is None else nodes
         # z[0] = 0 is the start, which integrate_ode returns first
-        return integrate_ode(*self._args, sample_points=z[1:], **self._kwargs)[1]
+        self._knots = z, integrate_ode(lambda _, p: float(rhs(p)), 0.0, p0, z_end,
+                                       sample_points=z[1:], atol=atol, rtol=rtol)[1]
+
+    def knots(self, span=math.inf):
+        return self._knots
 
 
 def _both(solve, monkeypatch):
     # solve(c2) solves as the case asks with c2 None, else at that c2
     # unpolished.  The reference is the solve at the c2 the new one found
     # (or the same solve where no c2 closes the endpoint gap), with its
-    # one trajectory stepped by RKF45.  The bounds below hold at
-    # 1e-13/1e-12; at the solvers' own target of 1e-10/1e-9 the two
-    # paths' p differ by up to 2e-8 relative
+    # one trajectory stepped by RKF45 to the new one's nodes.  The bounds
+    # below hold at 1e-13/1e-12; at the solvers' own target of
+    # 1e-10/1e-9 the two paths' p differ by up to 2e-8 relative
     monkeypatch.setattr(policy, "_ODE_TOLERANCES", {"atol": 1e-13, "rtol": 1e-12})
     new = solve(None)
     no_root = new.message.startswith("endpoint condition has no root")
     stepped = []
+    nodes = None if new.grid is None else new.grid.nodes
 
     def rkf45(*args, **kwargs):
         stepped.append(1)
-        return _Rkf45Path(*args, **kwargs)
+        return _Rkf45Path(*args, nodes=nodes, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(policy, "integrate_autonomous", rkf45)
@@ -221,6 +236,21 @@ def _solve_rows(src, leak, rows):
             for cap, (_, beta, c1, c2) in rows.items()]
 
 
+def _p_gap(path, z, p):
+    # p at each charge z against the path's state there, relative and to
+    # first order: the path's charge where its state is p, less z, over
+    # its dz/du there
+    u = path.direction * np.log(p / path.p0)
+    k = np.clip(np.searchsorted(path.lefts, u, side="right") - 1, 0, path.widths.size - 1)
+    t = 2.0 * (u - path.lefts[k]) / path.widths[k] - 1.0
+    rows = path.antider[k].T
+    charge = path.z_edges[k] + 0.5 * path.widths[k] * np.polynomial.polynomial.polyval(
+        t, rows, tensor=False)
+    slope = np.polynomial.polynomial.polyval(
+        t, np.polynomial.polynomial.polyder(rows, axis=0), tensor=False)
+    return (charge - z) / slope
+
+
 @pytest.mark.parametrize("src,leak,rows", ALL_BENCHMARKS)
 def test_table_path_matches_the_integrated_path(src, leak, rows, seeded, monkeypatch):
     # the same polished solves, once integrated from the table's panels
@@ -228,14 +258,21 @@ def test_table_path_matches_the_integrated_path(src, leak, rows, seeded, monkeyp
     new = _solve_rows(src, leak, rows)
     assert len(seeded) == len(rows)
     integrate = numerics.integrate_autonomous
+    scratch = []
+
+    def from_scratch(*args, start, **kwargs):
+        scratch.append(integrate(*args, **kwargs))
+        return scratch[-1]
+
     with monkeypatch.context() as m:
-        m.setattr(policy, "integrate_autonomous",
-                  lambda *args, start, **kwargs: integrate(*args, **kwargs))
+        m.setattr(policy, "integrate_autonomous", from_scratch)
         ref = _solve_rows(src, leak, rows)
-    for a, b in zip(new, ref):
+    for a, b, (*_, path, _), other in zip(new, ref, seeded, scratch):
         assert a.constants.c2 == b.constants.c2
         assert a.feasible == b.feasible and a.message == b.message
-        assert np.max(np.abs(a.p - b.p) / b.p) <= 1e-12
+        # each path's knots lie on the other path, their panels differing
+        assert np.max(np.abs(_p_gap(path, b.grid.nodes, b.p))) <= 1e-12
+        assert np.max(np.abs(_p_gap(other, a.grid.nodes, a.p))) <= 1e-12
         assert _close(a.d_avg, b.d_avg, 1e-13)
         assert _close(a.pi0, b.pi0, 1e-13)
         # kappa0 = pi0 / (1 - int f/kappa) amplifies a rounding of the
@@ -304,18 +341,19 @@ def test_seeded_integration_on_a_closed_form():
     start = (-1.0, lefts, widths, np.ones((lefts.size, 9)))
     path = numerics.integrate_autonomous(rhs, 1.0, 5.0, atol=1e-10, rtol=1e-9,
                                          start=start)
-    z = np.linspace(0.0, 5.0, 41)
-    assert np.max(np.abs(path.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
-    assert path.z_edges[-1] == 5.0
+    z, p = path.knots()
+    assert np.max(np.abs(p / np.exp(-z) - 1.0)) <= 1e-13
+    assert path.z_edges[-1] == 5.0 and z[-1] == 5.0
     # panels that stop short of z_end: the path goes on past them
     longer = numerics.integrate_autonomous(rhs, 1.0, 7.0, atol=1e-10, rtol=1e-9,
                                            start=start)
     assert longer.z_edges[-1] >= 7.0
-    z = np.linspace(0.0, 7.0, 57)
-    assert np.max(np.abs(longer.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
+    z, p = longer.knots()
+    assert z[-1] == 7.0 and np.max(np.abs(p / np.exp(-z) - 1.0)) <= 1e-13
     # a state the field does not admit, where the panels say so too
     hole = lambda p: np.where(np.abs(p - math.exp(-2.0)) < 1e-12, np.nan, -p)
-    u = lefts[:, None] + (numerics._knot_tables()[0][1:] + 1.0) * (0.5 * widths[:, None])
+    t = np.append(numerics._gauss_tables()[0], 1.0)
+    u = lefts[:, None] + (t + 1.0) * (0.5 * widths[:, None])
     p = np.exp(-u)
     with pytest.raises(numerics.SingularityError, match="undefined") as exc:
         numerics.integrate_autonomous(hole, 1.0, 5.0, atol=1e-10, rtol=1e-9,
@@ -324,7 +362,7 @@ def test_seeded_integration_on_a_closed_form():
     # p0 on an equilibrium: the state stays there, whatever the panels say
     still = numerics.integrate_autonomous(lambda p: 1.0 - p, 1.0, 5.0,
                                           start=(0.0, lefts, widths, np.ones((lefts.size, 9))))
-    assert still.direction == 0.0 and np.all(still.p_at(z) == 1.0)
+    assert still.direction == 0.0 and np.all(still.knots()[1] == 1.0)
 
 
 def test_seeded_integration_takes_f0_in_place_of_a_call():
@@ -342,15 +380,16 @@ def test_seeded_integration_takes_f0_in_place_of_a_call():
     g = np.ones((lefts.size, 9))
     path = numerics.integrate_autonomous(rhs, 1.0, 5.0, start=(-1.0, lefts, widths, g))
     assert calls == []
-    z = np.linspace(0.0, 5.0, 41)
-    assert np.max(np.abs(path.p_at(z) / np.exp(-z) - 1.0)) <= 1e-13
+    z, p = path.knots()
+    assert np.max(np.abs(p / np.exp(-z) - 1.0)) <= 1e-13
     # the same panels from scratch: one call at p0 and one per round
     lefts, widths = np.linspace(0.0, 16.0, 33)[:-1], np.full(32, 0.5)
     path = numerics.integrate_autonomous(rhs, 1.0, 5.0, start=(-1.0, lefts, widths,
                                                                 np.ones((32, 9))))
     ref = numerics.integrate_autonomous(rhs, 1.0, 5.0)
     assert calls[0] == 1
-    assert np.array_equal(path.p_at(z), ref.p_at(z))
+    for a, b in zip(path.knots(), ref.knots()):
+        assert np.array_equal(a, b)
     with pytest.raises(numerics.SingularityError, match="blew up"):
         numerics.integrate_autonomous(rhs, 1.0, 5.0, start=(-math.inf, lefts, widths, g))
     still = numerics.integrate_autonomous(rhs, 1.0, 5.0, start=(0.0, lefts, widths, g))
@@ -380,121 +419,114 @@ def test_polished_solves_call_no_field_at_p0_alone(monkeypatch):
     assert not any(single)
 
 
-def _p_at_before(path, z):
-    # AutonomousPath.p_at as it was: Newton from the chord across the
-    # whole panel, on strided rows of the coefficients
-    z = np.asarray(z, dtype=float)
-    edges = path.z_edges
-    k = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, path.widths.size - 1)
-    z_lo, rise = edges[k], edges[k + 1] - edges[k]
-    half = 0.5 * path.widths[k]
-    poly = path.antider[k].T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(rise > 0.0, 2.0 * (z - z_lo) / rise - 1.0, 1.0)
-    t = np.clip(t, -1.0, 1.0)
-    for _ in range(12):
-        value = poly[-1]
-        slope = np.zeros_like(t)
-        for row in poly[-2::-1]:
-            slope = slope * t + value
-            value = value * t + row
-        resid = z_lo + half * value - z
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(slope > 0.0, resid / (half * slope), 0.0)
-        t = np.clip(t - step, -1.0, 1.0)
-        if np.max(np.abs(step), initial=0.0) <= 1e-12:
-            break
-    u = path.lefts[k] + (t + 1.0) * half
-    u = np.where(z > edges[-1], path.lefts[-1] + path.widths[-1], u)
-    return np.where(z > 0.0, np.exp(math.log(path.p0) + path.direction * u), path.p0)
-
-
-def _knots(path):
-    # z at every panel's left edge and Gauss nodes, and at the last edge
+def _knots(path, clip):
+    # z at every panel's left edge and Gauss nodes, evaluated from the
+    # monomials in t, and p there from u; the last panel's knots taken
+    # between its left edge and t = clip
     nodes = numerics._gauss_tables()[0]
     t = np.concatenate(([-1.0], nodes))
-    inner = [path.z_edges[k] + 0.5 * path.widths[k]
-             * np.polynomial.polynomial.polyval(t, path.antider[k])
-             for k in range(path.widths.size)]
-    return np.concatenate(inner + [path.z_edges])
+    z, u = [], []
+    for k in range(path.widths.size):
+        tk = t if k < path.widths.size - 1 else -1.0 + (t + 1.0) * (clip + 1.0) / 2.0
+        z.append(path.z_edges[k] + 0.5 * path.widths[k]
+                 * np.polynomial.polynomial.polyval(tk, path.antider[k]))
+        u.append(path.lefts[k] + 0.5 * (tk + 1.0) * path.widths[k])
+    return np.concatenate(z), path.p0 * np.exp(path.direction * np.concatenate(u))
 
 
-def test_p_at_matches_the_inversion_it_replaced(seeded):
+def test_knots_match_the_panel_polynomials(seeded):
     gauss = SOURCES["gaussian"]
     _solve_rows(gauss, ZeroLeakage(), {5: ROWS_GAUSS_IDEAL[5]})
     row = seeded[-1][2]
-    # logistic growth settles on p = 1 before z = 60
+    # the row's last panel is clipped at z_end by a root in t
+    z, p = row.knots()
+    assert z[-1] == row.z_end < row.z_edges[-1]
+    poly = 0.5 * row.widths[-1] * row.antider[-1]
+    poly[0] -= row.z_end - row.z_edges[-2]
+    clip = [r.real for r in np.polynomial.polynomial.polyroots(poly)
+            if abs(r.imag) < 1e-9 and -1.0 <= r.real <= 1.0]
+    assert len(clip) == 1
+    # the leading panels, graded toward p0, are one piece in u up to the
+    # left edge of panel m, with z at its knots on the panels they fall
+    # in; no two knots lie within 1e-12 * z_end, and p rises at each
+    m = int(np.searchsorted(row.z_edges, z[9]))
+    assert m >= 2 and row.z_edges[m] == z[9]
+    assert np.diff(z).min() > 1e-12 * row.z_end and np.all(np.diff(p) > 0.0)
+    u = row.lefts[m] * numerics._panel_tables()[0]
+    k = np.searchsorted(row.lefts, u, side="right") - 1
+    head = [row.z_edges[j] + 0.5 * row.widths[j] * np.polynomial.polynomial.polyval(
+        2.0 * (uj - row.lefts[j]) / row.widths[j] - 1.0, row.antider[j]) for j, uj in zip(k, u)]
+    assert np.max(np.abs(z[:9] - head)) <= 1e-13 * row.z_end
+    assert np.max(np.abs(p[:9] / (row.p0 * np.exp(u)) - 1.0)) <= 1e-15
+    ref_z, ref_p = _knots(row, clip[0])
+    assert np.max(np.abs(z[9:-1] - ref_z[9 * m:])) <= 1e-13 * row.z_end
+    assert np.max(np.abs(p[9:-1] / ref_p[9 * m:] - 1.0)) <= 1e-14
+    # logistic growth settles on p = 1 before z = 60: even panels at the
+    # equilibrium follow the path's own
     logistic = numerics.integrate_autonomous(lambda p: p * (1.0 - p), 0.01, 60.0)
     assert logistic.z_edges[-1] < 60.0
-    rng = np.random.default_rng(5)
-    for path in (row, logistic):
-        cases = {
-            "zero": np.zeros(3),
-            "knots and edges": _knots(path),
-            "random": rng.uniform(0.0, path.z_end, 1000),
-            "past the last edge": np.linspace(path.z_edges[-1], path.z_end, 7),
-        }
-        for name, z in cases.items():
-            new, old = path.p_at(z), _p_at_before(path, z)
-            assert new.shape == z.shape
-            assert np.max(np.abs(new - old) / old) <= 4e-15, name
-        assert np.all(path.p_at(np.zeros(3)) == path.p0)
-        scalar = path.p_at(0.37 * path.z_end)
-        assert scalar.shape == ()
-        assert abs(scalar / _p_at_before(path, 0.37 * path.z_end) - 1.0) <= 4e-15
+    z, p = logistic.knots()
+    ref_z, ref_p = _knots(logistic, 1.0)
+    assert np.max(np.abs(z[:ref_z.size] - ref_z)) <= 1e-13 * 60.0
+    assert np.max(np.abs(p[:ref_z.size] / ref_p - 1.0)) <= 1e-15
+    assert np.all(p[ref_z.size:] == p[-1]) and z[ref_z.size] == logistic.z_edges[-1]
+    # a span cuts the panels into pieces no wider than it, on the same path
+    cut_z, cut_p = logistic.knots(0.25)
+    assert np.diff(cut_z[::9]).max() <= 0.25 * (1.0 + 1e-12)
+    assert cut_z.size > z.size and cut_z[-1] == 60.0
+    exact = 1.0 / (1.0 + 99.0 * np.exp(-cut_z))
+    assert np.max(np.abs(cut_p / exact - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Quadrature tables built once per grid
+# The law on the path's own panels
 # ---------------------------------------------------------------------------
-
-def _cumulative_per_call(x, y):
-    # cumulative_integral as it was before grids kept their stencils:
-    # the stencil coefficients rebuilt from x on every call
-    n = x.size
-    h = np.diff(x)
-    if n < 4:
-        j0, coef = np.arange(n - 1), [0.5 * h, 0.5 * h]
-    else:
-        j0 = np.clip(np.arange(n - 1) - 1, 0, n - 4)
-        mid = 0.5 * (x[:-1] + x[1:])
-        t = [x[j0 + k] - mid for k in range(4)]
-        coef = []
-        for k in range(4):
-            a, b, c = (t[j] for j in range(4) if j != k)
-            numer = -((a + b + c) * (h * h * h / 12.0) + a * b * c * h)
-            coef.append(numer / ((t[k] - a) * (t[k] - b) * (t[k] - c)))
-    inc = sum(c * y[j0 + k] for k, c in enumerate(coef))
-    weights = sum(np.bincount(j0 + k, c, minlength=n) for k, c in enumerate(coef))
-    return np.concatenate(([0.0], np.cumsum(inc))), weights
-
 
 def _bits(a):
     # == on the bit patterns, so that 0.0 and -0.0 differ too
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
+def _panels(edges):
+    # the grid of panels between the edges, each mapped by a rising quadratic
+    share = numerics._panel_tables()[0]
+    share = 0.8 * share + 0.2 * share ** 2
+    edges = np.asarray(edges, dtype=float)
+    return Grid(np.append((edges[:-1, None] + np.diff(edges)[:, None] * share).ravel(),
+                          edges[-1]))
+
+
+def _graded_panels(capacity, panels, least):
+    # panels from 0 whose edges are graded geometrically from least, then
+    # even from a tenth of the capacity
+    return _panels(np.concatenate(([0.0], np.geomspace(least, 0.1 * capacity, panels // 2),
+                                   np.linspace(0.1 * capacity, capacity,
+                                               panels - panels // 2 + 1)[1:])))
+
+
 QUADRATURE_GRIDS = {
-    "graded-300": lambda: Grid.graded(5.0, n=300),
-    "graded-800": lambda: Grid.graded(5.0),
-    "graded-2000-zmin-1e-12": lambda: Grid.graded(3.0, n=2000, z_min=1e-12),
-    "trapezoid-3": lambda: Grid([0.0, 1.0, 3.0]),
-    "irregular": lambda: Grid([0.0, 1e-9, 0.01, 0.013, 0.5, 1.0, 1.25, 2.2, 3.0]),
+    "graded-300": lambda: _graded_panels(5.0, 33, 1e-6),
+    "graded-800": lambda: _graded_panels(5.0, 89, 1e-6),
+    "graded-2000-zmin-1e-12": lambda: _graded_panels(3.0, 222, 1e-12),
+    "irregular": lambda: _panels([0.0, 1e-9, 0.01, 0.013, 0.5, 1.0, 1.25, 2.2, 3.0]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(QUADRATURE_GRIDS))
 def test_cumulative_integral_on_grid_matches_nodes_bit_for_bit(name):
-    # against the stencils rebuilt from the grid's nodes on every call
+    # a grid rebuilt from a copy of its nodes has the same weights and
+    # integrates the same, bit for bit
     grid = QUADRATURE_GRIDS[name]()
     x = grid.nodes
+    again = Grid(x.copy())
+    assert np.array_equal(_bits(again.weights), _bits(grid.weights))
     rng = np.random.default_rng(17)
     for y in (np.exp(-x), 1.0 / (x + 1e-3), np.sin(40.0 * x), rng.normal(size=x.size),
               np.zeros_like(x), -np.ones_like(x)):
-        on_grid = cumulative_integral(grid, y)
-        per_call, weights = _cumulative_per_call(x.copy(), y)
-        assert np.array_equal(_bits(on_grid), _bits(per_call))
-        assert np.array_equal(_bits(grid.weights), _bits(weights))
+        assert np.array_equal(_bits(cumulative_integral(grid, y)),
+                              _bits(cumulative_integral(again, y)))
+        assert np.array_equal(_bits(numerics.discounted_tail(grid, y, 2.0)),
+                              _bits(numerics.discounted_tail(again, y, 2.0)))
     with pytest.raises(ValueError, match="length mismatch"):
         cumulative_integral(grid, np.ones(x.size + 1))
 
@@ -505,35 +537,35 @@ def _solved_fields(sol):
         "d_avg, pi0, kappa0": _bits([sol.d_avg, sol.pi0, sol.kappa0]).tolist(),
         "c2": None if sol.constants is None else _bits(sol.constants.c2).tolist(),
         "nodes": _bits(sol.grid.nodes).tolist(),
+        "weights": _bits(sol.grid.weights).tolist(),
         "p": _bits(sol.p).tolist(),
         "f": _bits(sol.f).tolist(),
     }
 
 
-def _assert_default_grid_parity(solve, capacity, residual=None):
-    # grid=None on a cold memo, then again from the memo, against a
-    # grid built afresh from the default nodes, which no memo holds
-    numerics._graded_grid.cache_clear()
-    cold = solve(None)
-    warm = solve(None)
-    assert warm.grid is cold.grid
-    nodes = numerics._graded_grid.__wrapped__(capacity, 800, 1e-6).nodes
-    fresh = solve(Grid(nodes.copy()))
-    want = _solved_fields(fresh)
-    assert _solved_fields(cold) == want
-    assert _solved_fields(warm) == want
+def _assert_rebuilt_grid_parity(solve, residual=None):
+    # a solve twice, and its law on a grid rebuilt from a copy of its
+    # nodes, as the CLI rebuilds it from a CSV: the solvers' grid is the
+    # path's own panels, shared with whatever reads the solution
+    first, second = solve(), solve()
+    assert _solved_fields(first) == _solved_fields(second)
+    grid = Grid(first.grid.nodes.copy())
+    assert np.array_equal(_bits(grid.weights), _bits(first.grid.weights))
+    rebuilt = replace(first, grid=grid)
+    assert _bits(quadrature(rebuilt.f, grid)) == _bits(quadrature(first.f, first.grid))
+    assert np.array_equal(_bits(cumulative_integral(grid, first.f)),
+                          _bits(cumulative_integral(first.grid, first.f)))
     if residual is not None:
-        assert residual(cold) == residual(warm) == residual(fresh)
+        assert residual(first) == residual(second) == residual(rebuilt)
 
 
 @pytest.mark.parametrize("src,leak,rows", ALL_BENCHMARKS)
 def test_published_rows_identical_on_shared_default_grid(src, leak, rows):
     for cap, (_, beta, c1, c2) in rows.items():
         consts = VariationalConstants(beta, c1, c2)
-        _assert_default_grid_parity(
-            lambda grid: solve_adaptive(src, CH, ARR, leak, float(cap), 1e-3, consts,
-                                        grid=grid, refine_c2=True),
-            float(cap),
+        _assert_rebuilt_grid_parity(
+            lambda: solve_adaptive(src, CH, ARR, leak, float(cap), 1e-3, consts,
+                                   refine_c2=True),
             lambda sol: optimality_residual(src, CH, ARR, sol),
         )
 
@@ -542,35 +574,23 @@ def test_comparison_constant_kappa_solves_identical_on_shared_default_grid():
     bern = SOURCES["bernoulli"]
     c_star = -ARR.lam * distortion(bern, CH, ARR.delta / ARR.lam, 1.0)
     for src, c in ((SOURCES["gaussian"], -0.55), (bern, c_star - 0.01)):
-        _assert_default_grid_parity(
-            lambda grid: solve_constant_kappa(src, CH, ARR, ZeroLeakage(), 5.0, 1e-3, c,
-                                              grid=grid),
-            5.0,
-        )
+        _assert_rebuilt_grid_parity(
+            lambda: solve_constant_kappa(src, CH, ARR, ZeroLeakage(), 5.0, 1e-3, c))
 
 
 def test_shared_grid_is_read_only():
-    grid = Grid.graded(5.0)
-    assert Grid.graded(5.0) is grid
-    assert Grid.graded(5, n=800, z_min=1e-6) is grid
-    for name in ("nodes", "weights", "stencil_index", "stencil_coef"):
+    # a solve's grid goes with it to the simulator and the CLI, and its
+    # arrays cannot be written to; the grid keeps its own copy of the
+    # nodes it was built from
+    grid = solve_constant_kappa(SOURCES["gaussian"], CH, ARR, ZeroLeakage(), 5.0, 1e-3,
+                                -0.55).grid
+    for name in ("nodes", "weights"):
         array = getattr(grid, name)
         with pytest.raises(ValueError, match="read-only"):
-            array[(0,) * array.ndim] = 1
+            array[0] = 1
         with pytest.raises(ValueError, match="read-only"):
             array *= 2
-
-
-def test_graded_grid_memo_stays_bounded():
-    memo = numerics._graded_grid
-    first = Grid.graded(1.0, n=16)
-    capacities = np.linspace(1.0, 40.0, 4 * numerics._GRADED_MEMO)
-    grids = [Grid.graded(float(cap), n=16) for cap in capacities]
-    info = memo.cache_info()
-    assert info.maxsize == numerics._GRADED_MEMO
-    assert info.currsize == numerics._GRADED_MEMO
-    # the most recent are shared, the oldest were dropped and are rebuilt
-    assert Grid.graded(float(capacities[-1]), n=16) is grids[-1]
-    again = Grid.graded(1.0, n=16)
-    assert again is not first and np.array_equal(again.nodes, first.nodes)
-    assert memo.cache_info().currsize == numerics._GRADED_MEMO
+    nodes = grid.nodes.copy()
+    copy = Grid(nodes)
+    nodes[1] = 0.5 * nodes[1]
+    assert np.array_equal(copy.nodes, grid.nodes)

@@ -109,8 +109,6 @@ def test_tuned_solutions_are_probes_own_solves(monkeypatch):
         usable = [sol for sol in solves if sol.feasible and (
             sol.kind == "constant-kappa" or sol.pi0 / sol.kappa0 >= SearchSpec().margin)]
         assert res.d_avg == min(sol.d_avg for sol in usable)
-        # one grid serves every probe
-        assert len({id(sol.grid) for sol in solves if sol.grid is not None}) == 1
 
 
 def test_a_tune_audits_only_the_solution_it_returns(monkeypatch):
@@ -289,10 +287,10 @@ def test_constant_kappa_tuner(tuned_kappa5):
 def test_constant_kappa_minimization_stops_at_scan_accuracy():
     # one Brent minimization over the whole C box ends at a width of
     # 1e-7 * max(1, |C|): 16 probes at the default budget.  The d_avg
-    # found is within 1.2e-8 relative of a 32k-node solve at its C
+    # found is within 1e-13 relative of a 32k-node solve at its C
     res = tune_constant_kappa(PROB5, budget=240)
     assert res.evaluations <= 20
-    assert res.d_avg == pytest.approx(0.5593946363, rel=1e-9)
+    assert res.d_avg == pytest.approx(0.5593946296111, rel=1e-9)
 
 
 def test_constant_kappa_optimum_on_the_feasibility_edge():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehjscc import numerics
 from ehjscc.distortion import distortion
 from ehjscc.models import (
     ArrivalModel,
@@ -183,14 +184,21 @@ def test_drain_only_short_horizon_splits_time(bench_policy):
 
 
 def test_drain_only_cdf_at_edges_next_to_policy_nodes():
-    # every third node of this uniform policy grid sits within rounding
-    # of a bin edge; the edges stay nodes of the drain table, so a drain
+    # a panel edge of this policy grid sits within rounding of every bin
+    # edge; the edges stay nodes of the drain table, so a drain
     # from the top reads its CDF at the edges themselves: the charge is
     # at or below edge e from the wall time u(e) on, and empty from u_max
     cap, horizon = 7.3, 100.0
-    sol = solve_constant_kappa(GAUSS, CHAN, ARRIVALS, ZeroLeakage(), cap, 1e-3, -0.55,
-                               grid=Grid(np.linspace(0.0, cap, 1537)))
-    assert sol.feasible
+    solved = solve_constant_kappa(GAUSS, CHAN, ARRIVALS, ZeroLeakage(), cap, 1e-3, -0.55)
+    assert solved.feasible
+    # the solved policy on even panels whose edges, taken as k * cap / 512,
+    # sit within rounding of the bin edges
+    share = numerics._panel_tables()[0]
+    edges = np.arange(513) * cap / 512
+    z = np.append((edges[:-1, None] + np.diff(edges)[:, None] * share).ravel(), cap)
+    p = np.interp(z, solved.grid.nodes, solved.p)
+    sol = replace(solved, grid=Grid(z), p=p, kappa=np.ones_like(z),
+                  f=np.interp(z, solved.grid.nodes, solved.f))
     system = SystemConfig(arrivals=ArrivalModel(delta=0.0, lam=1.0),
                           leakage=ZeroLeakage(), capacity=cap)
     config = SimConfig(policy=sol, system=system, horizon=horizon, z0=cap,
