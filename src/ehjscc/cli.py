@@ -40,7 +40,7 @@ from .models import (
     TabulatedLeakage,
     ZeroLeakage,
 )
-from .numerics import Grid, NumericsError
+from .numerics import STATE_RANGE, Grid, NumericsError, in_state_range
 from .policy import (
     PolicySolution,
     VariationalConstants,
@@ -230,8 +230,8 @@ class RunConfig:
         self.capacity = _number(data.get("capacity"), "capacity",
                                 allow_inf=True, positive=True)
         self.p0plus = _number(data.get("p0plus", 1e-3), "p0plus")
-        if not 1e-300 <= self.p0plus <= 1e300:
-            _fail("p0plus", f"must be in [1e-300, 1e300], got {self.p0plus}")
+        if not in_state_range(self.p0plus):
+            _fail("p0plus", f"must be in {STATE_RANGE}, got {self.p0plus}")
 
         self.policy_kind = data.get("policy", "adaptive")
         if self.policy_kind not in _CONSTANT_KEYS:

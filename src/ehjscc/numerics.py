@@ -34,6 +34,7 @@ __all__ = [
     "find_minimum",
     "integrate_ode",
     "AutonomousPath",
+    "STATE_RANGE", "KNOT_RESOLUTION", "in_state_range",
     "integrate_autonomous",
     "affine_field",
     "endpoint_root",
@@ -497,9 +498,18 @@ _GL_HALF_WEIGHTS = (0.36268378337836198297, 0.31370664587788728734,
                     0.22238103445337447054, 0.10122853629037625915)
 _GL_ORDER = 2 * len(_GL_HALF_NODES)
 
-# state range the quadrature explores (ln 1e300 either side of 0); leaving
-# it means p reached 0 or escaped to infinity
-_S_MAX = math.log(1e300)
+# every state of a path, p0 included, lies in this range, as messages
+# state it; leaving it means p reached 0 or escaped to infinity
+STATE_MIN, STATE_MAX, STATE_RANGE = 1e-300, 1e300, "[1e-300, 1e300]"
+_S_MAX = math.log(STATE_MAX)   # the reach of ln p either side of 0
+# no two knots of the law lie closer than this times L, and a panel's
+# z(t) at t = 1 meets the next left edge, or L, to it
+KNOT_RESOLUTION = 1e-12
+# the error target of every path, absolute and relative (see
+# integrate_autonomous): on the published rows, d_avg agrees to 1e-15
+# relative and the stationarity residual to 1e-7 relative with paths at
+# 1e-13/1e-12, which take ~0.5 ms (13%) longer each
+_ODE_ATOL, _ODE_RTOL = 1e-10, 1e-9
 _RHS_CAP = 1e9           # |F| above this is a blow-up
 # width ratio of the panels graded toward an obstacle, and of those of
 # the endpoint table toward p0
@@ -516,7 +526,11 @@ _MAX_SPLIT = 16          # most sub-panels a panel is cut into per round
 _LOCATE_POINTS = 63      # states tried per step when locating an obstacle
 _MIN_SHARE = 1.0 / 64.0  # smallest width a panel's error allowance scales with
 _MAX_ROUNDS = 400
-_SIGN_CHANGE = "right-hand side changed sign"
+
+
+def in_state_range(p: float) -> bool:
+    """Whether p lies in the state range STATE_RANGE of every path."""
+    return STATE_MIN <= p <= STATE_MAX
 
 
 @functools.cache
@@ -621,23 +635,26 @@ class AutonomousPath:
         Each panel gives its left edge and the images of the Gauss nodes
         under its z(t), and p = p0 e^{direction u} is exact at each: no
         inversion.  The panel holding z_end is clipped there by one root
-        in t, and a panel wider than ``span`` in z is cut evenly in t
-        until no piece is; each piece is still a degree-8 polynomial in
-        its own t.  The endpoint table grades its panels toward p0 down
-        to 1e-15 in u, where knots a few ulps of p or 1e-20 of z apart
-        would tell the law nothing: the leading panels, up to the first
-        left edge where a knot gap moves u by 16 ulps and z by 1e-12 *
-        z_end, become one piece in u, with z at its knots from the panels
-        they fall in.  They stay as they are where that piece is wider
-        than ``span`` or its interpolant misses the edge by more than
-        1e-12 of its width.  Past the last edge, where the state sits on
-        its equilibrium, and on the whole battery for direction 0, the
-        panels are cut evenly in z, no wider than ``span``.  The last
-        node is z_end.  A piece whose knots do not rise in z (one a few
-        ulps wide, left by a clip next to an edge) is dropped.
+        in t, unless less than KNOT_RESOLUTION * z_end of it would be
+        left: the path then ends at that panel's left edge, which meets
+        z_end to the resolution.  A panel wider than ``span`` in z is cut
+        evenly in t until no piece is; each piece is still a degree-8
+        polynomial in its own t.  The endpoint table grades its panels
+        toward p0 down to 1e-15 in u, where knots a few ulps of p or
+        1e-20 of z apart would tell the law nothing: the leading panels,
+        up to the first left edge where a knot gap moves u by 16 ulps and
+        z by KNOT_RESOLUTION * z_end, become one piece in u, with z at
+        its knots from the panels they fall in.  They stay as they are
+        where that piece is wider than ``span`` or its interpolant misses
+        the edge by more than KNOT_RESOLUTION of its width.  Past the
+        last edge, where the state sits on its equilibrium, and on the
+        whole battery for direction 0, the panels are cut evenly in z, no
+        wider than ``span``.  The last node is z_end.  The knots are not
+        checked here: :class:`Grid` is their one checker.
         """
-        share, slope, _, _, to_s, end = _panel_tables()
+        share, _, _, _, to_s, end = _panel_tables()
         z_end, n = self.z_end, self.widths.size
+        least = KNOT_RESOLUTION * z_end
 
         def even(z_a, u_a):
             # [z_a, z_end] cut evenly into pieces no wider than span, u_a
@@ -650,10 +667,15 @@ class AutonomousPath:
         if n == 0:
             z, u = even(0.0, 0.0)
         else:
-            edges = self.z_edges
+            lefts, widths, edges, antider = self.lefts, self.widths, self.z_edges, self.antider
+            if edges[-1] >= z_end and z_end - edges[-2] < least:
+                # a clip would leave a sliver: the path ends at the last
+                # panel's left edge, which meets z_end to the resolution
+                n -= 1
+                lefts, widths, edges, antider = lefts[:n], widths[:n], edges[:n + 1], antider[:n]
             # the panels' z(s) - z(0) in s = t + 1, which keeps the digits
             # of a clip close to the left edge
-            poly = 0.5 * self.widths[:, None] * (self.antider @ to_s)
+            poly = 0.5 * widths[:, None] * (antider @ to_s)
             poly[:, 0] = 0.0
             lo, hi = np.zeros(n), np.full(n, 2.0)
             if edges[-1] >= z_end:
@@ -671,57 +693,56 @@ class AutonomousPath:
                 reached = z_end
             else:
                 reached = float(edges[-1])
-            u_top = float(self.lefts[-1] + 0.5 * hi[-1] * self.widths[-1])
+            u_top = float(lefts[-1] + 0.5 * hi[-1] * widths[-1])
             # the leading panels, up to the first left edge m where a knot
             # gap (share[1] of a piece at least) moves u by 16 ulps and z
-            # by 1e-12 * z_end, make one piece in u, if its interpolant
-            # meets edge m to 1e-12 of its width
-            m = max(int(np.searchsorted(self.lefts, 16.0 * _EPS / share[1])),
-                    int(np.searchsorted(edges[:-1], 1e-12 * z_end / share[1])))
+            # by the resolution, make one piece in u, if its interpolant
+            # meets edge m to the resolution of its width
+            m = max(int(np.searchsorted(lefts, 16.0 * _EPS / share[1])),
+                    int(np.searchsorted(edges[:-1], least / share[1])))
             pieces, first = [], 0
             if m >= 2:
-                u_m, z_m = (self.lefts[m], edges[m]) if m < n else (u_top, reached)
+                u_m, z_m = (lefts[m], edges[m]) if m < n else (u_top, reached)
                 u = u_m * share
-                j = np.searchsorted(self.lefts, u, side="right") - 1
-                z = edges[j] + _rising(poly[j], (u - self.lefts[j])[:, None]
-                                       / (0.5 * self.widths[j, None]))[:, 0]
-                if z_m <= span and abs(z @ end - z_m) <= 1e-12 * z_m:
+                j = np.searchsorted(lefts, u, side="right") - 1
+                z = edges[j] + _rising(poly[j], (u - lefts[j])[:, None]
+                                       / (0.5 * widths[j, None]))[:, 0]
+                if z_m <= span and abs(z @ end - z_m) <= KNOT_RESOLUTION * z_m:
                     pieces, first = [(z[None, :], u[None, :])], m
             k = np.arange(first, n)
             lo, hi = lo[k], hi[k]
-            while True:
-                wide = np.ceil(_rising(poly[k], np.stack((lo, hi), axis=1)) @ [-1.0, 1.0] / span)
-                if not (wide > 1.0).any():
-                    break
-                parts = np.maximum(wide, 1.0).astype(int)
-                step = np.repeat((hi - lo) / parts, parts)
-                lo = np.repeat(lo, parts) + (np.arange(step.size)
-                                             - np.repeat(np.cumsum(parts) - parts, parts)) * step
-                hi, k = lo + step, np.repeat(k, parts)
+            # cut only where some panel is wider than span in z
+            if (np.minimum(edges[first + 1:], reached) - edges[first:-1] > span).any():
+                while True:
+                    wide = np.ceil(_rising(poly[k], np.stack((lo, hi), axis=1))
+                                   @ [-1.0, 1.0] / span)
+                    if not (wide > 1.0).any():
+                        break
+                    parts = np.maximum(wide, 1.0).astype(int)
+                    step = np.repeat((hi - lo) / parts, parts)
+                    lo = np.repeat(lo, parts) + (np.arange(step.size)
+                                                 - np.repeat(np.cumsum(parts) - parts, parts)) * step
+                    hi, k = lo + step, np.repeat(k, parts)
             s = lo[:, None] + (hi - lo)[:, None] * share
             pieces.append((edges[k][:, None] + _rising(poly[k], s),
-                           self.lefts[k][:, None] + s * (0.5 * self.widths[k])[:, None]))
-            if reached < z_end:
+                           lefts[k][:, None] + s * (0.5 * widths[k])[:, None]))
+            if z_end - reached >= least:
                 pieces.append(even(reached, u_top))
             z, u = (np.concatenate(part) for part in zip(*pieces))
         p = self.p0 * np.exp(self.direction * u)
-        # the pieces whose knots rise, up to the next piece's left edge,
-        # with dz/dt > 0 at each Gauss node
-        after = np.append(z[1:, 0], z_end)
-        keep = ((np.diff(z, axis=1) > 0.0).all(axis=1) & (after > z[:, -1])
-                & (z @ slope.T > 0.0).all(axis=1))
-        return (np.append(z[keep].ravel(), z_end),
-                np.append(p[keep].ravel(), self.p0 * math.exp(self.direction * u_top)))
+        return (np.append(z.ravel(), z_end),
+                np.append(p.ravel(), self.p0 * math.exp(self.direction * u_top)))
 
 
-def _invalid_reason(p: float, g: float) -> str:
-    # why the state p (always in [1e-300, 1e300]) with dz/du = g, signed
-    # by the path's direction, is not admissible
+def _invalid_reason(p: float, g: float) -> tuple[str, str]:
+    # why the state p (always in the state range) with dz/du = g, signed
+    # by the path's direction, is not admissible: the kind of obstacle,
+    # and the message that reports it
     if math.isnan(g):
-        return "right-hand side undefined (state left its domain)"
+        return "undefined", "right-hand side undefined (state left its domain)"
     if not abs(g) >= p / _RHS_CAP:
-        return "right-hand side blew up"
-    return _SIGN_CHANGE
+        return "blow-up", "right-hand side blew up"
+    return "equilibrium", "right-hand side changed sign"
 
 
 def _floor_width(s0, a):
@@ -742,7 +763,7 @@ def _admissible(p, g):
     return (g >= p / _RHS_CAP) & (g < math.inf)
 
 
-def _panel_test(a, h, p, g, s0, atol, rtol):
+def _panel_test(a, h, p, g, s0):
     """The one accuracy rule of a path's panels.
 
     For panels with left edges ``a`` and widths ``h`` in u, and dz/du
@@ -755,11 +776,11 @@ def _panel_test(a, h, p, g, s0, atol, rtol):
     _, weights, to_coef, _ = _gauss_tables()
     coef = g @ to_coef.T
     err = h * (np.abs(coef[:, -1]) + np.abs(coef[:, -2]))
-    # a panel may shift u by (atol/p + rtol) per unit of its width,
-    # but never by less than per _MIN_SHARE: tiny panels close to an
-    # equilibrium need not resolve F's rounding noise, since an error
+    # a panel may shift u by (_ODE_ATOL/p + _ODE_RTOL) per unit of its
+    # width, but never by less than per _MIN_SHARE: tiny panels close to
+    # an equilibrium need not resolve F's rounding noise, since an error
     # there moves u by at most that much
-    tol = 0.5 * np.maximum(h, _MIN_SHARE) * ((g * (atol / p + rtol)) @ weights)
+    tol = 0.5 * np.maximum(h, _MIN_SHARE) * ((g * (_ODE_ATOL / p + _ODE_RTOL)) @ weights)
     return coef, err, tol, h <= _floor_width(s0, a)
 
 
@@ -771,15 +792,7 @@ def _parts(err, tol):
     return np.clip(parts, 2, _MAX_SPLIT).astype(int)
 
 
-def integrate_autonomous(
-    rhs,
-    p0: float,
-    z_end: float,
-    *,
-    atol: float = 1e-13,
-    rtol: float = 1e-12,
-    start=None,
-) -> AutonomousPath:
+def integrate_autonomous(rhs, p0: float, z_end: float, *, start=None) -> AutonomousPath:
     """Solve the autonomous scalar ODE p' = rhs(p), p(0) = p0, on [0, z_end].
 
     ``rhs`` maps an array of states to an array of slopes; a NaN marks a
@@ -789,14 +802,13 @@ def integrate_autonomous(
     refined Gauss-Legendre panels.  Each round takes dz/du at the Gauss
     nodes and the right edge of every panel pending.  A panel is
     accepted when the two highest Legendre coefficients of its
-    interpolant are below the integral of (atol / p + rtol) * dz/du over
-    it, so ``atol`` and ``rtol`` bound the state error per unit of ln p
-    as an absolute and a relative target; the others are cut.  The first
-    inadmissible state met (F undefined, above 1e9 in size or of the
-    wrong sign) is located to rounding and the panels before it are
-    graded toward it; panels past the point where z must have reached
-    z_end are dropped, and where the panels end short of z_end a new
-    stretch of u is cut.
+    interpolant are below the integral of (_ODE_ATOL / p + _ODE_RTOL) *
+    dz/du over it, so the module's error target bounds the state error
+    per unit of ln p; the others are cut.  The first inadmissible state
+    met (F undefined, above 1e9 in size or of the wrong sign) is located
+    to rounding and the panels before it are graded toward it; panels
+    past the point where z must have reached z_end are dropped, and where
+    the panels end short of z_end a new stretch of u is cut.
 
     The first round is a stretch of evenly cut panels after a call of
     ``rhs`` at p0, or the panels of ``start`` without a call: a tuple
@@ -813,15 +825,15 @@ def integrate_autonomous(
     """
     p0 = float(p0)
     z_end = float(z_end)
-    if not 1e-300 <= p0 <= 1e300:
-        raise ValueError(f"initial state must be in [1e-300, 1e300], got {p0}")
+    if not in_state_range(p0):
+        raise ValueError(f"initial state must be in {STATE_RANGE}, got {p0}")
     if not (z_end > 0.0 and math.isfinite(z_end)):
         raise ValueError(f"z_end must be finite and positive, got {z_end}")
     with np.errstate(all="ignore"):
-        return _integrate_autonomous(rhs, p0, z_end, atol, rtol, start)
+        return _integrate_autonomous(rhs, p0, z_end, start)
 
 
-def _integrate_autonomous(rhs, p0, z_end, atol, rtol, start):
+def _integrate_autonomous(rhs, p0, z_end, start):
     to_antider = _gauss_tables()[3]
     empty = np.empty(0)
 
@@ -835,9 +847,9 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, start):
     sign = 1.0 if f0 > 0.0 else -1.0
     g0 = sign * p0 / f0
     if not _admissible(p0, g0):
-        raise SingularityError(_invalid_reason(p0, g0), 0.0, p0)
+        raise SingularityError(_invalid_reason(p0, g0)[1], 0.0, p0)
     s0 = math.log(p0)
-    u_limit = _S_MAX - sign * s0   # where the state leaves [1e-300, 1e300]
+    u_limit = _S_MAX - sign * s0   # where the state leaves its range
 
     def fresh(u0):
         # the next stretch of u, as evenly cut candidate panels
@@ -846,8 +858,8 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, start):
         return cuts[:-1], np.diff(cuts)
 
     def locate(lo, hi):
-        # narrow (lo, hi] onto the first inadmissible state; lo is
-        # admissible, hi is not
+        # narrow (lo, hi] onto the first inadmissible state, lo admissible
+        # and hi not; returns them, the obstacle's kind and its message
         g_hi = math.nan
         steps = np.arange(1, _LOCATE_POINTS + 1) / (_LOCATE_POINTS + 1)
         while hi - lo > _floor_width(s0, hi):
@@ -863,7 +875,7 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, start):
         p_hi = math.exp(s0 + sign * hi)
         if math.isnan(g_hi):
             g_hi = sign * p_hi / evaluate(np.array([p_hi]))[0]
-        return float(lo), float(hi), _invalid_reason(p_hi, float(g_hi))
+        return (float(lo), float(hi)) + _invalid_reason(p_hi, float(g_hi))
 
     def graded(a, end):
         # panels from a to end, narrowing geometrically toward end
@@ -882,8 +894,8 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, start):
     coef = np.zeros((a.size, _GL_ORDER))
     todo = np.arange(a.size)
     # the first inadmissible state found, the last admissible one before
-    # it, and why the former is inadmissible
-    obstacle, cut_at, obstacle_reason = math.inf, math.inf, ""
+    # it, and why the former is inadmissible: its kind and message
+    obstacle, cut_at, kind, reason = math.inf, math.inf, "", ""
     z_reached = 0.0
 
     for _ in range(_MAX_ROUNDS):
@@ -897,7 +909,7 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, start):
         admissible_at = _admissible(p, g)
         whole = admissible_at.all(axis=1)
         p, g = p[:, :-1], np.where(admissible_at[:, :-1], g[:, :-1], 0.0)
-        found, err, tol, floor = _panel_test(pend_a, pend_h, p, g, s0, atol, rtol)
+        found, err, tol, floor = _panel_test(pend_a, pend_h, p, g, s0)
         coef[todo] = found
         good = whole & ((err <= tol) | floor)
 
@@ -922,7 +934,7 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, start):
                 if u[first] < obstacle and pend_a[k] < crossing:
                     before = u[k][admissible_at[k] & (u[k] < u[first])]
                     lo = before.max() if before.size else pend_a[k]
-                    cut_at, obstacle, obstacle_reason = locate(float(lo), float(u[first]))
+                    cut_at, obstacle, kind, reason = locate(float(lo), float(u[first]))
                     # the panel holding it is replaced by panels graded up to it
                     end = todo[k]
                     extra_a, extra_h = graded(pend_a[k], cut_at)
@@ -953,13 +965,13 @@ def _integrate_autonomous(rhs, p0, z_end, atol, rtol, start):
         if not crossed and todo.size:
             continue
         # a root of F met first: the state has converged on it to rounding
-        if crossed or obstacle_reason == _SIGN_CHANGE:
+        if crossed or kind == "equilibrium":
             # the path up to the panel where z reaches z_end, if it does
             last = int(np.searchsorted(z_edges, z_end, side="left"))
             return AutonomousPath(p0, z_end, sign, a[:last], h[:last],
                                   coef[:last] @ to_antider.T, z_edges[:last + 1])
         if math.isfinite(obstacle):
-            raise SingularityError(obstacle_reason, z_reached,
+            raise SingularityError(reason, z_reached,
                                    math.exp(s0 + sign * cut_at))
         reached = float(a[-1] + h[-1]) if a.size else 0.0
         if reached >= u_limit * (1.0 - 1e-15):
@@ -1016,7 +1028,7 @@ def endpoint_root(terms, scale, closing, p0, z_end):
     from the first node where dz/du = q/|F| is not finite or is below
     q/1e9, which closes the bracket.  The table covers 16 units of u,
     doubling its reach until Phi at its end is not negative, within the
-    states [1e-300, 1e300].
+    state range.
 
     The root is found by Newton's method on the reciprocal charge
     1/(Phi + z_end) - 1/z_end, which is nearly linear where Phi climbs
@@ -1199,11 +1211,11 @@ class Grid:
     knots carry none.  A smooth y is integrated as y dz/dt in t, to the
     Gauss rule's order on each panel.  The weights depend on the nodes
     alone: a grid rebuilt from saved nodes integrates like the one it was
-    saved from.  Nodes whose panels do not rise (dz/dt <= 0 at a Gauss
-    node), or do not meet (a panel's z(t) at t = 1 more than 1e-12 * L
-    from the next panel's left edge, or from L), are refused: their
-    weights would not sum to L.  The arrays are read-only and the grid
-    immutable.
+    saved from.  It is the one checker of knots, solved or saved: panels
+    that do not rise (dz/dt <= 0 at a Gauss node), or do not meet (z(t)
+    at t = 1 more than KNOT_RESOLUTION * L from the next left edge, or
+    from L), are refused, as their weights would not sum to L.  The
+    arrays are read-only and the grid immutable.
     """
 
     nodes: np.ndarray
@@ -1230,7 +1242,7 @@ class Grid:
             raise ValueError("nodes must be panel knots rising in z: dz/dt is not "
                              "positive at every Gauss node")
         if not np.all(np.abs(knots @ end - np.append(knots[1:, 0], nodes[-1]))
-                      <= 1e-12 * nodes[-1]):
+                      <= KNOT_RESOLUTION * nodes[-1]):
             raise ValueError("nodes must be panel knots that meet: a panel's z(t) must "
                              "reach the next panel's left edge, or L, at t = 1")
         weights = np.zeros_like(nodes)

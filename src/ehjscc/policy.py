@@ -49,6 +49,7 @@ import numpy as np
 from .distortion import distortion
 from .models import ArrivalModel, AwgnChannel, GaussianSource, LeakageModel, SourceModel
 from .numerics import (
+    STATE_RANGE,
     Grid,
     SingularityError,
     affine_field,
@@ -56,6 +57,7 @@ from .numerics import (
     discounted_tail,
     endpoint_root,
     find_root,
+    in_state_range,
     integrate_autonomous,
     integrate_ode,  # noqa: F401 -- looked up here by benchmarks/tracer.py
     lambert_wm1,
@@ -354,15 +356,9 @@ def check_battery(capacity: float, p0plus: float) -> None:
     if capacity < sys.float_info.min:
         raise ValueError(f"capacity must be at least the least normal float "
                          f"{sys.float_info.min!r}, got {capacity!r}")
-    if not 1e-300 <= p0plus <= 1e300:
-        raise ValueError(f"p0plus must be in the ODE state range [1e-300, 1e300], got {p0plus}")
+    if not in_state_range(p0plus):
+        raise ValueError(f"p0plus must be in the ODE state range {STATE_RANGE}, got {p0plus}")
 
-
-# the error target of every trajectory (see integrate_autonomous): on the
-# published rows, d_avg agrees to 1e-15 relative and the stationarity
-# residual to 1e-7 relative with solves at 1e-13/1e-12, which take ~0.5 ms
-# (13%) longer each
-_ODE_TOLERANCES = {"atol": 1e-10, "rtol": 1e-9}
 
 # the widest panel of the law, in lam*z: the law and the residual's tail
 # carry e^{-lam z}, and the 8-point Gauss rule's error on e^{-a t} over
@@ -379,7 +375,7 @@ def _law_on_path(terms, shift, arrivals, leak, capacity, p0plus, start=None, **t
     # tags if the trajectory turns singular before z = capacity
     try:
         path = integrate_autonomous(lambda p: affine_field(*terms(p), shift), p0plus,
-                                    capacity, start=start, **_ODE_TOLERANCES)
+                                    capacity, start=start)
     except SingularityError as exc:
         return PolicySolution(
             p0plus=p0plus, message=f"ODE singular near z={exc.z:.6g}: {exc.message}", **tags

@@ -314,11 +314,7 @@ def tune_constants(problem: Problem, spec: SearchSpec = SearchSpec()) -> TuneRes
     return gap.result(why)
 
 
-def tune_constant_kappa(
-    problem: Problem,
-    c_bounds: Optional[Tuple[float, float]] = None,
-    budget: int = 240,
-) -> TuneResult:
+def tune_constant_kappa(problem: Problem, budget: int = 240) -> TuneResult:
     """Find the constant C minimizing the constant-mismatch distortion.
 
     The admissible region is C below c* = -lam * D~(delta/lam): at c*
@@ -326,8 +322,9 @@ def tune_constant_kappa(
     the power would have to fall, which the drift equation rules out.
     Steeper constants blow the power up before ever larger capacities,
     so the feasible window hugs c* from below, shrinks as the capacity
-    grows and holds one minimum of d_avg, often on its lower edge.  One
-    Brent minimization over the box in t = -ln(c* - C), with infeasible
+    grows and holds one minimum of d_avg, often on its lower edge.  The
+    box of C runs from c* - 2 up to 1e-9 * max(1, |c*|) below c*.  One
+    Brent minimization over it in t = -ln(c* - C), with infeasible
     probes at +inf below the window, stops once the bracket is narrower
     in C than 1e-7 * max(1, |C|); the feasible probe of least d_avg is
     returned as it was solved.
@@ -336,15 +333,9 @@ def tune_constant_kappa(
         raise ValueError(f"budget must be >= 1, got {budget}")
     arr = problem.arrivals
     c_star = -arr.lam * distortion(problem.src, problem.ch, arr.delta / arr.lam, 1.0)
-    edge = c_star - 1e-9 * max(1.0, abs(c_star))
-    if c_bounds is None:
-        c_bounds = (c_star - 2.0, edge)
-    lo, hi = c_bounds
-    hi = min(hi, edge)
+    lo, hi = c_star - 2.0, c_star - 1e-9 * max(1.0, abs(c_star))
     if not lo < hi:
-        raise ValueError(
-            f"c_bounds {c_bounds} leave nothing below the fixed-point value {c_star}"
-        )
+        raise ValueError(f"the box of C ({lo}, {hi}) below the fixed-point value {c_star} is empty")
 
     def outcome(t: float):
         sol = solve_constant_kappa(

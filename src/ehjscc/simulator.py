@@ -46,7 +46,7 @@ import numpy as np
 
 from .distortion import distortion
 from .models import AwgnChannel, SourceModel, SystemConfig
-from .numerics import Rng, cumulative_integral
+from .numerics import KNOT_RESOLUTION, Rng, cumulative_integral
 from .policy import PolicySolution
 
 __all__ = [
@@ -178,10 +178,10 @@ class _DrainTable:
         cap = policy.grid.capacity
         edges = np.linspace(0.0, cap, _BINS + 1)
 
-        # every bin edge stays a node; a policy node closer than 1e-12*cap
-        # to its neighbour below or above gives way
+        # every bin edge stays a node; a policy node closer than the knots'
+        # resolution to its neighbour below or above gives way
         z = np.union1d(policy.grid.nodes, edges)
-        apart = np.diff(z) > 1e-12 * cap
+        apart = np.diff(z) > KNOT_RESOLUTION * cap
         z = z[np.isin(z, edges) | (np.append(True, apart) & np.append(apart, True))]
 
         p = np.interp(z, policy.grid.nodes, policy.p)

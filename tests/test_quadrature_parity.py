@@ -19,7 +19,7 @@ integration from scratch at the same c2, panel by panel against the one
 accuracy rule, by the states it evaluates F at, on a case where the
 table's c2 is off, and on a closed form.  The knots a path hands the
 law (``AutonomousPath.knots``) are checked against its panels' own
-polynomials.
+polynomials, and for a path that ends just past a panel's left edge.
 
 The law is integrated on the path's panels: a ``Grid`` is the panel rule
 of its nodes alone.  The last part checks that a grid rebuilt from a
@@ -86,15 +86,17 @@ class _Rkf45Path:
     """Stand-in for ``integrate_autonomous``'s result, stepped by RKF45.
 
     Its knots are the nodes it is given, or those of even panels where it
-    has none; p is stepped to them at once, so that a singularity raises
-    where ``integrate_autonomous`` would.
+    has none; p is stepped to them at once, at the quadrature solver's
+    error target, so that a singularity raises where
+    ``integrate_autonomous`` would.
     """
 
-    def __init__(self, rhs, p0, z_end, *, atol, rtol, start=None, nodes=None):
+    def __init__(self, rhs, p0, z_end, *, start=None, nodes=None):
         z = _even_knots(z_end) if nodes is None else nodes
         # z[0] = 0 is the start, which integrate_ode returns first
         self._knots = z, integrate_ode(lambda _, p: float(rhs(p)), 0.0, p0, z_end,
-                                       sample_points=z[1:], atol=atol, rtol=rtol)[1]
+                                       sample_points=z[1:], atol=numerics._ODE_ATOL,
+                                       rtol=numerics._ODE_RTOL)[1]
 
     def knots(self, span=math.inf):
         return self._knots
@@ -107,7 +109,8 @@ def _both(solve, monkeypatch):
     # one trajectory stepped by RKF45 to the new one's nodes.  The bounds
     # below hold at 1e-13/1e-12; at the solvers' own target of
     # 1e-10/1e-9 the two paths' p differ by up to 2e-8 relative
-    monkeypatch.setattr(policy, "_ODE_TOLERANCES", {"atol": 1e-13, "rtol": 1e-12})
+    monkeypatch.setattr(numerics, "_ODE_ATOL", 1e-13)
+    monkeypatch.setattr(numerics, "_ODE_RTOL", 1e-12)
     new = solve(None)
     no_root = new.message.startswith("endpoint condition has no root")
     stepped = []
@@ -300,8 +303,7 @@ def test_every_table_path_panel_passes_the_accuracy_rule(seeded):
         p = np.exp(s0 + sign * (a[:, None] + (nodes + 1.0) * (0.5 * h[:, None])))
         g = sign * p / rhs(p.ravel()).reshape(p.shape)
         assert numerics._admissible(p, g).all()
-        _, err, tol, floor = numerics._panel_test(a, h, p, g, s0, kwargs["atol"],
-                                                  kwargs["rtol"])
+        _, err, tol, floor = numerics._panel_test(a, h, p, g, s0)
         assert np.all((err <= tol) | floor)
         cut += a.size - lefts.size
     # the table's panels near the far end fail the rule and are cut
@@ -339,14 +341,12 @@ def test_seeded_integration_on_a_closed_form():
     lefts = np.linspace(0.0, 6.0, 13)[:-1]
     widths = np.full(lefts.size, 0.5)
     start = (-1.0, lefts, widths, np.ones((lefts.size, 9)))
-    path = numerics.integrate_autonomous(rhs, 1.0, 5.0, atol=1e-10, rtol=1e-9,
-                                         start=start)
+    path = numerics.integrate_autonomous(rhs, 1.0, 5.0, start=start)
     z, p = path.knots()
     assert np.max(np.abs(p / np.exp(-z) - 1.0)) <= 1e-13
     assert path.z_edges[-1] == 5.0 and z[-1] == 5.0
     # panels that stop short of z_end: the path goes on past them
-    longer = numerics.integrate_autonomous(rhs, 1.0, 7.0, atol=1e-10, rtol=1e-9,
-                                           start=start)
+    longer = numerics.integrate_autonomous(rhs, 1.0, 7.0, start=start)
     assert longer.z_edges[-1] >= 7.0
     z, p = longer.knots()
     assert z[-1] == 7.0 and np.max(np.abs(p / np.exp(-z) - 1.0)) <= 1e-13
@@ -356,7 +356,7 @@ def test_seeded_integration_on_a_closed_form():
     u = lefts[:, None] + (t + 1.0) * (0.5 * widths[:, None])
     p = np.exp(-u)
     with pytest.raises(numerics.SingularityError, match="undefined") as exc:
-        numerics.integrate_autonomous(hole, 1.0, 5.0, atol=1e-10, rtol=1e-9,
+        numerics.integrate_autonomous(hole, 1.0, 5.0,
                                       start=(-1.0, lefts, widths, -p / hole(p)))
     assert exc.value.z == pytest.approx(2.0, abs=1e-9)
     # p0 on an equilibrium: the state stays there, whatever the panels say
@@ -478,6 +478,31 @@ def test_knots_match_the_panel_polynomials(seeded):
     assert np.max(np.abs(cut_p / exact - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("ulps", [1, 16, 64, 1024])
+def test_a_clip_next_to_a_left_edge_leaves_no_sliver(seeded, ulps):
+    # the published L = 5 path ended a few ulps above its last panel's
+    # left edge: a clip there would leave a piece narrower than the
+    # knots' resolution, 1e-12 * z_end (~5,000 ulps here), so the path
+    # ends at that edge, which meets z_end to the resolution, with p from
+    # the edge's u.  The knots of the 64- and 1024-ulp slivers would still
+    # rise, so Grid alone would not refuse them
+    gauss = SOURCES["gaussian"]
+    _solve_rows(gauss, ZeroLeakage(), {5: ROWS_GAUSS_IDEAL[5]})
+    row = seeded[-1][2]
+    k = row.widths.size - 1
+    z_end = float(row.z_edges[k]) + ulps * float(np.spacing(row.z_edges[k]))
+    path = numerics.AutonomousPath(row.p0, z_end, row.direction, row.lefts[:k + 1],
+                                   row.widths[:k + 1], row.antider[:k + 1],
+                                   row.z_edges[:k + 2])
+    for span in (math.inf, 0.5):
+        z, p = path.knots(span)
+        grid = Grid(z)
+        pieces = np.diff(np.append(grid.nodes[:-1:9], z_end))
+        assert pieces.min() >= numerics.KNOT_RESOLUTION * z_end
+        assert z[-1] == z_end
+        assert p[-1] == pytest.approx(row.p0 * math.exp(row.direction * row.lefts[k]), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # The law on the path's own panels
 # ---------------------------------------------------------------------------
@@ -594,3 +619,4 @@ def test_shared_grid_is_read_only():
     copy = Grid(nodes)
     nodes[1] = 0.5 * nodes[1]
     assert np.array_equal(copy.nodes, grid.nodes)
+

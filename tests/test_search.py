@@ -29,6 +29,7 @@ CH = AwgnChannel(noise=1.0)
 ARR = ArrivalModel(delta=1.0, lam=1.0)
 PROB2 = Problem(GAUSS, CH, ARR, ZeroLeakage(), capacity=2.0)
 PROB5 = Problem(GAUSS, CH, ARR, ZeroLeakage(), capacity=5.0)
+HIGH5 = replace(PROB5, p0plus=1e3)
 
 # small budget keeps the unit suite quick; the full-budget table
 # reproduction lives in the acceptance suite
@@ -160,11 +161,13 @@ def test_a_search_without_a_solution_says_why():
         "the budget of 1 probes ran out before it probed both ends of the beta box")
     # a search with a solution has no reason to give
     assert tune_constants(PROB5, SearchSpec(budget=6)).reason == ""
-    # every constant this steep blows the power up before the endpoint
-    steep = tune_constant_kappa(PROB5, c_bounds=(-3.0, -2.5))
+    # from p0plus = 1e3, far above the fixed point, every constant in the
+    # box blows the power up before the endpoint: 5 probes say so
+    steep = tune_constant_kappa(HIGH5)
     assert steep.reason == "no probe in the box of C had a feasible solve"
-    steep = tune_constant_kappa(PROB5, c_bounds=(-3.0, -2.5), budget=12)
-    assert steep.reason == "the budget of 12 probes ran out before a feasible one"
+    assert steep.evaluations == 5
+    steep = tune_constant_kappa(HIGH5, budget=3)
+    assert steep.reason == "the budget of 3 probes ran out before a feasible one"
 
 
 def test_tuner_is_deterministic(tuned2):
@@ -309,14 +312,16 @@ def test_constant_kappa_optimum_on_the_feasibility_edge():
 def test_constant_kappa_rejects_bad_inputs():
     with pytest.raises(ValueError):
         tune_constant_kappa(PROB5, budget=0)
-    with pytest.raises(ValueError):
-        # nothing below the fixed-point value in this interval
-        tune_constant_kappa(PROB5, c_bounds=(-0.4, -0.3), budget=10)
+    # at lam = 3e9 the fixed-point value c* is about -3e9, and the margin
+    # of 1e-9 * |c*| below it is deeper than the box's 2: nothing is left
+    swift = replace(PROB5, arrivals=ArrivalModel(delta=1.0, lam=3e9))
+    with pytest.raises(ValueError, match="below the fixed-point value .* is empty"):
+        tune_constant_kappa(swift, budget=10)
 
 
 def test_constant_kappa_no_feasible_outcome():
-    # every constant this steep blows the power up before the endpoint
-    res = tune_constant_kappa(PROB5, c_bounds=(-3.0, -2.5), budget=12)
+    # every constant in the box blows the power up from p0plus = 1e3
+    res = tune_constant_kappa(HIGH5, budget=12)
     assert not res.feasible
     assert res.c is None
     assert res.d_avg == math.inf
